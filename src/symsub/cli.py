@@ -576,7 +576,8 @@ def run(argv: Optional[List[str]] = None) -> int:
     except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         _error("missing-file", str(exc))
         return 1
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, TypeError) as exc:
+        # TypeError: a JSON value of the wrong type, e.g. "entries": 5
         _error("malformed-json", str(exc))
         return 1
     except KeyError as exc:
@@ -597,7 +598,7 @@ def run(argv: Optional[List[str]] = None) -> int:
     except (DomainError, CongruenceError, MissingKthRootError, ValueError) as exc:
         _error("invalid-input", str(exc))
         return 1
-    except RuntimeError as exc:
+    except (RuntimeError, AssertionError) as exc:
         _error("internal", str(exc))
         return 1
     elapsed = time.perf_counter() - started

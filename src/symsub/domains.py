@@ -309,4 +309,4 @@ def unpack_bits(word: int, n: int) -> List[int]:
 
 def parity(word: int) -> int:
     """Parity of the popcount of ``word`` (dot products mod 2)."""
-    return bin(word).count("1") & 1
+    return word.bit_count() & 1

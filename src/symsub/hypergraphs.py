@@ -195,6 +195,9 @@ def induced_matching_number(
     and fast: excluding an element that already lies in the current product
     is fatal (products only grow), and including an element that would pull
     a previously excluded one into the product is fatal for the same reason.
+    A partial matching counts only once no element of Phi still to be walked
+    lies in its product: such an element can neither join (its coordinates
+    are taken) nor be excluded.
     """
     phi = h.phi
     total = len(phi)
@@ -215,7 +218,9 @@ def induced_matching_number(
 
     def walk(i: int) -> None:
         nonlocal best_size, best
-        if len(chosen) > best_size:
+        if len(chosen) > best_size and not any(
+            in_product(phi[later]) for later in range(i, total)
+        ):
             best_size = len(chosen)
             best = tuple(chosen)
         if i == total:

@@ -29,14 +29,11 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 def _f2_pack_rows(M: np.ndarray) -> List[int]:
-    out = []
-    for row in M % 2:
-        word = 0
-        for c, b in enumerate(row):
-            if b:
-                word |= 1 << c
-        out.append(word)
-    return out
+    bits = np.asarray(M) % 2
+    m = bits.shape[1]
+    if m <= 62:  # one int64 product
+        return (bits @ (np.int64(1) << np.arange(m, dtype=np.int64))).tolist()
+    return [int("".join(map(str, row[::-1])), 2) for row in bits.tolist()]
 
 
 def _f2_rank(rows: List[int], m: int) -> int:

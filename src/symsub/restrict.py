@@ -6,20 +6,29 @@ linear maps on the legs?" and returns a re-verifiable :class:`Certificate`
 only and respect a hard candidate budget: exceeding it raises
 :class:`SearchInfeasibleError`, never a silent "no".
 
-Determinism: candidate maps are enumerated row-major lexicographically over
-their entries, and the first certificate found is returned.
+When the target is a unit tensor <e>, the searches enumerate one
+representative per orbit of the stabilizer of <e>; other targets enumerate
+every map.  A search raises when the number of representatives (or maps)
+it could enumerate, :attr:`SearchInfeasibleError.required`, exceeds its
+budget.
+
+Determinism: canonical representatives are enumerated in lexicographic order
+of their rows, and the first certificate found is returned.  That first
+certificate may differ from the one a full enumeration would meet first; it
+re-verifies all the same.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import linalg
-from .domains import Domain, DomainError, PrimeField, pack_bits, parity
+from .domains import Domain, DomainError, PrimeField, pack_bits
 from .tensors import (
     LinearMap,
     Tensor,
@@ -57,7 +66,12 @@ DEFAULT_BUDGET = 1 << 26
 
 
 class SearchInfeasibleError(RuntimeError):
-    """The exhaustive search would exceed the candidate budget."""
+    """The exhaustive search would exceed the candidate budget.
+
+    ``required`` is the exact number of candidates the search can enumerate:
+    canonical representatives for a unit target, every map otherwise (for
+    restriction, maps on all legs but the last, which is solved linearly).
+    """
 
     def __init__(self, required: int, budget: int, what: str):
         super().__init__(
@@ -125,14 +139,22 @@ def symrestriction_exists(
 
     Prime fields only.  Rows of A are extended one at a time in lexicographic
     order; a partial map survives only while every already-determined entry
-    of the image matches g.
+    of the image matches g.  For g = <e> the rows are nonzero, strictly
+    increasing, and each the least in its orbit under the k-th roots of
+    unity: (P D A)^{(x)k} f = <e> whenever A^{(x)k} f = <e>, for a
+    permutation P and a diagonal D with D^k = I.
     """
     _check_search_pair(g, f)
     domain = f.domain
     k = f.order
     e, d = g.dims[0], f.dims[0]
     p = domain.p
-    required = p ** (e * d)
+    unit = _is_unit(g)
+    if unit:
+        # the k-th roots of unity act freely on the nonzero rows
+        required = math.comb((p**d - 1) // math.gcd(k, p - 1), e)
+    else:
+        required = p ** (e * d)
     if required > budget:
         raise SearchInfeasibleError(required, budget, f"map search over F_{p}^({e}x{d})")
     if e == 0:
@@ -141,13 +163,49 @@ def symrestriction_exists(
     for leg in range(k):
         if flattening_rank(g, [leg]) > flattening_rank(f, [leg]):
             return None
+    leads = _root_orbit_leads(p, k) if unit else None
     if p == 2 and k == 2:
-        rows = _sym_dfs_f2_matrix(g.array, f.array, e, d)
+        rows = _sym_dfs_f2_matrix(g.array, f.array, e, d, leads)
     else:
-        rows = _sym_dfs(g.array, f.array, e, d, domain)
+        rows = _sym_dfs(g.array, f.array, e, d, domain, leads)
     if rows is None:
         return None
     return _certified_sym(np.array(rows, dtype=np.int64), g, f)
+
+
+def _is_unit(g: Tensor) -> bool:
+    """True iff g is the unit tensor <e> of its order over its domain."""
+    return tensors_equal(g, unit_tensor(g.dims[0], g.order, g.domain))
+
+
+def _root_orbit_leads(p: int, k: int) -> Tuple[int, ...]:
+    """The least element of each orbit of F_p^* under the k-th roots of unity."""
+    roots = [z for z in range(1, p) if pow(z, k, p) == 1]
+    return tuple(a for a in range(1, p) if all(a <= a * z % p for z in roots))
+
+
+def _row_codes(p: int, d: int, leads: Optional[Sequence[int]], start: int = 0):
+    """Ascending codes >= start of rows in F_p^d whose first nonzero entry is
+    in ``leads`` (every row, zero included, when ``leads`` is None).
+
+    A row's code is its base-p value, first entry most significant, so
+    ascending codes are rows in lexicographic order.
+    """
+    if leads is None:
+        yield from range(start, p**d)
+        return
+    for j in range(d):
+        step = p**j
+        for a in leads:
+            yield from range(max(start, a * step), (a + 1) * step)
+
+
+def _row(code: int, p: int, d: int) -> List[int]:
+    """The row of F_p^d with the given code."""
+    row = [0] * d
+    for i in range(d - 1, -1, -1):
+        code, row[i] = divmod(code, p)
+    return row
 
 
 def _check_search_pair(g: Tensor, f: Tensor) -> None:
@@ -175,14 +233,19 @@ def _certified_sym(rows: np.ndarray, g: Tensor, f: Tensor) -> Certificate:
 
 
 def _sym_dfs(
-    G: np.ndarray, F: np.ndarray, e: int, d: int, domain: PrimeField
-) -> Optional[List[Tuple[int, ...]]]:
+    G: np.ndarray,
+    F: np.ndarray,
+    e: int,
+    d: int,
+    domain: PrimeField,
+    leads: Optional[Sequence[int]],
+) -> Optional[List[List[int]]]:
     """Generic row-by-row DFS.  Accepted row i must satisfy every image
-    entry whose index tuple has maximum coordinate i."""
+    entry whose index tuple has maximum coordinate i.  Rows are drawn from
+    :func:`_row_codes` with ``leads``, strictly increasing when ``leads`` is
+    given (the unit-target quotient)."""
     p = domain.p
     k = F.ndim
-    cand_tuples = list(itertools.product(range(p), repeat=d))
-    cand_arrs = [np.array(c, dtype=np.int64) for c in cand_tuples]
     chosen: List[int] = []
     arrs: List[np.ndarray] = []
     slices: List[np.ndarray] = []  # F contracted with each row on the last leg
@@ -194,7 +257,9 @@ def _sym_dfs(
         return int((arrs[jvec[0]] @ t) % p)
 
     def extend(i: int) -> bool:
-        for ci, cand in enumerate(cand_arrs):
+        start = chosen[-1] + 1 if leads is not None and chosen else 0
+        for code in _row_codes(p, d, leads, start):
+            cand = np.array(_row(code, p, d), dtype=np.int64)
             arrs.append(cand)
             slices.append(np.tensordot(F, cand, axes=([k - 1], [0])) % p)
             ok = all(
@@ -203,7 +268,7 @@ def _sym_dfs(
                 if max(jvec) == i
             )
             if ok:
-                chosen.append(ci)
+                chosen.append(code)
                 if i + 1 == e or extend(i + 1):
                     return True
                 chosen.pop()
@@ -211,51 +276,50 @@ def _sym_dfs(
             slices.pop()
         return False
 
-    return [cand_tuples[ci] for ci in chosen] if extend(0) else None
+    return [_row(code, p, d) for code in chosen] if extend(0) else None
 
 
 def _sym_dfs_f2_matrix(
-    G: np.ndarray, F: np.ndarray, e: int, d: int
-) -> Optional[List[Tuple[int, ...]]]:
-    """Bit-packed DFS for the F_2 matrix case (rows as ints, parity tests)."""
-    frow = [pack_bits(F[i] % 2) for i in range(d)]
-    # Candidate vectors in the same tuple-lex order as the generic path.
-    cand_tuples = list(itertools.product((0, 1), repeat=d))
-    masks = [pack_bits(t) for t in cand_tuples]
-    # fv[ci] = bit-vector over row index r of parity(F[r] & mask)  (= F @ v)
-    fv = []
-    for m in masks:
-        w = 0
-        for r in range(d):
-            if parity(frow[r] & m):
-                w |= 1 << r
-        fv.append(w)
-    chosen: List[int] = []
+    G: np.ndarray, F: np.ndarray, e: int, d: int, leads: Optional[Sequence[int]]
+) -> Optional[List[List[int]]]:
+    """Bit-packed DFS for the F_2 matrix case.  A row is its code (entry c in
+    bit d-1-c, see :func:`_row_codes`) and image entries are parities.
+    Candidates match :func:`_sym_dfs`."""
+    # F @ row is looked up in two tables, over the row's low and high bits
+    cols = [pack_bits(F[::-1, d - 1 - b] % 2) for b in range(d)]
+    half = d // 2
+    low, high = _xor_table(cols[:half]), _xor_table(cols[half:])
+    gbits = (G % 2).tolist()
+    chosen: List[Tuple[int, int]] = []  # (row, F @ row) per accepted row
 
     def extend(i: int) -> bool:
-        for ci, m in enumerate(masks):
-            fm = fv[ci]
-            if parity(m & fm) != int(G[i, i]) & 1:
+        start = chosen[-1][0] + 1 if leads is not None and chosen else 0
+        for m in _row_codes(2, d, leads, start):
+            fm = high[m >> half] ^ low[m & ((1 << half) - 1)]
+            # parities inline: a call per test costs a third of the search
+            if (m & fm).bit_count() & 1 != gbits[i][i]:
                 continue
-            ok = True
-            for j, cj in enumerate(chosen):
-                if parity(masks[cj] & fm) != int(G[j, i]) & 1:
-                    ok = False
-                    break
-                if parity(m & fv[cj]) != int(G[i, j]) & 1:
-                    ok = False
-                    break
-            if not ok:
+            if any(
+                (mj & fm).bit_count() & 1 != gbits[j][i]
+                or (m & fj).bit_count() & 1 != gbits[i][j]
+                for j, (mj, fj) in enumerate(chosen)
+            ):
                 continue
-            chosen.append(ci)
+            chosen.append((m, fm))
             if i + 1 == e or extend(i + 1):
                 return True
             chosen.pop()
         return False
 
-    if not extend(0):
-        return None
-    return [cand_tuples[ci] for ci in chosen]
+    return [_row(m, 2, d) for m, _ in chosen] if extend(0) else None
+
+
+def _xor_table(words: Sequence[int]) -> List[int]:
+    """Entry x is the XOR of the words at the set bits of x."""
+    table = [0]
+    for w in words:
+        table += [x ^ w for x in table]
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +334,11 @@ def restriction_exists(
     Order 2 is constructive over any domain (rank normal forms).  Higher
     orders enumerate maps for legs 1..k-1 lexicographically, prune by a
     column-space test on the partially applied tensor, and solve the last
-    leg linearly.
+    leg linearly.  For g = <e> every map has independent rows, each with
+    first nonzero entry 1, and the rows of A1 strictly increase:
+    (P D1 A1 (x) ... (x) P Dk Ak) f = <e> whenever (A1, ..., Ak) works, for a
+    permutation P and diagonals with D1 ... Dk = I, and Dk absorbs the
+    scaling of the other legs in the last-leg solve.
     """
     if g.order != f.order:
         raise ValueError(f"order mismatch: {g.order} vs {f.order}")
@@ -289,12 +357,19 @@ def restriction_exists(
         if flattening_rank(g, [leg]) > flattening_rank(f, [leg]):
             return None
     p = f.domain.p
-    required = 1
-    for leg in range(k - 1):
-        required *= p ** (g.dims[leg] * f.dims[leg])
+    unit = _is_unit(g)
+    if unit:
+        e = g.dims[0]
+        required = _frame_count(p, f.dims[0], e) // math.factorial(e)
+        for leg in range(1, k - 1):
+            required *= _frame_count(p, f.dims[leg], e)
+    else:
+        required = 1
+        for leg in range(k - 1):
+            required *= p ** (g.dims[leg] * f.dims[leg])
     if required > budget:
         raise SearchInfeasibleError(required, budget, "leg-by-leg map search")
-    maps = _restriction_dfs(g, f)
+    maps = _restriction_dfs(g, f, unit)
     if maps is None:
         return None
     cert = Certificate(kind="restriction", maps=tuple(maps), target=g)
@@ -338,7 +413,42 @@ def _enumerate_maps(e: int, d: int, p: int):
         yield np.array(entries, dtype=np.int64).reshape(e, d)
 
 
-def _restriction_dfs(g: Tensor, f: Tensor) -> Optional[List[LinearMap]]:
+def _frame_count(p: int, d: int, e: int) -> int:
+    """Number of ordered e-tuples of independent projective points of F_p^d."""
+    count = 1
+    for i in range(e):
+        count *= p**d - p**i
+    return count // (p - 1) ** e
+
+
+def _frames(e: int, d: int, p: int, ascending: bool):
+    """e x d maps over F_p with independent rows whose first nonzero entry is
+    1, in lexicographic order of their rows; the rows strictly increase when
+    ``ascending``.  There are :func:`_frame_count` of them, divided by e! when
+    ``ascending``."""
+    rows: List[List[int]] = []
+
+    def extend(start: int, span: set):
+        if len(rows) == e:
+            yield np.array(rows, dtype=np.int64).reshape(e, d)
+            return
+        for code in _row_codes(p, d, (1,), start):
+            row = _row(code, p, d)
+            if tuple(row) in span:
+                continue
+            rows.append(row)
+            wider = span if len(rows) == e else {  # the last span is never tested
+                tuple((x + c * y) % p for x, y in zip(v, row))
+                for v in span
+                for c in range(p)
+            }
+            yield from extend(code + 1 if ascending else 0, wider)
+            rows.pop()
+
+    return extend(0, {(0,) * d})
+
+
+def _restriction_dfs(g: Tensor, f: Tensor, unit: bool) -> Optional[List[LinearMap]]:
     domain = f.domain
     k = f.order
     garr = g.array
@@ -348,7 +458,11 @@ def _restriction_dfs(g: Tensor, f: Tensor) -> Optional[List[LinearMap]]:
             X = _solve_last_leg(garr, partial, domain)
             return None if X is None else [X]
         e, d = garr.shape[leg], f.dims[leg]
-        for A in _enumerate_maps(e, d, domain.p):
+        if unit:
+            maps = _frames(e, d, domain.p, ascending=leg == 0)
+        else:
+            maps = _enumerate_maps(e, d, domain.p)
+        for A in maps:
             nxt = np.tensordot(A, partial, axes=([1], [leg]))
             nxt = domain.reduce(np.moveaxis(nxt, 0, leg))
             # prune: flatten fixed legs 0..leg as rows; g's columns must lie

@@ -373,4 +373,4 @@ def test_criterion_15_hypergraph_chains():
         rep = alpha_chain_check(Hypergraph(5, 2, edges), F2)
         assert rep.ok, dict(rep.inequalities)
         separations += bool(rep.separation)
-    assert separations == 4
+    assert separations == 3

@@ -220,6 +220,29 @@ def test_malformed_json_exits_one(tmp_path, capsys):
     assert err.startswith("error: malformed-json:")
 
 
+@pytest.mark.parametrize("entries", [5, [{"idx": 3, "val": 1}]])
+def test_wrongly_typed_json_exits_one(tmp_path, capsys, entries):
+    obj = {"order": 2, "dims": [2, 2], "domain": "F2", "entries": entries}
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(obj))
+    code = run(["rank", "--tensor", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: malformed-json:")
+    assert err.count("\n") == 1
+
+
+def test_assertion_error_is_internal(ws, capsys, monkeypatch):
+    def broken(f):
+        raise AssertionError("broken invariant")
+
+    monkeypatch.setattr("symsub.cli.matrix_rank", broken)
+    code = run(["rank", "--tensor", ws["c5"]])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "error: internal: broken invariant\n"
+
+
 def test_unknown_subcommand_exits_one(capsys):
     code = run(["frobnicate"])
     assert code == 1

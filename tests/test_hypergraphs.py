@@ -91,6 +91,44 @@ def test_induced_matching_c5():
     assert len(set(witness)) == 3
 
 
+def brute_force_beta(h):
+    """Largest coordinate-disjoint, closed subset of Phi, by plain enumeration."""
+    phi = h.phi
+    for size in range(h.n, 0, -1):
+        for m in itertools.combinations(phi, size):
+            coords = [{t[j] for t in m} for j in range(h.k)]
+            if any(len(c) < size for c in coords):
+                continue
+            inside = [t for t in phi if all(t[j] in coords[j] for j in range(h.k))]
+            if set(inside) == set(m):
+                return size
+    return 0
+
+
+def seed15_digraphs():
+    """The 50 random digraphs of the acceptance suite's chain criterion."""
+    rng = np.random.default_rng(15)
+    for _ in range(50):
+        yield Hypergraph(5, 2, [
+            (i, j) for i in range(1, 6) for j in range(1, 6)
+            if i != j and rng.random() < 0.35
+        ])
+
+
+def test_induced_matching_matches_brute_force():
+    graphs = [c5_directed(), undirected_c5(), *seed15_digraphs()]
+    for h in graphs:
+        value, witness = induced_matching_number(h)
+        assert value == brute_force_beta(h), sorted(h.edges)
+        coords = [{t[j] for t in witness} for j in range(h.k)]
+        assert all(len(c) == value for c in coords)
+        assert {t for t in h.phi if all(t[j] in coords[j] for j in range(h.k))} == set(
+            witness
+        )
+    # (5, 5) lies in the product of {(1, 5), (2, 3), (5, 4)}, so beta is 2
+    assert induced_matching_number(undirected_c5())[0] == 2
+
+
 def test_induced_matching_gate():
     edges = [(i, j) for i in range(1, 10) for j in range(1, 10) if i != j]
     assert len(edges) + 9 > MATCHING_GATE

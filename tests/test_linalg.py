@@ -106,3 +106,16 @@ def test_columns_contained():
     assert not linalg.columns_contained(T, outside, F5)
     assert linalg.columns_contained(T % 2, inside % 2, F2)
     assert not linalg.columns_contained(T % 2, outside % 2, F2)
+
+
+@pytest.mark.parametrize("width", [0, 3, 62, 63, 130])
+def test_f2_kernels_on_wide_matrices(width):
+    """F2 rows are packed into ints; past 62 columns the packing changes."""
+    rng = np.random.default_rng(width)
+    A = rng.integers(0, 2, size=(6, width))
+    # the generic elimination is the reference for the bit-packed rank
+    assert linalg.rank(A, F2) == len(linalg.row_reduce(A, F2)[1])
+    B = (A @ rng.integers(0, 2, size=(width, 2))) % 2
+    X = linalg.solve(A, B, F2)
+    assert X is not None and np.array_equal((A @ X) % 2, B)
+    assert linalg.columns_contained(A, B, F2)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from symsub import (
     unit_tensor,
     verify_certificate,
 )
+from symsub.restrict import _frames, _root_orbit_leads, _row, _row_codes
 from symsub.symmetrize import fully_symmetric
 
 
@@ -133,3 +136,103 @@ def test_restriction_exists_matrix_shortcut():
     cert = restriction_exists(unit_tensor(2, 2, C), f)
     assert cert is not None and verify_certificate(cert, f)
     assert restriction_exists(unit_tensor(3, 2, C), f) is None
+
+
+# ---------------------------------------------------------------------------
+# the unit-target quotient against brute force
+# ---------------------------------------------------------------------------
+
+def all_maps(e, d, p):
+    """Every e x d map over F_p, stacked along the first axis."""
+    grid = itertools.product(range(p), repeat=e * d)
+    return np.array(list(grid), dtype=np.int64).reshape(-1, e, d)
+
+
+def brute_restricts(f, e):
+    """<e> <= f for an order-3 tensor: every pair of maps on the first two
+    legs, and every row of the third map (its rows act independently)."""
+    p = f.domain.p
+    unit = unit_tensor(e, 3, f.domain).array.reshape(e * e, e)
+    A, B = (all_maps(e, d, p) for d in f.dims[:2])
+    part = np.einsum("aix,bjy,xyz->abijz", A, B, f.array) % p
+    part = part.reshape(-1, e * e, f.dims[2])
+    rows = all_maps(1, f.dims[2], p)[:, 0, :]
+    image = (part @ rows.T) % p  # [pair, (i, j), third-leg row]
+    found = [np.any(np.all(image == unit[:, i, None], axis=1), axis=1) for i in range(e)]
+    return bool(np.any(np.logical_and.reduce(found)))
+
+
+def brute_symrestricts(f, e):
+    """<e> <=_s f for an order-2 or order-3 tensor, trying every map."""
+    p = f.domain.p
+    A = all_maps(e, f.dims[0], p)
+    if f.order == 2:
+        image = np.einsum("aix,xy,ajy->aij", A, f.array, A)
+    else:
+        image = np.einsum("aix,ajy,akz,xyz->aijk", A, A, A, f.array)
+    unit = unit_tensor(e, f.order, f.domain).array
+    return bool(np.any(np.all(image % p == unit, axis=tuple(range(1, f.order + 1)))))
+
+
+def every_tensor(domain, shape):
+    for entries in itertools.product(range(domain.p), repeat=int(np.prod(shape))):
+        yield Tensor(domain, np.array(entries, dtype=np.int64).reshape(shape))
+
+
+def sampled_tensors(domain, shape, count, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        yield Tensor(domain, rng.integers(0, domain.p, size=shape))
+
+
+def test_quotiented_searches_match_brute_force_2x2x2():
+    cases = [*every_tensor(F2, (2, 2, 2)), *sampled_tensors(F3, (2, 2, 2), 40, seed=3)]
+    for f in cases:
+        g = unit_tensor(2, 3, f.domain)
+        plain = restriction_exists(g, f)
+        assert (plain is not None) == brute_restricts(f, 2), f.array.tolist()
+        assert plain is None or verify_certificate(plain, f)
+        sym = symrestriction_exists(g, f)
+        assert (sym is not None) == brute_symrestricts(f, 2), f.array.tolist()
+        assert sym is None or verify_certificate(sym, f)
+
+
+def test_quotiented_symmetric_searches_over_roots_of_unity():
+    """Nontrivial roots of unity: cube roots in F7 (k = 3), square roots in F3
+    (k = 2), and the bit-packed F2 matrix path."""
+    cases = [
+        *sampled_tensors(F7, (2, 2, 2), 30, seed=7),
+        *every_tensor(F3, (2, 2)),
+        *every_tensor(F2, (3, 3)),
+    ]
+    for f in cases:
+        cert = symrestriction_exists(unit_tensor(2, f.order, f.domain), f)
+        assert (cert is not None) == brute_symrestricts(f, 2), f.array.tolist()
+        assert cert is None or verify_certificate(cert, f)
+
+
+def test_required_counts_the_enumerated_representatives():
+    rng = np.random.default_rng(0)
+    f = Tensor(F3, rng.integers(0, 3, size=(3, 2, 3)))
+    g = unit_tensor(2, 3, F3)
+    with pytest.raises(SearchInfeasibleError) as info:
+        restriction_exists(g, f, budget=1)
+    leg1 = sum(1 for _ in _frames(2, 3, 3, ascending=True))
+    leg2 = sum(1 for _ in _frames(2, 2, 3, ascending=False))
+    assert (leg1, leg2) == (26 * 24 // (2 * 2 * 2), 8 * 6 // (2 * 2))
+    assert info.value.required == leg1 * leg2
+    restriction_exists(g, f, budget=leg1 * leg2)  # fits exactly
+
+    # symmetric, k = 3 over F7: one row per orbit of the cube roots {1, 2, 4}
+    def orbit(v):
+        return frozenset(tuple(z * x % 7 for x in v) for z in (1, 2, 4))
+
+    rows = [_row(code, 7, 2) for code in _row_codes(7, 2, _root_orbit_leads(7, 3))]
+    orbits = {orbit(v) for v in itertools.product(range(7), repeat=2) if any(v)}
+    assert len(rows) == len(orbits) == 16
+    assert {orbit(v) for v in rows} == orbits
+    assert rows == sorted(rows)
+    f7 = Tensor(F7, rng.integers(0, 7, size=(2, 2, 2)))
+    with pytest.raises(SearchInfeasibleError) as info:
+        symrestriction_exists(unit_tensor(2, 3, F7), f7, budget=1)
+    assert info.value.required == 16 * 15 // 2
