@@ -36,59 +36,34 @@ def _f2_pack_rows(M: np.ndarray) -> List[int]:
     return [int("".join(map(str, row[::-1])), 2) for row in bits.tolist()]
 
 
-def _f2_rank(rows: List[int], m: int) -> int:
+def _f2_echelon(rows: List[int], width: int) -> Tuple[List[int], List[int]]:
+    """Forward elimination of bit-packed F2 rows on the columns below ``width``.
+
+    Returns (rows, pivots): the first len(pivots) rows are in echelon form
+    with their leading bits at ``pivots``; every later row is zero below
+    ``width``, so a nonzero one is a right-hand side outside the span.
+    """
     rows = list(rows)
     n = len(rows)
-    r = 0
-    for col in range(m):
-        piv = None
+    pivots: List[int] = []
+    for col in range(width):
+        r = len(pivots)
+        if r == n:
+            break
+        bit = 1 << col
         for i in range(r, n):
-            if (rows[i] >> col) & 1:
-                piv = i
+            if rows[i] & bit:
                 break
-        if piv is None:
+        else:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(r + 1, n):
-            if (rows[i] >> col) & 1:
-                rows[i] ^= rows[r]
-        r += 1
-    return r
-
-
-def _f2_solve(A: np.ndarray, B: np.ndarray) -> Optional[np.ndarray]:
-    """Solve A X = B over F_2 (free variables 0), or None if inconsistent."""
-    n, m = A.shape
-    q = B.shape[1]
-    arows = _f2_pack_rows(A)
-    brows = _f2_pack_rows(B)
-    aug = [arows[i] | (brows[i] << m) for i in range(n)]
-    r = 0
-    piv_cols = []
-    for col in range(m):
-        piv = None
-        for i in range(r, n):
-            if (aug[i] >> col) & 1:
-                piv = i
-                break
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        for i in range(n):
-            if i != r and (aug[i] >> col) & 1:
-                aug[i] ^= aug[r]
-        piv_cols.append(col)
-        r += 1
-    amask = (1 << m) - 1
-    for i in range(r, n):
-        if aug[i] & ~amask:
-            return None
-    X = np.zeros((m, q), dtype=np.int64)
-    for i, col in enumerate(piv_cols):
-        rhs = aug[i] >> m
-        for j in range(q):
-            X[col, j] = (rhs >> j) & 1
-    return X
+        pivot = rows[i]
+        rows[i] = rows[r]
+        rows[r] = pivot
+        for j in range(r + 1, n):
+            if rows[j] & bit:
+                rows[j] ^= pivot
+        pivots.append(col)
+    return rows, pivots
 
 
 def _pivot_row(M: np.ndarray, col: int, start: int, domain: Domain) -> Optional[int]:
@@ -148,7 +123,7 @@ def row_reduce(
 def rank(A: np.ndarray, domain: Domain) -> int:
     if isinstance(domain, PrimeField) and domain.p == 2:
         A = np.asarray(A)
-        return _f2_rank(_f2_pack_rows(A), A.shape[1])
+        return len(_f2_echelon(_f2_pack_rows(A), A.shape[1])[1])
     _, pivots, _ = row_reduce(A, domain, reduced=False)
     return len(pivots)
 
@@ -161,12 +136,24 @@ def solve(A: np.ndarray, B: np.ndarray, domain: Domain) -> Optional[np.ndarray]:
     if single:
         B = B[:, None]
     n, m = A.shape
-    if isinstance(domain, PrimeField) and domain.p == 2:
-        X = _f2_solve(A, B)
-        if X is None:
-            return None
-        return X[:, 0] if single else X
     aug = np.concatenate([A, B], axis=1)
+    if isinstance(domain, PrimeField) and domain.p == 2:
+        rows, pivots = _f2_echelon(_f2_pack_rows(aug), m)
+        r = len(pivots)
+        if any(rows[r:]):
+            return None
+        # back-substitute: clear each pivot column above its pivot row
+        for i in range(r - 1, -1, -1):
+            bit = 1 << pivots[i]
+            for j in range(i):
+                if rows[j] & bit:
+                    rows[j] ^= rows[i]
+        X = np.zeros((m, B.shape[1]), dtype=np.int64)
+        for i, c in enumerate(pivots):
+            rhs = rows[i] >> m
+            for j in range(B.shape[1]):
+                X[c, j] = (rhs >> j) & 1
+        return X[:, 0] if single else X
     R, pivots, _ = row_reduce(aug, domain, reduced=True)
     pivots = [c for c in pivots if c < m]
     r = len(pivots)
@@ -196,30 +183,8 @@ def columns_contained(T: np.ndarray, G: np.ndarray, domain: Domain) -> bool:
     """
     m = T.shape[1]
     if isinstance(domain, PrimeField) and domain.p == 2:
-        T = np.asarray(T)
-        G = np.asarray(G)
-        trows = _f2_pack_rows(T)
-        grows = _f2_pack_rows(G)
-        aug = [trows[i] | (grows[i] << m) for i in range(len(trows))]
-        width = m + G.shape[1]
-        n = len(aug)
-        r = 0
-        for col in range(width):
-            piv = None
-            for i in range(r, n):
-                if (aug[i] >> col) & 1:
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            if col >= m:
-                return False
-            aug[r], aug[piv] = aug[piv], aug[r]
-            for i in range(r + 1, n):
-                if (aug[i] >> col) & 1:
-                    aug[i] ^= aug[r]
-            r += 1
-        return True
+        rows, pivots = _f2_echelon(_f2_pack_rows(np.concatenate([T, G], axis=1)), m)
+        return not any(rows[len(pivots):])
     stacked = np.concatenate([domain.asarray(T), domain.asarray(G)], axis=1)
     _, pivots, _ = row_reduce(stacked, domain, reduced=False)
     return all(c < m for c in pivots)

@@ -7,8 +7,8 @@ together with the exact pointwise identities the estimates must satisfy
 (moment-map derivative, concavity sandwich, equality of marginals on
 symmetric tensors).
 
-All entropies are in bits, matching F = 2**E.  The eigensolver is a
-self-contained cyclic Jacobi iteration on Hermitian matrices.
+All entropies are in bits, matching F = 2**E.  Spectra come from LAPACK
+through ``np.linalg.eigvalsh``; the matrices here are at most 6x6.
 """
 
 from __future__ import annotations
@@ -60,136 +60,17 @@ class QuantumError(ValueError):
 # eigensolver
 # ---------------------------------------------------------------------------
 
-def _rotation_parameters(apq: complex, app: float, aqq: float):
-    """Phase and (c, s) of the Jacobi rotation zeroing the (p, q) entry."""
-    r = abs(apq)
-    phase = apq / r
-    tau = (aqq - app) / (2.0 * r)
-    t = (1.0 if tau >= 0 else -1.0) / (abs(tau) + math.hypot(1.0, tau))
-    c = 1.0 / math.hypot(1.0, t)
-    return phase, c, t * c
+def jacobi_eigh(matrix) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix, non-increasing.
 
-
-def _jacobi_values(rows: List[List[complex]], tol: float, max_sweeps: int) -> List[float]:
-    """Cyclic Jacobi on a Hermitian matrix given as nested lists (d >= 2).
-
-    Scalar complex arithmetic: for the small matrices this module sees,
-    Python scalars beat vectorized updates by a wide margin.
-    """
-    d = len(rows)
-    for _ in range(max_sweeps):
-        off = 0.0
-        for i in range(d):
-            row = rows[i]
-            for j in range(d):
-                if i != j:
-                    v = row[j]
-                    off += v.real * v.real + v.imag * v.imag
-        if math.sqrt(off) <= tol:
-            return [rows[i][i].real for i in range(d)]
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = rows[p][q]
-                if abs(apq) < 1e-150:
-                    # far below any tolerance; dividing by it would overflow
-                    rows[p][q] = 0j
-                    rows[q][p] = 0j
-                    continue
-                phase, c, s = _rotation_parameters(
-                    apq, rows[p][p].real, rows[q][q].real
-                )
-                # unitary [[c*phase, s*phase], [-s, c]] embedded at (p, q)
-                cp = c * phase
-                sp = s * phase
-                for i in range(d):
-                    row = rows[i]
-                    aip = row[p]
-                    aiq = row[q]
-                    row[p] = cp * aip - s * aiq
-                    row[q] = sp * aip + c * aiq
-                cpc = cp.conjugate()
-                spc = sp.conjugate()
-                row_p = rows[p]
-                row_q = rows[q]
-                for i in range(d):
-                    api = row_p[i]
-                    aqi = row_q[i]
-                    row_p[i] = cpc * api - s * aqi
-                    row_q[i] = spc * api + c * aqi
-                rows[p][q] = 0j
-                rows[q][p] = 0j
-    raise RuntimeError("jacobi iteration failed to reach the off-norm target")
-
-
-def _values_2(a00: float, a01: complex, a11: float) -> List[float]:
-    """One exact rotation diagonalizes a Hermitian 2x2; these are its values."""
-    mean = (a00 + a11) / 2.0
-    gap = math.hypot((a00 - a11) / 2.0, abs(a01))
-    return [mean + gap, mean - gap]
-
-
-def _values_3(m: np.ndarray) -> List[float]:
-    """Hermitian 3x3 eigenvalues from the characteristic-polynomial invariants."""
-    a00 = m[0, 0].real
-    a11 = m[1, 1].real
-    a22 = m[2, 2].real
-    a01 = m[0, 1]
-    a02 = m[0, 2]
-    a12 = m[1, 2]
-    p1 = abs(a01) ** 2 + abs(a02) ** 2 + abs(a12) ** 2
-    q = (a00 + a11 + a22) / 3.0
-    if p1 <= 1e-30:
-        return [a00, a11, a22]
-    p2 = (a00 - q) ** 2 + (a11 - q) ** 2 + (a22 - q) ** 2 + 2.0 * p1
-    p = math.sqrt(p2 / 6.0)
-    b00 = (a00 - q) / p
-    b11 = (a11 - q) / p
-    b22 = (a22 - q) / p
-    b01 = a01 / p
-    b02 = a02 / p
-    b12 = a12 / p
-    det = (
-        b00 * (b11 * b22 - abs(b12) ** 2)
-        - b01 * (b01.conjugate() * b22 - b12 * b02.conjugate())
-        + b02 * (b01.conjugate() * b12.conjugate() - b11 * b02.conjugate())
-    ).real
-    r = min(1.0, max(-1.0, det / 2.0))
-    phi = math.acos(r) / 3.0
-    eig1 = q + 2.0 * p * math.cos(phi)
-    eig3 = q + 2.0 * p * math.cos(phi + 2.0 * math.pi / 3.0)
-    eig2 = 3.0 * q - eig1 - eig3
-    return [eig1, eig2, eig3]
-
-
-def _hermitian_values(a: np.ndarray, tol: float, max_sweeps: int) -> List[float]:
-    d = a.shape[0]
-    if d == 0:
-        return []
-    if d == 1:
-        return [a[0, 0].real]
-    if d == 2:
-        return _values_2(a[0, 0].real, a[0, 1], a[1, 1].real)
-    if d == 3:
-        return _values_3(a)
-    rows = [[complex(a[i, j]) for j in range(d)] for i in range(d)]
-    return _jacobi_values(rows, tol, max_sweeps)
-
-
-def jacobi_eigh(matrix, tol: float = 1e-12, max_sweeps: int = 60) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, non-increasing, by cyclic Jacobi.
-
-    Each rotation folds the off-diagonal entry's phase into a real Givens
-    rotation and zeroes the pair; sweeps stop when the off-diagonal
-    Frobenius norm drops below ``tol``.  Matrices of size 2 and 3 use the
-    rotation's exact closed form directly.
+    The matrix is symmetrized to (a + a^H)/2 first, so both triangles count;
+    ``np.linalg.eigvalsh`` alone reads only the lower one.  The name is kept
+    from the cyclic Jacobi solver this wrapper replaced.
     """
     a = np.array(matrix, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise QuantumError(f"eigensolver needs a square matrix, got {a.shape}")
-    a = (a + a.conj().T) / 2.0 if a.size else a
-    values = _hermitian_values(a, tol, max_sweeps)
-    values.sort(reverse=True)
-    return np.array(values, dtype=np.float64)
+    return np.linalg.eigvalsh((a + a.conj().T) / 2.0)[::-1]
 
 
 def _entropy_bits(values: Sequence[float]) -> float:
@@ -486,18 +367,13 @@ def _orbit_optimize(
             return None
         return image / math.sqrt(n2)
 
-    def entropies(unit: np.ndarray, exact: bool) -> float:
-        """Entropy objective in bits; ``exact`` re-derives it via jacobi_eigh."""
+    def entropies(unit: np.ndarray) -> float:
+        """Entropy objective in bits, from one (batched) eigvalsh call."""
         rhos = [_marginal_array(unit, j) for j in range(k)]
         if mode == "sym":
-            avg = sum(rhos) / k
-            values = jacobi_eigh(avg) if exact else _hermitian_values(avg, 1e-12, 60)
-            return _entropy_bits(values)
-        total = 0.0
-        for rho in rhos:
-            values = jacobi_eigh(rho) if exact else _hermitian_values(rho, 1e-12, 60)
-            total += _entropy_bits(values)
-        return total / k
+            return _entropy_bits(np.linalg.eigvalsh(sum(rhos) / k).tolist())
+        spectra = np.linalg.eigvalsh(np.array(rhos)).tolist()
+        return sum(_entropy_bits(values) for values in spectra) / k
 
     def objective(x: np.ndarray) -> Tuple[float, float]:
         """(entropy objective in bits, barrier-augmented value); -inf if bad."""
@@ -506,8 +382,8 @@ def _orbit_optimize(
         if unit is None:
             return -math.inf, -math.inf
         try:
-            pure = entropies(unit, exact=False)
-        except RuntimeError:
+            pure = entropies(unit)
+        except np.linalg.LinAlgError:
             return -math.inf, -math.inf
         pen = _barrier(maps, d)
         if not math.isfinite(pen):
@@ -602,7 +478,7 @@ def _orbit_optimize(
     maps = _unpack(x_best, n_maps, d)
     unit = transformed_unit(maps)
     assert unit is not None
-    entropy = entropies(unit, exact=True)
+    entropy = entropies(unit)
     avg = sum(_marginal_array(unit, j) for j in range(k)) / k
     spectrum = tuple(max(float(v), 0.0) for v in jacobi_eigh(avg))
     for g in maps:

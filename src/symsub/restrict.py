@@ -119,13 +119,11 @@ def certificate_to_json(cert: Certificate) -> dict:
 
 
 def certificate_from_json(obj: dict) -> Certificate:
-    try:
-        kind = obj["kind"]
-        target = tensor_from_json(obj["target"])
-        maps = tuple(map_from_json(m) for m in obj["maps"])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed certificate JSON: {exc}") from exc
-    return Certificate(kind=kind, maps=maps, target=target)
+    return Certificate(
+        kind=obj["kind"],
+        target=tensor_from_json(obj["target"]),
+        maps=tuple(map_from_json(m) for m in obj["maps"]),
+    )
 
 
 # ---------------------------------------------------------------------------

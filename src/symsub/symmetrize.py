@@ -123,7 +123,8 @@ def waring_reconstruct(dec: WaringDecomposition) -> Tensor:
     for coeff, vec in zip(dec.coefficients, dec.vectors):
         term = np.array([coeff], dtype=dec.domain.dtype).reshape((1,) * dec.k)
         for _ in range(dec.k):
-            term = np.tensordot(term, vec, axes=0)
+            # reduce every product: k + 1 residues overflow int64 once p^(k+1) > 2^63
+            term = dec.domain.reduce(np.tensordot(term, vec, axes=0))
         arr = dec.domain.reduce(arr + term.reshape((d,) * dec.k))
     return Tensor(dec.domain, arr)
 
@@ -431,7 +432,7 @@ def selection_map(cert: CreateTCertificate) -> LinearMap:
     for j in range(k):
         row = np.ones(1, dtype=domain.dtype)
         for i in range(c):
-            row = np.kron(row, pre[cert.columns[j][i]])
+            row = domain.reduce(np.kron(row, pre[cert.columns[j][i]]))
         if j == 0:
             row = row * cert.scale
         M[j] = domain.reduce(row)
@@ -523,7 +524,7 @@ def symmetrize_certificate(f: Tensor, rc: Certificate) -> SymmetrizeResult:
             f"chained map would need {d ** n * k} x {d ** (n + ct.c)} entries"
         )
     big = np.kron(np.eye(d ** n, dtype=domain.dtype), M.array)
-    A_total = domain.reduce(collapse @ B @ big)
+    A_total = domain.reduce(domain.reduce(collapse @ B) @ big)
     total_map = LinearMap(domain, A_total)
     cert = Certificate(
         kind="symmetric-restriction",

@@ -261,8 +261,8 @@ def apply_sym_power(A: LinearMap, f: Tensor, power: int, budget: int = 1 << 21) 
     for out_idx in itertools.product(range(r), repeat=k):
         term = cvals
         for leg in range(k):
-            term = term * tables[leg][out_idx[leg]]
-        out[out_idx] = f.domain.normalize(np.sum(f.domain.reduce(term)))
+            term = f.domain.reduce(term * tables[leg][out_idx[leg]])
+        out[out_idx] = f.domain.normalize(np.sum(term))
     return Tensor(f.domain, f.domain.reduce(out))
 
 
@@ -377,13 +377,12 @@ def tensor_id(f: Tensor) -> str:
 
 
 def tensor_from_json(obj: dict) -> Tensor:
-    try:
-        k = int(obj["order"])
-        dims = [int(d) for d in obj["dims"]]
-        domain = domain_from_name(obj["domain"])
-        entries = obj["entries"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed tensor JSON: {exc}") from exc
+    """Parse the tensor JSON format.  A missing key raises KeyError and a
+    wrongly typed value TypeError, as in map and certificate parsing."""
+    k = int(obj["order"])
+    dims = [int(d) for d in obj["dims"]]
+    domain = domain_from_name(obj["domain"])
+    entries = obj["entries"]
     if len(dims) != k:
         raise ValueError(f"order {k} but {len(dims)} dims")
     if any(d < 0 for d in dims):
@@ -404,13 +403,10 @@ def map_to_json(m: LinearMap) -> dict:
 
 
 def map_from_json(obj: dict) -> LinearMap:
-    try:
-        rows = int(obj["rows"])
-        cols = int(obj["cols"])
-        domain = domain_from_name(obj["domain"])
-        data = obj["data"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed matrix JSON: {exc}") from exc
+    rows = int(obj["rows"])
+    cols = int(obj["cols"])
+    domain = domain_from_name(obj["domain"])
+    data = obj["data"]
     if len(data) != rows or any(len(r) != cols for r in data):
         raise ValueError(f"matrix data is not {rows}x{cols}")
     arr = domain.zeros((rows, cols))

@@ -220,12 +220,38 @@ def test_malformed_json_exits_one(tmp_path, capsys):
     assert err.startswith("error: malformed-json:")
 
 
-@pytest.mark.parametrize("entries", [5, [{"idx": 3, "val": 1}]])
-def test_wrongly_typed_json_exits_one(tmp_path, capsys, entries):
-    obj = {"order": 2, "dims": [2, 2], "domain": "F2", "entries": entries}
+_TARGET = {"order": 3, "dims": [1, 1, 1], "domain": "F5",
+           "entries": [{"idx": [1, 1, 1], "val": 1}]}
+_BAD_MAP = {"rows": 1, "cols": 2, "domain": "F5", "data": 5}
+
+
+def _typed_tensor(entries):
+    return {"order": 2, "dims": [2, 2], "domain": "F2", "entries": entries}
+
+
+def _typed_certificate(**fields):
+    return {"kind": "restriction", "target": _TARGET, "maps": [_BAD_MAP] * 3, **fields}
+
+
+@pytest.mark.parametrize(
+    "command, obj",
+    [
+        pytest.param("rank", _typed_tensor(5), id="5"),
+        pytest.param("rank", _typed_tensor([{"idx": 3, "val": 1}]), id="entries1"),
+        pytest.param("verify", _typed_certificate(), id="verify-map-data"),
+        pytest.param("symmetrize", _typed_certificate(), id="symmetrize-map-data"),
+        pytest.param("verify", _typed_certificate(target=dict(_TARGET, entries=5)),
+                     id="verify-target-entries"),
+        pytest.param("verify", _typed_certificate(maps=5), id="verify-maps"),
+    ],
+)
+def test_wrongly_typed_json_exits_one(ws, tmp_path, capsys, command, obj):
     path = tmp_path / "typed.json"
     path.write_text(json.dumps(obj))
-    code = run(["rank", "--tensor", str(path)])
+    if command == "rank":
+        code = run(["rank", "--tensor", str(path)])
+    else:
+        code = run([command, "--tensor", ws["w_f5"], "--certificate", str(path)])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: malformed-json:")

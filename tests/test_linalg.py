@@ -119,3 +119,25 @@ def test_f2_kernels_on_wide_matrices(width):
     X = linalg.solve(A, B, F2)
     assert X is not None and np.array_equal((A @ X) % 2, B)
     assert linalg.columns_contained(A, B, F2)
+    # rank-deficient: row 5 is the sum of rows 0 and 1, so every y in the
+    # column space has y[5] = y[0] + y[1] and e_5 lies outside it
+    D = A.copy()
+    D[5] = (D[0] + D[1]) % 2
+    inside = (D @ rng.integers(0, 2, size=(width, 2))) % 2
+    outside = inside.copy()
+    outside[:, 1] = 0
+    outside[5, 1] = 1
+    for rhs, consistent in ((inside, True), (outside, False)):
+        R, pivots, _ = linalg.row_reduce(np.concatenate([D, rhs], axis=1), F2)
+        assert all(c < width for c in pivots) == consistent
+        assert linalg.rank(D, F2) == len(linalg.row_reduce(D, F2)[1]) < 6
+        assert linalg.columns_contained(D, rhs, F2) == consistent
+        X = linalg.solve(D, rhs, F2)
+        if not consistent:
+            assert X is None
+            continue
+        # free variables are 0, so X is read off the reduced echelon form
+        want = np.zeros((width, 2), dtype=np.int64)
+        for i, c in enumerate(pivots):
+            want[c] = R[i, width:]
+        assert np.array_equal(X, want)

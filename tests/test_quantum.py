@@ -30,14 +30,20 @@ def random_hermitian(rng, d):
     return (m + m.conj().T) / 2
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4, 6])
+@pytest.mark.parametrize("d", [0, 1, 2, 3, 4, 5, 6])
 def test_jacobi_matches_numpy(d):
     rng = np.random.default_rng(d)
     for _ in range(25):
         h = random_hermitian(rng, d)
         got = np.asarray(jacobi_eigh(h))
         want = np.sort(np.linalg.eigvalsh(h))[::-1]
-        assert np.abs(got - want).max() < 1e-9
+        assert got.shape == (d,)
+        assert np.abs(got - want).max(initial=0.0) < 1e-9
+
+
+def test_jacobi_reads_both_triangles():
+    # symmetrized to [[1, 0.5j], [-0.5j, 1]]; the lower triangle alone is I
+    assert np.allclose(jacobi_eigh([[1, 1j], [0, 1]]), [1.5, 0.5])
 
 
 def test_jacobi_rejects_non_square():
