@@ -414,9 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--budget", type=int, default=DEFAULT_BUDGET, help="search budget cap"
     )
-    common.add_argument(
-        "--workers", type=int, default=1, help="parallelism hint (advisory)"
-    )
 
     targ = argparse.ArgumentParser(add_help=False)
     targ.add_argument("--tensor", required=True, help="tensor JSON file")
@@ -595,7 +592,10 @@ def run(argv: Optional[List[str]] = None) -> int:
             return 2
         _error("invalid-input", str(exc))
         return 1
-    except (DomainError, CongruenceError, MissingKthRootError, ValueError) as exc:
+    except (
+        DomainError, CongruenceError, MissingKthRootError, ValueError, OverflowError
+    ) as exc:
+        # OverflowError: a number out of range, e.g. "order": Infinity
         _error("invalid-input", str(exc))
         return 1
     except (RuntimeError, AssertionError) as exc:

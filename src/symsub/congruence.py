@@ -122,25 +122,15 @@ def _require_square(f: Tensor) -> int:
     return f.dims[0]
 
 
+def _is_zero(arr: np.ndarray, domain: Domain) -> bool:
+    return domain.arrays_equal(arr, domain.zeros(arr.shape))
+
+
 def is_skew_zero_diag(f: Tensor) -> bool:
     """True iff f has zero diagonal and f_ij = -f_ji everywhere."""
-    d = _require_square(f)
-    arr = f.array
-    domain = f.domain
-    if isinstance(domain, PrimeField):
-        p = domain.p
-        if np.any(np.diagonal(arr) % p != 0):
-            return False
-        return bool(np.all((arr + arr.T) % p == 0))
-    if np.any(np.abs(np.diagonal(arr)) > domain.tol):
-        return False
-    return bool(np.max(np.abs(arr + arr.T)) <= domain.tol) if d else True
-
-
-def _is_zero_matrix(f: Tensor) -> bool:
-    if isinstance(f.domain, PrimeField):
-        return bool(np.all(f.array % f.domain.p == 0))
-    return f.array.size == 0 or bool(np.max(np.abs(f.array)) <= f.domain.tol)
+    _require_square(f)
+    arr, domain = f.array, f.domain
+    return _is_zero(np.diagonal(arr), domain) and domain.arrays_equal(arr, -arr.T)
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +143,8 @@ def ballantine_reduce(f: Tensor, seed: int = 0) -> CongruenceResult:
 
     Pivot strategy: repeatedly pick u in the remaining space with quadratic
     value q(u) = u f u^T != 0 (first among the basis vectors carried so
-    far, then pairwise sums, then scaled sums); annihilate the pivot's
-    bilinear pairing with the rest of the space by the projection
+    far, then pairwise sums, then scaled sums over C); annihilate the
+    pivot's bilinear pairing with the rest of the space by the projection
     z <- z - (f(u,z)/q(u)) u; recurse.  A remainder on which q vanishes
     identically is a skew block; it is broken by mixing the last processed
     pivot back in (q(w + c p) = c f(w,p) + c^2 q(p) is nonzero for a good
@@ -166,7 +156,7 @@ def ballantine_reduce(f: Tensor, seed: int = 0) -> CongruenceResult:
     domain = f.domain
     if isinstance(domain, PrimeField) and domain.p == 2:
         raise DomainTooSmallError("domain too small: congruence needs |F| >= 3")
-    if is_skew_zero_diag(f) and not _is_zero_matrix(f):
+    if is_skew_zero_diag(f) and not _is_zero(f.array, domain):
         raise SkewInputError("skew input: nonzero skew matrix with zero diagonal")
     expected_rank = matrix_rank(f)
     for attempt in range(MAX_RESTARTS + 1):
@@ -248,11 +238,13 @@ def _reduce_attempt(farr: np.ndarray, domain: Domain) -> Optional[List[np.ndarra
             u, carrier = found
             space.pop(carrier)
         else:
-            if _block_is_zero(space, fl, domain):
+            block = np.array([[fl(zi, zj) for zj in space] for zi in space])
+            paired = [i for i, row in enumerate(block) if not _is_zero(row, domain)]
+            if not paired:
                 break  # trailing zero block; remaining rows go in as-is
             if not pivots:
                 return None  # cannot happen for non-skew input
-            u = _mix_with_last_pivot(space, pivots, q, fl, domain)
+            u = _mix_with_last_pivot(space, paired[0], pivots, q, domain)
             if u is None:
                 return None
         _annihilate(space, u, q(u), fl, domain)
@@ -260,37 +252,34 @@ def _reduce_attempt(farr: np.ndarray, domain: Domain) -> Optional[List[np.ndarra
     return pivots + space
 
 
-def _candidate_scalars(domain: Domain) -> List:
-    if isinstance(domain, PrimeField):
-        return list(range(2, domain.p))
-    return [-1.0, 2.0, 1j]
+# scalars c tried in z_i + c z_j over C; over F_p they are never needed
+_COMPLEX_SCALARS = (-1.0, 2.0, 1j)
 
 
 def _find_pivot(space, q, domain) -> Optional[Tuple[np.ndarray, int]]:
     """First (prime fields) or largest-|q| (complex) vector with q != 0,
-    scanning basis vectors, pairwise sums, then scaled sums.
+    scanning basis vectors, pairwise sums, then (complex only) scaled sums.
+
+    Over F_p, if q vanishes on z_i, z_j and z_i + z_j, then f_ij + f_ji = 0
+    and q(z_i + c z_j) = q_i + c (f_ij + f_ji) + c^2 q_j = 0 for every c, so
+    no scaled sum can be the first pivot.
 
     Returns the pivot together with the index of a space vector carried
     with coefficient one, which the caller removes to keep pivots plus
     space a basis.
     """
-    candidates: List[Tuple[np.ndarray, int]] = []
     n = len(space)
-    for i, z in enumerate(space):
-        candidates.append((z, i))
-    for i in range(n):
-        for j in range(i + 1, n):
-            candidates.append((domain.reduce(space[i] + space[j]), i))
-    for c in _candidate_scalars(domain):
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    candidates.append((domain.reduce(space[i] + c * space[j]), i))
+    candidates = itertools.chain(
+        ((z, i) for i, z in enumerate(space)),
+        ((domain.reduce(space[i] + space[j]), i)
+         for i in range(n) for j in range(i + 1, n)),
+    )
     if isinstance(domain, PrimeField):
-        for u, i in candidates:
-            if q(u) != 0:
-                return u, i
-        return None
+        return next(((u, i) for u, i in candidates if q(u) != 0), None)
+    candidates = list(candidates) + [
+        (space[i] + c * space[j], i)
+        for c in _COMPLEX_SCALARS for i in range(n) for j in range(n) if i != j
+    ]
     scale = max(1.0, max(float(np.max(np.abs(u))) for u, _ in candidates))
     best, best_q = None, domain.tol * scale
     for u, i in candidates:
@@ -300,30 +289,20 @@ def _find_pivot(space, q, domain) -> Optional[Tuple[np.ndarray, int]]:
     return best
 
 
-def _block_is_zero(space, fl, domain) -> bool:
-    for zi in space:
-        for zj in space:
-            if not domain.is_zero(fl(zi, zj)):
-                return False
-    return True
-
-
-def _mix_with_last_pivot(space, pivots, q, fl, domain) -> Optional[np.ndarray]:
+def _mix_with_last_pivot(space, w_idx, pivots, q, domain) -> Optional[np.ndarray]:
     """Break a nonzero skew remainder: u = w + c * p_last has
-    q(u) = c f(w, p_last) + c^2 q(p_last), nonzero for a good c.
+    q(u) = c (f(w, p_last) + f(p_last, w)) + c^2 q(p_last), nonzero for a
+    good c.  Over F_p, c = 1 or c = 2 works: if q(w + p_last) = 0, then
+    q(w + 2 p_last) = 2 q(p_last) != 0 (p is odd).
 
+    ``w_idx`` indexes a space vector with a nonzero pairing in the space.
     Adjusts the bookkeeping itself: w leaves the space (it is carried by u
     with coefficient one) and the demoted pivot rejoins it.
     """
     p_last = pivots[-1]
-    # pick w involved in a nonzero skew pairing when possible, else first
-    w_idx = 0
-    for i, zi in enumerate(space):
-        if any(not domain.is_zero(fl(zi, zj)) for zj in space):
-            w_idx = i
-            break
     w = space[w_idx]
-    for c in ([1] + _candidate_scalars(domain)):
+    scalars = (1, 2) if isinstance(domain, PrimeField) else (1,) + _COMPLEX_SCALARS
+    for c in scalars:
         u = domain.reduce(w + c * p_last)
         if not domain.is_zero(q(u)):
             pivots.pop()
@@ -571,11 +550,7 @@ def power_diag_certificate(L: Tensor, n: int) -> PowerDiagResult:
     d = _require_square(L)
     domain = L.domain
     arr = L.array
-    if d and not (
-        np.all(np.triu(arr, 1) % domain.p == 0)
-        if isinstance(domain, PrimeField)
-        else np.max(np.abs(np.triu(arr, 1))) <= domain.tol
-    ):
+    if not _is_zero(np.triu(arr, 1), domain):
         raise CongruenceError("matrix is not lower triangular")
     if n < 1:
         raise ValueError(f"need a positive power, got n={n}")

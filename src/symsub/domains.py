@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import List, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -28,9 +28,6 @@ __all__ = [
     "characteristic",
     "field_inverse",
     "square_root_in_field",
-    "pack_bits",
-    "unpack_bits",
-    "parity",
 ]
 
 MAX_PRIME = 1 << 16
@@ -287,26 +284,3 @@ def field_inverse(domain: Domain, a):
 def square_root_in_field(domain: Domain, a):
     """A square root of ``a`` or None (None only over prime fields)."""
     return domain.sqrt(a)
-
-
-# ---------------------------------------------------------------------------
-# F2 bit-packed vectors (used by the exhaustive-search module)
-# ---------------------------------------------------------------------------
-
-def pack_bits(bits) -> int:
-    """Pack a 0/1 vector into an int, bit i = coordinate i."""
-    word = 0
-    for i, b in enumerate(bits):
-        if int(b) & 1:
-            word |= 1 << i
-    return word
-
-
-def unpack_bits(word: int, n: int) -> List[int]:
-    """Inverse of :func:`pack_bits` for an n-coordinate vector."""
-    return [(word >> i) & 1 for i in range(n)]
-
-
-def parity(word: int) -> int:
-    """Parity of the popcount of ``word`` (dot products mod 2)."""
-    return word.bit_count() & 1

@@ -12,7 +12,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .domains import ComplexNumbers, Domain, PrimeField
+from .domains import Domain, PrimeField
 
 __all__ = [
     "row_reduce",
@@ -159,20 +159,13 @@ def solve(A: np.ndarray, B: np.ndarray, domain: Domain) -> Optional[np.ndarray]:
     r = len(pivots)
     # Rows past the last A-pivot have zero A-part; any nonzero right-hand
     # side there (including a pivot that fell in the B block) is inconsistent.
-    if not _all_zero(R[r:, m:], domain):
+    rest = R[r:, m:]
+    if not domain.arrays_equal(rest, domain.zeros(rest.shape)):
         return None
     X = domain.zeros((m, B.shape[1]))
     for i, c in enumerate(pivots):
         X[c] = R[i, m:]
     return X[:, 0] if single else X
-
-
-def _all_zero(block: np.ndarray, domain: Domain) -> bool:
-    if block.size == 0:
-        return True
-    if isinstance(domain, PrimeField):
-        return bool(np.all(block % domain.p == 0))
-    return bool(np.max(np.abs(block)) <= domain.tol)
 
 
 def columns_contained(T: np.ndarray, G: np.ndarray, domain: Domain) -> bool:

@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .domains import ComplexNumbers, DomainError
-from .tensors import Tensor, tensor_id
+from .tensors import LinearMap, Tensor, _apply_leg, apply_sym, tensor_id
 
 __all__ = [
     "DIMENSION_GATE",
@@ -50,6 +50,12 @@ _EIG_FLOOR = 1e-14       # spectrum entries below this count as 0 in entropy
 _NEG_EIG_TOL = 1e-10     # most negative eigenvalue a density matrix may show
 _HERMITIAN_TOL = 1e-12
 _TRACE_TOL = 1e-10
+
+# entropy ascent: first line-search step, forward-difference step, and the
+# weight of the log-det barrier that keeps the maps invertible
+_STEP = 0.5
+_GRADIENT_STEP = 1e-4
+_BARRIER = 1e-6
 
 
 class QuantumError(ValueError):
@@ -192,18 +198,6 @@ def _expm_small(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def _apply_leg(arr: np.ndarray, g: np.ndarray, j: int) -> np.ndarray:
-    moved = np.tensordot(g, np.moveaxis(arr, j, 0), axes=([1], [0]))
-    return np.moveaxis(moved, 0, j)
-
-
-def _apply_all(arr: np.ndarray, maps: Sequence[np.ndarray]) -> np.ndarray:
-    out = arr
-    for j, g in enumerate(maps):
-        out = _apply_leg(out, g, j)
-    return out
-
-
 def directional_derivative_check(f: Tensor, direction) -> Tuple[float, float]:
     """Compare tr[mu(f) H] with the numeric derivative of g -> 0.5 ln|g...f|^2.
 
@@ -232,11 +226,10 @@ def directional_derivative_check(f: Tensor, direction) -> Tuple[float, float]:
     analytic = float(np.trace(moment_map(f) @ h).real)
     unit = arr / math.sqrt(n2)
     step = 1e-5
-    k = arr.ndim
 
     def log_norm(t: float) -> float:
-        g = _expm_small(t * h)
-        image = _apply_all(unit, [g] * k)
+        g = LinearMap(f.domain, _expm_small(t * h))
+        image = apply_sym(g, Tensor(f.domain, unit)).array
         return 0.5 * math.log(float(np.sum(np.abs(image) ** 2)))
 
     numeric = (log_norm(step) - log_norm(-step)) / (2.0 * step)
@@ -279,9 +272,6 @@ class OptimizerOptions:
     restarts: int = 8
     iterations: int = 60
     seed: int = 0
-    step: float = 0.5
-    gradient_step: float = 1e-4
-    barrier: float = 1e-6
     tolerance: float = 1e-9
     initial: Optional[Tuple[np.ndarray, ...]] = None
 
@@ -361,7 +351,9 @@ def _orbit_optimize(
 
     def transformed_unit(maps: Sequence[np.ndarray]) -> Optional[np.ndarray]:
         legs = list(maps) * k if n_maps == 1 else list(maps)
-        image = _apply_all(arr, legs)
+        image = arr
+        for j, g in enumerate(legs):
+            image = _apply_leg(g, image, j, f.domain)
         n2 = float(np.sum(np.abs(image) ** 2))
         if not math.isfinite(n2) or n2 <= 1e-300:
             return None
@@ -388,10 +380,10 @@ def _orbit_optimize(
         pen = _barrier(maps, d)
         if not math.isfinite(pen):
             return -math.inf, -math.inf
-        return pure, pure + opts.barrier * pen
+        return pure, pure + _BARRIER * pen
 
     def gradient(x: np.ndarray, at_value: float) -> np.ndarray:
-        h = opts.gradient_step
+        h = _GRADIENT_STEP
         grad = np.zeros_like(x)
         for i in range(x.size):
             saved = x[i]
@@ -416,7 +408,7 @@ def _orbit_optimize(
             if gnorm < 1e-12:
                 break
             direction = grad / gnorm
-            size = opts.step
+            size = _STEP
             delta = -1.0
             while size > 1e-12:
                 cand = x + size * direction

@@ -28,10 +28,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import linalg
-from .domains import Domain, DomainError, PrimeField, pack_bits
+from .domains import Domain, DomainError, PrimeField
 from .tensors import (
     LinearMap,
     Tensor,
+    _apply_leg,
+    _power_sum,
     apply,
     apply_sym,
     flattening_rank,
@@ -259,7 +261,7 @@ def _sym_dfs(
         for code in _row_codes(p, d, leads, start):
             cand = np.array(_row(code, p, d), dtype=np.int64)
             arrs.append(cand)
-            slices.append(np.tensordot(F, cand, axes=([k - 1], [0])) % p)
+            slices.append((F @ cand) % p)
             ok = all(
                 value(jvec) == int(G[jvec]) % p
                 for jvec in itertools.product(range(i + 1), repeat=k)
@@ -283,8 +285,9 @@ def _sym_dfs_f2_matrix(
     """Bit-packed DFS for the F_2 matrix case.  A row is its code (entry c in
     bit d-1-c, see :func:`_row_codes`) and image entries are parities.
     Candidates match :func:`_sym_dfs`."""
-    # F @ row is looked up in two tables, over the row's low and high bits
-    cols = [pack_bits(F[::-1, d - 1 - b] % 2) for b in range(d)]
+    # F @ row is looked up in two tables, over the row's low and high bits;
+    # bit i of cols[b] is F[d-1-i, d-1-b]
+    cols = linalg._f2_pack_rows(F[::-1, ::-1].T)
     half = d // 2
     low, high = _xor_table(cols[:half]), _xor_table(cols[half:])
     gbits = (G % 2).tolist()
@@ -461,8 +464,7 @@ def _restriction_dfs(g: Tensor, f: Tensor, unit: bool) -> Optional[List[LinearMa
         else:
             maps = _enumerate_maps(e, d, domain.p)
         for A in maps:
-            nxt = np.tensordot(A, partial, axes=([1], [leg]))
-            nxt = domain.reduce(np.moveaxis(nxt, 0, leg))
+            nxt = _apply_leg(A, partial, leg, domain)
             # prune: flatten fixed legs 0..leg as rows; g's columns must lie
             # in the span of the partial tensor's columns
             rows = int(np.prod(garr.shape[: leg + 1]))
@@ -603,13 +605,8 @@ def symrank_small(f: Tensor, budget: int = DEFAULT_BUDGET) -> SymrankResult:
 def reconstruct_waring(vectors: np.ndarray, f: Tensor) -> bool:
     """Check that the k-th powers of the given vectors sum to f exactly."""
     domain = f.domain
-    k = f.order
-    total = np.zeros_like(f.array)
-    for v in vectors:
-        pw = domain.asarray(v)
-        for _ in range(k - 1):
-            pw = domain.reduce(np.multiply.outer(pw, domain.asarray(v)))
-        total = domain.reduce(total + pw)
+    vectors = domain.asarray(vectors).reshape(-1, f.dims[0])
+    total = _power_sum([1] * len(vectors), vectors, f.order, domain)
     return domain.arrays_equal(total, f.array)
 
 

@@ -36,6 +36,8 @@ from .tensors import (
     LinearMap,
     Tensor,
     TensorSizeError,
+    _apply_leg,
+    _power_sum,
     apply,
     apply_sym,
     apply_sym_power,
@@ -118,14 +120,7 @@ class WaringDecomposition:
 
 
 def waring_reconstruct(dec: WaringDecomposition) -> Tensor:
-    d = dec.vectors.shape[1]
-    arr = np.zeros((d,) * dec.k, dtype=dec.domain.dtype)
-    for coeff, vec in zip(dec.coefficients, dec.vectors):
-        term = np.array([coeff], dtype=dec.domain.dtype).reshape((1,) * dec.k)
-        for _ in range(dec.k):
-            # reduce every product: k + 1 residues overflow int64 once p^(k+1) > 2^63
-            term = dec.domain.reduce(np.tensordot(term, vec, axes=0))
-        arr = dec.domain.reduce(arr + term.reshape((d,) * dec.k))
+    arr = _power_sum(dec.coefficients, dec.vectors, dec.k, dec.domain)
     return Tensor(dec.domain, arr)
 
 
@@ -221,6 +216,11 @@ def remove_powers(f: Tensor) -> Tuple[LinearMap, Tensor]:
     def diag(i):
         return domain.normalize(garr[(i,) * k])
 
+    def apply_all_legs(M, arr):
+        for leg in range(k):
+            arr = _apply_leg(M, arr, leg, domain)
+        return arr
+
     lead = d - 1
     if domain.is_zero(diag(lead)):
         candidates = [i for i in range(d - 1) if not domain.is_zero(diag(i))]
@@ -229,7 +229,7 @@ def remove_powers(f: Tensor) -> Tuple[LinearMap, Tensor]:
         swap = max(candidates)
         P = np.eye(d, dtype=domain.dtype)
         P[[swap, lead]] = P[[lead, swap]]
-        garr = _apply_all_legs(P, garr, domain)
+        garr = apply_all_legs(P, garr)
         total = domain.reduce(P @ total)
     failed = []
     for _sweep in range(d + 1):
@@ -249,7 +249,7 @@ def remove_powers(f: Tensor) -> Tuple[LinearMap, Tensor]:
                 continue
             E = np.eye(d, dtype=domain.dtype)
             E[i, lead] = eps
-            garr = _apply_all_legs(E, garr, domain)
+            garr = apply_all_legs(E, garr)
             if isinstance(domain, ComplexNumbers):
                 garr[(i,) * k] = 0  # clear root-finding residue exactly
             total = domain.reduce(E @ total)
@@ -264,15 +264,6 @@ def remove_powers(f: Tensor) -> Tuple[LinearMap, Tensor]:
     if linalg.rank(total, domain) != d:
         raise AssertionError("internal error: transformation not invertible")
     return LinearMap(domain, total), Tensor(domain, garr)
-
-
-def _apply_all_legs(M: np.ndarray, arr: np.ndarray, domain: Domain) -> np.ndarray:
-    k = arr.ndim
-    for leg in range(k):
-        arr = np.moveaxis(
-            domain.reduce(np.tensordot(M, arr, axes=([1], [leg]))), 0, leg
-        )
-    return arr
 
 
 def _poly_root(coeffs: List, domain: Domain):
@@ -442,22 +433,29 @@ def selection_map(cert: CreateTCertificate) -> LinearMap:
 def _create_t_check(cert: CreateTCertificate, f: Tensor) -> str:
     """Cross-check the certificate against f^{(x)c} when small enough."""
     d, c, k = cert.dim, cert.c, cert.order
+    if c * math.log2(max(d, 2)) > MAP_GATE_BITS:
+        return "combinatorial"
     h = fully_symmetric(k, cert.domain)
-    if c * math.log2(max(d, 2)) <= MAP_GATE_BITS:
-        M = selection_map(cert)
-        if d ** (c * k) <= ENTRY_CAP:
-            got = apply_sym(M, tensor_power(f, c))
-            if not tensors_equal(got, h):
-                raise AssertionError("internal error: dense check failed")
-            return "dense"
+    return _check_on_power(selection_map(cert), f, c, h, "combinatorial")
+
+
+def _check_on_power(
+    A: LinearMap, f: Tensor, power: int, target: Tensor, gated: str
+) -> str:
+    """Check apply_sym(A, f^{(x)power}) = target: densely when the power fits
+    the entry cap ("dense"), else by support enumeration ("sparse"); returns
+    ``gated`` when that is over its budget too.  Raises on a mismatch."""
+    d, k = f.dims[0], f.order
+    if d ** (power * k) <= ENTRY_CAP:
+        got, how = apply_sym(A, tensor_power(f, power)), "dense"
+    else:
         try:
-            got = apply_sym_power(M, f, c)
+            got, how = apply_sym_power(A, f, power), "sparse"
         except TensorSizeError:
-            return "combinatorial"
-        if not tensors_equal(got, h):
-            raise AssertionError("internal error: sparse check failed")
-        return "sparse"
-    return "combinatorial"
+            return gated
+    if not tensors_equal(got, target):
+        raise AssertionError(f"internal error: {how} check failed")
+    return how
 
 
 # ---------------------------------------------------------------------------
@@ -531,20 +529,7 @@ def symmetrize_certificate(f: Tensor, rc: Certificate) -> SymmetrizeResult:
         maps=(total_map,),
         target=unit_tensor(r, k, domain),
     )
-    power = n + ct.c
-    if d ** (power * k) <= ENTRY_CAP:
-        if not verify_certificate(cert, tensor_power(f, power)):
-            raise AssertionError("internal error: assembled certificate failed")
-        verified = "dense"
-    else:
-        try:
-            got = apply_sym_power(total_map, f, power)
-        except TensorSizeError:
-            verified = "links"
-        else:
-            if not tensors_equal(got, cert.target):
-                raise AssertionError("internal error: assembled certificate failed")
-            verified = "sparse"
+    verified = _check_on_power(total_map, f, n + ct.c, cert.target, "links")
     return SymmetrizeResult(
         certificate=cert, create_cert=ct, n=n, c=ct.c, verified=verified
     )

@@ -204,10 +204,28 @@ def apply(maps: Sequence[LinearMap], f: Tensor) -> Tensor:
                 f"leg {leg + 1}: map has {m.cols} columns, tensor dim is "
                 f"{arr.shape[leg]}"
             )
-        arr = np.tensordot(m.array, arr, axes=([1], [leg]))
-        arr = np.moveaxis(arr, 0, leg)
-        arr = domain.reduce(arr)
+        arr = _apply_leg(m.array, arr, leg, domain)
     return Tensor(domain, arr)
+
+
+def _apply_leg(M: np.ndarray, arr: np.ndarray, leg: int, domain: Domain) -> np.ndarray:
+    """The array of M applied to one leg of arr (M's columns meet that leg)."""
+    return domain.reduce(np.moveaxis(np.tensordot(M, arr, axes=([1], [leg])), 0, leg))
+
+
+def _power_sum(coefficients, vectors: np.ndarray, k: int, domain: Domain) -> np.ndarray:
+    """The array of sum_i coefficients[i] * vectors[i]^{(x)k}.
+
+    Reduces after every product: k + 1 residues overflow int64 once
+    p^(k+1) > 2^63.
+    """
+    total = domain.zeros((vectors.shape[1],) * k)
+    for coeff, vec in zip(coefficients, vectors):
+        term = np.array(coeff, dtype=domain.dtype)
+        for _ in range(k):
+            term = domain.reduce(np.multiply.outer(term, vec))
+        total = domain.reduce(total + term)
+    return total
 
 
 def apply_sym(A: LinearMap, f: Tensor) -> Tensor:

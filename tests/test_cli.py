@@ -1,7 +1,9 @@
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import C, F2, F5, c5_directed, c5_matrix, w_tensor
 from symsub import (
@@ -10,6 +12,7 @@ from symsub import (
     certificate_to_json,
     hypergraph_to_json,
     tensor_to_json,
+    unit_tensor,
 )
 from symsub.cli import run
 
@@ -128,8 +131,6 @@ def test_waring(capsys):
 
 
 def test_symmetrize_certificate(ws, capsys, tmp_path):
-    from symsub import unit_tensor
-
     A = LinearMap(F5, [[2, 1, 2, 1], [2, 2, 1, 1]])
     rc = Certificate(kind="restriction", maps=(A, A, A), target=unit_tensor(2, 3, F5))
     rc_path = tmp_path / "rc.json"
@@ -199,8 +200,12 @@ def test_human_output_has_elapsed(ws, capsys):
 
 
 def test_workers_flag_accepted(ws, capsys):
-    code, rep, _ = run_json(capsys, ["rank", "--tensor", ws["c5"], "--workers", "4"])
-    assert code == 0
+    # --workers is gone: it is rejected like any unknown flag
+    code = run(["rank", "--tensor", ws["c5"], "--workers", "4", "--json"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: usage:")
+    assert err.count("\n") == 1
 
 
 def test_missing_file_exits_one(capsys):
@@ -258,6 +263,26 @@ def test_wrongly_typed_json_exits_one(ws, tmp_path, capsys, command, obj):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"order": Infinity, "dims": [2, 2], "domain": "F5", "entries": []}',
+        '{"order": 2, "dims": [2, NaN], "domain": "F5", "entries": []}',
+        '{"order": 2, "dims": [2, 2], "domain": "C", '
+        '"entries": [{"idx": [1, 1], "val": 1%s}]}' % ("0" * 400),
+    ],
+    ids=["infinite-order", "nan-dim", "int-overflow"],
+)
+def test_out_of_range_numbers_exit_one(tmp_path, capsys, text):
+    path = tmp_path / "range.json"
+    path.write_text(text)
+    code = run(["rank", "--tensor", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: invalid-input:")
+    assert err.count("\n") == 1
+
+
 def test_assertion_error_is_internal(ws, capsys, monkeypatch):
     def broken(f):
         raise AssertionError("broken invariant")
@@ -312,3 +337,74 @@ def test_failed_verification_exits_one(ws, tmp_path, capsys):
     assert code == 1
     assert rep["verification"] == "failed"
     assert rep["outputs"]["verified"] is False
+
+
+# Leaves stay small: a mutated "dims" or "n" must not ask for a large
+# computation, only for a malformed or gated one.
+_JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 7) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _mutated(data, doc):
+    """doc with one nested value replaced or deleted, or its text cut short."""
+    if data.draw(st.integers(0, 4)) == 0:
+        text = json.dumps(doc)
+        return text[: data.draw(st.integers(0, len(text) - 1))]
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    key = data.draw(st.sampled_from(sorted(parent)))
+    # descend into a random container, stopping at a random depth
+    while isinstance(parent[key], (dict, list)) and parent[key]:
+        if not data.draw(st.booleans()):
+            break
+        parent = parent[key]
+        keys = sorted(parent) if isinstance(parent, dict) else range(len(parent))
+        key = data.draw(st.sampled_from(keys))
+    if isinstance(parent, dict) and data.draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = data.draw(_JSON_VALUE)
+    return json.dumps(doc)
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_cli_fuzz_malformed_inputs(ws, tmp_path, capsys, data):
+    """Every malformed tensor, certificate or graph file ends in exactly one
+    `error: <code>:` line and exit 1 or 2; a mutation that stays valid runs
+    cleanly.  An exception escaping run() fails the test with its traceback."""
+    kind = data.draw(st.sampled_from(["tensor", "certificate", "graph"]))
+    path = tmp_path / "fuzz.json"
+    if kind == "tensor":
+        doc = tensor_to_json(c5_matrix())
+        argv = data.draw(st.sampled_from([["rank"], ["congruence"]]))
+        argv = argv + ["--tensor", str(path)]
+    elif kind == "certificate":
+        # e_1, e_1, e_2 pick W's entry (1, 1, 2): <1> <= W
+        e1, e2 = LinearMap(F5, [[1, 0]]), LinearMap(F5, [[0, 1]])
+        cert = Certificate(
+            kind="restriction", maps=(e1, e1, e2), target=unit_tensor(1, 3, F5)
+        )
+        doc = certificate_to_json(cert)
+        argv = ["verify", "--tensor", ws["w_f5"], "--certificate", str(path)]
+    else:
+        doc = hypergraph_to_json(c5_directed())
+        which = data.draw(st.sampled_from(["alpha", "beta"]))
+        argv = ["hypergraph", which, "--graph", str(path)]
+    path.write_text(_mutated(data, doc))
+    code = run(argv + ["--json"])
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+    else:
+        assert code in (1, 2)
+        assert re.fullmatch(r"error: [a-z-]+: [^\n]*\n", err), err

@@ -9,6 +9,7 @@ from symsub import (
     Tensor,
     ballantine_reduce,
     congruence_result_to_json,
+    domain_from_name,
     is_skew_zero_diag,
     linalg,
     matrix_rank,
@@ -17,6 +18,9 @@ from symsub import (
     sym_diagonalize,
     verify_certificate,
 )
+
+F1009 = domain_from_name("F1009")
+F65521 = domain_from_name("F65521")
 
 
 def test_is_skew_zero_diag():
@@ -36,7 +40,7 @@ def test_ballantine_rejects_skew_and_small_fields():
         ballantine_reduce(Tensor(F2, [[1, 1], [0, 1]]))
 
 
-@pytest.mark.parametrize("domain", [F3, F5, F7, C])
+@pytest.mark.parametrize("domain", [F3, F5, F7, C, F1009, F65521])
 def test_ballantine_random_matrices(domain):
     rng = np.random.default_rng(17)
     done = 0
@@ -45,18 +49,35 @@ def test_ballantine_random_matrices(domain):
         f = random_tensor(rng, (d, d), domain)
         if is_skew_zero_diag(f):
             continue
-        res = ballantine_reduce(f, seed=done)
-        L = res.B.array @ f.array @ res.B.array.T
-        if domain is C:
-            assert np.abs(np.triu(L, 1)).max() < 1e-8
-            nz = int((np.abs(np.diagonal(L)) > 1e-8).sum())
-        else:
-            L = L % domain.p
-            assert not np.triu(L, 1).any()
-            nz = int((np.diagonal(L) != 0).sum())
-        assert linalg.rank(res.B.array, domain) == d
-        assert nz == res.diag_nonzeros == matrix_rank(f)
+        _check_ballantine(f, seed=done)
         done += 1
+    for d in range(2, 7):
+        upper = np.triu(random_tensor(rng, (d, d), domain).array, 1)
+        # zero-diagonal symmetric: every pivot is a pairwise sum
+        _check_ballantine(Tensor(domain, upper + upper.T), seed=d)
+        # a skew block beside one diagonal entry: over F_p the skew
+        # remainder left after that pivot is broken by the mixing step
+        block = upper - upper.T
+        block[-1, :] = 0
+        block[:, -1] = 0
+        block[-1, -1] = 1
+        _check_ballantine(Tensor(domain, block), seed=d)
+
+
+def _check_ballantine(f, seed):
+    domain = f.domain
+    d = f.dims[0]
+    res = ballantine_reduce(f, seed=seed)
+    L = res.B.array @ f.array @ res.B.array.T
+    if domain is C:
+        assert np.abs(np.triu(L, 1)).max() < 1e-8
+        nz = int((np.abs(np.diagonal(L)) > 1e-8).sum())
+    else:
+        L = L % domain.p
+        assert not np.triu(L, 1).any()
+        nz = int((np.diagonal(L) != 0).sum())
+    assert linalg.rank(res.B.array, domain) == d
+    assert nz == res.diag_nonzeros == matrix_rank(f)
 
 
 def test_congruence_result_json():

@@ -10,7 +10,7 @@ from symsub import (
     field_inverse,
     square_root_in_field,
 )
-from symsub.domains import MAX_PRIME, pack_bits, parity, unpack_bits
+from symsub.domains import MAX_PRIME
 
 
 def test_domain_from_name():
@@ -93,11 +93,3 @@ def test_complex_eq_uses_tolerance():
     assert C.is_zero(1e-10)
     loose = ComplexNumbers(tol=1e-3)
     assert loose.eq(1.0, 1.0005)
-
-
-def test_bit_helpers_roundtrip():
-    bits = [1, 0, 1, 1, 0, 0, 1]
-    word = pack_bits(bits)
-    assert unpack_bits(word, len(bits)) == bits
-    assert parity(word) == sum(bits) % 2
-    assert parity(0) == 0
