@@ -164,18 +164,27 @@ def ballantine_reduce(f: Tensor, seed: int = 0) -> CongruenceResult:
             pre = np.eye(d, dtype=domain.dtype)
         else:
             pre = _random_invertible(d, domain, seed, attempt)
-        farr = domain.reduce(pre @ f.array @ pre.T)
+        farr = _product3(pre, f.array, pre.T, domain)
         rows = _reduce_attempt(farr, domain)
         if rows is None:
             continue
         B = domain.reduce(np.array(rows) @ pre) if d else pre
-        L = domain.reduce(B @ f.array @ B.T)
+        L = _product3(B, f.array, B.T, domain)
         result = _validated(f, B, L, expected_rank, domain)
         if result is not None:
             return result
     raise PivotSearchExhaustedError(
         f"pivot search exhausted after {MAX_RESTARTS} restarts"
     )
+
+
+def _product3(a: np.ndarray, m: np.ndarray, b: np.ndarray, domain: Domain) -> np.ndarray:
+    """a @ m @ b, reduced between the two products.
+
+    Unreduced, the entries reach d^2 p^3, past int64 once d > ~180 at p
+    near 2^16; reduced in between they stay below d p^2.
+    """
+    return domain.reduce(domain.reduce(a @ m) @ b)
 
 
 def _validated(
@@ -221,10 +230,10 @@ def _reduce_attempt(farr: np.ndarray, domain: Domain) -> Optional[List[np.ndarra
     d = farr.shape[0]
 
     def q(u):
-        return domain.normalize(u @ farr @ u)
+        return domain.normalize(_product3(u, farr, u, domain))
 
     def fl(u, v):  # bilinear value with u on the row side
-        return domain.normalize(u @ farr @ v)
+        return domain.normalize(_product3(u, farr, v, domain))
 
     space = [np.eye(d, dtype=domain.dtype)[i] for i in range(d)]
     pivots: List[np.ndarray] = []
@@ -247,7 +256,7 @@ def _reduce_attempt(farr: np.ndarray, domain: Domain) -> Optional[List[np.ndarra
             u = _mix_with_last_pivot(space, paired[0], pivots, q, domain)
             if u is None:
                 return None
-        _annihilate(space, u, q(u), fl, domain)
+        _annihilate(space, u, domain.reduce(u @ farr), domain)
         pivots.append(u)
     return pivots + space
 
@@ -312,12 +321,13 @@ def _mix_with_last_pivot(space, w_idx, pivots, q, domain) -> Optional[np.ndarray
     return None
 
 
-def _annihilate(space, u, qu, fl, domain) -> None:
+def _annihilate(space, u, row, domain) -> None:
     """Left-annihilate the space against the new pivot:
-    z <- z - (f(u,z)/q(u)) u."""
-    qu_inv = domain.inverse(qu)
+    z <- z - (f(u,z)/q(u)) u.  ``row`` is u f reduced, so f(u, z) = row z
+    stays below d p^2 (see ``_product3``)."""
+    qu_inv = domain.inverse(domain.normalize(row @ u))
     for i, z in enumerate(space):
-        coeff = domain.normalize(fl(u, z) * qu_inv)
+        coeff = domain.normalize(domain.normalize(row @ z) * qu_inv)
         if not domain.is_zero(coeff):
             space[i] = domain.reduce(z - coeff * u)
 
@@ -374,7 +384,7 @@ def sym_diagonalize(f: Tensor, seed: int = 0) -> SymDiagResult:
         )
     order = nonzero + [i for i in range(d) if i not in nonzero]
     B2 = domain.reduce((scales[:, None] * res.B.array)[order])
-    D = domain.reduce(B2 @ f.array @ B2.T)
+    D = _product3(B2, f.array, B2.T, domain)
     r = len(nonzero)
     target = np.zeros((d, d), dtype=domain.dtype)
     target[:r, :r] = np.eye(r, dtype=domain.dtype)

@@ -7,6 +7,11 @@ together with the exact pointwise identities the estimates must satisfy
 (moment-map derivative, concavity sandwich, equality of marginals on
 symmetric tensors).
 
+The ascent follows the closed-form gradient of the entropy objective plus a
+small log-det barrier: dH(rho) = -tr[(log2 rho) d rho], and d rho is linear
+in each leg map, so one eigh per marginal gives both the value and the
+gradient (see ``_value_and_gradient``).
+
 All entropies are in bits, matching F = 2**E.  Spectra come from LAPACK
 through ``np.linalg.eigvalsh``; the matrices here are at most 6x6.
 """
@@ -50,11 +55,11 @@ _EIG_FLOOR = 1e-14       # spectrum entries below this count as 0 in entropy
 _NEG_EIG_TOL = 1e-10     # most negative eigenvalue a density matrix may show
 _HERMITIAN_TOL = 1e-12
 _TRACE_TOL = 1e-10
+_COMPLEX = ComplexNumbers()
 
-# entropy ascent: first line-search step, forward-difference step, and the
-# weight of the log-det barrier that keeps the maps invertible
+# entropy ascent along the closed-form gradient: first line-search step, and
+# the weight of the log-det barrier that keeps the maps invertible
 _STEP = 0.5
-_GRADIENT_STEP = 1e-4
 _BARRIER = 1e-6
 
 
@@ -149,8 +154,13 @@ def density(f: Tensor) -> DensityMatrix:
     return DensityMatrix(rho, spectrum=(1.0,) + (0.0,) * (v.size - 1))
 
 
+def _flatten(arr: np.ndarray, j: int) -> np.ndarray:
+    """The flattening of arr with leg j as rows and the other legs as columns."""
+    return np.moveaxis(arr, j, 0).reshape(arr.shape[j], -1)
+
+
 def _marginal_array(arr: np.ndarray, j: int) -> np.ndarray:
-    flat = np.moveaxis(arr, j, 0).reshape(arr.shape[j], -1)
+    flat = _flatten(arr, j)
     n2 = float(np.vdot(flat, flat).real)
     return flat @ flat.conj().T / n2
 
@@ -281,7 +291,8 @@ class QuantumFunctionalResult:
     """A lower estimate of a quantum functional with optimizer metadata.
 
     ``restarts`` counts every start actually run, the identity (or seeded)
-    one included; ``gradient_norm`` is the final numeric gradient norm of
+    one included; ``gradient_norm`` is the norm of the exact (closed-form)
+    gradient of the barrier-augmented objective at the last iteration of
     the winning start.
     """
 
@@ -325,6 +336,102 @@ def _barrier(maps: Sequence[np.ndarray], d: int) -> float:
     return total
 
 
+def _barrier_gradient(g: np.ndarray, d: int) -> np.ndarray:
+    """Gradient of one map's barrier term log|det g| - (d/2) log(|g|_F^2/d)."""
+    return np.linalg.inv(g).conj().T - d * g / float(np.sum(np.abs(g) ** 2))
+
+
+def _legs(maps: Sequence[np.ndarray], k: int) -> List[np.ndarray]:
+    """The map on each of the k legs: one shared map, or one map per leg."""
+    return list(maps) * k if len(maps) == 1 else list(maps)
+
+
+def _image(arr: np.ndarray, legs: Sequence[np.ndarray], skip: int = -1) -> np.ndarray:
+    """arr with legs[j] applied on every leg j other than ``skip``."""
+    for j, g in enumerate(legs):
+        if j != skip:
+            arr = _apply_leg(g, arr, j, _COMPLEX)
+    return arr
+
+
+def _marginals(v: np.ndarray, mode: str) -> Optional[np.ndarray]:
+    """The marginals whose entropies the ascent averages, stacked: the
+    averaged marginal alone (sym) or all k marginals (uniform).  None if v
+    is zero or not finite."""
+    n2 = float(np.vdot(v, v).real)
+    if not math.isfinite(n2) or n2 <= 1e-300:
+        return None
+    rhos = np.array([_marginal_array(v, j) for j in range(v.ndim)])
+    return rhos.mean(axis=0, keepdims=True) if mode == "sym" else rhos
+
+
+def _objective(arr: np.ndarray, x: np.ndarray, mode: str) -> Tuple[float, float]:
+    """(entropy objective in bits, barrier-augmented value) at the packed
+    maps x, from one batched eigvalsh call; (-inf, -inf) where undefined."""
+    k, d = arr.ndim, arr.shape[0]
+    maps = _unpack(x, 1 if mode == "sym" else k, d)
+    pen = _barrier(maps, d)
+    if not math.isfinite(pen):
+        return -math.inf, -math.inf
+    rhos = _marginals(_image(arr, _legs(maps, k)), mode)
+    if rhos is None:
+        return -math.inf, -math.inf
+    try:
+        spectra = np.linalg.eigvalsh(rhos).tolist()
+    except np.linalg.LinAlgError:
+        return -math.inf, -math.inf
+    pure = sum(_entropy_bits(values) for values in spectra) / len(spectra)
+    return pure, pure + _BARRIER * pen
+
+
+def _value_and_gradient(
+    arr: np.ndarray, x: np.ndarray, mode: str
+) -> Tuple[float, float, np.ndarray]:
+    """The pair ``_objective`` returns, and the closed-form gradient of the
+    augmented value in the packed coordinates x.
+
+    Let v be the image of arr, N = |v|^2, and L_j = log2 of the marginal on
+    leg j with eigenvalues clipped at _EIG_FLOOR (in sym mode every L_j and
+    H_j belong to the averaged marginal).  As tr rho stays 1,
+    dH = -tr[L d rho] = Re<G, dv> with
+    G = -(2/(kN)) sum_j (L_j on leg j of v + H_j v).  Leg j of v is its map
+    applied to T_j, arr with every other leg transformed, so the map on leg
+    j gets G_(j) T_(j)^H (flattenings with leg j as rows); the shared sym
+    map sums all k.  The barrier adds g^{-H} - d g/|g|_F^2 per map.  Where
+    the objective is undefined the gradient is zero.
+    """
+    k, d = arr.ndim, arr.shape[0]
+    maps = _unpack(x, 1 if mode == "sym" else k, d)
+    undefined = (-math.inf, -math.inf, np.zeros_like(x))
+    pen = _barrier(maps, d)
+    if not math.isfinite(pen):
+        return undefined
+    legs = _legs(maps, k)
+    partial = [_image(arr, legs, skip=j) for j in range(k)]
+    v = _apply_leg(legs[0], partial[0], 0, _COMPLEX)
+    rhos = _marginals(v, mode)
+    if rhos is None:
+        return undefined
+    try:
+        spectra, vectors = np.linalg.eigh(rhos)
+    except np.linalg.LinAlgError:
+        return undefined
+    entropies = [_entropy_bits(values) for values in spectra.tolist()]
+    pure = sum(entropies) / len(entropies)
+    logs = np.log2(np.maximum(spectra, _EIG_FLOOR))
+    log_rhos = (vectors * logs[:, None, :]) @ vectors.conj().swapaxes(1, 2)
+    # leg j reads the averaged marginal (sym, one entry) or its own (uniform)
+    G = sum(
+        _apply_leg(log_rhos[j % len(entropies)], v, j, _COMPLEX)
+        + entropies[j % len(entropies)] * v
+        for j in range(k)
+    ) * (-2.0 / (k * float(np.vdot(v, v).real)))
+    grads = [_BARRIER * _barrier_gradient(g, d) for g in maps]
+    for j in range(k):
+        grads[j % len(maps)] += _flatten(G, j) @ _flatten(partial[j], j).conj().T
+    return pure, pure + _BARRIER * pen, _pack(grads)
+
+
 def _orbit_optimize(
     f: Tensor, mode: str, options: Optional[OptimizerOptions]
 ) -> QuantumFunctionalResult:
@@ -349,60 +456,15 @@ def _orbit_optimize(
     opts = options if options is not None else OptimizerOptions()
     n_maps = 1 if mode == "sym" else k
 
-    def transformed_unit(maps: Sequence[np.ndarray]) -> Optional[np.ndarray]:
-        legs = list(maps) * k if n_maps == 1 else list(maps)
-        image = arr
-        for j, g in enumerate(legs):
-            image = _apply_leg(g, image, j, f.domain)
-        n2 = float(np.sum(np.abs(image) ** 2))
-        if not math.isfinite(n2) or n2 <= 1e-300:
-            return None
-        return image / math.sqrt(n2)
-
-    def entropies(unit: np.ndarray) -> float:
-        """Entropy objective in bits, from one (batched) eigvalsh call."""
-        rhos = [_marginal_array(unit, j) for j in range(k)]
-        if mode == "sym":
-            return _entropy_bits(np.linalg.eigvalsh(sum(rhos) / k).tolist())
-        spectra = np.linalg.eigvalsh(np.array(rhos)).tolist()
-        return sum(_entropy_bits(values) for values in spectra) / k
-
-    def objective(x: np.ndarray) -> Tuple[float, float]:
-        """(entropy objective in bits, barrier-augmented value); -inf if bad."""
-        maps = _unpack(x, n_maps, d)
-        unit = transformed_unit(maps)
-        if unit is None:
-            return -math.inf, -math.inf
-        try:
-            pure = entropies(unit)
-        except np.linalg.LinAlgError:
-            return -math.inf, -math.inf
-        pen = _barrier(maps, d)
-        if not math.isfinite(pen):
-            return -math.inf, -math.inf
-        return pure, pure + _BARRIER * pen
-
-    def gradient(x: np.ndarray, at_value: float) -> np.ndarray:
-        h = _GRADIENT_STEP
-        grad = np.zeros_like(x)
-        for i in range(x.size):
-            saved = x[i]
-            x[i] = saved + h
-            _, up = objective(x)
-            x[i] = saved
-            value = (up - at_value) / h
-            grad[i] = value if math.isfinite(value) else 0.0
-        return grad
-
     def ascend(x: np.ndarray) -> Optional[Tuple[float, np.ndarray, int, float]]:
-        pure, aug = objective(x)
+        pure, aug = _objective(arr, x, mode)
         if not math.isfinite(aug):
             return None
         best_pure, best_x = pure, x.copy()
         iterations = 0
         gnorm = 0.0
         for _ in range(opts.iterations):
-            grad = gradient(x, aug)
+            _, _, grad = _value_and_gradient(arr, x, mode)
             gnorm = float(np.linalg.norm(grad))
             iterations += 1
             if gnorm < 1e-12:
@@ -412,7 +474,7 @@ def _orbit_optimize(
             delta = -1.0
             while size > 1e-12:
                 cand = x + size * direction
-                cand_pure, cand_aug = objective(cand)
+                cand_pure, cand_aug = _objective(arr, cand, mode)
                 if math.isfinite(cand_aug) and cand_aug > aug:
                     delta = cand_aug - aug
                     x, pure, aug = cand, cand_pure, cand_aug
@@ -466,11 +528,10 @@ def _orbit_optimize(
     if best is None:
         raise RuntimeError("optimizer produced no finite value from any start")
 
-    _, x_best, gnorm = best
+    entropy, x_best, gnorm = best
     maps = _unpack(x_best, n_maps, d)
-    unit = transformed_unit(maps)
-    assert unit is not None
-    entropy = entropies(unit)
+    image = _image(arr, _legs(maps, k))
+    unit = image / math.sqrt(float(np.vdot(image, image).real))
     avg = sum(_marginal_array(unit, j) for j in range(k)) / k
     spectrum = tuple(max(float(v), 0.0) for v in jacobi_eigh(avg))
     for g in maps:

@@ -18,6 +18,7 @@ Conventions
 
 from __future__ import annotations
 
+import cmath
 import hashlib
 import itertools
 import json
@@ -209,8 +210,14 @@ def apply(maps: Sequence[LinearMap], f: Tensor) -> Tensor:
 
 
 def _apply_leg(M: np.ndarray, arr: np.ndarray, leg: int, domain: Domain) -> np.ndarray:
-    """The array of M applied to one leg of arr (M's columns meet that leg)."""
-    return domain.reduce(np.moveaxis(np.tensordot(M, arr, axes=([1], [leg])), 0, leg))
+    """The array of M applied to one leg of arr (M's columns meet that leg).
+
+    One batched matmul over arr viewed as (legs before, leg, legs after):
+    on these small arrays it costs a quarter of tensordot plus moveaxis.
+    """
+    before, after = arr.shape[:leg], arr.shape[leg + 1:]
+    blocks = arr.reshape(math.prod(before), arr.shape[leg], math.prod(after))
+    return domain.reduce(np.matmul(M, blocks).reshape(before + (M.shape[0],) + after))
 
 
 def _power_sum(coefficients, vectors: np.ndarray, k: int, domain: Domain) -> np.ndarray:
@@ -279,7 +286,11 @@ def apply_sym_power(A: LinearMap, f: Tensor, power: int, budget: int = 1 << 21) 
     for out_idx in itertools.product(range(r), repeat=k):
         term = cvals
         for leg in range(k):
-            term = f.domain.reduce(term * tables[leg][out_idx[leg]])
+            term = term * tables[leg][out_idx[leg]]
+            # int64 holds three residues below 2^16, so reduce after every
+            # second product and after the last
+            if leg % 2 or leg == k - 1:
+                term = f.domain.reduce(term)
         out[out_idx] = f.domain.normalize(np.sum(term))
     return Tensor(f.domain, f.domain.reduce(out))
 
@@ -369,10 +380,14 @@ def _scalar_from_json(domain: Domain, v):
             raise ValueError(f"prime-field entry must be an integer, got {v!r}")
         return v % domain.p
     if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, list) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
-    raise ValueError(f"bad complex entry: {v!r}")
+        z = complex(v)
+    elif isinstance(v, list) and len(v) == 2:
+        z = complex(float(v[0]), float(v[1]))
+    else:
+        raise ValueError(f"bad complex entry: {v!r}")
+    if not cmath.isfinite(z):  # JSON NaN, Infinity, or a literal like 1e400
+        raise ValueError(f"complex entry is not finite: {v!r}")
+    return z
 
 
 def tensor_to_json(f: Tensor) -> dict:

@@ -283,6 +283,29 @@ def test_out_of_range_numbers_exit_one(tmp_path, capsys, text):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "1e400", "[0, NaN]"],
+                         ids=["nan", "infinity", "1e400", "pair-nan"])
+@pytest.mark.parametrize("where", ["tensor", "certificate-map"])
+def test_non_finite_complex_entries_exit_one(ws, tmp_path, capsys, where, value):
+    """JSON NaN, Infinity and 1e400 (which parses to inf) are no complex numbers."""
+    bad = {"order": 2, "dims": [2, 2], "domain": "C",
+           "entries": [{"idx": [1, 1], "val": 1}, {"idx": [2, 2], "val": "@"}]}
+    if where == "tensor":
+        argv = ["rank", "--tensor"]
+    else:
+        unit = tensor_to_json(unit_tensor(1, 3, C))
+        bad = {"kind": "restriction", "target": unit, "maps": [
+            {"rows": 1, "cols": 2, "domain": "C", "data": [[1, "@"]]}] * 3}
+        argv = ["verify", "--tensor", ws["w_c"], "--certificate"]
+    path = tmp_path / "non_finite.json"
+    path.write_text(json.dumps(bad).replace('"@"', value))
+    code = run(argv + [str(path), "--json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert re.fullmatch(r"error: invalid-input: [^\n]*\n", captured.err), captured.err
+
+
 def test_assertion_error_is_internal(ws, capsys, monkeypatch):
     def broken(f):
         raise AssertionError("broken invariant")

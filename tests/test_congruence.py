@@ -18,6 +18,7 @@ from symsub import (
     sym_diagonalize,
     verify_certificate,
 )
+from symsub.congruence import _product3
 
 F1009 = domain_from_name("F1009")
 F65521 = domain_from_name("F65521")
@@ -78,6 +79,18 @@ def _check_ballantine(f, seed):
         nz = int((np.diagonal(L) != 0).sum())
     assert linalg.rank(res.B.array, domain) == d
     assert nz == res.diag_nonzeros == matrix_rank(f)
+
+
+def test_congruence_product_is_exact_at_large_p_and_d():
+    """B f B^T and u f v at p = 65521, d = 200, against Python ints: with
+    residues near p, an unreduced B @ f @ B.T leaves int64 (d^2 p^3 > 2^63)."""
+    p, d = 65521, 200
+    rng = np.random.default_rng(0)
+    B, f = (rng.integers(p - 64, p, (d, d)) for _ in range(2))
+    Bo, fo = B.astype(object), f.astype(object)
+    want = (Bo @ fo @ Bo.T) % p
+    assert np.array_equal(_product3(B, f, B.T, F65521), want.astype(np.int64))
+    assert _product3(B[0], f, B[1], F65521) == (Bo[0] @ fo @ Bo[1]) % p
 
 
 def test_congruence_result_json():

@@ -21,6 +21,7 @@ from symsub import (
     unit_tensor,
     vn_entropy,
 )
+from symsub import quantum
 
 W_VALUE = 3 / 2 ** (2 / 3)  # 1.8898815748...
 
@@ -165,6 +166,35 @@ def test_functional_product_seeding_reaches_square():
         OptimizerOptions(restarts=1, initial=(np.kron(g, g),)),
     )
     assert res2.value >= res1.value**2 - 1e-6
+
+
+@pytest.mark.parametrize("barrier", [quantum._BARRIER, 1.0])
+@pytest.mark.parametrize("mode", ["sym", "uniform"])
+def test_closed_form_gradient_matches_central_differences(monkeypatch, mode, barrier):
+    """The ascent's gradient against central differences (step 1e-6) of the
+    barrier-augmented objective, at seeded random maps; at barrier weight 1
+    the barrier's share is well above the tolerance."""
+    monkeypatch.setattr(quantum, "_BARRIER", barrier)
+    rng = np.random.default_rng(12)
+    for d in range(2, 6):
+        for k in range(2, 5):
+            arr = random_unit_tensor(rng, (d,) * k).array
+            maps = [
+                np.eye(d) + 0.3 * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+                for _ in range(1 if mode == "sym" else k)
+            ]
+            x = quantum._pack(maps)
+            pure, aug, grad = quantum._value_and_gradient(arr, x, mode)
+            assert (pure, aug) == pytest.approx(quantum._objective(arr, x, mode), abs=1e-12)
+            numeric = np.empty_like(x)
+            for i in range(x.size):
+                step = np.zeros_like(x)
+                step[i] = 1e-6
+                up = quantum._objective(arr, x + step, mode)[1]
+                down = quantum._objective(arr, x - step, mode)[1]
+                numeric[i] = (up - down) / 2e-6
+            err = np.linalg.norm(grad - numeric) / np.linalg.norm(numeric)
+            assert err <= 1e-6, (d, k, err)
 
 
 def test_size_gates():
