@@ -119,6 +119,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _non_negative(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _file_bytes(path: str) -> bytes:
     with open(path, "rb") as fh:
         return fh.read()
@@ -489,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     qsub = quantum.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
     restarts = argparse.ArgumentParser(add_help=False)
     restarts.add_argument(
-        "--restarts", type=int, default=None, help="optimizer restarts"
+        "--restarts", type=_non_negative, default=None, help="optimizer restarts"
     )
     qf = qsub.add_parser(
         "F", parents=[common, targ, restarts], help="symmetric quantum functional"

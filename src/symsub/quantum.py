@@ -7,10 +7,12 @@ together with the exact pointwise identities the estimates must satisfy
 (moment-map derivative, concavity sandwich, equality of marginals on
 symmetric tensors).
 
-The ascent follows the closed-form gradient of the entropy objective plus a
-small log-det barrier: dH(rho) = -tr[(log2 rho) d rho], and d rho is linear
-in each leg map, so one eigh per marginal gives both the value and the
-gradient (see ``_value_and_gradient``).
+The ascent moves each map along the orbit by g <- exp(tX) g with X
+Hermitian.  The entropy is invariant under unitaries and scaling, so its
+gradient in X is a Hermitian, traceless moment map read from the image
+alone: dH(rho) = -tr[(log2 rho) d rho], so one eigh per marginal gives both
+the value and the gradient (see ``_value_and_gradient``), and exp keeps
+every map invertible.
 
 All entropies are in bits, matching F = 2**E.  Spectra come from LAPACK
 through ``np.linalg.eigvalsh``; the matrices here are at most 6x6.
@@ -57,10 +59,8 @@ _HERMITIAN_TOL = 1e-12
 _TRACE_TOL = 1e-10
 _COMPLEX = ComplexNumbers()
 
-# entropy ascent along the closed-form gradient: first line-search step, and
-# the weight of the log-det barrier that keeps the maps invertible
+# entropy ascent along exp(tX) g: the largest line-search step t
 _STEP = 0.5
-_BARRIER = 1e-6
 
 
 class QuantumError(ValueError):
@@ -195,19 +195,6 @@ def moment_map(f: Tensor) -> np.ndarray:
 # the moment-map derivative identity
 # ---------------------------------------------------------------------------
 
-def _expm_small(m: np.ndarray) -> np.ndarray:
-    """exp(m) by Taylor series; intended for ||m|| well below 1."""
-    d = m.shape[0]
-    out = np.eye(d, dtype=np.complex128)
-    term = np.eye(d, dtype=np.complex128)
-    for n in range(1, 40):
-        term = term @ m / n
-        out = out + term
-        if float(np.max(np.abs(term))) < 1e-18:
-            break
-    return out
-
-
 def directional_derivative_check(f: Tensor, direction) -> Tuple[float, float]:
     """Compare tr[mu(f) H] with the numeric derivative of g -> 0.5 ln|g...f|^2.
 
@@ -225,8 +212,8 @@ def directional_derivative_check(f: Tensor, direction) -> Tuple[float, float]:
         raise QuantumError(f"direction must be {d}x{d}, got {h.shape}")
     if float(np.max(np.abs(h - h.conj().T), initial=0.0)) > _HERMITIAN_TOL:
         raise QuantumError("direction must be Hermitian within 1e-12")
-    eigs = jacobi_eigh(h)
-    norm = max(abs(float(eigs[0])), abs(float(eigs[-1]))) if eigs.size else 0.0
+    eigs, vectors = np.linalg.eigh(h)
+    norm = float(np.max(np.abs(eigs), initial=0.0))
     if norm > 1.0 + 1e-9:
         raise QuantumError(f"direction has spectral norm {norm:.6g} > 1")
     n2 = float(np.sum(np.abs(arr) ** 2))
@@ -238,7 +225,7 @@ def directional_derivative_check(f: Tensor, direction) -> Tuple[float, float]:
     step = 1e-5
 
     def log_norm(t: float) -> float:
-        g = LinearMap(f.domain, _expm_small(t * h))
+        g = LinearMap(f.domain, (vectors * np.exp(t * eigs)) @ vectors.conj().T)
         image = apply_sym(g, Tensor(f.domain, unit)).array
         return 0.5 * math.log(float(np.sum(np.abs(image) ** 2)))
 
@@ -291,9 +278,9 @@ class QuantumFunctionalResult:
     """A lower estimate of a quantum functional with optimizer metadata.
 
     ``restarts`` counts every start actually run, the identity (or seeded)
-    one included; ``gradient_norm`` is the norm of the exact (closed-form)
-    gradient of the barrier-augmented objective at the last iteration of
-    the winning start.
+    one included; ``gradient_norm`` is the Frobenius norm, over all maps,
+    of the entropy gradient X in the direction g <- exp(X) g at the last
+    iteration of the winning start.
     """
 
     value: float
@@ -304,120 +291,52 @@ class QuantumFunctionalResult:
     label: str = "lower estimate"
 
 
-def _pack(maps: Sequence[np.ndarray]) -> np.ndarray:
-    parts = []
-    for g in maps:
-        parts.append(np.real(g).ravel())
-        parts.append(np.imag(g).ravel())
-    return np.concatenate(parts)
-
-
-def _unpack(x: np.ndarray, count: int, d: int) -> List[np.ndarray]:
-    maps = []
-    stride = d * d
-    for m in range(count):
-        base = 2 * m * stride
-        re = x[base:base + stride].reshape(d, d)
-        im = x[base + stride:base + 2 * stride].reshape(d, d)
-        maps.append(re + 1j * im)
-    return maps
-
-
-def _barrier(maps: Sequence[np.ndarray], d: int) -> float:
-    total = 0.0
-    for g in maps:
-        _, logabs = np.linalg.slogdet(g)
-        if not math.isfinite(logabs):
-            return -math.inf
-        fro2 = float(np.sum(np.abs(g) ** 2))
-        if fro2 <= 0.0:
-            return -math.inf
-        total += logabs - 0.5 * d * math.log(fro2 / d)
-    return total
-
-
-def _barrier_gradient(g: np.ndarray, d: int) -> np.ndarray:
-    """Gradient of one map's barrier term log|det g| - (d/2) log(|g|_F^2/d)."""
-    return np.linalg.inv(g).conj().T - d * g / float(np.sum(np.abs(g) ** 2))
-
-
 def _legs(maps: Sequence[np.ndarray], k: int) -> List[np.ndarray]:
     """The map on each of the k legs: one shared map, or one map per leg."""
     return list(maps) * k if len(maps) == 1 else list(maps)
 
 
-def _image(arr: np.ndarray, legs: Sequence[np.ndarray], skip: int = -1) -> np.ndarray:
-    """arr with legs[j] applied on every leg j other than ``skip``."""
+def _image(arr: np.ndarray, legs: Sequence[np.ndarray]) -> np.ndarray:
+    """arr with legs[j] applied on every leg j."""
     for j, g in enumerate(legs):
-        if j != skip:
-            arr = _apply_leg(g, arr, j, _COMPLEX)
+        arr = _apply_leg(g, arr, j, _COMPLEX)
     return arr
 
 
-def _marginals(v: np.ndarray, mode: str) -> Optional[np.ndarray]:
+def _marginals(v: np.ndarray, mode: str) -> np.ndarray:
     """The marginals whose entropies the ascent averages, stacked: the
-    averaged marginal alone (sym) or all k marginals (uniform).  None if v
-    is zero or not finite."""
-    n2 = float(np.vdot(v, v).real)
-    if not math.isfinite(n2) or n2 <= 1e-300:
-        return None
+    averaged marginal alone (sym) or all k marginals (uniform)."""
     rhos = np.array([_marginal_array(v, j) for j in range(v.ndim)])
     return rhos.mean(axis=0, keepdims=True) if mode == "sym" else rhos
 
 
-def _objective(arr: np.ndarray, x: np.ndarray, mode: str) -> Tuple[float, float]:
-    """(entropy objective in bits, barrier-augmented value) at the packed
-    maps x, from one batched eigvalsh call; (-inf, -inf) where undefined."""
-    k, d = arr.ndim, arr.shape[0]
-    maps = _unpack(x, 1 if mode == "sym" else k, d)
-    pen = _barrier(maps, d)
-    if not math.isfinite(pen):
-        return -math.inf, -math.inf
-    rhos = _marginals(_image(arr, _legs(maps, k)), mode)
-    if rhos is None:
-        return -math.inf, -math.inf
-    try:
-        spectra = np.linalg.eigvalsh(rhos).tolist()
-    except np.linalg.LinAlgError:
-        return -math.inf, -math.inf
-    pure = sum(_entropy_bits(values) for values in spectra) / len(spectra)
-    return pure, pure + _BARRIER * pen
+def _objective(arr: np.ndarray, maps: np.ndarray, mode: str) -> float:
+    """Entropy objective in bits at the stacked maps, from one batched
+    eigvalsh call."""
+    spectra = np.linalg.eigvalsh(_marginals(_image(arr, _legs(maps, arr.ndim)), mode))
+    return sum(_entropy_bits(values) for values in spectra.tolist()) / len(spectra)
 
 
 def _value_and_gradient(
-    arr: np.ndarray, x: np.ndarray, mode: str
-) -> Tuple[float, float, np.ndarray]:
-    """The pair ``_objective`` returns, and the closed-form gradient of the
-    augmented value in the packed coordinates x.
+    arr: np.ndarray, maps: np.ndarray, mode: str
+) -> Tuple[float, np.ndarray]:
+    """The value ``_objective`` returns, and for each map the gradient X of
+    the value in the direction g <- exp(X) g, X Hermitian.
 
     Let v be the image of arr, N = |v|^2, and L_j = log2 of the marginal on
     leg j with eigenvalues clipped at _EIG_FLOOR (in sym mode every L_j and
     H_j belong to the averaged marginal).  As tr rho stays 1,
     dH = -tr[L d rho] = Re<G, dv> with
-    G = -(2/(kN)) sum_j (L_j on leg j of v + H_j v).  Leg j of v is its map
-    applied to T_j, arr with every other leg transformed, so the map on leg
-    j gets G_(j) T_(j)^H (flattenings with leg j as rows); the shared sym
-    map sums all k.  The barrier adds g^{-H} - d g/|g|_F^2 per map.  Where
-    the objective is undefined the gradient is zero.
+    G = -(2/(kN)) sum_j (L_j on leg j of v + H_j v).  Moving the map on leg
+    j by exp(X) moves v by X on leg j, so that map gets G_(j) v_(j)^H
+    (flattenings with leg j as rows); the shared sym map sums all k.  The
+    Hermitian part of the sum is X, and it is traceless because scaling a
+    map leaves the entropy unchanged.
     """
-    k, d = arr.ndim, arr.shape[0]
-    maps = _unpack(x, 1 if mode == "sym" else k, d)
-    undefined = (-math.inf, -math.inf, np.zeros_like(x))
-    pen = _barrier(maps, d)
-    if not math.isfinite(pen):
-        return undefined
-    legs = _legs(maps, k)
-    partial = [_image(arr, legs, skip=j) for j in range(k)]
-    v = _apply_leg(legs[0], partial[0], 0, _COMPLEX)
-    rhos = _marginals(v, mode)
-    if rhos is None:
-        return undefined
-    try:
-        spectra, vectors = np.linalg.eigh(rhos)
-    except np.linalg.LinAlgError:
-        return undefined
+    k = arr.ndim
+    v = _image(arr, _legs(maps, k))
+    spectra, vectors = np.linalg.eigh(_marginals(v, mode))
     entropies = [_entropy_bits(values) for values in spectra.tolist()]
-    pure = sum(entropies) / len(entropies)
     logs = np.log2(np.maximum(spectra, _EIG_FLOOR))
     log_rhos = (vectors * logs[:, None, :]) @ vectors.conj().swapaxes(1, 2)
     # leg j reads the averaged marginal (sym, one entry) or its own (uniform)
@@ -426,10 +345,10 @@ def _value_and_gradient(
         + entropies[j % len(entropies)] * v
         for j in range(k)
     ) * (-2.0 / (k * float(np.vdot(v, v).real)))
-    grads = [_BARRIER * _barrier_gradient(g, d) for g in maps]
+    X = np.zeros_like(maps)
     for j in range(k):
-        grads[j % len(maps)] += _flatten(G, j) @ _flatten(partial[j], j).conj().T
-    return pure, pure + _BARRIER * pen, _pack(grads)
+        X[j % len(maps)] += _flatten(G, j) @ _flatten(v, j).conj().T
+    return sum(entropies) / len(entropies), (X + X.conj().swapaxes(1, 2)) / 2
 
 
 def _orbit_optimize(
@@ -456,37 +375,33 @@ def _orbit_optimize(
     opts = options if options is not None else OptimizerOptions()
     n_maps = 1 if mode == "sym" else k
 
-    def ascend(x: np.ndarray) -> Optional[Tuple[float, np.ndarray, int, float]]:
-        pure, aug = _objective(arr, x, mode)
-        if not math.isfinite(aug):
-            return None
-        best_pure, best_x = pure, x.copy()
+    def ascend(maps: np.ndarray) -> Tuple[float, np.ndarray, int, float]:
+        value = _objective(arr, maps, mode)
         iterations = 0
         gnorm = 0.0
+        size = _STEP
         for _ in range(opts.iterations):
-            _, _, grad = _value_and_gradient(arr, x, mode)
-            gnorm = float(np.linalg.norm(grad))
+            _, X = _value_and_gradient(arr, maps, mode)
+            gnorm = float(np.linalg.norm(X))
             iterations += 1
             if gnorm < 1e-12:
                 break
-            direction = grad / gnorm
-            size = _STEP
+            # one eigh per map gives exp(t X / |X|) for every t tried below
+            eigs, vectors = np.linalg.eigh(X / gnorm)
+            adjoint = vectors.conj().swapaxes(1, 2)
+            size = min(_STEP, 2 * size)
             delta = -1.0
             while size > 1e-12:
-                cand = x + size * direction
-                cand_pure, cand_aug = _objective(arr, cand, mode)
-                if math.isfinite(cand_aug) and cand_aug > aug:
-                    delta = cand_aug - aug
-                    x, pure, aug = cand, cand_pure, cand_aug
+                cand = (vectors * np.exp(size * eigs)[:, None, :]) @ adjoint @ maps
+                cand_value = _objective(arr, cand, mode)
+                if cand_value > value:
+                    delta = cand_value - value
+                    maps, value = cand, cand_value
                     break
                 size /= 2
-            if delta < 0:
+            if delta < 0 or delta < opts.tolerance:
                 break
-            if pure > best_pure:
-                best_pure, best_x = pure, x.copy()
-            if delta < opts.tolerance:
-                break
-        return best_pure, best_x, iterations, gnorm
+        return value, maps, iterations, gnorm
 
     eye = np.eye(d, dtype=np.complex128)
     starts: List[np.ndarray] = []
@@ -496,46 +411,32 @@ def _orbit_optimize(
             raise QuantumError(
                 f"initial point needs {n_maps} map(s) of shape {d}x{d}"
             )
-        starts.append(_pack(given))
+        if not np.any(_image(arr, _legs(given, k))):
+            raise QuantumError("initial point maps the tensor to zero")
+        starts.append(np.array(given))
     else:
-        starts.append(_pack([eye] * n_maps))
+        starts.append(np.array([eye] * n_maps))
     for idx in range(1, opts.restarts + 1):
         rng = np.random.default_rng([opts.seed, idx])
-        for _ in range(10):
-            maps0 = [
-                eye + 0.25 * (rng.standard_normal((d, d))
-                              + 1j * rng.standard_normal((d, d)))
-                for _ in range(n_maps)
-            ]
-            if math.isfinite(_barrier(maps0, d)):
-                starts.append(_pack(maps0))
-                break
-        else:
-            raise RuntimeError(
-                "optimizer could not draw a finite starting point after 10 tries"
-            )
+        starts.append(np.array([
+            eye + 0.25 * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+            for _ in range(n_maps)
+        ]))
 
     best: Optional[Tuple[float, np.ndarray, float]] = None
     total_iterations = 0
-    for x0 in starts:
-        outcome = ascend(x0)
-        if outcome is None:
-            continue
-        pure, x_best, iterations, gnorm = outcome
+    for maps0 in starts:
+        value, maps, iterations, gnorm = ascend(maps0)
         total_iterations += iterations
-        if best is None or pure > best[0]:
-            best = (pure, x_best, gnorm)
-    if best is None:
-        raise RuntimeError("optimizer produced no finite value from any start")
+        if best is None or value > best[0]:
+            best = (value, maps, gnorm)
 
-    entropy, x_best, gnorm = best
-    maps = _unpack(x_best, n_maps, d)
+    entropy, maps, gnorm = best
     image = _image(arr, _legs(maps, k))
     unit = image / math.sqrt(float(np.vdot(image, image).real))
     avg = sum(_marginal_array(unit, j) for j in range(k)) / k
     spectrum = tuple(max(float(v), 0.0) for v in jacobi_eigh(avg))
-    for g in maps:
-        g.setflags(write=False)
+    maps.setflags(write=False)
     point = OrbitPoint(
         source_id=tensor_id(f),
         maps=tuple(maps),

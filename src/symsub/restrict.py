@@ -149,6 +149,10 @@ def symrestriction_exists(
     k = f.order
     e, d = g.dims[0], f.dims[0]
     p = domain.p
+    # Flattening ranks never increase under restriction.
+    for leg in range(k):
+        if flattening_rank(g, [leg]) > flattening_rank(f, [leg]):
+            return None
     unit = _is_unit(g)
     if unit:
         # the k-th roots of unity act freely on the nonzero rows
@@ -159,10 +163,6 @@ def symrestriction_exists(
         raise SearchInfeasibleError(required, budget, f"map search over F_{p}^({e}x{d})")
     if e == 0:
         return _certified_sym(np.zeros((0, d), dtype=np.int64), g, f)
-    # Flattening ranks never increase under restriction.
-    for leg in range(k):
-        if flattening_rank(g, [leg]) > flattening_rank(f, [leg]):
-            return None
     leads = _root_orbit_leads(p, k) if unit else None
     if p == 2 and k == 2:
         rows = _sym_dfs_f2_matrix(g.array, f.array, e, d, leads)

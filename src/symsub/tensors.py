@@ -338,7 +338,8 @@ def flattening_rank(f: Tensor, legs: Iterable[int]) -> int:
     col_legs = [l for l in range(k) if l not in row_legs]
     arr = f.array.transpose(row_legs + col_legs)
     rows = math.prod(f.dims[l] for l in row_legs)
-    return linalg.rank(arr.reshape(rows, -1), f.domain)
+    cols = math.prod(f.dims[l] for l in col_legs)
+    return linalg.rank(arr.reshape(rows, cols), f.domain)
 
 
 def matrix_rank(f: Tensor) -> int:

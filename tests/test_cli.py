@@ -155,6 +155,14 @@ def test_quantum_f(ws, capsys):
     assert rep["verification"] == "estimate"
 
 
+def test_negative_restarts_is_a_usage_error(ws, capsys):
+    code = run(["quantum", "F", "--tensor", ws["w_c"], "--restarts", "-3", "--json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert re.fullmatch(r"error: usage: [^\n]*\n", captured.err), captured.err
+
+
 def test_quantum_check(ws, capsys):
     code, rep, _ = run_json(capsys, ["quantum", "check", "--tensor", ws["w_c"]])
     assert code == 0

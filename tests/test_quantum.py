@@ -168,32 +168,60 @@ def test_functional_product_seeding_reaches_square():
     assert res2.value >= res1.value**2 - 1e-6
 
 
-@pytest.mark.parametrize("barrier", [quantum._BARRIER, 1.0])
+def hermitian_basis(d):
+    """A real basis of the d x d Hermitian matrices."""
+    basis = []
+    for i in range(d):
+        for j in range(i, d):
+            e = np.zeros((d, d), dtype=complex)
+            e[i, j] = e[j, i] = 1
+            basis.append(e)
+            if i != j:
+                e = np.zeros((d, d), dtype=complex)
+                e[i, j], e[j, i] = 1j, -1j
+                basis.append(e)
+    return basis
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0])
 @pytest.mark.parametrize("mode", ["sym", "uniform"])
-def test_closed_form_gradient_matches_central_differences(monkeypatch, mode, barrier):
-    """The ascent's gradient against central differences (step 1e-6) of the
-    barrier-augmented objective, at seeded random maps; at barrier weight 1
-    the barrier's share is well above the tolerance."""
-    monkeypatch.setattr(quantum, "_BARRIER", barrier)
+def test_closed_form_gradient_matches_central_differences(mode, scale):
+    """The ascent's gradient X against central differences (step 1e-6) of
+    the objective along exp(tE) g, for a basis of Hermitian E per map, at
+    seeded random maps multiplied by ``scale``; each X is Hermitian and
+    traceless, and equal to X at the unscaled maps (scaling a map leaves
+    the entropy, and so its gradient, unchanged)."""
     rng = np.random.default_rng(12)
     for d in range(2, 6):
         for k in range(2, 5):
             arr = random_unit_tensor(rng, (d,) * k).array
-            maps = [
+            maps = np.array([
                 np.eye(d) + 0.3 * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
                 for _ in range(1 if mode == "sym" else k)
-            ]
-            x = quantum._pack(maps)
-            pure, aug, grad = quantum._value_and_gradient(arr, x, mode)
-            assert (pure, aug) == pytest.approx(quantum._objective(arr, x, mode), abs=1e-12)
-            numeric = np.empty_like(x)
-            for i in range(x.size):
-                step = np.zeros_like(x)
-                step[i] = 1e-6
-                up = quantum._objective(arr, x + step, mode)[1]
-                down = quantum._objective(arr, x - step, mode)[1]
-                numeric[i] = (up - down) / 2e-6
-            err = np.linalg.norm(grad - numeric) / np.linalg.norm(numeric)
+            ])
+            unscaled = quantum._value_and_gradient(arr, maps, mode)
+            maps = scale * maps
+            value, X = quantum._value_and_gradient(arr, maps, mode)
+            assert value == pytest.approx(quantum._objective(arr, maps, mode), abs=1e-12)
+            assert value == pytest.approx(unscaled[0], abs=1e-12)
+            norm = np.linalg.norm(X)
+            assert np.linalg.norm(X - unscaled[1]) <= 1e-9 * norm
+            for x in X:
+                assert np.abs(x - x.conj().T).max() <= 1e-12 * norm
+                assert abs(np.trace(x)) <= 1e-12 * norm
+            analytic, numeric = [], []
+            for m in range(len(maps)):
+                for e in hermitian_basis(d):
+                    w, u = np.linalg.eigh(e)
+
+                    def moved(t):
+                        step = maps.copy()
+                        step[m] = (u * np.exp(t * w)) @ u.conj().T @ maps[m]
+                        return quantum._objective(arr, step, mode)
+
+                    analytic.append(np.trace(X[m] @ e).real)
+                    numeric.append((moved(1e-6) - moved(-1e-6)) / 2e-6)
+            err = np.linalg.norm(np.subtract(analytic, numeric)) / np.linalg.norm(numeric)
             assert err <= 1e-6, (d, k, err)
 
 
@@ -204,6 +232,15 @@ def test_size_gates():
         uniform_quantum_functional(unit_tensor(2, 5, C))
     with pytest.raises(QuantumError):
         sym_quantum_functional(Tensor(C, np.zeros((2, 3))))  # not cubical
+
+
+def test_initial_point_validation():
+    W = w_tensor(C)
+    with pytest.raises(QuantumError, match="shape"):
+        sym_quantum_functional(W, OptimizerOptions(initial=(np.eye(3),)))
+    # every term of W has a 1 index, which diag(1, 0) kills
+    with pytest.raises(QuantumError, match="to zero"):
+        sym_quantum_functional(W, OptimizerOptions(initial=(np.diag([1.0, 0.0]),)))
 
 
 def test_sandwich_check_on_random_tensors():

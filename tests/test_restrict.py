@@ -101,6 +101,18 @@ def test_symsubrank_of_unit_is_full():
     assert value == 2 and verify_certificate(cert, u)
 
 
+def test_symsubrank_rejects_by_flattening_rank_before_the_budget():
+    # <2> padded into 6x6x6 over F3: r = 6 would need 2e14 candidates, but
+    # every r > 2 is refuted by flattening rank before the budget is asked
+    arr = np.zeros((6, 6, 6), dtype=np.int64)
+    arr[0, 0, 0] = arr[1, 1, 1] = 1
+    f = Tensor(F3, arr)
+    value, cert = symsubrank_exact(f)
+    assert value == 2
+    assert verify_certificate(cert, f)
+    assert symrestriction_exists(unit_tensor(0, 3, F3), f) is not None
+
+
 def test_symrank_h3_over_f7():
     res = symrank_small(fully_symmetric(3, F7))
     assert res.value == 4
