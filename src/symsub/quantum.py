@@ -12,7 +12,10 @@ Hermitian.  The entropy is invariant under unitaries and scaling, so its
 gradient in X is a Hermitian, traceless moment map read from the image
 alone: dH(rho) = -tr[(log2 rho) d rho], so one eigh per marginal gives both
 the value and the gradient (see ``_value_and_gradient``), and exp keeps
-every map invertible.
+every map invertible.  With X = U diag(lam) U^H, each step t the line search
+tries is an elementwise scaling by exp(t lam) on every leg of one image, that
+of the maps U^H g (``_step_value``).  One cached fancy index gives all k
+flattenings of a tensor, and one batched product all its marginals.
 
 All entropies are in bits, matching F = 2**E.  Spectra come from LAPACK
 through ``np.linalg.eigvalsh``; the matrices here are at most 6x6.
@@ -20,6 +23,7 @@ through ``np.linalg.eigvalsh``; the matrices here are at most 6x6.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -154,15 +158,36 @@ def density(f: Tensor) -> DensityMatrix:
     return DensityMatrix(rho, spectrum=(1.0,) + (0.0,) * (v.size - 1))
 
 
-def _flatten(arr: np.ndarray, j: int) -> np.ndarray:
-    """The flattening of arr with leg j as rows and the other legs as columns."""
-    return np.moveaxis(arr, j, 0).reshape(arr.shape[j], -1)
+@functools.lru_cache(maxsize=32)
+def _flat_index(d: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Indices into a raveled d^k array, shared by every caller so read-only:
+    its k flattenings (k, d, d^(k-1)), leg j as rows of entry j, and
+    (k, d^k) the raveled flattening j back in order."""
+    cells = np.arange(d**k).reshape((d,) * k)
+    index = np.array([np.moveaxis(cells, j, 0).reshape(d, -1) for j in range(k)])
+    unflatten = np.argsort(index.reshape(k, -1), axis=1)
+    for a in (index, unflatten):
+        a.setflags(write=False)
+    return index, unflatten
 
 
-def _marginal_array(arr: np.ndarray, j: int) -> np.ndarray:
-    flat = _flatten(arr, j)
-    n2 = float(np.vdot(flat, flat).real)
-    return flat @ flat.conj().T / n2
+def _flattenings(arr: np.ndarray) -> np.ndarray:
+    """All k flattenings of a cubical array, stacked, by one fancy index."""
+    return arr.ravel()[_flat_index(arr.shape[0], arr.ndim)[0]]
+
+
+def _marginal_stack(flats: np.ndarray, average: bool = False) -> np.ndarray:
+    """The k marginal density matrices, stacked, from the k flattenings; with
+    ``average`` only their average, as a stack of one (the sym ascent's)."""
+    rhos = flats @ flats.conj().swapaxes(1, 2) / float(np.vdot(flats[0], flats[0]).real)
+    return rhos.mean(axis=0, keepdims=True) if average else rhos
+
+
+def _cubical_array(f: Tensor, what: str) -> np.ndarray:
+    arr = _complex_array(f, what)
+    if not f.is_cubical or arr.ndim == 0:
+        raise QuantumError(f"{what} needs a cubical tensor of order >= 1")
+    return arr
 
 
 def marginal(f: Tensor, j: int) -> DensityMatrix:
@@ -172,7 +197,8 @@ def marginal(f: Tensor, j: int) -> DensityMatrix:
         raise QuantumError(f"leg {j} out of range for an order-{arr.ndim} tensor")
     if float(np.sum(np.abs(arr) ** 2)) <= 1e-300:
         raise QuantumError("zero tensor has no marginals")
-    return DensityMatrix(_marginal_array(arr, j))
+    rho = np.tensordot(arr, arr.conj(), axes=2 * ([i for i in range(arr.ndim) if i != j],))
+    return DensityMatrix(rho / np.trace(rho).real)
 
 
 def vn_entropy(rho: DensityMatrix) -> float:
@@ -182,13 +208,10 @@ def vn_entropy(rho: DensityMatrix) -> float:
 
 def moment_map(f: Tensor) -> np.ndarray:
     """mu(f): the sum of all k marginal density matrices (Hermitian, trace k)."""
-    arr = _complex_array(f, "moment map")
+    arr = _cubical_array(f, "moment map")
     if float(np.sum(np.abs(arr) ** 2)) <= 1e-300:
         raise QuantumError("zero tensor has no moment map")
-    total = np.zeros((arr.shape[0], arr.shape[0]), dtype=np.complex128)
-    for j in range(arr.ndim):
-        total = total + _marginal_array(arr, j)
-    return total
+    return _marginal_stack(_flattenings(arr)).sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +226,7 @@ def directional_derivative_check(f: Tensor, direction) -> Tuple[float, float]:
     difference with step 1e-5 (natural logarithm on both sides).  Returns
     ``(analytic, numeric)``.
     """
-    arr = _complex_array(f, "derivative check")
-    if not f.is_cubical:
-        raise QuantumError("derivative check needs a cubical tensor")
+    arr = _cubical_array(f, "derivative check")
     h = np.array(direction, dtype=np.complex128)
     d = arr.shape[0]
     if h.shape != (d, d):
@@ -303,18 +324,22 @@ def _image(arr: np.ndarray, legs: Sequence[np.ndarray]) -> np.ndarray:
     return arr
 
 
-def _marginals(v: np.ndarray, mode: str) -> np.ndarray:
-    """The marginals whose entropies the ascent averages, stacked: the
-    averaged marginal alone (sym) or all k marginals (uniform)."""
-    rhos = np.array([_marginal_array(v, j) for j in range(v.ndim)])
-    return rhos.mean(axis=0, keepdims=True) if mode == "sym" else rhos
+def _entropy(v: np.ndarray, mode: str) -> float:
+    """Entropy objective in bits of the image v, from one batched eigvalsh."""
+    spectra = np.linalg.eigvalsh(_marginal_stack(_flattenings(v), mode == "sym"))
+    return sum(_entropy_bits(values) for values in spectra.tolist()) / len(spectra)
 
 
 def _objective(arr: np.ndarray, maps: np.ndarray, mode: str) -> float:
-    """Entropy objective in bits at the stacked maps, from one batched
-    eigvalsh call."""
-    spectra = np.linalg.eigvalsh(_marginals(_image(arr, _legs(maps, arr.ndim)), mode))
-    return sum(_entropy_bits(values) for values in spectra.tolist()) / len(spectra)
+    """Entropy objective in bits at the stacked maps."""
+    return _entropy(_image(arr, _legs(maps, arr.ndim)), mode)
+
+
+def _step_value(w: np.ndarray, eigs: np.ndarray, t: float, mode: str) -> float:
+    """The objective at the maps U exp(t diag(eigs)) U^H g from w, the image
+    under the maps U^H g: the entropy is blind to the unitary U on any leg."""
+    scale = functools.reduce(np.multiply.outer, _legs(np.exp(t * eigs), w.ndim))
+    return _entropy(w * scale, mode)
 
 
 def _value_and_gradient(
@@ -335,28 +360,25 @@ def _value_and_gradient(
     """
     k = arr.ndim
     v = _image(arr, _legs(maps, k))
-    spectra, vectors = np.linalg.eigh(_marginals(v, mode))
+    flats = _flattenings(v)
+    spectra, vectors = np.linalg.eigh(_marginal_stack(flats, mode == "sym"))
     entropies = [_entropy_bits(values) for values in spectra.tolist()]
     logs = np.log2(np.maximum(spectra, _EIG_FLOOR))
     log_rhos = (vectors * logs[:, None, :]) @ vectors.conj().swapaxes(1, 2)
-    # leg j reads the averaged marginal (sym, one entry) or its own (uniform)
-    G = sum(
-        _apply_leg(log_rhos[j % len(entropies)], v, j, _COMPLEX)
-        + entropies[j % len(entropies)] * v
-        for j in range(k)
-    ) * (-2.0 / (k * float(np.vdot(v, v).real)))
-    X = np.zeros_like(maps)
-    for j in range(k):
-        X[j % len(maps)] += _flatten(G, j) @ _flatten(v, j).conj().T
+    # L_j on leg j of v, in flattening j, then every leg back in order
+    index, unflatten = _flat_index(v.shape[0], k)
+    moved = (log_rhos @ flats).reshape(k, -1)[np.arange(k)[:, None], unflatten]
+    terms = moved + np.array(entropies)[:, None] * v.ravel()
+    G = terms.sum(axis=0) * (-2.0 / (k * float(np.vdot(v, v).real)))
+    X = G[index] @ flats.conj().swapaxes(1, 2)
+    X = X.sum(axis=0, keepdims=True) if mode == "sym" else X
     return sum(entropies) / len(entropies), (X + X.conj().swapaxes(1, 2)) / 2
 
 
 def _orbit_optimize(
     f: Tensor, mode: str, options: Optional[OptimizerOptions]
 ) -> QuantumFunctionalResult:
-    arr = _complex_array(f, "quantum functional")
-    if not f.is_cubical:
-        raise QuantumError("quantum functionals need a cubical tensor")
+    arr = _cubical_array(f, "quantum functional")
     k = arr.ndim
     d = arr.shape[0] if k else 0
     if k < 2:
@@ -386,17 +408,18 @@ def _orbit_optimize(
             iterations += 1
             if gnorm < 1e-12:
                 break
-            # one eigh per map gives exp(t X / |X|) for every t tried below
+            # X / |X| = U diag(eigs) U^H: every step t below scales one image
             eigs, vectors = np.linalg.eigh(X / gnorm)
             adjoint = vectors.conj().swapaxes(1, 2)
+            w = _image(arr, _legs(adjoint @ maps, k))
             size = min(_STEP, 2 * size)
             delta = -1.0
             while size > 1e-12:
-                cand = (vectors * np.exp(size * eigs)[:, None, :]) @ adjoint @ maps
-                cand_value = _objective(arr, cand, mode)
+                cand_value = _step_value(w, eigs, size, mode)
                 if cand_value > value:
                     delta = cand_value - value
-                    maps, value = cand, cand_value
+                    maps = (vectors * np.exp(size * eigs)[:, None, :]) @ adjoint @ maps
+                    value = cand_value
                     break
                 size /= 2
             if delta < 0 or delta < opts.tolerance:
@@ -434,7 +457,7 @@ def _orbit_optimize(
     entropy, maps, gnorm = best
     image = _image(arr, _legs(maps, k))
     unit = image / math.sqrt(float(np.vdot(image, image).real))
-    avg = sum(_marginal_array(unit, j) for j in range(k)) / k
+    avg = _marginal_stack(_flattenings(unit), average=True)[0]
     spectrum = tuple(max(float(v), 0.0) for v in jacobi_eigh(avg))
     maps.setflags(write=False)
     point = OrbitPoint(
@@ -499,18 +522,14 @@ def sandwich_check(f: Tensor, point: Optional[OrbitPoint] = None) -> SandwichRep
     Without an explicit point the normalized tensor itself is used.  A slack
     below -1e-9 on either side is a numeric violation and raises.
     """
-    if point is not None:
-        arr = np.asarray(point.tensor.array, dtype=np.complex128)
-    else:
-        arr = _complex_array(f, "sandwich check")
-    n2 = float(np.sum(np.abs(arr) ** 2))
-    if n2 <= 1e-300:
+    arr = _cubical_array(f if point is None else point.tensor, "sandwich check")
+    if float(np.sum(np.abs(arr) ** 2)) <= 1e-300:
         raise QuantumError("zero tensor has no sandwich check")
-    unit = arr / math.sqrt(n2)
-    k = unit.ndim
-    rhos = [_marginal_array(unit, j) for j in range(k)]
-    mean_entropy = sum(_entropy_bits(jacobi_eigh(r)) for r in rhos) / k
-    entropy_avg = _entropy_bits(jacobi_eigh(sum(rhos) / k))
+    k = arr.ndim
+    rhos = _marginal_stack(_flattenings(arr))
+    spectra = np.linalg.eigvalsh(np.concatenate([rhos, rhos.mean(axis=0, keepdims=True)]))
+    mean_entropy = sum(_entropy_bits(values) for values in spectra[:k].tolist()) / k
+    entropy_avg = _entropy_bits(spectra[k].tolist())
     log_k = math.log2(k)
     concavity = entropy_avg - mean_entropy
     upper = mean_entropy + log_k - entropy_avg
@@ -537,12 +556,8 @@ def marginal_equality_check(f: Tensor) -> float:
     Symmetric tensors have all marginals equal, so the return value is a
     diagnostic: at most ~1e-12 on symmetric input, possibly large otherwise.
     """
-    arr = _complex_array(f, "marginal equality check")
+    arr = _cubical_array(f, "marginal equality check")
     if float(np.sum(np.abs(arr) ** 2)) <= 1e-300:
         raise QuantumError("zero tensor has no marginals")
-    first = _marginal_array(arr, 0)
-    worst = 0.0
-    for j in range(1, arr.ndim):
-        dev = float(np.max(np.abs(_marginal_array(arr, j) - first), initial=0.0))
-        worst = max(worst, dev)
-    return worst
+    rhos = _marginal_stack(_flattenings(arr))
+    return float(np.max(np.abs(rhos - rhos[0]), initial=0.0))

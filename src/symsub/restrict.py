@@ -453,6 +453,8 @@ def _restriction_dfs(g: Tensor, f: Tensor, unit: bool) -> Optional[List[LinearMa
     domain = f.domain
     k = f.order
     garr = g.array
+    if 0 in garr.shape:  # any maps of these shapes send f onto the empty g
+        return [LinearMap(domain, domain.zeros((e, d))) for e, d in zip(garr.shape, f.dims)]
 
     def descend(leg: int, partial: np.ndarray) -> Optional[List[np.ndarray]]:
         if leg == k - 1:

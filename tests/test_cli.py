@@ -9,6 +9,7 @@ from conftest import C, F2, F5, c5_directed, c5_matrix, w_tensor
 from symsub import (
     LinearMap,
     Certificate,
+    Tensor,
     certificate_to_json,
     hypergraph_to_json,
     tensor_to_json,
@@ -171,13 +172,24 @@ def test_quantum_check(ws, capsys):
     assert out["marginalDeviation"] <= 1e-12
 
 
+@pytest.mark.parametrize("shape", [(2, 3, 2), ()], ids=["2x3x2", "order-0"])
+def test_quantum_check_needs_a_cubical_tensor_of_order_one_or_more(tmp_path, capsys, shape):
+    path = tmp_path / "lopsided.json"
+    arr = np.arange(1.0, 1 + np.prod(shape)).reshape(shape) + 1j
+    path.write_text(json.dumps(tensor_to_json(Tensor(C, arr))))
+    code = run(["quantum", "check", "--tensor", str(path), "--json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    pattern = r"error: invalid-input: [^\n]*needs a cubical tensor[^\n]*\n"
+    assert re.fullmatch(pattern, captured.err), captured.err
+
+
 def test_congruence_and_diagonalize(tmp_path, capsys):
     rng = np.random.default_rng(3)
     m = rng.integers(0, 5, size=(4, 4))
     sym = (m + m.T) % 5
     path = tmp_path / "sym.json"
-    from symsub import Tensor
-
     path.write_text(json.dumps(tensor_to_json(Tensor(F5, sym))))
     code, rep, _ = run_json(capsys, ["congruence", "--tensor", str(path)])
     assert code == 0
@@ -355,8 +367,6 @@ def test_size_gate_exits_two(tmp_path, capsys):
 
 
 def test_failed_verification_exits_one(ws, tmp_path, capsys):
-    from symsub import Tensor
-
     zero = tmp_path / "zero.json"
     zero.write_text(json.dumps(tensor_to_json(Tensor(F2, np.zeros((5, 5), dtype=int)))))
     cert_path = str(tmp_path / "cert.json")

@@ -102,6 +102,13 @@ def test_moment_map_sums_marginals():
     assert np.allclose(mu, np.diag([2.0, 1.0]))
 
 
+@pytest.mark.parametrize("check", [moment_map, sandwich_check, marginal_equality_check])
+def test_checks_need_a_cubical_tensor(check):
+    f = random_unit_tensor(np.random.default_rng(2), (2, 3, 2))
+    with pytest.raises(QuantumError, match="needs a cubical tensor"):
+        check(f)
+
+
 def test_directional_derivative_example():
     f = Tensor(C, np.array([[1.0, 0.0], [0.0, 0.0]]))
     H = np.diag([1.0, -1.0])
@@ -223,6 +230,67 @@ def test_closed_form_gradient_matches_central_differences(mode, scale):
                     numeric.append((moved(1e-6) - moved(-1e-6)) / 2e-6)
             err = np.linalg.norm(np.subtract(analytic, numeric)) / np.linalg.norm(numeric)
             assert err <= 1e-6, (d, k, err)
+
+
+@pytest.mark.parametrize("mode", ["sym", "uniform"])
+def test_line_search_in_the_eigenbasis_matches_the_objective(mode):
+    """With X / |X| = U diag(eigs) U^H, the line-search value at step t, read
+    from w (the image under the maps U^H g), equals the objective at the
+    maps U exp(t diag(eigs)) U^H g; checked at seeded maps for every step
+    the search would try from 8 down to the first accepted one, so at
+    rejected and accepted steps; and the ascent's value is the objective at
+    the maps it returns."""
+    rng = np.random.default_rng(15)
+    tried = {True: 0, False: 0}  # steps checked, by whether they were accepted
+    for d in range(2, 6):
+        for k in range(2, 5):
+            arr = random_unit_tensor(rng, (d,) * k).array
+            maps = np.array([
+                np.eye(d) + 0.3 * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+                for _ in range(1 if mode == "sym" else k)
+            ])
+            value, X = quantum._value_and_gradient(arr, maps, mode)
+            eigs, vectors = np.linalg.eigh(X / np.linalg.norm(X))
+            adjoint = vectors.conj().swapaxes(1, 2)
+            w = quantum._image(arr, quantum._legs(adjoint @ maps, k))
+            t, accepted = 8.0, False
+            while not accepted and t > 1e-12:
+                got = quantum._step_value(w, eigs, t, mode)
+                moved = (vectors * np.exp(t * eigs)[:, None, :]) @ adjoint @ maps
+                assert got == pytest.approx(quantum._objective(arr, moved, mode), abs=1e-12)
+                accepted = got > value
+                tried[accepted] += 1
+                t /= 2
+    assert tried[True] == 12 and tried[False] >= 12
+    fn = sym_quantum_functional if mode == "sym" else uniform_quantum_functional
+    f = random_unit_tensor(rng, (3, 3, 3))
+    res = fn(f, OptimizerOptions(restarts=1, iterations=12, tolerance=0.0))
+    again = quantum._objective(f.array, np.array(res.point.maps), mode)
+    assert np.log2(res.value) == pytest.approx(again, abs=1e-12)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+def test_stacked_flattenings_match_moveaxis(d, k):
+    """One fancy index gives every flattening, and the ascent's marginals
+    equal the per-leg products F F^H / |F|^2."""
+    v = random_unit_tensor(np.random.default_rng(10 * d + k), (d,) * k).array
+    flats = quantum._flattenings(v)
+    assert flats.shape == (k, d, d ** (k - 1))
+    rhos = quantum._marginal_stack(flats)
+    want = []
+    for j in range(k):
+        flat = np.moveaxis(v, j, 0).reshape(d, -1)
+        assert np.array_equal(flats[j], flat)
+        want.append(flat @ flat.conj().T / np.vdot(flat, flat).real)
+        assert np.abs(rhos[j] - want[-1]).max() <= 1e-14
+    average = quantum._marginal_stack(flats, average=True)
+    assert average.shape == (1, d, d)
+    assert np.abs(average[0] - sum(want) / k).max() <= 1e-14
+    # the second index puts each raveled flattening back in order
+    unflatten = quantum._flat_index(d, k)[1]
+    assert np.array_equal(flats.reshape(k, -1)[np.arange(k)[:, None], unflatten],
+                          np.broadcast_to(v.ravel(), (k, d**k)))
 
 
 def test_size_gates():

@@ -113,6 +113,19 @@ def test_symsubrank_rejects_by_flattening_rank_before_the_budget():
     assert symrestriction_exists(unit_tensor(0, 3, F3), f) is not None
 
 
+@pytest.mark.parametrize("k,d", [(3, 3), (3, 6), (4, 3)])
+def test_empty_target_gets_the_verified_empty_certificate(k, d):
+    f = Tensor(F3, np.random.default_rng(d).integers(0, 3, size=(d,) * k))
+    empty = unit_tensor(0, k, F3)
+    plain = restriction_exists(empty, f)
+    sym = symrestriction_exists(empty, f)
+    assert plain.kind == "restriction"
+    assert [m.array.shape for m in plain.maps] == [(0, d)] * k
+    assert sym.kind == "symmetric-restriction"
+    assert sym.maps[0].array.shape == (0, d)
+    assert verify_certificate(plain, f) and verify_certificate(sym, f)
+
+
 def test_symrank_h3_over_f7():
     res = symrank_small(fully_symmetric(3, F7))
     assert res.value == 4
