@@ -420,9 +420,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit the report as JSON")
-    common.add_argument("--seed", type=int, default=0, help="seed for all randomness")
     common.add_argument(
-        "--budget", type=int, default=DEFAULT_BUDGET, help="search budget cap"
+        "--seed", type=_non_negative, default=0, help="seed for all randomness"
+    )
+    common.add_argument(
+        "--budget", type=_non_negative, default=DEFAULT_BUDGET, help="search budget cap"
     )
 
     targ = argparse.ArgumentParser(add_help=False)

@@ -141,16 +141,19 @@ def ballantine_reduce(f: Tensor, seed: int = 0) -> CongruenceResult:
     """Congruence-triangularize f: find invertible B with B f B^T lower
     triangular and exactly rank(f) nonzero diagonal entries.
 
-    Pivot strategy: repeatedly pick u in the remaining space with quadratic
-    value q(u) = u f u^T != 0 (first among the basis vectors carried so
-    far, then pairwise sums, then scaled sums over C); annihilate the
-    pivot's bilinear pairing with the rest of the space by the projection
-    z <- z - (f(u,z)/q(u)) u; recurse.  A remainder on which q vanishes
-    identically is a skew block; it is broken by mixing the last processed
-    pivot back in (q(w + c p) = c f(w,p) + c^2 q(p) is nonzero for a good
-    scalar c), demoting that pivot into the space.  The output contract is
-    re-verified; on failure the input is randomly pre-mixed and the
-    reduction restarted (up to 64 seeded restarts).
+    Pivot strategy: the remaining space is the rows z of a matrix Z, and
+    each step computes one Gram matrix Q = Z f Z^T.  A candidate
+    u = z_i + c z_j (basis vectors, then pairwise sums, then scaled sums
+    over C) has quadratic value q(u) = (Q_ii + c^2 Q_jj) + c (Q_ij + Q_ji)
+    and pairing f(u, z_k) = Q_ik + c Q_jk; pick u with q(u) != 0 (the first
+    over F_p, the largest |q| over C), annihilate its pairing with the rest
+    of the space by one rank-one update z <- z - (f(u,z)/q(u)) u; recurse.
+    A remainder on which q vanishes identically is a skew block; it is
+    broken by mixing the last processed pivot back in (q(w + c p) =
+    c f(w,p) + c^2 q(p) is nonzero for a good scalar c), demoting that
+    pivot into the space.  The output contract is re-verified; on failure
+    the input is randomly pre-mixed and the reduction restarted (up to 64
+    seeded restarts).
     """
     d = _require_square(f)
     domain = f.domain
@@ -168,7 +171,7 @@ def ballantine_reduce(f: Tensor, seed: int = 0) -> CongruenceResult:
         rows = _reduce_attempt(farr, domain)
         if rows is None:
             continue
-        B = domain.reduce(np.array(rows) @ pre) if d else pre
+        B = domain.reduce(rows @ pre)
         L = _product3(B, f.array, B.T, domain)
         result = _validated(f, B, L, expected_rank, domain)
         if result is not None:
@@ -224,112 +227,91 @@ def _random_invertible(d: int, domain: Domain, seed: int, attempt: int) -> np.nd
     return np.eye(d, dtype=domain.dtype)
 
 
-def _reduce_attempt(farr: np.ndarray, domain: Domain) -> Optional[List[np.ndarray]]:
-    """One reduction pass.  Returns the rows of B (pivots then remainder),
-    or None when the step cap is hit."""
+def _reduce_attempt(farr: np.ndarray, domain: Domain) -> Optional[np.ndarray]:
+    """One reduction pass over the space Z (its rows), each step reading
+    every value it tests and every pairing it annihilates from one Gram
+    matrix Q = Z f Z^T.  Returns the rows of B (pivots then remainder), or
+    None when the step cap is hit."""
     d = farr.shape[0]
-
-    def q(u):
-        return domain.normalize(_product3(u, farr, u, domain))
-
-    def fl(u, v):  # bilinear value with u on the row side
-        return domain.normalize(_product3(u, farr, v, domain))
-
-    space = [np.eye(d, dtype=domain.dtype)[i] for i in range(d)]
+    Z = np.eye(d, dtype=domain.dtype)
     pivots: List[np.ndarray] = []
     steps_left = MAX_STEPS_FACTOR * d + 16
-    while space:
+    while len(Z):
         steps_left -= 1
         if steps_left < 0:
             return None
-        found = _find_pivot(space, q, domain)
-        if found is not None:
-            u, carrier = found
-            space.pop(carrier)
-        else:
-            block = np.array([[fl(zi, zj) for zj in space] for zi in space])
-            paired = [i for i, row in enumerate(block) if not _is_zero(row, domain)]
-            if not paired:
+        Q = _product3(Z, farr, Z.T, domain)
+        pick = _find_pivot(Z, Q, domain)
+        if pick is None:
+            # Q is the pairing block of a skew remainder; break it by mixing
+            # the last pivot p back in: u = w + c p for a paired w, scored
+            # from the Gram matrix of the space with p appended
+            w = next((i for i, row in enumerate(Q) if not _is_zero(row, domain)), None)
+            if w is None:
                 break  # trailing zero block; remaining rows go in as-is
             if not pivots:
                 return None  # cannot happen for non-skew input
-            u = _mix_with_last_pivot(space, paired[0], pivots, q, domain)
-            if u is None:
+            Z = np.concatenate((Z, [pivots.pop()]))
+            Q = _product3(Z, farr, Z.T, domain)
+            # q(w) = 0, so over F_p if q(w + p) = 0 then q(w + 2p) = 2 q(p) != 0
+            cs = (1, 2) if isinstance(domain, PrimeField) else (1,) + _COMPLEX_SCALARS
+            c = next((c for c in cs if not domain.is_zero(_score(Q, w, -1, c))), None)
+            if c is None:
                 return None
-        _annihilate(space, u, domain.reduce(u @ farr), domain)
+            pick = w, -1, c
+        # u = z_i + c z_j carries z_i, which leaves the space; every other z
+        # is left-annihilated against u: z <- z - (f(u, z) / q(u)) u, with
+        # f(u, z_k) = Q_ik + c Q_jk
+        i, j, c = pick
+        u = domain.reduce(Z[i] + c * Z[j])
+        coeffs = domain.reduce((Q[i] + c * Q[j]) * domain.inverse(_score(Q, i, j, c)))
+        if isinstance(domain, ComplexNumbers):
+            coeffs[np.abs(coeffs) <= domain.tol] = 0
+        Z = domain.reduce(Z - coeffs[:, None] * u)
+        Z = np.concatenate((Z[:i], Z[i + 1:]))
         pivots.append(u)
-    return pivots + space
+    return np.vstack(pivots + [Z])
 
 
 # scalars c tried in z_i + c z_j over C; over F_p they are never needed
 _COMPLEX_SCALARS = (-1.0, 2.0, 1j)
 
 
-def _find_pivot(space, q, domain) -> Optional[Tuple[np.ndarray, int]]:
-    """First (prime fields) or largest-|q| (complex) vector with q != 0,
-    scanning basis vectors, pairwise sums, then (complex only) scaled sums.
+def _score(Q: np.ndarray, i, j, c):
+    """q(z_i + c z_j) = (Q_ii + c^2 Q_jj) + c (Q_ij + Q_ji) from the Gram
+    matrix Q = Z f Z^T, unreduced; i, j and c may be arrays.  In this order
+    the mirrored candidates z_i - z_j and z_j - z_i get bit-equal values."""
+    return (Q[i, i] + c * c * Q[j, j]) + c * (Q[i, j] + Q[j, i])
 
-    Over F_p, if q vanishes on z_i, z_j and z_i + z_j, then f_ij + f_ji = 0
-    and q(z_i + c z_j) = q_i + c (f_ij + f_ji) + c^2 q_j = 0 for every c, so
-    no scaled sum can be the first pivot.
 
-    Returns the pivot together with the index of a space vector carried
-    with coefficient one, which the caller removes to keep pivots plus
-    space a basis.
+def _find_pivot(Z, Q, domain) -> Optional[Tuple[int, int, object]]:
+    """First (prime fields) or largest-|q| (complex) z_i + c z_j with q != 0,
+    over the rows z of Z and scored from Q = Z f Z^T: basis vectors (c = 0),
+    pairwise sums (i < j, c = 1), then (complex only) scaled sums (i != j,
+    c in _COMPLEX_SCALARS); an exact tie goes to the first in that order.
+    Returns (i, j, c).
+
+    Over F_p, if q vanishes on z_i, z_j and z_i + z_j, then Q_ij + Q_ji = 0
+    and q(z_i + c z_j) = 0 for every c, so no scaled sum can be the first
+    pivot.
     """
-    n = len(space)
-    candidates = itertools.chain(
-        ((z, i) for i, z in enumerate(space)),
-        ((domain.reduce(space[i] + space[j]), i)
-         for i in range(n) for j in range(i + 1, n)),
-    )
+    k = np.arange(len(Z))
     if isinstance(domain, PrimeField):
-        return next(((u, i) for u, i in candidates if q(u) != 0), None)
-    candidates = list(candidates) + [
-        (space[i] + c * space[j], i)
-        for c in _COMPLEX_SCALARS for i in range(n) for j in range(n) if i != j
-    ]
-    scale = max(1.0, max(float(np.max(np.abs(u))) for u, _ in candidates))
-    best, best_q = None, domain.tol * scale
-    for u, i in candidates:
-        qu = abs(q(u))
-        if qu > best_q:
-            best, best_q = (u, i), qu
-    return best
-
-
-def _mix_with_last_pivot(space, w_idx, pivots, q, domain) -> Optional[np.ndarray]:
-    """Break a nonzero skew remainder: u = w + c * p_last has
-    q(u) = c (f(w, p_last) + f(p_last, w)) + c^2 q(p_last), nonzero for a
-    good c.  Over F_p, c = 1 or c = 2 works: if q(w + p_last) = 0, then
-    q(w + 2 p_last) = 2 q(p_last) != 0 (p is odd).
-
-    ``w_idx`` indexes a space vector with a nonzero pairing in the space.
-    Adjusts the bookkeeping itself: w leaves the space (it is carried by u
-    with coefficient one) and the demoted pivot rejoins it.
-    """
-    p_last = pivots[-1]
-    w = space[w_idx]
-    scalars = (1, 2) if isinstance(domain, PrimeField) else (1,) + _COMPLEX_SCALARS
-    for c in scalars:
-        u = domain.reduce(w + c * p_last)
-        if not domain.is_zero(q(u)):
-            pivots.pop()
-            space.pop(w_idx)
-            space.append(p_last)
-            return u
-    return None
-
-
-def _annihilate(space, u, row, domain) -> None:
-    """Left-annihilate the space against the new pivot:
-    z <- z - (f(u,z)/q(u)) u.  ``row`` is u f reduced, so f(u, z) = row z
-    stays below d p^2 (see ``_product3``)."""
-    qu_inv = domain.inverse(domain.normalize(row @ u))
-    for i, z in enumerate(space):
-        coeff = domain.normalize(domain.normalize(row @ z) * qu_inv)
-        if not domain.is_zero(coeff):
-            space[i] = domain.reduce(z - coeff * u)
+        hit = Q.diagonal().nonzero()[0]
+        if hit.size:
+            return hit[0], hit[0], 0
+        i, j = (k[:, None] < k).nonzero()  # i < j, row-major
+        hit = domain.reduce(_score(Q, i, j, 1)).nonzero()[0]
+        return (i[hit[0]], j[hit[0]], 1) if hit.size else None
+    i, j = (k[:, None] != k).nonzero()  # i != j, row-major
+    pairs, m = i < j, len(_COMPLEX_SCALARS)
+    I = np.concatenate([k, i[pairs]] + [i] * m)
+    J = np.concatenate([k, j[pairs]] + [j] * m)
+    c = np.repeat([0, 1, *_COMPLEX_SCALARS], [len(k), pairs.sum()] + [len(i)] * m)
+    scores = np.abs(_score(Q, I, J, c))
+    best = int(np.argmax(scores))
+    scale = max(1.0, float(np.max(np.abs(Z[I] + c[:, None] * Z[J]))))
+    return (I[best], J[best], c[best]) if scores[best] > domain.tol * scale else None
 
 
 # ---------------------------------------------------------------------------

@@ -156,12 +156,24 @@ def test_quantum_f(ws, capsys):
     assert rep["verification"] == "estimate"
 
 
-def test_negative_restarts_is_a_usage_error(ws, capsys):
-    code = run(["quantum", "F", "--tensor", ws["w_c"], "--restarts", "-3", "--json"])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert re.fullmatch(r"error: usage: [^\n]*\n", captured.err), captured.err
+def test_negative_restarts_is_a_usage_error(ws, tmp_path, capsys):
+    """--restarts, --seed and --budget reject negative counts up front, also
+    where the value would never be read."""
+    matrix = tmp_path / "m_f5.json"
+    matrix.write_text(json.dumps(tensor_to_json(Tensor(F5, [[1, 2], [2, 0]]))))
+    for argv in (
+        ["quantum", "F", "--tensor", ws["w_c"], "--restarts", "-3"],
+        ["quantum", "F", "--tensor", ws["w_c"], "--seed", "-1"],
+        ["quantum", "F", "--tensor", ws["w_c"], "--seed", "-1", "--restarts", "0"],
+        ["congruence", "--tensor", str(matrix), "--seed", "-1"],
+        ["symrank", "--tensor", ws["w_f5"], "--budget", "-1"],
+        ["symsubrank", "--tensor", str(matrix), "--budget", "-1"],
+    ):
+        code = run(argv + ["--json"])
+        captured = capsys.readouterr()
+        assert code == 1, argv
+        assert captured.out == ""
+        assert re.fullmatch(r"error: usage: [^\n]*\n", captured.err), captured.err
 
 
 def test_quantum_check(ws, capsys):

@@ -18,7 +18,7 @@ from symsub import (
     sym_diagonalize,
     verify_certificate,
 )
-from symsub.congruence import _product3
+from symsub.congruence import _find_pivot, _product3, _score
 
 F1009 = domain_from_name("F1009")
 F65521 = domain_from_name("F65521")
@@ -79,6 +79,50 @@ def _check_ballantine(f, seed):
         nz = int((np.diagonal(L) != 0).sum())
     assert linalg.rank(res.B.array, domain) == d
     assert nz == res.diag_nonzeros == matrix_rank(f)
+
+
+@pytest.mark.parametrize("domain", [F3, F1009, F65521, C])
+def test_gram_scores_pick_the_pivot_a_loop_over_products_picks(domain):
+    """Every candidate value read from Q = Z f Z^T equals q(u) = u f u^T by
+    its own product, and the pivot is the one a scan over those products
+    picks: the first nonzero over F_p, the first largest |q| over C."""
+    rng = np.random.default_rng(9)
+    scalars = (1,) if domain is not C else (1, -1.0, 2.0, 1j)
+    for n, d in [(1, 1), (2, 3), (3, 3), (4, 5), (6, 6)] * 4:
+        f = random_tensor(rng, (d, d), domain).array
+        if rng.integers(2):  # zero diagonal on unit rows: only sums qualify
+            f = f * (1 - np.eye(d, dtype=int))
+            Z = np.eye(d, dtype=domain.dtype)[rng.permutation(d)[:n]]
+        else:
+            Z = random_tensor(rng, (n, d), domain).array
+        cands = [(i, i, 0) for i in range(n)]
+        cands += [(i, j, 1) for i in range(n) for j in range(i + 1, n)]
+        cands += [(i, j, c) for c in scalars[1:]
+                  for i in range(n) for j in range(n) if i != j]
+        U = [domain.reduce(Z[i] + c * Z[j]) for i, j, c in cands]
+        direct = [domain.normalize(_product3(u, f, u, domain)) for u in U]
+        Q = _product3(Z, f, Z.T, domain)
+        scored = [domain.normalize(_score(Q, i, j, c)) for i, j, c in cands]
+        if domain is C:
+            assert np.allclose(scored, direct, rtol=1e-12, atol=1e-12)
+            scale = max(1.0, max(float(np.abs(u).max()) for u in U))
+            best = int(np.argmax(np.abs(direct)))
+            want = cands[best] if abs(direct[best]) > domain.tol * scale else None
+        else:
+            assert scored == direct
+            want = next((cand for cand, q in zip(cands, direct) if q), None)
+        got = _find_pivot(Z, Q, domain)
+        assert (got if got is None else tuple(got)) == want
+
+
+def test_complex_pivot_tie_goes_to_the_first_candidate_in_scan_order():
+    """f = e_00 + S with S skew, so q(v) = v_0^2 exactly: z_1 + 2 z_0 and
+    z_2 + 2 z_0 tie at 4, the largest |q|, and z_1 + 2 z_0 comes first.
+    Scored by separate products, rounding ranked z_2 + 2 z_0 ahead here."""
+    s01, s02, s12 = -0.3 + 0.4j, 0.5 + 0.2j, -0.9 - 0.7j
+    f = Tensor(C, [[1, s01, s02], [-s01, 0, s12], [-s02, -s12, 0]])
+    assert np.array_equal(ballantine_reduce(f).B.array[0], [2, 1, 0])
+    _check_ballantine(f, seed=0)
 
 
 def test_congruence_product_is_exact_at_large_p_and_d():

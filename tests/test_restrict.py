@@ -10,6 +10,7 @@ from symsub import (
     LinearMap,
     SearchInfeasibleError,
     Tensor,
+    apply,
     certificate_from_json,
     certificate_to_json,
     reconstruct_waring,
@@ -173,16 +174,25 @@ def all_maps(e, d, p):
     return np.array(list(grid), dtype=np.int64).reshape(-1, e, d)
 
 
-def brute_restricts(f, e):
-    """<e> <= f for an order-3 tensor: every pair of maps on the first two
-    legs, and every row of the third map (its rows act independently)."""
+def invertible_maps(e, d, p):
+    """Every invertible e x e map over F_p (d = e), by determinant."""
+    A = all_maps(e, d, p)
+    return A[np.round(np.linalg.det(A)).astype(np.int64) % p != 0]
+
+
+def brute_restricts(f, e, maps=all_maps):
+    """<e> <= f for a tensor of order >= 3: every tuple of maps from
+    ``maps(e, d, p)`` on all legs but the last, and every row of the last
+    map (its rows act independently)."""
     p = f.domain.p
-    unit = unit_tensor(e, 3, f.domain).array.reshape(e * e, e)
-    A, B = (all_maps(e, d, p) for d in f.dims[:2])
-    part = np.einsum("aix,bjy,xyz->abijz", A, B, f.array) % p
-    part = part.reshape(-1, e * e, f.dims[2])
-    rows = all_maps(1, f.dims[2], p)[:, 0, :]
-    image = (part @ rows.T) % p  # [pair, (i, j), third-leg row]
+    part = f.array[None]  # [map tuple, legs left..., legs mapped...]
+    for d in f.dims[:-1]:
+        part = np.einsum("aix,nx...->na...i", maps(e, d, p), part)
+        part = part.reshape(-1, *part.shape[2:]) % p
+    part = part.reshape(len(part), f.dims[-1], -1).transpose(0, 2, 1)
+    rows = all_maps(1, f.dims[-1], p)[:, 0, :]
+    image = (part @ rows.T) % p  # [map tuple, mapped legs' index, last-leg row]
+    unit = unit_tensor(e, f.order, f.domain).array.reshape(-1, e)
     found = [np.any(np.all(image == unit[:, i, None], axis=1), axis=1) for i in range(e)]
     return bool(np.any(np.logical_and.reduce(found)))
 
@@ -220,6 +230,41 @@ def test_quotiented_searches_match_brute_force_2x2x2():
         sym = symrestriction_exists(g, f)
         assert (sym is not None) == brute_symrestricts(f, 2), f.array.tolist()
         assert sym is None or verify_certificate(sym, f)
+
+
+def planted_units(e, k, count, seed):
+    """<e> moved by random invertible maps on each of its k legs, over F2:
+    tensors that <e> restricts to."""
+    rng = np.random.default_rng(seed)
+    inv = invertible_maps(e, e, 2)
+    for _ in range(count):
+        maps = [LinearMap(F2, A) for A in inv[rng.integers(0, len(inv), k)]]
+        yield apply(maps, unit_tensor(e, k, F2))
+
+
+@pytest.mark.parametrize(
+    "shape, e, maps, random, planted",
+    [((2, 2, 2, 2), 2, all_maps, 24, 8), ((3, 3, 3), 3, invertible_maps, 6, 3)],
+    ids=["order4-2x2x2x2", "3x3x3"],
+)
+def test_restriction_matches_brute_force_beyond_2x2x2(shape, e, maps, random, planted):
+    """Finds and refutations of <e> <= f over F2: order 4 with two middle
+    legs, and e = 3.  For e = d every map of a restriction onto <e> is
+    invertible (each flattening of <e> has rank e), so the 3x3x3 brute force
+    runs over GL_3(F2) alone."""
+    k = len(shape)
+    cases = [
+        *sampled_tensors(F2, shape, random, seed=11),
+        *planted_units(e, k, planted, seed=12),
+    ]
+    answers = []
+    for f in cases:
+        cert = restriction_exists(unit_tensor(e, k, F2), f)
+        assert (cert is not None) == brute_restricts(f, e, maps), f.array.tolist()
+        assert cert is None or verify_certificate(cert, f)
+        answers.append(cert is not None)
+    assert answers[random:] == [True] * planted
+    assert not all(answers[:random])
 
 
 def test_quotiented_symmetric_searches_over_roots_of_unity():
