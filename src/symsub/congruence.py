@@ -15,6 +15,7 @@ diagonal principal-subtensor certificate for powers of triangular matrices.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -27,6 +28,7 @@ from .domains import ComplexNumbers, Domain, PrimeField
 from .restrict import (
     DEFAULT_BUDGET,
     Certificate,
+    SearchInfeasibleError,
     symsubrank_exact,
     verify_certificate,
 )
@@ -408,11 +410,11 @@ def matrix_symsubrank(
     procedure applies and two-sided bounds otherwise.
 
     Exact cases: nonzero-skew/zero matrices (value 0); complex symmetric
-    matrices (value rank, via diagonalization); prime fields with
-    |F|^(d*d) within budget (exhaustive search).  Otherwise the lower
-    bound comes from a greedy identity block inside the triangular
-    congruence form and the upper bound is d, or d - 1 when f is not
-    symmetric.
+    matrices (value rank, via diagonalization); prime fields whenever
+    :func:`symsubrank_exact` fits the budget.  Otherwise the lower bound
+    comes from a greedy identity block inside the triangular congruence
+    form and the upper bound is the rank of f, and at most d - 1 when f is
+    not symmetric.
     """
     d = _require_square(f)
     domain = f.domain
@@ -441,14 +443,15 @@ def matrix_symsubrank(
             mode="exact", lower=r, upper=r, value=r,
             certificate=cert, method="symmetric-diagonalization",
         )
-    if isinstance(domain, PrimeField) and domain.p ** (d * d) <= budget:
-        value, cert = symsubrank_exact(f, budget)
-        return MatrixSymsubrankResult(
-            mode="exact", lower=value, upper=value, value=value,
-            certificate=cert, method="exhaustive-search",
-        )
+    if isinstance(domain, PrimeField):
+        with contextlib.suppress(SearchInfeasibleError):
+            value, cert = symsubrank_exact(f, budget)
+            return MatrixSymsubrankResult(
+                mode="exact", lower=value, upper=value, value=value,
+                certificate=cert, method="exhaustive-search",
+            )
     lower, cert = _greedy_identity_block(f, seed)
-    upper = d if symmetric else d - 1
+    upper = min(d if symmetric else d - 1, matrix_rank(f))
     return MatrixSymsubrankResult(
         mode="bounds", lower=lower, upper=upper, value=None,
         certificate=cert, method="triangular-block",

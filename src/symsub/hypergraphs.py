@@ -145,7 +145,7 @@ def independence_number(h: Hypergraph) -> Tuple[int, Tuple[int, ...]]:
             f"size gate: independence search handles at most {VERTEX_GATE} "
             f"vertices, got {h.n}"
         )
-    edge_sets = {frozenset(e) for e in h.edges}
+    edge_sets = {frozenset(e) for e in h.edges if len(set(e)) > 1}
     at: Dict[int, List[FrozenSet[int]]] = {v: [] for v in range(1, h.n + 1)}
     for s in edge_sets:
         for v in s:

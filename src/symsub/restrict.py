@@ -12,8 +12,12 @@ every map.  A search raises when the number of representatives (or maps)
 it could enumerate, :attr:`SearchInfeasibleError.required`, exceeds its
 budget.
 
+Symmetric searches share one batched branch and bound, :func:`_sym_dfs`;
+:func:`symsubrank_exact` runs it once, from the least flattening rank of f.
+
 Determinism: canonical representatives are enumerated in lexicographic order
-of their rows, and the first certificate found is returned.  That first
+of their rows, and the first certificate found is returned (for
+:func:`symsubrank_exact`, the first of the largest size).  That first
 certificate may differ from the one a full enumeration would meet first; it
 re-verifies all the same.
 """
@@ -129,8 +133,12 @@ def certificate_from_json(obj: dict) -> Certificate:
 
 
 # ---------------------------------------------------------------------------
-# symmetric restriction: one map, exhaustive DFS over its rows
+# symmetric restriction: one map, batched branch and bound over its rows
 # ---------------------------------------------------------------------------
+
+# About the most entries one batched contraction of :func:`_sym_dfs` holds.
+_BLOCK_ENTRIES = 1 << 16
+
 
 def symrestriction_exists(
     g: Tensor, f: Tensor, budget: int = DEFAULT_BUDGET
@@ -138,22 +146,31 @@ def symrestriction_exists(
     """Search for A with A^{(x)k} f = g; None after exhaustive refutation.
 
     Prime fields only.  Rows of A are extended one at a time in lexicographic
-    order; a partial map survives only while every already-determined entry
-    of the image matches g.  For g = <e> the rows are nonzero, strictly
-    increasing, and each the least in its orbit under the k-th roots of
-    unity: (P D A)^{(x)k} f = <e> whenever A^{(x)k} f = <e>, for a
-    permutation P and a diagonal D with D^k = I.
+    order (:func:`_sym_dfs`); a partial map survives only while every
+    already-determined entry of the image matches g.  For g = <e> the rows
+    are nonzero, strictly increasing, and each the least in its orbit under
+    the k-th roots of unity: (P D A)^{(x)k} f = <e> whenever
+    A^{(x)k} f = <e>, for a permutation P and a diagonal D with D^k = I.
     """
     _check_search_pair(g, f)
-    domain = f.domain
     k = f.order
     e, d = g.dims[0], f.dims[0]
-    p = domain.p
     # Flattening ranks never increase under restriction.
     for leg in range(k):
         if flattening_rank(g, [leg]) > flattening_rank(f, [leg]):
             return None
     unit = _is_unit(g)
+    _check_sym_budget(f, e, unit, budget)
+    if e == 0:
+        return _certified_sym(np.zeros((0, d), dtype=np.int64), g, f)
+    leads = _root_orbit_leads(f.domain.p, k) if unit else None
+    rows = _sym_dfs(g.array, f.array, f.domain.p, leads, floor=e - 1)
+    return _certified_sym(rows, g, f) if len(rows) else None
+
+
+def _check_sym_budget(f: Tensor, e: int, unit: bool, budget: int) -> None:
+    """Raise unless the e x d maps the search enumerates fit the budget."""
+    p, d, k = f.domain.p, f.dims[0], f.order
     if unit:
         # the k-th roots of unity act freely on the nonzero rows
         required = math.comb((p**d - 1) // math.gcd(k, p - 1), e)
@@ -161,16 +178,6 @@ def symrestriction_exists(
         required = p ** (e * d)
     if required > budget:
         raise SearchInfeasibleError(required, budget, f"map search over F_{p}^({e}x{d})")
-    if e == 0:
-        return _certified_sym(np.zeros((0, d), dtype=np.int64), g, f)
-    leads = _root_orbit_leads(p, k) if unit else None
-    if p == 2 and k == 2:
-        rows = _sym_dfs_f2_matrix(g.array, f.array, e, d, leads)
-    else:
-        rows = _sym_dfs(g.array, f.array, e, d, domain, leads)
-    if rows is None:
-        return None
-    return _certified_sym(np.array(rows, dtype=np.int64), g, f)
 
 
 def _is_unit(g: Tensor) -> bool:
@@ -208,6 +215,18 @@ def _row(code: int, p: int, d: int) -> List[int]:
     return row
 
 
+def _row_blocks(p: int, d: int, leads: Optional[Sequence[int]], size: int):
+    """The rows of :func:`_row_codes` (start 0) in stacks of at most ``size``."""
+    # keep the rows whose first nonzero entry (0 for the zero row) is a lead
+    lead = np.ones(p, dtype=bool) if leads is None else np.bincount(leads, minlength=p) > 0
+    for lo in range(0, p**d, size):
+        codes = np.arange(lo, min(lo + size, p**d), dtype=np.int64)
+        rows = codes[:, None] // p ** np.arange(d - 1, -1, -1) % p
+        rows = rows[lead[rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]]]
+        if len(rows):
+            yield rows
+
+
 def _check_search_pair(g: Tensor, f: Tensor) -> None:
     if g.order != f.order:
         raise ValueError(f"order mismatch: {g.order} vs {f.order}")
@@ -233,94 +252,66 @@ def _certified_sym(rows: np.ndarray, g: Tensor, f: Tensor) -> Certificate:
 
 
 def _sym_dfs(
-    G: np.ndarray,
-    F: np.ndarray,
-    e: int,
-    d: int,
-    domain: PrimeField,
-    leads: Optional[Sequence[int]],
-) -> Optional[List[List[int]]]:
-    """Generic row-by-row DFS.  Accepted row i must satisfy every image
-    entry whose index tuple has maximum coordinate i.  Rows are drawn from
-    :func:`_row_codes` with ``leads``, strictly increasing when ``leads`` is
-    given (the unit-target quotient)."""
-    p = domain.p
-    k = F.ndim
-    chosen: List[int] = []
-    arrs: List[np.ndarray] = []
-    slices: List[np.ndarray] = []  # F contracted with each row on the last leg
+    G: np.ndarray, F: np.ndarray, p: int, leads: Optional[Sequence[int]], floor: int
+) -> np.ndarray:
+    """Rows of A with A^{(x)k} F = G[:r, ..., :r] for the largest r in
+    (floor, len(G)], by branch and bound; no rows when no such r has one.
 
-    def value(jvec: Tuple[int, ...]) -> int:
-        t = slices[jvec[k - 1]]
-        for pos in range(k - 2, 0, -1):
-            t = (t @ arrs[jvec[pos]]) % p
-        return int((arrs[jvec[0]] @ t) % p)
+    A node keeps each candidate row under which the image equals G's
+    leading block, scoring all candidates in batched contractions
+    (:func:`_images`).  With ``leads`` (G = <e>) rows strictly increase, and
+    as a row kept under rows 0..i is kept under rows 0..i-1, a child's
+    candidates are its parent's survivors after the chosen row; a branch
+    stops once it cannot beat the largest set so far, and the result is the
+    lexicographically first largest set.
+    """
+    k, d, e = F.ndim, F.shape[0], G.shape[0]
+    leading = [G[(slice(0, i + 1),) * k].reshape(-1) % p for i in range(e)]
+    size = max(1, _BLOCK_ENTRIES // (e * d ** (k - 1)))
+    best: List = [floor, np.zeros((0, d), dtype=np.int64)]
 
-    def extend(i: int) -> bool:
-        start = chosen[-1] + 1 if leads is not None and chosen else 0
-        for code in _row_codes(p, d, leads, start):
-            cand = np.array(_row(code, p, d), dtype=np.int64)
-            arrs.append(cand)
-            slices.append((F @ cand) % p)
-            ok = all(
-                value(jvec) == int(G[jvec]) % p
-                for jvec in itertools.product(range(i + 1), repeat=k)
-                if max(jvec) == i
-            )
-            if ok:
-                chosen.append(code)
-                if i + 1 == e or extend(i + 1):
+    def extend(rows: np.ndarray, blocks) -> bool:
+        """Search below ``rows``; True once e rows are found."""
+        i = len(rows)
+        found = [np.zeros((0, d), dtype=np.int64)]
+        for cand in blocks:
+            maps = np.empty((len(cand), i + 1, d), dtype=np.int64)
+            maps[:, :i] = rows
+            maps[:, i] = cand
+            found.append(cand[(_images(maps, F, p) == leading[i]).all(axis=1)])
+            if i + 1 == e and len(found[-1]):
+                break
+        found = np.concatenate(found)
+        for j in range(len(found)):
+            if leads is not None and i + len(found) - j <= best[0]:
+                break
+            grown = np.concatenate((rows, found[j:j + 1]))
+            if i + 1 > best[0]:
+                best[:] = [i + 1, grown]
+                if i + 1 == e:
                     return True
-                chosen.pop()
-            arrs.pop()
-            slices.pop()
-        return False
-
-    return [_row(code, p, d) for code in chosen] if extend(0) else None
-
-
-def _sym_dfs_f2_matrix(
-    G: np.ndarray, F: np.ndarray, e: int, d: int, leads: Optional[Sequence[int]]
-) -> Optional[List[List[int]]]:
-    """Bit-packed DFS for the F_2 matrix case.  A row is its code (entry c in
-    bit d-1-c, see :func:`_row_codes`) and image entries are parities.
-    Candidates match :func:`_sym_dfs`."""
-    # F @ row is looked up in two tables, over the row's low and high bits;
-    # bit i of cols[b] is F[d-1-i, d-1-b]
-    cols = linalg._f2_pack_rows(F[::-1, ::-1].T)
-    half = d // 2
-    low, high = _xor_table(cols[:half]), _xor_table(cols[half:])
-    gbits = (G % 2).tolist()
-    chosen: List[Tuple[int, int]] = []  # (row, F @ row) per accepted row
-
-    def extend(i: int) -> bool:
-        start = chosen[-1][0] + 1 if leads is not None and chosen else 0
-        for m in _row_codes(2, d, leads, start):
-            fm = high[m >> half] ^ low[m & ((1 << half) - 1)]
-            # parities inline: a call per test costs a third of the search
-            if (m & fm).bit_count() & 1 != gbits[i][i]:
-                continue
-            if any(
-                (mj & fm).bit_count() & 1 != gbits[j][i]
-                or (m & fj).bit_count() & 1 != gbits[i][j]
-                for j, (mj, fj) in enumerate(chosen)
-            ):
-                continue
-            chosen.append((m, fm))
-            if i + 1 == e or extend(i + 1):
+            if leads is None:
+                rest = _row_blocks(p, d, None, size)
+            else:
+                rest = (found[lo:lo + size] for lo in range(j + 1, len(found), size))
+            if extend(grown, rest):
                 return True
-            chosen.pop()
         return False
 
-    return [_row(m, 2, d) for m, _ in chosen] if extend(0) else None
+    extend(np.zeros((0, d), dtype=np.int64), _row_blocks(p, d, leads, size))
+    return best[1]
 
 
-def _xor_table(words: Sequence[int]) -> List[int]:
-    """Entry x is the XOR of the words at the set bits of x."""
-    table = [0]
-    for w in words:
-        table += [x ^ w for x in table]
-    return table
+def _images(maps: np.ndarray, F: np.ndarray, p: int) -> np.ndarray:
+    """A^{(x)k} F, flattened, for every map A in the stack ``maps`` (m x r x d).
+
+    One batched matmul per leg; each leg's image moves to the end, so after
+    k legs they stand in order.
+    """
+    t = F[None]
+    for _ in range(F.ndim):
+        t = (maps @ t.reshape(len(t), F.shape[0], -1) % p).swapaxes(1, 2)
+    return t.reshape(len(maps), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +348,15 @@ def restriction_exists(
     for leg in range(k):
         if flattening_rank(g, [leg]) > flattening_rank(f, [leg]):
             return None
+    return _restriction_search(g, f, _is_unit(g), budget)
+
+
+def _restriction_search(
+    g: Tensor, f: Tensor, unit: bool, budget: int
+) -> Optional[Certificate]:
+    """The budget gate and the search of :func:`restriction_exists`, order >= 3."""
     p = f.domain.p
-    unit = _is_unit(g)
+    k = f.order
     if unit:
         e = g.dims[0]
         required = _frame_count(p, f.dims[0], e) // math.factorial(e)
@@ -506,24 +504,28 @@ def _solve_last_leg(
 def symsubrank_exact(
     f: Tensor, budget: int = DEFAULT_BUDGET
 ) -> Tuple[int, Certificate]:
-    """Largest r with a verified <r> <=_s f certificate (search from d down)."""
+    """Largest r with a verified <r> <=_s f certificate, by one search from
+    r0, the least flattening rank of f.  The budget gate counts C(N, r0)
+    representatives: C(N, r) grows with r up to d <= (N + 1) / 2."""
     if not f.is_cubical:
         raise ValueError("symmetric subrank needs a cubical tensor")
     if not isinstance(f.domain, PrimeField):
         raise DomainError("symsubrank_exact runs over prime fields only")
-    d = f.dims[0]
-    k = f.order
-    for r in range(d, 0, -1):
-        cert = symrestriction_exists(unit_tensor(r, k, f.domain), f, budget)
-        if cert is not None:
-            return r, cert
-    return 0, _certified_sym(
-        np.zeros((0, d), dtype=np.int64), unit_tensor(0, k, f.domain), f
-    )
+    d, k, p = f.dims[0], f.order, f.domain.p
+    if k < 2:
+        raise ValueError("symmetric restriction search needs order >= 2")
+    r0 = min(flattening_rank(f, [leg]) for leg in range(k))
+    rows = np.zeros((0, d), dtype=np.int64)
+    if r0:
+        _check_sym_budget(f, r0, True, budget)
+        rows = _sym_dfs(unit_tensor(r0, k, f.domain).array, f.array, p,
+                        _root_orbit_leads(p, k), floor=0)
+    return len(rows), _certified_sym(rows, unit_tensor(len(rows), k, f.domain), f)
 
 
 def subrank_exact(f: Tensor, budget: int = DEFAULT_BUDGET) -> Tuple[int, Certificate]:
-    """Largest r with a verified <r> <= f certificate."""
+    """Largest r with a verified <r> <= f certificate, searched from the
+    least flattening rank of f down."""
     k = f.order
     if k == 2:
         r = matrix_rank(f)
@@ -532,8 +534,11 @@ def subrank_exact(f: Tensor, budget: int = DEFAULT_BUDGET) -> Tuple[int, Certifi
         return r, cert
     if not isinstance(f.domain, PrimeField):
         raise DomainError("subrank_exact (order >= 3) runs over prime fields only")
-    for r in range(min(f.dims), 0, -1):
-        cert = restriction_exists(unit_tensor(r, k, f.domain), f, budget)
+    if k < 2:
+        raise ValueError("restriction search needs order >= 2")
+    r0 = min(flattening_rank(f, [leg]) for leg in range(k))
+    for r in range(r0, 0, -1):
+        cert = _restriction_search(unit_tensor(r, k, f.domain), f, True, budget)
         if cert is not None:
             return r, cert
     maps = tuple(
@@ -593,9 +598,7 @@ def symrank_small(f: Tensor, budget: int = DEFAULT_BUDGET) -> SymrankResult:
     r = max(lower, 1)
     while True:
         half = (r + 1) // 2
-        if p ** (d * half) > budget:
-            return SymrankResult(value=None, lower_bound=lower, vectors=None)
-        if r > len(vectors):
+        if p ** (d * half) > budget or r > len(vectors):
             return SymrankResult(value=None, lower_bound=lower, vectors=None)
         found = _mitm_decompose(target, powers, r, half, p)
         if found is not None:
@@ -616,24 +619,18 @@ def _mitm_decompose(
     target: np.ndarray, powers: List[np.ndarray], r: int, a: int, p: int
 ) -> Optional[Tuple[int, ...]]:
     """Find r power indices (multiset) summing to target, split a + (r-a)."""
-    b = r - a
-    sums_b: Dict[bytes, Tuple[int, ...]] = {}
-    if b == 0:
-        sums_b[np.zeros_like(target).tobytes()] = ()
-    else:
-        for combo in itertools.combinations_with_replacement(range(len(powers)), b):
-            s = np.zeros_like(target)
-            for i in combo:
-                s = (s + powers[i]) % p
-            key = s.tobytes()
-            if key not in sums_b:
-                sums_b[key] = combo
-    for combo in itertools.combinations_with_replacement(range(len(powers)), a):
+
+    def total(combo: Tuple[int, ...]) -> np.ndarray:
         s = np.zeros_like(target)
         for i in combo:
             s = (s + powers[i]) % p
-        need = (target - s) % p
-        match = sums_b.get(need.tobytes())
+        return s
+
+    sums_b: Dict[bytes, Tuple[int, ...]] = {}
+    for combo in itertools.combinations_with_replacement(range(len(powers)), r - a):
+        sums_b.setdefault(total(combo).tobytes(), combo)
+    for combo in itertools.combinations_with_replacement(range(len(powers)), a):
+        match = sums_b.get(((target - total(combo)) % p).tobytes())
         if match is not None:
             return combo + match
     return None

@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 
-from symsub import Hypergraph, Tensor, adjacency_tensor, domain_from_name
+from symsub import Hypergraph, Tensor, adjacency_tensor, domain_from_name, unit_tensor
 
 F2 = domain_from_name("F2")
 F3 = domain_from_name("F3")
@@ -69,3 +69,21 @@ def random_tensor(rng, dims, domain):
 def random_unit_tensor(rng, dims):
     arr = rng.normal(size=dims) + 1j * rng.normal(size=dims)
     return Tensor(C, arr / np.linalg.norm(arr))
+
+
+def all_maps(e, d, p):
+    """Every e x d map over F_p, stacked along the first axis."""
+    grid = itertools.product(range(p), repeat=e * d)
+    return np.array(list(grid), dtype=np.int64).reshape(-1, e, d)
+
+
+def brute_symrestricts(f, e):
+    """<e> <=_s f for an order-2 or order-3 tensor, trying every map."""
+    p = f.domain.p
+    A = all_maps(e, f.dims[0], p)
+    if f.order == 2:
+        image = np.einsum("aix,xy,ajy->aij", A, f.array, A)
+    else:
+        image = np.einsum("aix,ajy,akz,xyz->aijk", A, A, A, f.array)
+    unit = unit_tensor(e, f.order, f.domain).array
+    return bool(np.any(np.all(image % p == unit, axis=tuple(range(1, f.order + 1)))))

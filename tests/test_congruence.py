@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
 
-from conftest import C, F2, F3, F5, F7, c5_matrix, random_tensor, skew_matrix
+from conftest import (
+    C,
+    F2,
+    F3,
+    F5,
+    F7,
+    brute_symrestricts,
+    c5_matrix,
+    random_tensor,
+    skew_matrix,
+)
 from symsub import (
     CongruenceError,
     LinearMap,
@@ -196,6 +206,21 @@ def test_matrix_symsubrank_bounds_mode():
     assert 0 <= res.lower <= res.upper <= 5
     if res.certificate is not None and res.lower > 0:
         assert verify_certificate(res.certificate, f)
+
+
+def test_matrix_symsubrank_searches_whenever_the_search_fits():
+    """3^25 maps exceed the budget, but the search from the rank enumerates
+    C(121, 2) = 7,260 row pairs: a rank-2 5x5 matrix over F3 gets its exact
+    value, not the bounds 0 <= value <= 4."""
+    f = Tensor(F3, [[2, 0, 0, 2, 2], [1, 0, 0, 1, 0], [1, 0, 0, 1, 2],
+                    [2, 0, 0, 2, 0], [0, 0, 0, 0, 2]])
+    res = matrix_symsubrank(f)
+    assert (res.mode, res.value, res.method) == ("exact", 2, "exhaustive-search")
+    assert verify_certificate(res.certificate, f)
+    assert brute_symrestricts(f, 2)  # and <3> is ruled out by rank 2
+    # over budget the bounds remain, the upper one capped at the rank
+    res = matrix_symsubrank(f, budget=1000)
+    assert (res.mode, res.lower, res.upper) == ("bounds", 0, 2)
 
 
 def test_power_diag_multinomial_sizes():

@@ -73,6 +73,19 @@ def test_independence_c5():
         assert not any(set(e) <= chosen for e in h.edges)
 
 
+def test_independence_ignores_diagonal_loops():
+    """Diagonal tuples carry no information: the adjacency tensor's diagonal
+    is 1 regardless, and strong_power drops them too."""
+    assert independence_number(Hypergraph(2, 3, [(1, 1, 1)])) == (2, (1, 2))
+    loops = [(v,) * 2 for v in range(1, 6)]
+    looped = Hypergraph(5, 2, list(undirected_c5().edges) + loops)
+    assert independence_number(looped) == independence_number(undirected_c5())
+    assert capacity_lower(looped, 1).alpha == 2
+    assert strong_power(looped, 2).edges == strong_power(undirected_c5(), 2).edges
+    # a tuple with two distinct vertices is an edge between them
+    assert independence_number(Hypergraph(2, 3, [(1, 1, 2)]))[0] == 1
+
+
 def test_independence_empty_and_complete():
     assert independence_number(Hypergraph(4, 2, []))[0] == 4
     complete = Hypergraph(3, 2, [(i, j) for i in range(1, 4) for j in range(1, 4) if i != j])

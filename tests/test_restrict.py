@@ -1,15 +1,30 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from conftest import C, F2, F3, F5, F7, c5_matrix, tight_tensor, w_tensor
+from conftest import (
+    C,
+    F2,
+    F3,
+    F5,
+    F7,
+    all_maps,
+    brute_symrestricts,
+    c5_matrix,
+    random_symmetric,
+    tight_tensor,
+    w_tensor,
+)
 from symsub import (
     Certificate,
     DomainError,
+    Hypergraph,
     LinearMap,
     SearchInfeasibleError,
     Tensor,
+    adjacency_tensor,
     apply,
     certificate_from_json,
     certificate_to_json,
@@ -23,7 +38,7 @@ from symsub import (
     unit_tensor,
     verify_certificate,
 )
-from symsub.restrict import _frames, _root_orbit_leads, _row, _row_codes
+from symsub.restrict import _frames, _root_orbit_leads, _row, _row_blocks, _row_codes
 from symsub.symmetrize import fully_symmetric
 
 
@@ -168,12 +183,6 @@ def test_restriction_exists_matrix_shortcut():
 # the unit-target quotient against brute force
 # ---------------------------------------------------------------------------
 
-def all_maps(e, d, p):
-    """Every e x d map over F_p, stacked along the first axis."""
-    grid = itertools.product(range(p), repeat=e * d)
-    return np.array(list(grid), dtype=np.int64).reshape(-1, e, d)
-
-
 def invertible_maps(e, d, p):
     """Every invertible e x e map over F_p (d = e), by determinant."""
     A = all_maps(e, d, p)
@@ -195,18 +204,6 @@ def brute_restricts(f, e, maps=all_maps):
     unit = unit_tensor(e, f.order, f.domain).array.reshape(-1, e)
     found = [np.any(np.all(image == unit[:, i, None], axis=1), axis=1) for i in range(e)]
     return bool(np.any(np.logical_and.reduce(found)))
-
-
-def brute_symrestricts(f, e):
-    """<e> <=_s f for an order-2 or order-3 tensor, trying every map."""
-    p = f.domain.p
-    A = all_maps(e, f.dims[0], p)
-    if f.order == 2:
-        image = np.einsum("aix,xy,ajy->aij", A, f.array, A)
-    else:
-        image = np.einsum("aix,ajy,akz,xyz->aijk", A, A, A, f.array)
-    unit = unit_tensor(e, f.order, f.domain).array
-    return bool(np.any(np.all(image % p == unit, axis=tuple(range(1, f.order + 1)))))
 
 
 def every_tensor(domain, shape):
@@ -269,7 +266,7 @@ def test_restriction_matches_brute_force_beyond_2x2x2(shape, e, maps, random, pl
 
 def test_quotiented_symmetric_searches_over_roots_of_unity():
     """Nontrivial roots of unity: cube roots in F7 (k = 3), square roots in F3
-    (k = 2), and the bit-packed F2 matrix path."""
+    (k = 2), and every 3x3 matrix over F2."""
     cases = [
         *sampled_tensors(F7, (2, 2, 2), 30, seed=7),
         *every_tensor(F3, (2, 2)),
@@ -279,6 +276,128 @@ def test_quotiented_symmetric_searches_over_roots_of_unity():
         cert = symrestriction_exists(unit_tensor(2, f.order, f.domain), f)
         assert (cert is not None) == brute_symrestricts(f, 2), f.array.tolist()
         assert cert is None or verify_certificate(cert, f)
+
+
+def every_symmetric_tensor(domain, d, k):
+    """Every symmetric tensor of order k over F_p^d: one entry per sorted
+    index tuple."""
+    classes = list(itertools.combinations_with_replacement(range(d), k))
+    for entries in itertools.product(range(domain.p), repeat=len(classes)):
+        value = dict(zip(classes, entries))
+        arr = np.zeros((d,) * k, dtype=np.int64)
+        for idx in itertools.product(range(d), repeat=k):
+            arr[idx] = value[tuple(sorted(idx))]
+        yield Tensor(domain, arr)
+
+
+def first_unit_rows(f, r):
+    """The lexicographically first ascending r rows, each the least in its
+    orbit under the k-th roots of unity, with A^{(x)k} f = <r>; None if
+    there are none."""
+    p, d, k = f.domain.p, f.dims[0], f.order
+    roots = [z for z in range(1, p) if pow(z, k, p) == 1]
+    rows = [
+        v for v in itertools.product(range(p), repeat=d)
+        if any(v) and all(v <= tuple(z * x % p for x in v) for z in roots)
+    ]
+    maps = np.array(list(itertools.combinations(rows, r)), dtype=np.int64)
+    if k == 2:
+        image = np.einsum("aix,xy,ajy->aij", maps, f.array, maps)
+    else:
+        image = np.einsum("aix,ajy,akz,xyz->aijk", maps, maps, maps, f.array)
+    unit = unit_tensor(r, k, f.domain).array
+    hits = np.flatnonzero(np.all(image % p == unit, axis=tuple(range(1, k + 1))))
+    return maps[hits[0]].tolist() if len(hits) else None
+
+
+@pytest.mark.parametrize(
+    "cases",
+    [
+        lambda: every_tensor(F2, (3, 3)),
+        lambda: every_symmetric_tensor(F3, 2, 3),
+        lambda: (random_symmetric(np.random.default_rng(seed), 3, 3, F3) for seed in range(8)),
+    ],
+    ids=["all-3x3-F2", "all-symmetric-2x2x2-F3", "seeded-symmetric-3x3x3-F3"],
+)
+def test_symsubrank_matches_brute_force(cases):
+    """The value is the largest e with <e> <=_s f over every map, and the
+    certificate is the lexicographically first ascending representative."""
+    for f in cases():
+        value, cert = symsubrank_exact(f)
+        assert value == 0 or brute_symrestricts(f, value), f.array.tolist()
+        assert value == f.dims[0] or not brute_symrestricts(f, value + 1), f.array.tolist()
+        rows = cert.maps[0].array.tolist()
+        assert rows == (first_unit_rows(f, value) if value else []), f.array.tolist()
+
+
+def test_symsubrank_budget_gate_counts_the_least_flattening_rank():
+    """One gate, at r0 = 5 rows out of N = (7^5 - 1) / 2 representatives."""
+    f = Tensor(F7, np.eye(5, dtype=np.int64))
+    with pytest.raises(SearchInfeasibleError) as info:
+        symsubrank_exact(f, budget=1000)
+    required = math.comb(8403, 5)
+    assert info.value.required == required
+    assert str(info.value) == (
+        f"search-infeasible: map search over F_7^(5x5) needs {required} candidates, "
+        "budget is 1000"
+    )
+
+
+# symsubrank_exact certificate rows, recorded before the batched search
+# replaced the search from d down; a change to the search must keep them
+PINNED_SYMSUBRANK_ROWS = {
+    "c5": [[0, 0, 0, 0, 1], [0, 0, 1, 0, 0]],
+    "tight": [[1, 0, 0]],
+    "randsym3/F3/0": [[0, 1, 2], [2, 0, 0]],
+    "randsym3/F3/1": [[0, 2, 1], [2, 1, 2]],
+    "randsym3/F3/2": [[0, 1, 0], [2, 0, 0]],
+    "randsym3/F3/3": [[0, 2, 0], [2, 0, 0]],
+    "randsym3/F5/0": [[0, 0, 4], [3, 2, 0]],
+    "randsym3/F5/1": [[0, 0, 1], [1, 2, 3]],
+    "randsym3/F5/2": [[0, 2, 0], [2, 4, 4]],
+    "randsym3/F5/3": [[0, 1, 2], [2, 2, 1]],
+    "sym4/F3/0": [[1, 0, 0, 1], [1, 0, 0, 2], [1, 0, 1, 0]],
+    "sym4/F3/1": [[0, 1, 0, 1], [0, 1, 1, 2], [0, 1, 2, 2]],
+    "digraph15/0": [[0, 0, 0, 0, 1], [0, 0, 1, 0, 0], [0, 1, 0, 1, 1]],
+    "digraph15/5": [[0, 0, 0, 0, 1], [0, 0, 1, 0, 0], [1, 1, 0, 0, 1]],
+    "digraph15/11": [[0, 0, 0, 0, 1], [0, 0, 1, 1, 0], [1, 0, 0, 0, 0], [1, 1, 0, 1, 0]],
+    "digraph15/17": [[0, 0, 0, 1, 0], [0, 1, 0, 0, 0], [0, 1, 0, 1, 1]],
+    "digraph15/23": [[0, 0, 0, 0, 1], [0, 1, 0, 1, 1], [1, 0, 0, 0, 0], [1, 1, 0, 0, 1]],
+    "digraph15/29": [[0, 0, 0, 0, 1], [0, 0, 1, 1, 1], [1, 0, 1, 0, 1]],
+    "digraph15/35": [[0, 0, 1, 0, 0], [0, 1, 0, 0, 0], [1, 1, 0, 1, 1]],
+    "digraph15/41": [[0, 0, 0, 0, 1], [1, 0, 1, 1, 0], [1, 1, 1, 0, 0]],
+    "digraph15/47": [[0, 0, 0, 0, 1], [0, 1, 0, 1, 0], [0, 1, 1, 1, 1]],
+}
+
+
+def acceptance_digraph(i):
+    """Digraph i of criterion 15's seeded sequence, as an F2 tensor."""
+    rng = np.random.default_rng(15)
+    for _ in range(i + 1):
+        edges = [(a, b) for a in range(1, 6) for b in range(1, 6) if a != b and rng.random() < 0.35]
+    return adjacency_tensor(Hypergraph(5, 2, edges), F2)
+
+
+def pinned_instance(name):
+    family, _, rest = name.partition("/")
+    if family == "c5":
+        return c5_matrix()
+    if family == "tight":
+        return tight_tensor()
+    if family == "digraph15":
+        return acceptance_digraph(int(rest))
+    field, seed = rest.split("/")
+    d, k = (3, 3) if family == "randsym3" else (4, 2)
+    domain = {"F3": F3, "F5": F5}[field]
+    return random_symmetric(np.random.default_rng(int(seed)), d, k, domain)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SYMSUBRANK_ROWS))
+def test_symsubrank_certificates_are_pinned(name):
+    f = pinned_instance(name)
+    value, cert = symsubrank_exact(f)
+    assert cert.maps[0].array.tolist() == PINNED_SYMSUBRANK_ROWS[name]
+    assert value == len(PINNED_SYMSUBRANK_ROWS[name])
 
 
 def test_required_counts_the_enumerated_representatives():
@@ -302,6 +421,8 @@ def test_required_counts_the_enumerated_representatives():
     assert len(rows) == len(orbits) == 16
     assert {orbit(v) for v in rows} == orbits
     assert rows == sorted(rows)
+    blocks = list(_row_blocks(7, 2, _root_orbit_leads(7, 3), size=5))
+    assert max(map(len, blocks)) <= 5 and np.concatenate(blocks).tolist() == rows
     f7 = Tensor(F7, rng.integers(0, 7, size=(2, 2, 2)))
     with pytest.raises(SearchInfeasibleError) as info:
         symrestriction_exists(unit_tensor(2, 3, F7), f7, budget=1)
