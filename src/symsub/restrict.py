@@ -12,8 +12,9 @@ every map.  A search raises when the number of representatives (or maps)
 it could enumerate, :attr:`SearchInfeasibleError.required`, exceeds its
 budget.
 
-Symmetric searches share one batched branch and bound, :func:`_sym_dfs`;
-:func:`symsubrank_exact` runs it once, from the least flattening rank of f.
+Every search draws its rows from :func:`_row_blocks`.  Symmetric searches
+share one batched branch and bound, :func:`_sym_dfs`; :func:`symsubrank_exact`
+runs it once, from the least flattening rank of f.
 
 Determinism: canonical representatives are enumerated in lexicographic order
 of their rows, and the first certificate found is returned (for
@@ -77,6 +78,8 @@ class SearchInfeasibleError(RuntimeError):
     ``required`` is the exact number of candidates the search can enumerate:
     canonical representatives for a unit target, every map otherwise (for
     restriction, maps on all legs but the last, which is solved linearly).
+    The plain search also meets maps with dependent rows for <e>, e >= 3;
+    the column test rejects them and ``required`` does not count them.
     """
 
     def __init__(self, required: int, budget: int, what: str):
@@ -136,7 +139,8 @@ def certificate_from_json(obj: dict) -> Certificate:
 # symmetric restriction: one map, batched branch and bound over its rows
 # ---------------------------------------------------------------------------
 
-# About the most entries one batched contraction of :func:`_sym_dfs` holds.
+# About the most entries one block of rows, or one batched contraction of
+# :func:`_sym_dfs`, holds.
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -191,38 +195,17 @@ def _root_orbit_leads(p: int, k: int) -> Tuple[int, ...]:
     return tuple(a for a in range(1, p) if all(a <= a * z % p for z in roots))
 
 
-def _row_codes(p: int, d: int, leads: Optional[Sequence[int]], start: int = 0):
-    """Ascending codes >= start of rows in F_p^d whose first nonzero entry is
-    in ``leads`` (every row, zero included, when ``leads`` is None).
-
-    A row's code is its base-p value, first entry most significant, so
-    ascending codes are rows in lexicographic order.
-    """
-    if leads is None:
-        yield from range(start, p**d)
-        return
-    for j in range(d):
-        step = p**j
-        for a in leads:
-            yield from range(max(start, a * step), (a + 1) * step)
-
-
-def _row(code: int, p: int, d: int) -> List[int]:
-    """The row of F_p^d with the given code."""
-    row = [0] * d
-    for i in range(d - 1, -1, -1):
-        code, row[i] = divmod(code, p)
-    return row
-
-
 def _row_blocks(p: int, d: int, leads: Optional[Sequence[int]], size: int):
-    """The rows of :func:`_row_codes` (start 0) in stacks of at most ``size``."""
+    """Rows of F_p^d whose first nonzero entry is in ``leads`` (every row, zero
+    included, when ``leads`` is None; for d = 0 the empty row), in lexicographic
+    order and in stacks of at most ``size``."""
     # keep the rows whose first nonzero entry (0 for the zero row) is a lead
     lead = np.ones(p, dtype=bool) if leads is None else np.bincount(leads, minlength=p) > 0
     for lo in range(0, p**d, size):
         codes = np.arange(lo, min(lo + size, p**d), dtype=np.int64)
-        rows = codes[:, None] // p ** np.arange(d - 1, -1, -1) % p
-        rows = rows[lead[rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]]]
+        # one more digit, that of p^d, is 0: the zero row's (and d = 0's) lead
+        digits = codes[:, None] // p ** np.arange(d, -1, -1) % p
+        rows = digits[lead[digits[np.arange(len(codes)), (digits != 0).argmax(axis=1)]], 1:]
         if len(rows):
             yield rows
 
@@ -267,7 +250,7 @@ def _sym_dfs(
     """
     k, d, e = F.ndim, F.shape[0], G.shape[0]
     leading = [G[(slice(0, i + 1),) * k].reshape(-1) % p for i in range(e)]
-    size = max(1, _BLOCK_ENTRIES // (e * d ** (k - 1)))
+    size = max(1, _BLOCK_ENTRIES // max(1, e * d ** (k - 1)))
     best: List = [floor, np.zeros((0, d), dtype=np.int64)]
 
     def extend(rows: np.ndarray, blocks) -> bool:
@@ -308,10 +291,11 @@ def _images(maps: np.ndarray, F: np.ndarray, p: int) -> np.ndarray:
     One batched matmul per leg; each leg's image moves to the end, so after
     k legs they stand in order.
     """
+    k, (m, r, d) = F.ndim, maps.shape
     t = F[None]
-    for _ in range(F.ndim):
-        t = (maps @ t.reshape(len(t), F.shape[0], -1) % p).swapaxes(1, 2)
-    return t.reshape(len(maps), -1)
+    for leg in range(k):
+        t = (maps @ t.reshape(len(t), d, d ** (k - 1 - leg) * r**leg) % p).swapaxes(1, 2)
+    return t.reshape(m, r**k)
 
 
 # ---------------------------------------------------------------------------
@@ -406,12 +390,6 @@ def _matrix_restriction(g: Tensor, f: Tensor) -> Optional[Certificate]:
     return cert
 
 
-def _enumerate_maps(e: int, d: int, p: int):
-    """All e x d maps over F_p in row-major lexicographic entry order."""
-    for entries in itertools.product(range(p), repeat=e * d):
-        yield np.array(entries, dtype=np.int64).reshape(e, d)
-
-
 def _frame_count(p: int, d: int, e: int) -> int:
     """Number of ordered e-tuples of independent projective points of F_p^d."""
     count = 1
@@ -420,34 +398,32 @@ def _frame_count(p: int, d: int, e: int) -> int:
     return count // (p - 1) ** e
 
 
-def _frames(e: int, d: int, p: int, ascending: bool):
-    """e x d maps over F_p with independent rows whose first nonzero entry is
-    1, in lexicographic order of their rows; the rows strictly increase when
-    ``ascending``.  There are :func:`_frame_count` of them, divided by e! when
-    ``ascending``."""
-    rows: List[List[int]] = []
-
-    def extend(start: int, span: set):
-        if len(rows) == e:
-            yield np.array(rows, dtype=np.int64).reshape(e, d)
-            return
-        for code in _row_codes(p, d, (1,), start):
-            row = _row(code, p, d)
-            if tuple(row) in span:
-                continue
-            rows.append(row)
-            wider = span if len(rows) == e else {  # the last span is never tested
-                tuple((x + c * y) % p for x, y in zip(v, row))
-                for v in span
-                for c in range(p)
-            }
-            yield from extend(code + 1 if ascending else 0, wider)
-            rows.pop()
-
-    return extend(0, {(0,) * d})
+def _maps(p: int, d: int, e: int, leads: Optional[Sequence[int]], ascending: bool):
+    """e x d maps over F_p in lexicographic order of their rows, which come
+    from :func:`_row_blocks`: with ``leads``, distinct rows that strictly
+    increase when ``ascending``; without, every e-tuple of rows.  For e = 1
+    the rows stream, as one leg can have more of them than fit in memory."""
+    blocks = _row_blocks(p, d, leads, _BLOCK_ENTRIES // (d + 1))
+    if e == 1:
+        return (row[None] for block in blocks for row in block)
+    rows = np.concatenate(list(blocks))
+    if leads is None:
+        picks = itertools.product(range(len(rows)), repeat=e)
+    elif ascending:
+        picks = itertools.combinations(range(len(rows)), e)
+    else:
+        picks = itertools.permutations(range(len(rows)), e)
+    return (rows[list(pick)] for pick in picks)
 
 
 def _restriction_dfs(g: Tensor, f: Tensor, unit: bool) -> Optional[List[LinearMap]]:
+    """The first maps, in :func:`_maps` order on legs 1..k-1, with
+    (A1 (x) ... (x) Ak) f = g; the last leg is solved linearly.  A map must
+    keep g's columns in the column span of the partial tensor.  For g = <e>
+    that rejects a map whose row j depends on the others: entry (.., j) of
+    every column in the span then depends the same way on the entries
+    (.., l), but in the column of <e> at (j, ..., j) it does not.
+    """
     domain = f.domain
     k = f.order
     garr = g.array
@@ -459,18 +435,13 @@ def _restriction_dfs(g: Tensor, f: Tensor, unit: bool) -> Optional[List[LinearMa
             X = _solve_last_leg(garr, partial, domain)
             return None if X is None else [X]
         e, d = garr.shape[leg], f.dims[leg]
-        if unit:
-            maps = _frames(e, d, domain.p, ascending=leg == 0)
-        else:
-            maps = _enumerate_maps(e, d, domain.p)
-        for A in maps:
+        # prune: flatten fixed legs 0..leg as rows; g's columns must lie in
+        # the span of the partial tensor's columns
+        rows = math.prod(garr.shape[: leg + 1])
+        Gf = garr.reshape(rows, -1)
+        for A in _maps(domain.p, d, e, (1,) if unit else None, ascending=leg == 0):
             nxt = _apply_leg(A, partial, leg, domain)
-            # prune: flatten fixed legs 0..leg as rows; g's columns must lie
-            # in the span of the partial tensor's columns
-            rows = int(np.prod(garr.shape[: leg + 1]))
-            Tf = nxt.reshape(rows, -1)
-            Gf = garr.reshape(rows, -1)
-            if not linalg.columns_contained(Tf, Gf, domain):
+            if not linalg.columns_contained(nxt.reshape(rows, -1), Gf, domain):
                 continue
             rest = descend(leg + 1, nxt)
             if rest is not None:
@@ -584,27 +555,23 @@ def symrank_small(f: Tensor, budget: int = DEFAULT_BUDGET) -> SymrankResult:
     if not support(f):
         return SymrankResult(value=0, lower_bound=0, vectors=np.zeros((0, d), np.int64))
     lower = flattening_rank(f, [0])
-    vectors = [
-        np.array(v, dtype=np.int64)
-        for v in itertools.product(range(p), repeat=d)
-    ][1:]  # drop the zero vector
-    powers = []
-    for v in vectors:
-        pw = v
-        for _ in range(k - 1):
-            pw = np.multiply.outer(pw, v) % p
-        powers.append(pw.reshape(-1))
-    target = f.array.reshape(-1) % p
     r = max(lower, 1)
-    while True:
-        half = (r + 1) // 2
-        if p ** (d * half) > budget or r > len(vectors):
-            return SymrankResult(value=None, lower_bound=lower, vectors=None)
-        found = _mitm_decompose(target, powers, r, half, p)
-        if found is not None:
-            vecs = np.array([vectors[i] for i in found], dtype=np.int64)
-            return SymrankResult(value=r, lower_bound=lower, vectors=vecs)
-        r += 1
+
+    def fits(r: int) -> bool:
+        return p ** (d * ((r + 1) // 2)) <= budget and r < p**d
+
+    if fits(r):  # the gate comes first: the powers below hold p^d * d^k entries
+        vectors = next(_row_blocks(p, d, None, p**d))[1:]  # drop the zero vector
+        powers = vectors
+        for _ in range(k - 1):
+            powers = (powers[:, :, None] * vectors[:, None, :]).reshape(len(vectors), -1) % p
+        target = f.array.reshape(-1) % p
+        while fits(r):
+            found = _mitm_decompose(target, powers, r, (r + 1) // 2, p)
+            if found is not None:
+                return SymrankResult(value=r, lower_bound=lower, vectors=vectors[list(found)])
+            r += 1
+    return SymrankResult(value=None, lower_bound=lower, vectors=None)
 
 
 def reconstruct_waring(vectors: np.ndarray, f: Tensor) -> bool:
@@ -616,9 +583,9 @@ def reconstruct_waring(vectors: np.ndarray, f: Tensor) -> bool:
 
 
 def _mitm_decompose(
-    target: np.ndarray, powers: List[np.ndarray], r: int, a: int, p: int
+    target: np.ndarray, powers: np.ndarray, r: int, a: int, p: int
 ) -> Optional[Tuple[int, ...]]:
-    """Find r power indices (multiset) summing to target, split a + (r-a)."""
+    """Find r rows of ``powers`` (a multiset) summing to target, split a + (r-a)."""
 
     def total(combo: Tuple[int, ...]) -> np.ndarray:
         s = np.zeros_like(target)

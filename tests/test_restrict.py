@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from symsub import (
     apply,
     certificate_from_json,
     certificate_to_json,
+    linalg,
     reconstruct_waring,
     restriction_exists,
     subrank_exact,
@@ -38,7 +40,7 @@ from symsub import (
     unit_tensor,
     verify_certificate,
 )
-from symsub.restrict import _frames, _root_orbit_leads, _row, _row_blocks, _row_codes
+from symsub.restrict import _root_orbit_leads, _row_blocks
 from symsub.symmetrize import fully_symmetric
 
 
@@ -400,30 +402,196 @@ def test_symsubrank_certificates_are_pinned(name):
     assert value == len(PINNED_SYMSUBRANK_ROWS[name])
 
 
+def lead_one_rows(d, p):
+    """The rows of F_p^d whose first nonzero entry is 1, in lexicographic order."""
+    rows = itertools.product(range(p), repeat=d)
+    return [v for v in rows if any(v) and v[np.flatnonzero(v)[0]] == 1]
+
+
 def test_required_counts_the_enumerated_representatives():
     rng = np.random.default_rng(0)
     f = Tensor(F3, rng.integers(0, 3, size=(3, 2, 3)))
     g = unit_tensor(2, 3, F3)
     with pytest.raises(SearchInfeasibleError) as info:
         restriction_exists(g, f, budget=1)
-    leg1 = sum(1 for _ in _frames(2, 3, 3, ascending=True))
-    leg2 = sum(1 for _ in _frames(2, 2, 3, ascending=False))
+
+    def independent(rows):
+        return linalg.rank(np.array(rows, dtype=np.int64), F3) == len(rows)
+
+    leg1 = sum(map(independent, itertools.combinations(lead_one_rows(3, 3), 2)))
+    leg2 = sum(map(independent, itertools.permutations(lead_one_rows(2, 3), 2)))
     assert (leg1, leg2) == (26 * 24 // (2 * 2 * 2), 8 * 6 // (2 * 2))
-    assert info.value.required == leg1 * leg2
+    assert info.value.required == leg1 * leg2 == 936
     restriction_exists(g, f, budget=leg1 * leg2)  # fits exactly
 
     # symmetric, k = 3 over F7: one row per orbit of the cube roots {1, 2, 4}
     def orbit(v):
         return frozenset(tuple(z * x % 7 for x in v) for z in (1, 2, 4))
 
-    rows = [_row(code, 7, 2) for code in _row_codes(7, 2, _root_orbit_leads(7, 3))]
+    blocks = list(_row_blocks(7, 2, _root_orbit_leads(7, 3), size=5))
+    rows = [tuple(v) for v in np.concatenate(blocks).tolist()]
     orbits = {orbit(v) for v in itertools.product(range(7), repeat=2) if any(v)}
     assert len(rows) == len(orbits) == 16
     assert {orbit(v) for v in rows} == orbits
     assert rows == sorted(rows)
-    blocks = list(_row_blocks(7, 2, _root_orbit_leads(7, 3), size=5))
-    assert max(map(len, blocks)) <= 5 and np.concatenate(blocks).tolist() == rows
+    assert max(map(len, blocks)) <= 5
     f7 = Tensor(F7, rng.integers(0, 7, size=(2, 2, 2)))
     with pytest.raises(SearchInfeasibleError) as info:
         symrestriction_exists(unit_tensor(2, 3, F7), f7, budget=1)
-    assert info.value.required == 16 * 15 // 2
+    assert info.value.required == 16 * 15 // 2 == 120
+
+
+def test_first_leg_rows_stream():
+    """A 24 x 1 x 1 tensor has 2^24 - 1 candidate rows on its first leg; the
+    search meets the certificate in the first block without listing them."""
+    arr = np.zeros((24, 1, 1), dtype=np.int64)
+    arr[23, 0, 0] = 1
+    f = Tensor(F2, arr)
+    row = [[0] * 23 + [1]]
+    tracemalloc.start()
+    try:
+        cert = restriction_exists(unit_tensor(1, 3, F2), f)
+        value, sub = subrank_exact(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 << 20
+    assert value == 1
+    for c in (cert, sub):
+        assert [m.array.tolist() for m in c.maps] == [row, [[1]], [[1]]]
+        assert verify_certificate(c, f)
+
+
+def test_symrank_gate_comes_before_the_vectors():
+    """The 18 x 18 identity over F2 needs r = 18, far beyond budget 1000:
+    the answer is unknown without building the 2^18 vectors and powers."""
+    f = Tensor(F2, np.eye(18, dtype=np.int64))
+    tracemalloc.start()
+    try:
+        res = symrank_small(f, budget=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.value is None and res.vectors is None and res.lower_bound == 18
+    assert peak < 10 << 20
+
+
+def test_zero_dimension_legs():
+    """A zero 1 x 1 x 1 target restricts from f with a leg of dimension 0:
+    the 1 x 0 map is the certificate."""
+    g = Tensor(F2, np.zeros((1, 1, 1), dtype=np.int64))
+    plain_f = Tensor(F2, np.zeros((0, 2, 2), dtype=np.int64))
+    sym_f = Tensor(F2, np.zeros((0, 0, 0), dtype=np.int64))
+    plain = restriction_exists(g, plain_f)
+    assert [m.array.shape for m in plain.maps] == [(1, 0), (1, 2), (1, 2)]
+    assert verify_certificate(plain, plain_f)
+    sym = symrestriction_exists(g, sym_f)
+    assert sym.maps[0].array.shape == (1, 0)
+    assert verify_certificate(sym, sym_f)
+    assert [row.tolist() for row in _row_blocks(2, 0, None, size=4)] == [[[]]]
+    assert list(_row_blocks(2, 0, (1,), size=4)) == []
+
+
+# subrank_exact and restriction_exists certificate maps, recorded before the
+# plain search drew its rows from _row_blocks; a change to the search must
+# keep them
+PINNED_RESTRICTION_MAPS = {
+    "subrank/tight": [[[0, 0, 1], [0, 1, 0]], [[0, 1, 0], [1, 0, 0]], [[1, 0, 0], [0, 0, 1]]],
+    "subrank/W/F3": [[[0, 1]], [[1, 0]], [[1, 0]]],
+    "subrank/rand2x2x2/F3/0": [[[1, 0]], [[0, 1]], [[1, 0]]],
+    "subrank/rand2x2x2/F3/1": [[[0, 1]], [[0, 1]], [[2, 0]]],
+    "subrank/rand2x2x2/F3/3": [[[1, 0], [1, 2]], [[1, 1], [0, 1]], [[2, 2], [0, 2]]],
+    "subrank/rand2x2x2/F3/4": [[[1, 1], [1, 2]], [[1, 0], [1, 2]], [[1, 0], [1, 2]]],
+    "subrank/rand2x2x2/F3/5": [[[1, 1], [1, 2]], [[1, 1], [1, 0]], [[2, 1], [2, 2]]],
+    "subrank/rand2x2x2/F3/6": [[[1, 0], [1, 2]], [[0, 1], [1, 2]], [[0, 1], [2, 1]]],
+    "subrank/2v/5": [[[0, 1], [1, 1]], [[0, 1], [1, 0]], [[1, 1], [1, 0]]],
+    "subrank/2v/9": [[[1, 0], [1, 1]], [[1, 1], [0, 1]], [[1, 0], [1, 1]]],
+    "subrank/2v/21": [[[0, 1], [1, 1]], [[0, 1], [1, 1]], [[0, 1], [1, 0]]],
+    "subrank/2v/42": [[[1, 0], [1, 1]], [[1, 0], [1, 1]], [[1, 0], [0, 1]]],
+    "subrank/2v/59": [[[0, 1], [1, 1]], [[1, 0], [1, 1]], [[1, 0], [1, 1]]],
+    "subrank/2v/63": [[[0, 1]], [[0, 1]], [[1, 0]]],
+    "subrank/planted3/0": [[[0, 0, 1], [0, 1, 0], [1, 0, 1]], [[1, 1, 0], [1, 0, 0], [1, 1, 1]],
+                           [[1, 1, 1], [1, 1, 0], [1, 0, 1]]],
+    "subrank/planted3/1": [[[0, 1, 0], [0, 1, 1], [1, 0, 1]], [[0, 1, 0], [0, 1, 1], [1, 0, 0]],
+                           [[0, 1, 1], [1, 0, 0], [1, 1, 0]]],
+    "subrank/order4/0": [[[1, 0], [1, 1]], [[1, 1], [1, 0]], [[0, 1], [1, 1]], [[0, 1], [1, 1]]],
+    "subrank/order4/1": [[[0, 1], [1, 0]], [[1, 1], [1, 0]], [[1, 1], [1, 0]], [[1, 1], [1, 0]]],
+    "restrict/2<2>/F3/3": [[[1, 0], [1, 2]], [[1, 1], [0, 1]], [[1, 1], [0, 1]]],
+    "restrict/122/F2/2": [[[0, 1]], [[0, 0], [1, 0]], [[0, 1], [0, 1]]],
+}
+
+
+def two_vertex_tensor(mask):
+    """The adjacency tensor over F2 of the two-vertex 3-uniform hypergraph
+    whose edges are the proper triples picked by the bits of ``mask``."""
+    proper = [e for e in itertools.product((1, 2), repeat=3) if len(set(e)) > 1]
+    return adjacency_tensor(Hypergraph(2, 3, [proper[i] for i in range(6) if mask >> i & 1]), F2)
+
+
+def pinned_restriction(name):
+    """(target, f) of a pinned instance; the target is None for subrank_exact."""
+    kind, family, *rest = name.split("/")
+    if family == "tight":
+        return None, tight_tensor()
+    if family == "W":
+        return None, w_tensor(F3)
+    if family == "rand2x2x2":
+        return None, Tensor(F3, np.random.default_rng(int(rest[1])).integers(0, 3, (2, 2, 2)))
+    if family == "2v":
+        return None, two_vertex_tensor(int(rest[0]))
+    if family in ("planted3", "order4"):
+        e, k = (3, 3) if family == "planted3" else (2, 4)
+        return None, list(planted_units(e, k, 3, seed=12))[int(rest[0])]
+    seed = int(rest[1])
+    if family == "2<2>":
+        return (Tensor(F3, 2 * unit_tensor(2, 3, F3).array),
+                Tensor(F3, np.random.default_rng(seed).integers(0, 3, (2, 2, 2))))
+    return (Tensor(F2, np.random.default_rng(seed + 100).integers(0, 2, (1, 2, 2))),
+            Tensor(F2, np.random.default_rng(seed).integers(0, 2, (2, 2, 2))))
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RESTRICTION_MAPS))
+def test_restriction_certificates_are_pinned(name):
+    g, f = pinned_restriction(name)
+    if g is None:
+        value, cert = subrank_exact(f)
+        assert value == len(PINNED_RESTRICTION_MAPS[name][0])
+    else:
+        cert = restriction_exists(g, f)
+    assert [m.array.tolist() for m in cert.maps] == PINNED_RESTRICTION_MAPS[name]
+    assert verify_certificate(cert, f)
+
+
+def brute_images(f):
+    """Every image (A1 (x) A2 (x) A3) f of a 2 x 2 x 2 tensor over F2 with
+    maps of e_l x 2 rows, for the target shapes (2, 1, 1) and (1, 2, 2)."""
+    images = {}
+    for shape in ((2, 1, 1), (1, 2, 2)):
+        maps = [all_maps(e, 2, 2) for e in shape]
+        image = np.einsum("aix,bjy,ckz,xyz->abcijk", *maps, f.array) % 2
+        images[shape] = {arr.tobytes() for arr in image.reshape(-1, *shape)}
+    return images
+
+
+def test_non_unit_targets_match_brute_force():
+    """Every target of shape (2, 1, 1) and (1, 2, 2) against every map tuple."""
+    targets = [*every_tensor(F2, (2, 1, 1)), *every_tensor(F2, (1, 2, 2))]
+    for f in sampled_tensors(F2, (2, 2, 2), 30, seed=21):
+        images = brute_images(f)
+        for g in targets:
+            cert = restriction_exists(g, f)
+            found = g.array.astype(np.int64).tobytes() in images[g.dims]
+            assert (cert is not None) == found, (f.array.tolist(), g.array.tolist())
+            assert cert is None or verify_certificate(cert, f)
+
+
+def test_scaled_unit_target_matches_the_unit():
+    """2<2> over F3 is not a unit tensor, so every map is tried; scaling one
+    map by 2 turns a restriction onto <2> into one onto 2<2>, and back."""
+    g = Tensor(F3, 2 * unit_tensor(2, 3, F3).array)
+    for f in sampled_tensors(F3, (2, 2, 2), 20, seed=22):
+        scaled = restriction_exists(g, f)
+        unit = restriction_exists(unit_tensor(2, 3, F3), f)
+        assert (scaled is None) == (unit is None), f.array.tolist()
+        assert scaled is None or verify_certificate(scaled, f)
+        assert unit is None or verify_certificate(unit, f)
