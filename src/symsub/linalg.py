@@ -1,13 +1,15 @@
 """Gaussian elimination over a scalar domain (internal helper module).
 
 All routines take plain numpy arrays plus a domain object from
-:mod:`symsub.domains`.  Prime-field elimination is exact on int64 residues;
-complex elimination uses partial pivoting with the domain's absolute
-tolerance, as fixed by the scalar contract.
+:mod:`symsub.domains`.  Prime-field elimination is exact on integer residues
+(:func:`solve_stack` serves every F_p solve); complex elimination uses
+partial pivoting with the domain's absolute tolerance, as fixed by the
+scalar contract.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -20,50 +22,21 @@ __all__ = [
     "solve",
     "invert",
     "equivalence_diagonalize",
-    "columns_contained",
+    "solve_stack",
 ]
 
 
-# ---------------------------------------------------------------------------
-# GF(2) fast path: rows as int bitsets (bit c = column c)
-# ---------------------------------------------------------------------------
-
-def _f2_pack_rows(M: np.ndarray) -> List[int]:
-    bits = np.asarray(M) % 2
-    m = bits.shape[1]
-    if m <= 62:  # one int64 product
-        return (bits @ (np.int64(1) << np.arange(m, dtype=np.int64))).tolist()
-    return [int("".join(map(str, row[::-1])), 2) for row in bits.tolist()]
-
-
-def _f2_echelon(rows: List[int], width: int) -> Tuple[List[int], List[int]]:
-    """Forward elimination of bit-packed F2 rows on the columns below ``width``.
-
-    Returns (rows, pivots): the first len(pivots) rows are in echelon form
-    with their leading bits at ``pivots``; every later row is zero below
-    ``width``, so a nonzero one is a right-hand side outside the span.
-    """
-    rows = list(rows)
-    n = len(rows)
-    pivots: List[int] = []
-    for col in range(width):
-        r = len(pivots)
-        if r == n:
-            break
-        bit = 1 << col
-        for i in range(r, n):
-            if rows[i] & bit:
-                break
-        else:
-            continue
-        pivot = rows[i]
-        rows[i] = rows[r]
-        rows[r] = pivot
-        for j in range(r + 1, n):
-            if rows[j] & bit:
-                rows[j] ^= pivot
-        pivots.append(col)
-    return rows, pivots
+def _f2_rank(M: np.ndarray) -> int:
+    """Rank over F2, each row packed into an int: a basis keyed by leading
+    bit absorbs the rows one by one."""
+    basis = {}
+    for packed in np.packbits(np.asarray(M) % 2, axis=1):
+        row = int.from_bytes(packed.tobytes(), "big")
+        while row and (top := row.bit_length()) in basis:
+            row ^= basis[top]
+        if row:
+            basis[top] = row
+    return len(basis)
 
 
 def _pivot_row(M: np.ndarray, col: int, start: int, domain: Domain) -> Optional[int]:
@@ -122,44 +95,31 @@ def row_reduce(
 
 def rank(A: np.ndarray, domain: Domain) -> int:
     if isinstance(domain, PrimeField) and domain.p == 2:
-        A = np.asarray(A)
-        return len(_f2_echelon(_f2_pack_rows(A), A.shape[1])[1])
+        return _f2_rank(A)
     _, pivots, _ = row_reduce(A, domain, reduced=False)
     return len(pivots)
 
 
 def solve(A: np.ndarray, B: np.ndarray, domain: Domain) -> Optional[np.ndarray]:
-    """One solution X of A @ X = B (free variables set to 0), or None."""
+    """One solution X of A @ X = B (free variables set to 0), or None.
+
+    Over F_p this is :func:`solve_stack` on a stack of one."""
     A = domain.asarray(A)
     B = domain.asarray(B)
     single = B.ndim == 1
     if single:
         B = B[:, None]
-    n, m = A.shape
-    aug = np.concatenate([A, B], axis=1)
-    if isinstance(domain, PrimeField) and domain.p == 2:
-        rows, pivots = _f2_echelon(_f2_pack_rows(aug), m)
-        r = len(pivots)
-        if any(rows[r:]):
+    m = A.shape[1]
+    if isinstance(domain, PrimeField):
+        ok, X = solve_stack(A[None], B[None], domain)
+        if not ok[0]:
             return None
-        # back-substitute: clear each pivot column above its pivot row
-        for i in range(r - 1, -1, -1):
-            bit = 1 << pivots[i]
-            for j in range(i):
-                if rows[j] & bit:
-                    rows[j] ^= rows[i]
-        X = np.zeros((m, B.shape[1]), dtype=np.int64)
-        for i, c in enumerate(pivots):
-            rhs = rows[i] >> m
-            for j in range(B.shape[1]):
-                X[c, j] = (rhs >> j) & 1
-        return X[:, 0] if single else X
-    R, pivots, _ = row_reduce(aug, domain, reduced=True)
+        return X[0, :, 0] if single else X[0]
+    R, pivots, _ = row_reduce(np.concatenate([A, B], axis=1), domain, reduced=True)
     pivots = [c for c in pivots if c < m]
-    r = len(pivots)
     # Rows past the last A-pivot have zero A-part; any nonzero right-hand
     # side there (including a pivot that fell in the B block) is inconsistent.
-    rest = R[r:, m:]
+    rest = R[len(pivots):, m:]
     if not domain.arrays_equal(rest, domain.zeros(rest.shape)):
         return None
     X = domain.zeros((m, B.shape[1]))
@@ -168,19 +128,46 @@ def solve(A: np.ndarray, B: np.ndarray, domain: Domain) -> Optional[np.ndarray]:
     return X[:, 0] if single else X
 
 
-def columns_contained(T: np.ndarray, G: np.ndarray, domain: Domain) -> bool:
-    """True iff every column of G lies in the column space of T.
+@functools.lru_cache(maxsize=16)
+def _inverse_table(p: int) -> np.ndarray:
+    """a -> 1/a mod p for a in 0..p-1 (0 -> 0); shared by callers, so read-only."""
+    table = np.array([0] + [pow(a, -1, p) for a in range(1, p)], dtype=np.uint32)
+    table.setflags(write=False)
+    return table
 
-    Single elimination of [T | G]: containment holds iff no pivot lands in
-    the G block.
+
+def solve_stack(
+    T: np.ndarray, G: np.ndarray, domain: PrimeField
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(ok, X): ok[s] iff T[s] @ X[s] = G[s] has a solution, for a stack T of
+    (S, n, m) and G of (S, n, e) or one (n, e); X[s] has the free variables
+    0, read from the reduced echelon form.  One Gauss-Jordan pass per column
+    over the whole stack: the pivot is the first unused nonzero row, scaled
+    by an inverse table, never swapped.  Entries stay below p^2 <= 2^32.
     """
-    m = T.shape[1]
-    if isinstance(domain, PrimeField) and domain.p == 2:
-        rows, pivots = _f2_echelon(_f2_pack_rows(np.concatenate([T, G], axis=1)), m)
-        return not any(rows[len(pivots):])
-    stacked = np.concatenate([domain.asarray(T), domain.asarray(G)], axis=1)
-    _, pivots, _ = row_reduce(stacked, domain, reduced=False)
-    return all(c < m for c in pivots)
+    p = domain.p
+    S, n, m = np.shape(T)
+    M = np.empty((S, n, m + np.shape(G)[-1]), dtype=np.uint32)
+    M[:, :, :m] = np.asarray(T) % p
+    M[:, :, m:] = np.asarray(G) % p
+    inv = _inverse_table(p)
+    used = np.zeros((S, n), dtype=bool)
+    pivots = np.zeros((S, m, n), dtype=np.uint32)  # one-hot pivot row per column
+    for c in range(m):
+        if used.all():  # no matrix can gain a pivot
+            break
+        col = M[:, :, c]
+        live = (col != 0) & ~used
+        first = live & (np.arange(n) == live.argmax(axis=1)[:, None])
+        pivots[:, c] = first
+        row = np.matmul(pivots[:, c, None], M)[:, 0]  # zero where no pivot
+        row = row * inv[row[:, c]][:, None] % p
+        # the pivot row becomes the scaled row: M_r - (M_rc - 1) * row
+        M += (np.uint32(p) - col + first)[:, :, None] * row[:, None, :]
+        M %= p
+        used |= first
+    ok = ~(M[:, :, m:].any(axis=2) & ~used).any(axis=1)
+    return ok, np.matmul(pivots, M[:, :, m:]).astype(np.int64)
 
 
 def invert(A: np.ndarray, domain: Domain) -> Optional[np.ndarray]:

@@ -14,7 +14,8 @@ budget.
 
 Every search draws its rows from :func:`_row_blocks`.  Symmetric searches
 share one batched branch and bound, :func:`_sym_dfs`; :func:`symsubrank_exact`
-runs it once, from the least flattening rank of f.
+runs it once, from the least flattening rank of f.  The plain search,
+:func:`_restriction_dfs`, solves the last leg for blocks of map tuples at once.
 
 Determinism: canonical representatives are enumerated in lexicographic order
 of their rows, and the first certificate found is returned (for
@@ -25,6 +26,7 @@ re-verifies all the same.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -33,11 +35,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import linalg
-from .domains import Domain, DomainError, PrimeField
+from .domains import DomainError, PrimeField
 from .tensors import (
     LinearMap,
     Tensor,
-    _apply_leg,
     _power_sum,
     apply,
     apply_sym,
@@ -79,7 +80,7 @@ class SearchInfeasibleError(RuntimeError):
     canonical representatives for a unit target, every map otherwise (for
     restriction, maps on all legs but the last, which is solved linearly).
     The plain search also meets maps with dependent rows for <e>, e >= 3;
-    the column test rejects them and ``required`` does not count them.
+    their last-leg solve fails and ``required`` does not count them.
     """
 
     def __init__(self, required: int, budget: int, what: str):
@@ -308,13 +309,12 @@ def restriction_exists(
     """Search for per-leg maps with (A1 (x) ... (x) Ak) f = g.
 
     Order 2 is constructive over any domain (rank normal forms).  Higher
-    orders enumerate maps for legs 1..k-1 lexicographically, prune by a
-    column-space test on the partially applied tensor, and solve the last
-    leg linearly.  For g = <e> every map has independent rows, each with
-    first nonzero entry 1, and the rows of A1 strictly increase:
-    (P D1 A1 (x) ... (x) P Dk Ak) f = <e> whenever (A1, ..., Ak) works, for a
-    permutation P and diagonals with D1 ... Dk = I, and Dk absorbs the
-    scaling of the other legs in the last-leg solve.
+    orders enumerate maps for legs 1..k-1 lexicographically and solve the
+    last leg linearly, a block of tuples at a time (:func:`_restriction_dfs`).
+    For g = <e> every map has independent rows, each with first nonzero
+    entry 1, and the rows of A1 strictly increase: (P D1 A1 (x) ... (x) P Dk
+    Ak) f = <e> whenever (A1, ..., Ak) works, for a permutation P and
+    diagonals with D1 ... Dk = I, and Dk absorbs the other legs' scaling.
     """
     if g.order != f.order:
         raise ValueError(f"order mismatch: {g.order} vs {f.order}")
@@ -398,74 +398,86 @@ def _frame_count(p: int, d: int, e: int) -> int:
     return count // (p - 1) ** e
 
 
-def _maps(p: int, d: int, e: int, leads: Optional[Sequence[int]], ascending: bool):
-    """e x d maps over F_p in lexicographic order of their rows, which come
-    from :func:`_row_blocks`: with ``leads``, distinct rows that strictly
-    increase when ``ascending``; without, every e-tuple of rows.  For e = 1
-    the rows stream, as one leg can have more of them than fit in memory."""
-    blocks = _row_blocks(p, d, leads, _BLOCK_ENTRIES // (d + 1))
+def _maps(p: int, d: int, e: int, leads: Optional[Sequence[int]], ascending: bool, size: int):
+    """e x d maps over F_p in lexicographic order of their rows, in stacks of
+    at most ``size``.  The rows come from :func:`_row_blocks`: with ``leads``,
+    distinct rows that strictly increase when ``ascending``; without, every
+    e-tuple of rows.  For e = 1 the rows stream, as one leg can have more of
+    them than fit in memory."""
     if e == 1:
-        return (row[None] for block in blocks for row in block)
-    rows = np.concatenate(list(blocks))
+        yield from (block[:, None] for block in _row_blocks(p, d, leads, size))
+        return
+    rows = np.concatenate(list(_row_blocks(p, d, leads, _BLOCK_ENTRIES // (d + 1))))
     if leads is None:
         picks = itertools.product(range(len(rows)), repeat=e)
     elif ascending:
         picks = itertools.combinations(range(len(rows)), e)
     else:
         picks = itertools.permutations(range(len(rows)), e)
-    return (rows[list(pick)] for pick in picks)
+    while len(pick := np.array(list(itertools.islice(picks, size)), dtype=np.int64)):
+        yield rows[pick]
+
+
+@functools.lru_cache(maxsize=16)
+def _leg_stack(p: int, d: int, e: int, leads: Optional[Tuple[int, ...]], ascending: bool):
+    """Every map of :func:`_maps` in one read-only stack, shared by every
+    search over the leg; None if they hold more than _BLOCK_ENTRIES entries."""
+    size = _BLOCK_ENTRIES // max(1, e * d)
+    stack = np.zeros((0, e, d), dtype=np.int64)
+    for block in _maps(p, d, e, leads, ascending, size):
+        if len(stack) + len(block) > size:
+            return None
+        stack = np.concatenate((stack, block))
+    stack.setflags(write=False)
+    return stack
 
 
 def _restriction_dfs(g: Tensor, f: Tensor, unit: bool) -> Optional[List[LinearMap]]:
     """The first maps, in :func:`_maps` order on legs 1..k-1, with
-    (A1 (x) ... (x) Ak) f = g; the last leg is solved linearly.  A map must
-    keep g's columns in the column span of the partial tensor.  For g = <e>
-    that rejects a map whose row j depends on the others: entry (.., j) of
-    every column in the span then depends the same way on the entries
-    (.., l), but in the column of <e> at (j, ..., j) it does not.
+    (A1 (x) ... (x) Ak) f = g; the last leg is solved linearly.  A chunk of
+    partial tensors meets all maps of the next leg in one matmul,
+    prefix-major, and each block of whole tuples gets one batched solve
+    (:func:`linalg.solve_stack`).  Chunks double from one prefix up to
+    _BLOCK_ENTRIES entries a block; a larger leg streams under one prefix.
+    Nothing is pruned before the solve: one that succeeds puts g's columns in
+    every partial tensor's span and, for g = <e>, needs independent rows.
     """
     domain = f.domain
-    k = f.order
+    p, k = domain.p, f.order
     garr = g.array
     if 0 in garr.shape:  # any maps of these shapes send f onto the empty g
         return [LinearMap(domain, domain.zeros((e, d))) for e, d in zip(garr.shape, f.dims)]
+    leads = (1,) if unit else None
 
-    def descend(leg: int, partial: np.ndarray) -> Optional[List[np.ndarray]]:
+    def walk(leg: int, partials: np.ndarray):
+        """(i, maps on the legs from ``leg`` on) for the first entry i of the
+        stack ``partials`` that reaches g, or None."""
         if leg == k - 1:
-            X = _solve_last_leg(garr, partial, domain)
-            return None if X is None else [X]
+            T = partials.reshape(len(partials), -1, f.dims[-1])
+            ok, X = linalg.solve_stack(T, garr.reshape(-1, garr.shape[-1]), domain)
+            return next(((i, [X[i].T]) for i in np.flatnonzero(ok)), None)
         e, d = garr.shape[leg], f.dims[leg]
-        # prune: flatten fixed legs 0..leg as rows; g's columns must lie in
-        # the span of the partial tensor's columns
-        rows = math.prod(garr.shape[: leg + 1])
-        Gf = garr.reshape(rows, -1)
-        for A in _maps(domain.p, d, e, (1,) if unit else None, ascending=leg == 0):
-            nxt = _apply_leg(A, partial, leg, domain)
-            if not linalg.columns_contained(nxt.reshape(rows, -1), Gf, domain):
-                continue
-            rest = descend(leg + 1, nxt)
-            if rest is not None:
-                return [A] + rest
+        before, after = math.prod(garr.shape[:leg]), math.prod(f.dims[leg + 1:])
+        size = max(1, _BLOCK_ENTRIES // max(e * d, before * e * after))  # maps per block
+        stack = _leg_stack(p, d, e, leads, unit and leg == 0)
+        streamed = stack is None or len(stack) > size
+        cap = 1 if streamed else max(1, size // max(1, len(stack)))
+        lo, step = 0, 1
+        while lo < len(partials):
+            chunk = partials[lo:lo + step]
+            chunk = chunk.reshape(len(chunk), 1, before, d, after)
+            for maps in _maps(p, d, e, leads, leg == 0, size) if streamed else [stack]:
+                # (prefix, map, legs before, this leg, legs after): prefix-major
+                nxt = np.matmul(maps[:, None], chunk) % p
+                found = walk(leg + 1, nxt.reshape(-1, before * e * after))
+                if found is not None:
+                    i, rest = found
+                    return lo + i // len(maps), [maps[i % len(maps)]] + rest
+            lo, step = lo + step, min(2 * step, cap)
         return None
 
-    arrays = descend(0, f.array)
-    if arrays is None:
-        return None
-    return [LinearMap(domain, a) for a in arrays]
-
-
-def _solve_last_leg(
-    garr: np.ndarray, partial: np.ndarray, domain: Domain
-) -> Optional[np.ndarray]:
-    """Solve for the final map X in (I (x) ... (x) X) t = g linearly."""
-    k = garr.ndim
-    e, d = garr.shape[k - 1], partial.shape[k - 1]
-    T2 = partial.reshape(-1, d)
-    G2 = garr.reshape(-1, e)
-    Xt = linalg.solve(T2, G2, domain)
-    if Xt is None:
-        return None
-    return domain.reduce(Xt.T)
+    found = walk(0, f.array.reshape(1, -1) % p)
+    return None if found is None else [LinearMap(domain, a) for a in found[1]]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import C, F2, F5, F7
+from conftest import C, F2, F3, F5, F7
+from symsub.domains import PrimeField
+
+F65521 = PrimeField(65521)
 from symsub import linalg
 
 
@@ -98,14 +101,65 @@ def test_equivalence_diagonalize(domain):
         assert r == linalg.rank(A, domain)
 
 
-def test_columns_contained():
+def solve_stack_one(T, G, domain):
+    """linalg.solve_stack on a stack of one: (consistent, X)."""
+    ok, X = linalg.solve_stack(np.asarray(T)[None], np.asarray(G)[None], domain)
+    return bool(ok[0]), X[0]
+
+
+def test_solve_stack_column_containment():
     T = np.array([[1, 0], [0, 1], [0, 0]])
     inside = np.array([[3], [1], [0]])
     outside = np.array([[0], [0], [1]])
-    assert linalg.columns_contained(T, inside, F5)
-    assert not linalg.columns_contained(T, outside, F5)
-    assert linalg.columns_contained(T % 2, inside % 2, F2)
-    assert not linalg.columns_contained(T % 2, outside % 2, F2)
+    assert solve_stack_one(T, inside, F5)[0]
+    assert not solve_stack_one(T, outside, F5)[0]
+    assert solve_stack_one(T % 2, inside % 2, F2)[0]
+    assert not solve_stack_one(T % 2, outside % 2, F2)[0]
+
+
+def echelon_solution(T, G, domain):
+    """The reference for linalg.solve_stack: None when a pivot of the reduced
+    echelon form of [T | G] lies in G, else X read from its pivot rows with
+    the free variables 0."""
+    m = T.shape[1]
+    R, pivots, _ = linalg.row_reduce(np.concatenate([T, G], axis=1), domain)
+    if any(c >= m for c in pivots):
+        return None
+    X = np.zeros((m, G.shape[1]), dtype=np.int64)
+    for i, c in enumerate(pivots):
+        X[c] = R[i, m:]
+    return X
+
+
+@pytest.mark.parametrize("domain", [F2, F3, F5, F65521])
+def test_solve_stack_matches_the_echelon_form(domain):
+    """Full-rank, rank-deficient and inconsistent stacks, 0 rows and more
+    than 62 columns: each entry's verdict and X are those of the generic
+    elimination, and of linalg.solve."""
+    rng = np.random.default_rng(domain.p)
+    p = domain.p
+    verdicts = set()
+    for n, m, e in [(3, 3, 2), (6, 4, 1), (4, 6, 3), (0, 3, 2), (5, 0, 1), (7, 70, 2)]:
+        S = 12
+        T = rng.integers(0, p, size=(S, n, m))
+        if n > 2:  # rank-deficient entries: the last row depends on two others
+            T[::2, -1] = (2 * T[::2, 0] + T[::2, 1]) % p
+        G = rng.integers(0, p, size=(S, n, e))
+        G[::3] = T[::3] @ rng.integers(0, p, size=(m, e)) % p  # consistent
+        ok, X = linalg.solve_stack(T, G, domain)
+        assert ok.shape == (S,) and X.shape == (S, m, e)
+        # one right-hand side shared by the stack
+        ok1, X1 = linalg.solve_stack(T, G[0], domain)
+        for s in range(S):
+            for verdict, got, rhs in ((ok[s], X[s], G[s]), (ok1[s], X1[s], G[0])):
+                want = echelon_solution(T[s], rhs, domain)
+                assert verdict == (want is not None), (n, m, e, s)
+                assert want is None or np.array_equal(got, want)
+                solved = linalg.solve(T[s], rhs, domain)
+                assert (solved is None) == (want is None)
+                assert want is None or np.array_equal(solved, want)
+                verdicts.add(bool(verdict))
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("width", [0, 3, 62, 63, 130])
@@ -118,7 +172,7 @@ def test_f2_kernels_on_wide_matrices(width):
     B = (A @ rng.integers(0, 2, size=(width, 2))) % 2
     X = linalg.solve(A, B, F2)
     assert X is not None and np.array_equal((A @ X) % 2, B)
-    assert linalg.columns_contained(A, B, F2)
+    assert solve_stack_one(A, B, F2)[0]
     # rank-deficient: row 5 is the sum of rows 0 and 1, so every y in the
     # column space has y[5] = y[0] + y[1] and e_5 lies outside it
     D = A.copy()
@@ -131,7 +185,7 @@ def test_f2_kernels_on_wide_matrices(width):
         R, pivots, _ = linalg.row_reduce(np.concatenate([D, rhs], axis=1), F2)
         assert all(c < width for c in pivots) == consistent
         assert linalg.rank(D, F2) == len(linalg.row_reduce(D, F2)[1]) < 6
-        assert linalg.columns_contained(D, rhs, F2) == consistent
+        assert solve_stack_one(D, rhs, F2)[0] == consistent
         X = linalg.solve(D, rhs, F2)
         if not consistent:
             assert X is None
@@ -141,3 +195,4 @@ def test_f2_kernels_on_wide_matrices(width):
         for i, c in enumerate(pivots):
             want[c] = R[i, width:]
         assert np.array_equal(X, want)
+        assert np.array_equal(solve_stack_one(D, rhs, F2)[1], want)

@@ -29,6 +29,7 @@ from symsub import (
     apply,
     certificate_from_json,
     certificate_to_json,
+    domain_from_name,
     linalg,
     reconstruct_waring,
     restriction_exists,
@@ -40,7 +41,7 @@ from symsub import (
     unit_tensor,
     verify_certificate,
 )
-from symsub.restrict import _root_orbit_leads, _row_blocks
+from symsub.restrict import _maps, _root_orbit_leads, _row_blocks
 from symsub.symmetrize import fully_symmetric
 
 
@@ -595,3 +596,83 @@ def test_scaled_unit_target_matches_the_unit():
         assert (scaled is None) == (unit is None), f.array.tolist()
         assert scaled is None or verify_certificate(scaled, f)
         assert unit is None or verify_certificate(unit, f)
+
+
+def first_certificate(g, f):
+    """The reference for the plain search: map tuples in _maps order on legs
+    1..k-1, one at a time, and the first whose last leg linalg.solve solves
+    (its maps as lists), or None."""
+    p, k = f.domain.p, f.order
+    unit = tensors_equal(g, unit_tensor(g.dims[0], k, f.domain))
+    legs = [np.concatenate(list(_maps(p, d, e, (1,) if unit else None, leg == 0, 64)))
+            for leg, (e, d) in enumerate(zip(g.dims[:-1], f.dims[:-1]))]
+    G = g.array.reshape(-1, g.dims[-1])
+    for maps in itertools.product(*legs):
+        t = f.array
+        for leg, A in enumerate(maps):
+            t = np.moveaxis(np.tensordot(A, t, axes=(1, leg)), 0, leg) % p
+        X = linalg.solve(t.reshape(-1, f.dims[-1]), G, f.domain)
+        if X is not None:
+            return [A.tolist() for A in maps] + [(X.T % p).tolist()]
+    return None
+
+
+def first_certificate_cases():
+    """(g, f) pairs: unit and non-unit targets, e = 1..3, orders 3 and 4,
+    over F2, F3 and F5; random f, and f planted as an image of <e>."""
+    rng = np.random.default_rng(23)
+    for domain, shape, es in [
+        (F2, (2, 2, 2), (1, 2)), (F3, (2, 2, 2), (1, 2)), (F5, (2, 2, 2), (2,)),
+        (F2, (3, 3, 3), (3,)), (F2, (2, 2, 2, 2), (1, 2)), (F3, (2, 2, 2, 2), (2,)),
+    ]:
+        p, k = domain.p, len(shape)
+        for e in es:
+            g = unit_tensor(e, k, domain)
+            for planted in (False, True):
+                f = Tensor(domain, rng.integers(0, p, shape))
+                if planted:  # maps of rank e, so <e> <= f
+                    maps = []
+                    while len(maps) < k:
+                        A = rng.integers(0, p, (shape[len(maps)], e))
+                        if linalg.rank(A, domain) == e:
+                            maps.append(LinearMap(domain, A))
+                    f = apply(maps, g)
+                yield g, f
+    for domain, shape, target in [
+        (F2, (2, 2, 2), (1, 2, 2)), (F2, (2, 2, 2), (2, 1, 1)), (F3, (2, 2, 2), (2, 1, 2)),
+        (F5, (2, 2, 2), (1, 1, 2)), (F2, (2, 2, 2, 2), (1, 2, 1, 2)),
+    ]:
+        p = domain.p
+        for planted in (False, True, True):
+            f = Tensor(domain, rng.integers(0, p, shape))
+            g = Tensor(domain, rng.integers(0, p, target))
+            if planted:
+                g = apply([LinearMap(domain, rng.integers(0, p, (e, d)))
+                           for e, d in zip(target, shape)], f)
+            yield g, f
+    # a scaled unit tensor is not a unit tensor: every map is tried
+    for seed in (0, 3):
+        yield (Tensor(F3, 2 * unit_tensor(2, 3, F3).array),
+               Tensor(F3, np.random.default_rng(seed).integers(0, 3, (2, 2, 2))))
+
+
+def test_restriction_returns_the_first_certificate():
+    """restriction_exists answers with the first tuple of maps whose last
+    leg solves, as the one-tuple-at-a-time reference meets it, or None."""
+    answers = []
+    for g, f in first_certificate_cases():
+        want = first_certificate(g, f)
+        cert = restriction_exists(g, f)
+        got = None if cert is None else [m.array.tolist() for m in cert.maps]
+        assert got == want, (g.array.tolist(), f.array.tolist())
+        answers.append(want is not None)
+    assert any(answers) and not all(answers)
+
+
+def test_cheap_refutations_are_pinned():
+    """<2> <= W over F11 and <3> <= f for the default_rng(1) 3 x 3 x 3 f over
+    F3 are refuted by exhaustion."""
+    F11 = domain_from_name("F11")
+    assert restriction_exists(unit_tensor(2, 3, F11), w_tensor(F11)) is None
+    f = Tensor(F3, np.random.default_rng(1).integers(0, 3, (3, 3, 3)))
+    assert restriction_exists(unit_tensor(3, 3, F3), f) is None
