@@ -494,9 +494,9 @@ def symsubrank_exact(
         raise ValueError("symmetric subrank needs a cubical tensor")
     if not isinstance(f.domain, PrimeField):
         raise DomainError("symsubrank_exact runs over prime fields only")
-    d, k, p = f.dims[0], f.order, f.domain.p
-    if k < 2:
+    if f.order < 2:
         raise ValueError("symmetric restriction search needs order >= 2")
+    d, k, p = f.dims[0], f.order, f.domain.p
     r0 = min(flattening_rank(f, [leg]) for leg in range(k))
     rows = np.zeros((0, d), dtype=np.int64)
     if r0:
@@ -562,6 +562,8 @@ def symrank_small(f: Tensor, budget: int = DEFAULT_BUDGET) -> SymrankResult:
         raise ValueError("symrank_small needs a symmetric tensor")
     if not isinstance(f.domain, PrimeField):
         raise DomainError("symrank_small runs over prime fields only")
+    if f.order < 1:
+        raise ValueError("symmetric rank needs order >= 1")
     domain = f.domain
     p, d, k = domain.p, f.dims[0], f.order
     if not support(f):
@@ -597,19 +599,24 @@ def reconstruct_waring(vectors: np.ndarray, f: Tensor) -> bool:
 def _mitm_decompose(
     target: np.ndarray, powers: np.ndarray, r: int, a: int, p: int
 ) -> Optional[Tuple[int, ...]]:
-    """Find r rows of ``powers`` (a multiset) summing to target, split a + (r-a)."""
-
-    def total(combo: Tuple[int, ...]) -> np.ndarray:
-        s = np.zeros_like(target)
-        for i in combo:
-            s = (s + powers[i]) % p
-        return s
-
+    """Find r rows of ``powers`` (a multiset) summing to target, split a + (r-a):
+    the first multiset of r - a rows per half-sum goes into a table, and the
+    first multiset of a rows whose complement is in it wins."""
     sums_b: Dict[bytes, Tuple[int, ...]] = {}
-    for combo in itertools.combinations_with_replacement(range(len(powers)), r - a):
-        sums_b.setdefault(total(combo).tobytes(), combo)
-    for combo in itertools.combinations_with_replacement(range(len(powers)), a):
-        match = sums_b.get(((target - total(combo)) % p).tobytes())
-        if match is not None:
+    for combo, s in _half_sums(powers, r - a, p):
+        sums_b.setdefault(s.tobytes(), combo)
+    for combo, rest in _half_sums(powers, a, p, target):
+        if (match := sums_b.get(rest.tobytes())) is not None:
             return combo + match
     return None
+
+
+def _half_sums(powers: np.ndarray, size: int, p: int, target: Optional[np.ndarray] = None):
+    """Every multiset of ``size`` rows of ``powers``, in
+    ``combinations_with_replacement`` order, with its row sum mod p (or target
+    minus it): one gather-sum per block of at most _BLOCK_ENTRIES entries."""
+    combos = itertools.combinations_with_replacement(range(len(powers)), size)
+    step = max(1, _BLOCK_ENTRIES // (max(1, size) * powers.shape[1]))
+    while chunk := list(itertools.islice(combos, step)):
+        sums = powers[np.array(chunk, dtype=np.int64).reshape(len(chunk), size)].sum(axis=1)
+        yield from zip(chunk, (sums if target is None else target - sums) % p)

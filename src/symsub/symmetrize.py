@@ -103,6 +103,9 @@ def fully_symmetric(k: int, domain: Domain) -> Tensor:
     of (0, ..., k-1) and 0 elsewhere."""
     if k < 2:
         raise ValueError(f"need order >= 2, got {k}")
+    # k^k entries; the float test is exact at the cap's edge, 8^8 = 2^24
+    if k * math.log2(k) > math.log2(ENTRY_CAP):
+        raise TensorSizeError(f"h of order {k} needs {k}^{k} entries, over the dense cap of 2**24")
     arr = np.zeros((k,) * k, dtype=domain.dtype)
     for perm in itertools.permutations(range(k)):
         arr[perm] = 1
@@ -126,25 +129,27 @@ def waring_reconstruct(dec: WaringDecomposition) -> Tensor:
 
 def waring_h(k: int, domain: Domain) -> WaringDecomposition:
     """h as (1/2^{k-1}) sum over signs eps in {+-1}^{k-1} of
-    (prod eps) (e_1 + eps_2 e_2 + ... + eps_k e_k)^{(x)k}."""
-    if k < 2:
-        raise ValueError(f"need order >= 2, got {k}")
+    (prod eps) (e_1 + eps_2 e_2 + ... + eps_k e_k)^{(x)k}, checked against
+    h itself (gated on its k^k entries)."""
     _char_guard(domain, k)
-    inv = domain.inverse(domain.normalize(2 ** (k - 1)))
-    coefficients = []
-    vectors = np.zeros((2 ** (k - 1), k), dtype=domain.dtype)
-    for t, signs in enumerate(itertools.product((1, -1), repeat=k - 1)):
-        vec = np.ones(k, dtype=domain.dtype)
-        vec[1:] = signs
-        vectors[t] = domain.reduce(vec)
-        coefficients.append(domain.normalize(math.prod(signs) * inv))
-    dec = WaringDecomposition(
-        domain=domain, k=k, coefficients=tuple(coefficients), vectors=vectors
-    )
+    h = fully_symmetric(k, domain)
+    dec = _waring_terms(k, domain)
     # the identity is exact (dyadic coefficients), so compare bit-for-bit
-    if not np.array_equal(waring_reconstruct(dec).array, fully_symmetric(k, domain).array):
+    if not np.array_equal(waring_reconstruct(dec).array, h.array):
         raise AssertionError("internal error: decomposition failed to reconstruct")
     return dec
+
+
+def _waring_terms(k: int, domain: Domain) -> WaringDecomposition:
+    """The terms of :func:`waring_h`, unchecked."""
+    inv = domain.inverse(domain.normalize(2 ** (k - 1)))
+    signs = list(itertools.product((1, -1), repeat=k - 1))
+    return WaringDecomposition(
+        domain=domain,
+        k=k,
+        coefficients=tuple(domain.normalize(math.prod(s) * inv) for s in signs),
+        vectors=domain.reduce(np.array([(1,) + s for s in signs], dtype=domain.dtype)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +205,9 @@ def remove_powers(f: Tensor) -> Tuple[LinearMap, Tensor]:
 
     Adds a multiple of e_i to e_{d-1} per offending diagonal index i, with
     the multiple a root of the one-variable polynomial giving the new
-    (i, ..., i) coefficient; indices are processed in decreasing order and
-    the support re-checked after every step.
+    (i, ..., i) coefficient.  That step changes coordinate i only, so no
+    other diagonal entry, nor any coefficient used to clear another index,
+    moves: one pass over the indices, in decreasing order, is final.
     """
     if not is_symmetric(f):
         raise ValueError("remove_powers needs a symmetric tensor")
@@ -232,27 +238,24 @@ def remove_powers(f: Tensor) -> Tuple[LinearMap, Tensor]:
         garr = apply_all_legs(P, garr)
         total = domain.reduce(P @ total)
     failed = []
-    for _sweep in range(d + 1):
-        bad = [i for i in range(d - 1) if not domain.is_zero(diag(i))]
-        bad = [i for i in bad if i not in [j for j, _ in failed]]
-        if not bad:
-            break
-        for i in sorted(bad, reverse=True):
-            # coefficient of eps^m in the new (i,...,i) entry
-            coeffs = [
-                domain.normalize(math.comb(k, m) * garr[(i,) * (k - m) + (lead,) * m])
-                for m in range(k + 1)
-            ]
-            eps = _poly_root(coeffs, domain)
-            if eps is None:
-                failed.append((i, coeffs))
-                continue
-            E = np.eye(d, dtype=domain.dtype)
-            E[i, lead] = eps
-            garr = apply_all_legs(E, garr)
-            if isinstance(domain, ComplexNumbers):
-                garr[(i,) * k] = 0  # clear root-finding residue exactly
-            total = domain.reduce(E @ total)
+    for i in range(d - 2, -1, -1):
+        if domain.is_zero(diag(i)):
+            continue
+        # coefficient of eps^m in the new (i,...,i) entry
+        coeffs = [
+            domain.normalize(math.comb(k, m) * garr[(i,) * (k - m) + (lead,) * m])
+            for m in range(k + 1)
+        ]
+        eps = _poly_root(coeffs, domain)
+        if eps is None:
+            failed.append((i, coeffs))
+            continue
+        E = np.eye(d, dtype=domain.dtype)
+        E[i, lead] = eps
+        garr = apply_all_legs(E, garr)
+        if isinstance(domain, ComplexNumbers):
+            garr[(i,) * k] = 0  # clear root-finding residue exactly
+        total = domain.reduce(E @ total)
     if failed:
         raise MissingKthRootError(
             "missing k-th root: no field root clears diagonal indices "
@@ -260,7 +263,7 @@ def remove_powers(f: Tensor) -> Tuple[LinearMap, Tensor]:
             failed=failed,
         )
     if any(not domain.is_zero(diag(i)) for i in range(d - 1)):
-        raise AssertionError("internal error: diagonal support survived the sweeps")
+        raise AssertionError("internal error: diagonal support survived the pass")
     if linalg.rank(total, domain) != d:
         raise AssertionError("internal error: transformation not invertible")
     return LinearMap(domain, total), Tensor(domain, garr)
@@ -334,18 +337,15 @@ def create_t(f: Tensor) -> CreateTCertificate:
     """
     if not is_symmetric(f):
         raise ValueError("create_t needs a symmetric tensor")
+    if f.order < 1:
+        raise ValueError("create_t needs order >= 1")
     domain = f.domain
     d, k = f.dims[0], f.order
     if all(
         flattening_rank(f, range(m)) <= 1 for m in range(1, k // 2 + 1)
     ):
         raise ValueError("all flattening ranks <= 1")
-    pre = identity_map(d, domain)
-    clean = f
-    if any(
-        not domain.is_zero(f.array[(i,) * k]) for i in range(d - 1)
-    ):
-        pre, clean = remove_powers(f)
+    pre, clean = remove_powers(f)
     supp = set(support(clean))
     # multiplicity profile per symbol; admissible symbols can head a type
     max_mult = {
@@ -479,9 +479,12 @@ def symmetrize_certificate(f: Tensor, rc: Certificate) -> SymmetrizeResult:
     Composition per leg (right to left): select f^{(x)c} down to h inside
     f^{(x)(n+c)}, lift the witness maps through the h register (make_sym),
     then collapse <r> (x) h to <r> by summing the register against
-    (1/k!, 1, ..., 1).  The result is re-verified against the full power
-    densely or by support enumeration when feasible; otherwise each link's
-    own verification stands.
+    (1/k!, 1, ..., 1).  The selection map M acts on the register alone, so
+    the collapsed lift, read as (r, d^n, k), meets M in one product: the
+    chained r x d^(n+c) map is all that is materialized, and all the gate
+    counts.  The result is re-verified against the full power densely or by
+    support enumeration when feasible; otherwise each link's own
+    verification stands.
     """
     if not is_symmetric(f):
         raise ValueError("symmetrize_certificate needs a symmetric tensor")
@@ -512,18 +515,13 @@ def symmetrize_certificate(f: Tensor, rc: Certificate) -> SymmetrizeResult:
     M = selection_map(ct)
     lifted = make_sym(leg_maps, tensor_power(f, n), rc.target)
     B = lifted.maps[0].array
-    collapse = np.zeros((r, r * k), dtype=domain.dtype)
     row_weights = np.ones(k, dtype=domain.dtype)
     row_weights[0] = domain.inverse(domain.normalize(math.factorial(k)))
-    for i in range(r):
-        collapse[i, i * k:(i + 1) * k] = row_weights
-    if (d ** n * k) * (d ** (n + ct.c)) > ENTRY_CAP:
-        raise TensorSizeError(
-            f"chained map would need {d ** n * k} x {d ** (n + ct.c)} entries"
-        )
-    big = np.kron(np.eye(d ** n, dtype=domain.dtype), M.array)
-    A_total = domain.reduce(domain.reduce(collapse @ B) @ big)
-    total_map = LinearMap(domain, A_total)
+    collapse = (np.eye(r, dtype=domain.dtype)[:, :, None] * row_weights).reshape(r, r * k)
+    if r * d ** (n + ct.c) > ENTRY_CAP:
+        raise TensorSizeError(f"chained map would need {r} x {d ** (n + ct.c)} entries")
+    A_total = domain.reduce(domain.reduce(collapse @ B).reshape(r, d ** n, k) @ M.array)
+    total_map = LinearMap(domain, A_total.reshape(r, d ** (n + ct.c)))
     cert = Certificate(
         kind="symmetric-restriction",
         maps=(total_map,),
@@ -548,12 +546,11 @@ class SymrankUpperResult:
 def symrank_upper(f: Tensor, witness: Certificate) -> SymrankUpperResult:
     """Symmetric-rank bound r * 2^{k-1} from a rank witness f <= <r>.
 
-    Each rank-one term a_1 (x) ... (x) a_k of the witness decomposition
-    is polarized into 2^{k-1} symmetric powers
-    (a_1 + eps_2 a_2 + ... + eps_k a_k)^{(x)k}; symmetry of f makes the
-    assembled Waring decomposition reconstruct f itself, which is checked.
-    When f is the fully symmetric tensor, the direct 2^{k-1}-term
-    decomposition is smaller and returned instead.
+    As f is symmetric, f = sum_i (1/k!) A_i^{(x)k} h, where A_i = (a_1i ...
+    a_ki) holds the witness's i-th rank-one term; so h's Waring terms
+    c v^{(x)k} give f's as (c/k!) (A_i v)^{(x)k}, and the assembled
+    decomposition is checked against f.  When f is h itself, the direct
+    2^{k-1}-term decomposition (``waring_h``) is smaller and returned instead.
     """
     if not is_symmetric(f):
         raise ValueError("symrank_upper needs a symmetric tensor")
@@ -576,24 +573,17 @@ def symrank_upper(f: Tensor, witness: Certificate) -> SymrankUpperResult:
         unit_tensor(r, k, domain),
     ):
         raise ValueError("invalid witness: maps do not produce f from <r>")
-    inv = domain.normalize(
-        domain.inverse(domain.normalize(math.factorial(k)))
-        * domain.inverse(domain.normalize(2 ** (k - 1)))
-    )
-    coefficients = []
-    vectors = np.zeros((r * 2 ** (k - 1), d), dtype=domain.dtype)
-    t = 0
-    for i in range(r):
-        cols = [m.array[:, i] for m in leg_maps]
-        for signs in itertools.product((1, -1), repeat=k - 1):
-            vec = cols[0].copy()
-            for s, col in zip(signs, cols[1:]):
-                vec = vec + s * col
-            vectors[t] = domain.reduce(vec)
-            coefficients.append(domain.normalize(math.prod(signs) * inv))
-            t += 1
+    inv = domain.inverse(domain.normalize(math.factorial(k)))
+    terms = _waring_terms(k, domain)
+    cols = [m.array.T[:, None, :] for m in leg_maps]  # (r, 1, d): the a_ji
+    vec = cols[0]  # every v starts with 1
+    for j in range(1, k):
+        vec = vec + terms.vectors[:, j, None] * cols[j]
     dec = WaringDecomposition(
-        domain=domain, k=k, coefficients=tuple(coefficients), vectors=vectors
+        domain=domain,
+        k=k,
+        coefficients=tuple(domain.normalize(c * inv) for c in terms.coefficients) * r,
+        vectors=domain.reduce(vec.reshape(-1, d)),
     )
     if not tensors_equal(waring_reconstruct(dec), f):
         raise AssertionError("internal error: polarized decomposition failed")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import C, F2, F5, c5_directed, c5_matrix, w_tensor
+from conftest import C, F2, F3, F5, c5_directed, c5_matrix, tight_tensor, w_tensor
 from symsub import (
     LinearMap,
     Certificate,
@@ -32,6 +32,8 @@ def ws(tmp_path):
         "c5_graph": dump("c5_graph.json", hypergraph_to_json(c5_directed())),
         "w_c": dump("w_c.json", tensor_to_json(w_tensor(C))),
         "w_f5": dump("w_f5.json", tensor_to_json(w_tensor(F5))),
+        "w_f3": dump("w_f3.json", tensor_to_json(w_tensor(F3))),
+        "tight": dump("tight.json", tensor_to_json(tight_tensor())),
         "dir": str(tmp_path),
     }
     return paths
@@ -146,6 +148,93 @@ def test_symmetrize_certificate(ws, capsys, tmp_path):
     assert rep["outputs"]["checked"] == "dense"
 
 
+# The "outputs" objects of `--json` reports, compared as canonical JSON text.
+_GOLDEN = {
+    "waring-3-F7": {
+        "coefficients": [2, 5, 5, 2], "terms": 4,
+        "vectors": [[1, 1, 1], [1, 1, 6], [1, 6, 1], [1, 6, 6]],
+    },
+    "waring-4-F65521": {
+        "coefficients": [57331, 8190, 8190, 57331, 8190, 57331, 57331, 8190], "terms": 8,
+        "vectors": [[1, 1, 1, 1], [1, 1, 1, 65520], [1, 1, 65520, 1], [1, 1, 65520, 65520],
+                    [1, 65520, 1, 1], [1, 65520, 1, 65520], [1, 65520, 65520, 1],
+                    [1, 65520, 65520, 65520]],
+    },
+    "createt-W-F5": {
+        "c": 3, "checked": "dense", "columns": [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
+        "relabeling": [0, 1], "rows": [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
+        "sourceId": "7f7f9f017e22422c", "y": [2, 1],
+    },
+    "symmetrize-W-F5": {
+        "c": 3, "checked": "dense", "n": 2, "power": 5,
+        "certificate": {
+            "kind": "symmetric-restriction",
+            "maps": [{"cols": 32, "domain": "F5", "rows": 2, "data": [
+                [0, 2, 2, 0, 2, 0, 0, 0, 0, 1, 1, 0, 1, 0, 0, 0,
+                 0, 2, 2, 0, 2, 0, 0, 0, 0, 1, 1, 0, 1, 0, 0, 0],
+                [0, 2, 2, 0, 2, 0, 0, 0, 0, 2, 2, 0, 2, 0, 0, 0,
+                 0, 1, 1, 0, 1, 0, 0, 0, 0, 1, 1, 0, 1, 0, 0, 0]]}],
+            "target": {"dims": [2, 2, 2], "domain": "F5", "order": 3, "entries": [
+                {"idx": [1, 1, 1], "val": 1}, {"idx": [2, 2, 2], "val": 1}]},
+        },
+    },
+    "symrank-W-F3": {"lowerBound": 2, "value": 3, "vectors": [[0, 2], [1, 2], [2, 2]]},
+    "symrank-tight-F2": {
+        "lowerBound": 3, "value": 6,
+        "vectors": [[0, 0, 1], [0, 1, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0], [1, 1, 1]],
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GOLDEN))
+def test_json_outputs_are_pinned(ws, tmp_path, capsys, case):
+    A = LinearMap(F5, [[2, 1, 2, 1], [2, 2, 1, 1]])  # <2> <= W^(x)2, every leg
+    rc = Certificate(kind="restriction", maps=(A, A, A), target=unit_tensor(2, 3, F5))
+    rc_path = tmp_path / "rc.json"
+    rc_path.write_text(json.dumps(certificate_to_json(rc)))
+    argv = {
+        "waring-3-F7": ["waring", "--order", "3", "--domain", "F7"],
+        "waring-4-F65521": ["waring", "--order", "4", "--domain", "F65521"],
+        "createt-W-F5": ["createt", "--tensor", ws["w_f5"]],
+        "symmetrize-W-F5": ["symmetrize", "--tensor", ws["w_f5"], "--certificate", str(rc_path)],
+        "symrank-W-F3": ["symrank", "--tensor", ws["w_f3"]],
+        "symrank-tight-F2": ["symrank", "--tensor", ws["tight"]],
+    }[case]
+    code, rep, err = run_json(capsys, argv)
+    assert (code, err, rep["verification"]) == (0, "", "verified")
+    assert json.dumps(rep["outputs"], sort_keys=True) == json.dumps(_GOLDEN[case], sort_keys=True)
+
+
+def test_symrank_over_budget_reports_bounds(ws, capsys):
+    code, rep, _ = run_json(capsys, ["symrank", "--tensor", ws["tight"], "--budget", "10"])
+    assert code == 0
+    assert rep["outputs"] == {"value": None, "lowerBound": 3}
+    assert rep["verification"] == "bounds"
+
+
+@pytest.mark.parametrize("command", ["symsubrank", "symrank", "createt"])
+def test_order_zero_tensors_are_invalid_input(tmp_path, capsys, command):
+    path = tmp_path / "scalar.json"
+    path.write_text(json.dumps(tensor_to_json(Tensor(F5, np.array(3)))))
+    code = run([command, "--tensor", str(path), "--json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert re.fullmatch(r"error: invalid-input: [^\n]*order >= [12]\n", captured.err), captured.err
+
+
+@pytest.mark.parametrize("order", [9, 40])
+def test_waring_of_large_order_hits_the_size_gate(capsys, order):
+    code = run(["waring", "--order", str(order), "--domain", "C", "--json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: size-gate: h of order {order} needs {order}^{order} entries, "
+        "over the dense cap of 2**24\n"
+    )
+
+
 def test_quantum_f(ws, capsys):
     code, rep, _ = run_json(
         capsys, ["quantum", "F", "--tensor", ws["w_c"], "--restarts", "2"]
@@ -174,6 +263,18 @@ def test_negative_restarts_is_a_usage_error(ws, tmp_path, capsys):
         assert code == 1, argv
         assert captured.out == ""
         assert re.fullmatch(r"error: usage: [^\n]*\n", captured.err), captured.err
+
+
+def test_quantum_funiform(ws, capsys):
+    code, rep, _ = run_json(
+        capsys, ["quantum", "Funiform", "--tensor", ws["w_c"], "--restarts", "2"]
+    )
+    assert code == 0
+    assert rep["command"] == "quantum Funiform"
+    assert rep["outputs"]["value"] == pytest.approx(1.88988157, abs=1e-4)
+    assert rep["outputs"]["spectrum"] == pytest.approx([2 / 3, 1 / 3], abs=1e-6)
+    assert (rep["outputs"]["label"], rep["outputs"]["restarts"]) == ("lower estimate", 3)
+    assert rep["verification"] == "estimate"
 
 
 def test_quantum_check(ws, capsys):

@@ -15,6 +15,7 @@ from conftest import (
 from symsub import (
     CongruenceError,
     LinearMap,
+    MissingSquareRootError,
     SkewInputError,
     Tensor,
     ballantine_reduce,
@@ -28,6 +29,7 @@ from symsub import (
     sym_diagonalize,
     verify_certificate,
 )
+from symsub import congruence
 from symsub.congruence import _find_pivot, _product3, _score
 
 F1009 = domain_from_name("F1009")
@@ -169,6 +171,71 @@ def test_sym_diagonalize_properties():
         assert np.abs(got - want).max() < 1e-8
 
 
+def test_sym_diagonalize_over_prime_fields():
+    """Over F_p the form I_r (+) 0 is exact, or MissingSquareRootError carries
+    the diagonal form reached: diag(1, 2) over F5 needs a root of 1/2 = 3,
+    which is no square mod 5."""
+    f = Tensor(F5, [[1, 0], [0, 2]])
+    with pytest.raises(MissingSquareRootError) as info:
+        sym_diagonalize(f)
+    assert info.value.failed_indices == [1]
+    B = info.value.partial_B
+    assert np.array_equal(_product3(B, f.array, B.T, F5), info.value.partial_D)
+    rng = np.random.default_rng(29)
+    outcomes = set()
+    for i in range(20):
+        V = rng.integers(0, 7, size=(3, 3))
+        f = Tensor(F7, V.T @ V % 7)  # a Gram matrix: sometimes every root exists
+        try:
+            res = sym_diagonalize(f, seed=i)
+        except MissingSquareRootError as exc:
+            B, D = exc.partial_B, exc.partial_D
+            assert linalg.rank(B, F7) == 3
+            assert np.array_equal(_product3(B, f.array, B.T, F7), D)
+            assert np.array_equal(D, np.diag(np.diagonal(D)))
+            outcomes.add("missing")
+            continue
+        r = matrix_rank(f)
+        want = np.zeros((3, 3), dtype=np.int64)
+        want[:r, :r] = np.eye(r, dtype=np.int64)
+        assert res.rank == r
+        assert np.array_equal(_product3(res.B.array, f.array, res.B.array.T, F7), want)
+        assert np.array_equal(res.D.array, want)
+        outcomes.add("diagonal")
+    assert outcomes == {"missing", "diagonal"}
+
+
+def test_ballantine_restarts_are_seeded_and_validated(monkeypatch):
+    """G - G^T with a small (0, 0) entry, G from default_rng(31), fails the
+    output check three times; the third seeded restart passes it, and a rerun
+    repeats every bit."""
+    rng = np.random.default_rng(31)
+    G = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    M = G - G.T
+    M[0, 0] = 1e-3
+    f = Tensor(C, M)
+    attempts = []
+    mix = congruence._random_invertible
+
+    def counted(d, domain, seed, attempt):
+        attempts.append(attempt)
+        return mix(d, domain, seed, attempt)
+
+    monkeypatch.setattr(congruence, "_random_invertible", counted)
+    res = ballantine_reduce(f)
+    assert attempts == [1, 2, 3]
+    B, L = res.B.array, res.L.array
+    assert res.diag_nonzeros == matrix_rank(f) == 3
+    assert linalg.rank(B, C) == 3
+    assert np.array_equal(L, np.tril(L))
+    image = B @ M @ B.T
+    assert np.array_equal(L, np.tril(image))
+    assert np.abs(np.triu(image, 1)).max() <= 100 * C.tol * np.abs(M).max()
+    again = ballantine_reduce(f)
+    assert attempts == [1, 2, 3] * 2
+    assert np.array_equal(again.B.array, B) and np.array_equal(again.L.array, L)
+
+
 def test_sym_diagonalize_rejects_asymmetric():
     with pytest.raises(CongruenceError):
         sym_diagonalize(Tensor(C, [[0, 1], [2, 0]]))
@@ -205,6 +272,15 @@ def test_matrix_symsubrank_bounds_mode():
     assert res.value is None
     assert 0 <= res.lower <= res.upper <= 5
     if res.certificate is not None and res.lower > 0:
+        assert verify_certificate(res.certificate, f)
+    # over F2 the greedy block is one row: a nonzero diagonal entry, or e_i + e_j
+    # where f_ij != f_ji
+    for arr, row, upper in (([[0, 1], [1, 1]], [0, 1], 2), ([[0, 1], [0, 0]], [1, 1], 1)):
+        f = Tensor(F2, arr)
+        res = matrix_symsubrank(f, budget=1)
+        assert (res.mode, res.lower, res.upper, res.method) == ("bounds", 1, upper,
+                                                                "triangular-block")
+        assert res.certificate.maps[0].array.tolist() == [row]
         assert verify_certificate(res.certificate, f)
 
 

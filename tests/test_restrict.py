@@ -27,6 +27,7 @@ from symsub import (
     Tensor,
     adjacency_tensor,
     apply,
+    apply_sym,
     certificate_from_json,
     certificate_to_json,
     domain_from_name,
@@ -41,7 +42,7 @@ from symsub import (
     unit_tensor,
     verify_certificate,
 )
-from symsub.restrict import _maps, _root_orbit_leads, _row_blocks
+from symsub.restrict import _is_unit, _maps, _root_orbit_leads, _row_blocks
 from symsub.symmetrize import fully_symmetric
 
 
@@ -230,6 +231,28 @@ def test_quotiented_searches_match_brute_force_2x2x2():
         sym = symrestriction_exists(g, f)
         assert (sym is not None) == brute_symrestricts(f, 2), f.array.tolist()
         assert sym is None or verify_certificate(sym, f)
+
+
+def test_symmetric_search_for_other_targets_matches_brute_force():
+    """A target other than <e> takes every row at every depth, not only the
+    orbit leads past the chosen row.  Half the targets are images of f, so
+    finds and refutations both occur."""
+    rng = np.random.default_rng(15)
+    answers = []
+    for domain in (F2, F3):
+        for i, f in enumerate(sampled_tensors(domain, (2, 2, 2), 40, seed=16)):
+            if i % 2:
+                g = Tensor(domain, rng.integers(0, domain.p, size=(2, 2, 2)))
+            else:
+                g = apply_sym(LinearMap(domain, rng.integers(0, domain.p, (2, 2))), f)
+            if _is_unit(g):
+                continue
+            cert = symrestriction_exists(g, f)
+            found = brute_symrestricts(f, 2, g)
+            assert (cert is not None) == found, (f.array.tolist(), g.array.tolist())
+            assert cert is None or verify_certificate(cert, f)
+            answers.append(cert is not None)
+    assert any(answers) and not all(answers)
 
 
 def planted_units(e, k, count, seed):

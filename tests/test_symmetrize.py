@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from symsub import (
     LinearMap,
     MissingKthRootError,
     Tensor,
+    TensorSizeError,
     apply,
     apply_sym,
     apply_sym_power,
@@ -46,6 +48,19 @@ def test_waring_h_complex(k):
     dec = waring_h(k, C)
     assert len(dec.coefficients) == 2 ** (k - 1)
     assert tensors_equal(waring_reconstruct(dec), fully_symmetric(k, C))
+
+
+def test_h_of_large_order_is_gated_before_allocation():
+    """h of order 9 would take 9^9 entries (3.1 GB as int64)."""
+    tracemalloc.start()
+    try:
+        for build in (waring_h, fully_symmetric):
+            with pytest.raises(TensorSizeError, match="9\\^9 entries"):
+                build(9, F7 if build is fully_symmetric else C)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def test_waring_h_characteristic_guard():
@@ -98,6 +113,25 @@ def test_remove_powers_clears_low_diagonal():
         hits += 1
 
 
+def test_remove_powers_clears_every_index_in_one_pass_over_f7():
+    """Clearing index i moves coordinate i only, so one pass in decreasing
+    order leaves every diagonal entry but the last zero."""
+    rng = np.random.default_rng(42)
+    cleared = 0
+    for _ in range(30):
+        f = random_symmetric(rng, 4, 3, F7)
+        try:
+            A, g = remove_powers(f)
+        except MissingKthRootError as exc:
+            failed = [i for i, _ in exc.failed]
+            assert failed == sorted(set(failed), reverse=True)
+            continue
+        assert all(g.array[(i,) * 3] == 0 for i in range(3))
+        assert tensors_equal(g, apply_sym(A, f))
+        cleared += 1
+    assert cleared >= 5
+
+
 def test_remove_powers_field_obstruction_is_reported():
     rng = np.random.default_rng(43)
     saw_failure = False
@@ -119,6 +153,13 @@ def test_create_t_on_w():
     assert cert.verified in ("dense", "sparse", "combinatorial")
     S = selection_map(cert)
     assert tensors_equal(apply_sym(S, tensor_power(w_tensor(C), 3)), fully_symmetric(3, C))
+
+
+def test_create_t_checks_a_power_over_the_cap_by_its_support():
+    """h^6 has 3^18 entries, over the dense cap: the check enumerates its
+    support instead."""
+    cert = create_t(fully_symmetric(3, F5))
+    assert (cert.c, cert.y, cert.verified) == (6, (1, 1, 1), "sparse")
 
 
 def test_create_t_needs_flattening_rank_two():
@@ -165,6 +206,27 @@ def test_symrank_upper_polarizes_a_rank_witness():
     assert tensors_equal(waring_reconstruct(res.decomposition), u)
 
 
+def test_symrank_upper_maps_the_terms_of_h():
+    """Each rank-one term a_1 (x) a_2 (x) a_3 of the witness turns h's term
+    c v^{(x)3} into (c/3!) (A v)^{(x)3}, with A = (a_1 a_2 a_3)."""
+    rng = np.random.default_rng(44)
+    cols = [rng.integers(0, 7, (2, 2)) for _ in range(3)]
+    # f = sum over the 3! orders of the legs of a rank-2 tensor: symmetric
+    orders = list(itertools.permutations(range(3)))
+    maps = tuple(LinearMap(F7, np.hstack([cols[o[leg]] for o in orders])) for leg in range(3))
+    f = apply(maps, unit_tensor(12, 3, F7))
+    assert is_symmetric(f)
+    res = symrank_upper(f, Certificate(kind="restriction", maps=maps, target=f))
+    assert res.bound == 12 * 4
+    h = waring_h(3, F7)
+    inv = pow(6, -1, 7)
+    assert res.decomposition.coefficients == tuple(c * inv % 7 for c in h.coefficients) * 12
+    A = np.stack([m.array for m in maps], axis=-1)  # A[:, i] = (a_1i a_2i a_3i)
+    want = np.concatenate([h.vectors @ A[:, i].T % 7 for i in range(12)])
+    assert np.array_equal(res.decomposition.vectors, want)
+    assert tensors_equal(waring_reconstruct(res.decomposition), f)
+
+
 def test_symrank_upper_shortcut_on_the_gadget():
     """For h itself the direct 2^{k-1}-term decomposition wins."""
     h = fully_symmetric(3, C)
@@ -176,3 +238,20 @@ def test_symrank_upper_shortcut_on_the_gadget():
     res = symrank_upper(h, witness)
     assert res.bound == 4
     assert tensors_equal(waring_reconstruct(res.decomposition), h)
+
+
+def test_symmetrize_chain_gate_counts_the_chained_map():
+    """The gate counts the r x d^(n+c) entries of the chained map, here
+    2 x 64^3; a dense I (x) M, d^n k x d^(n+c) = 2^25, would be over the cap."""
+    d = 64
+    arr = np.zeros((d, d), dtype=np.int64)
+    arr[0, 1] = arr[1, 0] = 1
+    f = Tensor(F5, arr)
+    A = np.zeros((2, d), dtype=np.int64)
+    A[:, :2] = [[1, 3], [2, 4]]  # 2 u0 u1 = 1 on each row, u0 v1 + u1 v0 = 0
+    rc = Certificate(kind="symmetric-restriction", maps=(LinearMap(F5, A),),
+                     target=unit_tensor(2, 2, F5))
+    res = symmetrize_certificate(f, rc)
+    assert (res.n, res.c, res.verified) == (1, 2, "sparse")
+    assert res.certificate.maps[0].array.shape == (2, d ** 3)
+    assert tensors_equal(apply_sym_power(res.certificate.maps[0], f, 3), unit_tensor(2, 2, F5))
