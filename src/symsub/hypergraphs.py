@@ -13,12 +13,15 @@ size gates; they never return heuristic values.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
+from . import restrict
 from .domains import Domain
-from .restrict import DEFAULT_BUDGET, subrank_exact, symsubrank_exact
+from .restrict import DEFAULT_BUDGET
 from .tensors import Tensor, is_symmetric
 
 __all__ = [
@@ -139,42 +142,38 @@ def independence_number(h: Hypergraph) -> Tuple[int, Tuple[int, ...]]:
 
     Branch and bound over vertices in decreasing degree order; a branch is
     cut when even taking every remaining vertex cannot beat the incumbent.
+    Vertex sets are int bitsets (bit v for vertex v): v may join ``chosen``
+    unless some edge at v has all its other vertices in ``chosen``.
     """
     if h.n > VERTEX_GATE:
         raise HypergraphError(
             f"size gate: independence search handles at most {VERTEX_GATE} "
             f"vertices, got {h.n}"
         )
-    edge_sets = {frozenset(e) for e in h.edges if len(set(e)) > 1}
-    at: Dict[int, List[FrozenSet[int]]] = {v: [] for v in range(1, h.n + 1)}
-    for s in edge_sets:
+    # each edge at v, as the bitset of its other vertices
+    rests: Dict[int, List[int]] = {v: [] for v in range(1, h.n + 1)}
+    for s in {frozenset(e) for e in h.edges if len(set(e)) > 1}:
+        mask = sum(1 << v for v in s)
         for v in s:
-            at[v].append(s)
-    order = sorted(range(1, h.n + 1), key=lambda v: (-len(at[v]), v))
+            rests[v].append(mask ^ 1 << v)
+    order = sorted(range(1, h.n + 1), key=lambda v: (-len(rests[v]), v))
 
     best_size = 0
-    best: Tuple[int, ...] = ()
-    chosen: set = set()
-    picked: List[int] = []
+    best = 0
 
-    def walk(idx: int) -> None:
+    def walk(idx: int, chosen: int, size: int) -> None:
         nonlocal best_size, best
-        if len(picked) > best_size:
-            best_size = len(picked)
-            best = tuple(sorted(picked))
-        if idx == h.n or len(picked) + (h.n - idx) <= best_size:
+        if size > best_size:
+            best_size, best = size, chosen
+        if idx == h.n or size + (h.n - idx) <= best_size:
             return
         v = order[idx]
-        if not any(s <= chosen | {v} for s in at[v]):
-            chosen.add(v)
-            picked.append(v)
-            walk(idx + 1)
-            picked.pop()
-            chosen.remove(v)
-        walk(idx + 1)
+        if not any(rest & chosen == rest for rest in rests[v]):
+            walk(idx + 1, chosen | 1 << v, size + 1)
+        walk(idx + 1, chosen, size)
 
-    walk(0)
-    return best_size, best
+    walk(0, 0, 0)
+    return best_size, tuple(v for v in range(1, h.n + 1) if best >> v & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +196,10 @@ def induced_matching_number(
     a previously excluded one into the product is fatal for the same reason.
     A partial matching counts only once no element of Phi still to be walked
     lies in its product: such an element can neither join (its coordinates
-    are taken) nor be excluded.
+    are taken) nor be excluded.  A branch stops once it cannot beat the
+    incumbent even by taking every later element whose coordinates are all
+    still free.  Sets of elements are int bitsets over the indices of Phi, so
+    each of these tests is one bit operation.
     """
     phi = h.phi
     total = len(phi)
@@ -206,45 +208,39 @@ def induced_matching_number(
             f"size gate: induced matching search handles at most "
             f"{MATCHING_GATE} elements of Phi, got {total}"
         )
-    k = h.k
-    coords: List[set] = [set() for _ in range(k)]
-    chosen: List[Tuple[int, ...]] = []
-    excluded: List[int] = []
+    # members[j][v]: the bitset of elements of Phi whose j-th coordinate is v
+    members: List[Dict[int, int]] = [{} for _ in range(h.k)]
+    for i, t in enumerate(phi):
+        for j, v in enumerate(t):
+            members[j][v] = members[j].get(v, 0) | 1 << i
+    takes = [tuple(members[j][v] for j, v in enumerate(t)) for t in phi]
+    # the elements sharing a coordinate position with phi[i]
+    clashes = [functools.reduce(operator.or_, take) for take in takes]
     best_size = 0
-    best: Tuple[Tuple[int, ...], ...] = ()
+    best = 0
 
-    def in_product(t: Tuple[int, ...]) -> bool:
-        return all(t[j] in coords[j] for j in range(k))
-
-    def walk(i: int) -> None:
+    def walk(i: int, size: int, chosen: int, legs: Tuple[int, ...], prod: int,
+             free: int, excluded: int) -> None:
+        """``chosen``: M, of ``size`` elements; ``legs[j]``: the members of
+        M's j-th coordinates, and ``prod`` their AND, the elements of the
+        product M_1 x ... x M_k; ``free``: the elements whose coordinates are
+        all untaken; ``excluded``: the elements left out of M."""
         nonlocal best_size, best
-        if len(chosen) > best_size and not any(
-            in_product(phi[later]) for later in range(i, total)
-        ):
-            best_size = len(chosen)
-            best = tuple(chosen)
-        if i == total:
+        if size > best_size and not prod >> i:
+            best_size, best = size, chosen
+        if i == total or size + min(h.n - size, (free >> i).bit_count()) <= best_size:
             return
-        room = min(h.n - len(coords[0]), total - i)
-        if len(chosen) + room <= best_size:
-            return
-        t = phi[i]
-        if all(t[j] not in coords[j] for j in range(k)):
-            for j in range(k):
-                coords[j].add(t[j])
-            if not any(in_product(phi[e]) for e in excluded):
-                chosen.append(t)
-                walk(i + 1)
-                chosen.pop()
-            for j in range(k):
-                coords[j].remove(t[j])
-        if not in_product(t):
-            excluded.append(i)
-            walk(i + 1)
-            excluded.pop()
+        bit = 1 << i
+        if free & bit:
+            grown = tuple(leg | take for leg, take in zip(legs, takes[i]))
+            inside = functools.reduce(operator.and_, grown)
+            if not inside & excluded:
+                walk(i + 1, size + 1, chosen | bit, grown, inside, free & ~clashes[i], excluded)
+        if not prod & bit:
+            walk(i + 1, size, chosen, legs, prod, free, excluded | bit)
 
-    walk(0)
-    return best_size, best
+    walk(0, 0, 0, (0,) * h.k, 0, (1 << total) - 1, 0)
+    return best_size, tuple(t for i, t in enumerate(phi) if best >> i & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -340,12 +336,16 @@ class ChainReport:
 def alpha_chain_check(
     h: Hypergraph, domain: Domain, budget: int = DEFAULT_BUDGET
 ) -> ChainReport:
-    """Compute alpha, beta, symsubrank(A_H), subrank(A_H) and verify the chain."""
+    """Compute alpha, beta, symsubrank(A_H), subrank(A_H) and verify the chain.
+
+    Both subrank searches start from one least flattening rank of A_H."""
     alpha, _ = independence_number(h)
     beta, _ = induced_matching_number(h)
     a = adjacency_tensor(h, domain)
-    sym_q, _ = symsubrank_exact(a, budget=budget)
-    q, _ = subrank_exact(a, budget=budget)
+    restrict._check_symsubrank_input(a)  # it covers subrank_exact's checks too
+    r0 = restrict._least_flattening_rank(a)
+    sym_q, _ = restrict._symsubrank_from(a, r0, budget)
+    q, _ = restrict._subrank_from(a, r0, budget)
     inequalities = (
         ("alpha <= symsubrank", alpha <= sym_q),
         ("symsubrank <= subrank", sym_q <= q),

@@ -46,7 +46,6 @@ from .tensors import (
     is_symmetric,
     map_from_json,
     map_to_json,
-    matrix_rank,
     support,
     tensor_from_json,
     tensor_to_json,
@@ -364,12 +363,10 @@ def _restriction_search(
 def _matrix_restriction(g: Tensor, f: Tensor) -> Optional[Certificate]:
     """Constructive matrix case via rank normal forms P M Q = I_r (+) 0."""
     domain = f.domain
-    rg = matrix_rank(g)
-    rf = matrix_rank(f)
+    Pf, Qf, rf = linalg.equivalence_diagonalize(f.array, domain)
+    Pg, Qg, rg = linalg.equivalence_diagonalize(g.array, domain)
     if rg > rf:
         return None
-    Pf, Qf, _ = linalg.equivalence_diagonalize(f.array, domain)
-    Pg, Qg, _ = linalg.equivalence_diagonalize(g.array, domain)
     Pg_inv = linalg.invert(Pg, domain)
     Qg_inv = linalg.invert(Qg, domain)
     assert Pg_inv is not None and Qg_inv is not None
@@ -490,14 +487,29 @@ def symsubrank_exact(
     """Largest r with a verified <r> <=_s f certificate, by one search from
     r0, the least flattening rank of f.  The budget gate counts C(N, r0)
     representatives: C(N, r) grows with r up to d <= (N + 1) / 2."""
+    _check_symsubrank_input(f)
+    return _symsubrank_from(f, _least_flattening_rank(f), budget)
+
+
+def _check_symsubrank_input(f: Tensor) -> None:
+    """Raise unless f is a cubical tensor of order >= 2 over a prime field."""
     if not f.is_cubical:
         raise ValueError("symmetric subrank needs a cubical tensor")
     if not isinstance(f.domain, PrimeField):
         raise DomainError("symsubrank_exact runs over prime fields only")
     if f.order < 2:
         raise ValueError("symmetric restriction search needs order >= 2")
+
+
+def _least_flattening_rank(f: Tensor) -> int:
+    """min over legs of the rank of f's one-leg flattening: an upper bound on
+    its subrank and symmetric subrank."""
+    return min(flattening_rank(f, [leg]) for leg in range(f.order))
+
+
+def _symsubrank_from(f: Tensor, r0: int, budget: int) -> Tuple[int, Certificate]:
+    """:func:`symsubrank_exact` of a checked f whose least flattening rank is r0."""
     d, k, p = f.dims[0], f.order, f.domain.p
-    r0 = min(flattening_rank(f, [leg]) for leg in range(k))
     rows = np.zeros((0, d), dtype=np.int64)
     if r0:
         _check_sym_budget(f, r0, True, budget)
@@ -507,19 +519,36 @@ def symsubrank_exact(
 
 
 def subrank_exact(f: Tensor, budget: int = DEFAULT_BUDGET) -> Tuple[int, Certificate]:
-    """Largest r with a verified <r> <= f certificate, searched from the
-    least flattening rank of f down."""
+    """Largest r with a verified <r> <= f certificate: for a matrix its rank,
+    from one rank normal form; otherwise searched from the least flattening
+    rank of f down."""
     k = f.order
     if k == 2:
-        r = matrix_rank(f)
-        cert = _matrix_restriction(unit_tensor(r, 2, f.domain), f)
-        assert cert is not None
-        return r, cert
+        return _matrix_subrank(f)
     if not isinstance(f.domain, PrimeField):
         raise DomainError("subrank_exact (order >= 3) runs over prime fields only")
     if k < 2:
         raise ValueError("restriction search needs order >= 2")
-    r0 = min(flattening_rank(f, [leg]) for leg in range(k))
+    return _subrank_from(f, _least_flattening_rank(f), budget)
+
+
+def _matrix_subrank(f: Tensor) -> Tuple[int, Certificate]:
+    """P f Q = I_r (+) 0 gives <r> <= f through the maps P[:r] and Q[:, :r]^T."""
+    domain = f.domain
+    P, Q, r = linalg.equivalence_diagonalize(f.array, domain)
+    maps = (LinearMap(domain, P[:r]), LinearMap(domain, Q[:, :r].T))
+    cert = Certificate(kind="restriction", maps=maps, target=unit_tensor(r, 2, domain))
+    if not verify_certificate(cert, f):
+        raise RuntimeError("internal error: rank-normal-form certificate failed")
+    return r, cert
+
+
+def _subrank_from(f: Tensor, r0: int, budget: int) -> Tuple[int, Certificate]:
+    """:func:`subrank_exact` of a checked f, over a prime field, whose least
+    flattening rank is r0 (for a matrix, one rank normal form decides)."""
+    k = f.order
+    if k == 2:
+        return _matrix_subrank(f)
     for r in range(r0, 0, -1):
         cert = _restriction_search(unit_tensor(r, k, f.domain), f, True, budget)
         if cert is not None:

@@ -194,3 +194,44 @@ def test_capacity_upper_quantum_sandwiches_undirected_c5():
     low = capacity_lower(h, 2).value
     assert low <= res.value + 1e-9
     assert res.value <= 5.0
+
+
+def brute_force_alpha(h):
+    """Largest vertex set containing no edge with two or more distinct
+    vertices, by plain enumeration."""
+    edges = [set(e) for e in h.edges if len(set(e)) > 1]
+    for size in range(h.n, -1, -1):
+        for s in itertools.combinations(range(1, h.n + 1), size):
+            if not any(e <= set(s) for e in edges):
+                return size
+    return 0
+
+
+def random_3_uniform(rng, n, loops):
+    """A random 3-uniform hypergraph on n vertices, with or without diagonal
+    loops, sparse enough for brute force over Phi."""
+    density = rng.uniform(0.03, 0.35 if n == 3 else 0.2)
+    edges = [t for t in itertools.product(range(1, n + 1), repeat=3)
+             if len(set(t)) > 1 and rng.random() < density]
+    if loops:
+        edges += [(v,) * 3 for v in range(1, n + 1) if rng.random() < 0.5]
+    return Hypergraph(n, 3, edges)
+
+
+def test_alpha_and_beta_match_brute_force_on_3_uniform_hypergraphs():
+    rng = np.random.default_rng(33)
+    graphs = [Hypergraph(0, 3, [])]
+    graphs += [random_3_uniform(rng, n, loops)
+               for n in (3, 4) for loops in (False, True) for _ in range(12)]
+    assert any(any(len(set(e)) == 1 for e in h.edges) for h in graphs)
+    for h in graphs:
+        alpha, witness = independence_number(h)
+        assert alpha == brute_force_alpha(h) == len(witness), sorted(h.edges)
+        assert not any(set(e) <= set(witness) for e in h.edges if len(set(e)) > 1)
+        beta, matching = induced_matching_number(h)
+        assert beta == brute_force_beta(h) == len(matching), sorted(h.edges)
+        coords = [{t[j] for t in matching} for j in range(3)]
+        assert all(len(c) == beta for c in coords)
+        assert {t for t in h.phi if all(t[j] in coords[j] for j in range(3))} == set(matching)
+    assert independence_number(graphs[0]) == (0, ())
+    assert induced_matching_number(graphs[0]) == (0, ())
