@@ -33,6 +33,7 @@ from .restrict import (
     verify_certificate,
 )
 from .tensors import (
+    _BLOCK_ENTRIES,
     LinearMap,
     Tensor,
     is_symmetric,
@@ -540,7 +541,8 @@ def power_diag_certificate(L: Tensor, n: int) -> PowerDiagResult:
     two distinct arrangements of the same multiset always violate this in
     one coordinate, so the extracted block is diagonal with nonzero
     diagonal.  Every pair is checked by the product formula directly,
-    without materializing the power.
+    without materializing the power: one row block at a time, as the
+    entrywise product of the n gathered blocks L[T1_t, T2_t].
     """
     d = _require_square(L)
     domain = L.domain
@@ -563,27 +565,26 @@ def power_diag_certificate(L: Tensor, n: int) -> PowerDiagResult:
     tuples = sorted(set(itertools.permutations(base)))
     size = math.factorial(n) // math.factorial(n // r) ** r
     assert len(tuples) == size
+    T = np.array(tuples, dtype=np.int64)
+    step = max(1, _BLOCK_ENTRIES // size)
     diag_values = []
-    for T1 in tuples:
-        for T2 in tuples:
-            val = domain.normalize(
-                math.prod(int(arr[a, b]) for a, b in zip(T1, T2))
-                if isinstance(domain, PrimeField)
-                else np.prod([arr[a, b] for a, b in zip(T1, T2)])
+    for lo in range(0, size, step):
+        rows = T[lo:lo + step]
+        block = arr[np.ix_(rows[:, 0], T[:, 0])]
+        for t in range(1, n):
+            block = domain.reduce(block * arr[np.ix_(rows[:, t], T[:, t])])
+        zero = block == 0 if isinstance(domain, PrimeField) else np.abs(block) <= domain.tol
+        on_diag = np.arange(lo, lo + len(rows))
+        bad = zero == (on_diag[:, None] == np.arange(size))
+        if bad.any():  # the first bad pair in row-major order names the fault
+            i, j = np.argwhere(bad)[0]
+            raise PivotSearchExhaustedError(
+                "internal error: zero on the extracted diagonal" if lo + i == j
+                else "internal error: extracted subtensor is not diagonal"
             )
-            if T1 == T2:
-                if domain.is_zero(val):
-                    raise PivotSearchExhaustedError(
-                        "internal error: zero on the extracted diagonal"
-                    )
-                diag_values.append(val)
-            elif not domain.is_zero(val):
-                raise PivotSearchExhaustedError(
-                    "internal error: extracted subtensor is not diagonal"
-                )
-    merged = [
-        sum(t * d ** (n - 1 - pos) for pos, t in enumerate(T)) for T in tuples
-    ]
+        diag_values += [domain.normalize(v) for v in block[np.arange(len(rows)), on_diag]]
+    # Python ints: d^n may pass int64, where np.ravel_multi_index refuses
+    merged = (T.astype(object) @ [d ** (n - 1 - t) for t in range(n)]).tolist()
     return PowerDiagResult(
         pivots=pivots,
         tuples=tuples,

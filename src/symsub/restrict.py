@@ -37,9 +37,11 @@ import numpy as np
 from . import linalg
 from .domains import DomainError, PrimeField
 from .tensors import (
+    _BLOCK_ENTRIES,
     LinearMap,
     Tensor,
-    _power_sum,
+    _kron_rows,
+    _rank_one_sum,
     apply,
     apply_sym,
     flattening_rank,
@@ -138,11 +140,6 @@ def certificate_from_json(obj: dict) -> Certificate:
 # ---------------------------------------------------------------------------
 # symmetric restriction: one map, batched branch and bound over its rows
 # ---------------------------------------------------------------------------
-
-# About the most entries one block of rows, or one batched contraction of
-# :func:`_sym_dfs`, holds.
-_BLOCK_ENTRIES = 1 << 16
-
 
 def symrestriction_exists(
     g: Tensor, f: Tensor, budget: int = DEFAULT_BUDGET
@@ -605,9 +602,7 @@ def symrank_small(f: Tensor, budget: int = DEFAULT_BUDGET) -> SymrankResult:
 
     if fits(r):  # the gate comes first: the powers below hold p^d * d^k entries
         vectors = next(_row_blocks(p, d, None, p**d))[1:]  # drop the zero vector
-        powers = vectors
-        for _ in range(k - 1):
-            powers = (powers[:, :, None] * vectors[:, None, :]).reshape(len(vectors), -1) % p
+        powers = _kron_rows([vectors] * k, domain)
         target = f.array.reshape(-1) % p
         while fits(r):
             found = _mitm_decompose(target, powers, r, (r + 1) // 2, p)
@@ -621,7 +616,7 @@ def reconstruct_waring(vectors: np.ndarray, f: Tensor) -> bool:
     """Check that the k-th powers of the given vectors sum to f exactly."""
     domain = f.domain
     vectors = domain.asarray(vectors).reshape(-1, f.dims[0])
-    total = _power_sum([1] * len(vectors), vectors, f.order, domain)
+    total = _rank_one_sum([1] * len(vectors), [vectors] * f.order, domain)
     return domain.arrays_equal(total, f.array)
 
 

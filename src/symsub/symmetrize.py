@@ -37,7 +37,8 @@ from .tensors import (
     Tensor,
     TensorSizeError,
     _apply_leg,
-    _power_sum,
+    _kron_rows,
+    _rank_one_sum,
     apply,
     apply_sym,
     apply_sym_power,
@@ -123,7 +124,7 @@ class WaringDecomposition:
 
 
 def waring_reconstruct(dec: WaringDecomposition) -> Tensor:
-    arr = _power_sum(dec.coefficients, dec.vectors, dec.k, dec.domain)
+    arr = _rank_one_sum(dec.coefficients, [dec.vectors] * dec.k, dec.domain)
     return Tensor(dec.domain, arr)
 
 
@@ -419,14 +420,8 @@ def selection_map(cert: CreateTCertificate) -> LinearMap:
         )
     domain = cert.domain
     pre = cert.pre_map.array
-    M = np.zeros((k, d ** c), dtype=domain.dtype)
-    for j in range(k):
-        row = np.ones(1, dtype=domain.dtype)
-        for i in range(c):
-            row = domain.reduce(np.kron(row, pre[cert.columns[j][i]]))
-        if j == 0:
-            row = row * cert.scale
-        M[j] = domain.reduce(row)
+    M = _kron_rows([pre[[cert.columns[j][i] for j in range(k)]] for i in range(c)], domain)
+    M[0] = domain.reduce(M[0] * cert.scale)
     return LinearMap(domain, M)
 
 

@@ -5,6 +5,9 @@ A :class:`Tensor` is an immutable dense array tagged with a domain; a
 Module functions implement the operations every higher layer builds on:
 unit tensors, products, direct sums, per-leg map application, leg
 permutation, symmetry tests, supports, flattening ranks and matrix rank.
+Every Kronecker power of rows (power sums, support powers, selection
+rows) goes through one kernel, ``_kron_rows``, and every sum of rank-one
+terms through ``_rank_one_sum``.
 
 Conventions
 -----------
@@ -14,13 +17,13 @@ Conventions
   ``e_j`` is the second factor's dimension.  Certificates depend on this
   fixed merge order.
 * Dense storage only; the total entry count is capped at 2**24.
+* Complex JSON scalars are ``[re, im]``, with a signed zero written as 0.0.
 """
 
 from __future__ import annotations
 
 import cmath
 import hashlib
-import itertools
 import json
 import math
 from typing import Iterable, List, Sequence, Tuple
@@ -58,6 +61,7 @@ __all__ = [
 ]
 
 ENTRY_CAP = 1 << 24
+_BLOCK_ENTRIES = 1 << 16  # about the most entries one block of rows holds
 
 
 class TensorSizeError(ValueError):
@@ -220,19 +224,41 @@ def _apply_leg(M: np.ndarray, arr: np.ndarray, leg: int, domain: Domain) -> np.n
     return domain.reduce(np.matmul(M, blocks).reshape(before + (M.shape[0],) + after))
 
 
-def _power_sum(coefficients, vectors: np.ndarray, k: int, domain: Domain) -> np.ndarray:
-    """The array of sum_i coefficients[i] * vectors[i]^{(x)k}.
+def _kron_rows(factors: Sequence[np.ndarray], domain: Domain) -> np.ndarray:
+    """Row-wise Kronecker product: row i is factors[0][i] (x) ... (x) factors[-1][i].
 
-    Reduces after every product: k + 1 residues overflow int64 once
-    p^(k+1) > 2^63.
+    Reduces after every product, so int64 only ever holds two residues.
     """
-    total = domain.zeros((vectors.shape[1],) * k)
-    for coeff, vec in zip(coefficients, vectors):
-        term = np.array(coeff, dtype=domain.dtype)
-        for _ in range(k):
-            term = domain.reduce(np.multiply.outer(term, vec))
-        total = domain.reduce(total + term)
-    return total
+    out = factors[0]
+    for F in factors[1:]:
+        width = out.shape[1] * F.shape[1]
+        out = domain.reduce((out[:, :, None] * F[:, None, :]).reshape(len(out), width))
+    return out
+
+
+def _rank_one_sum(coefficients, factors: Sequence[np.ndarray], domain: Domain) -> np.ndarray:
+    """The array of sum_i coefficients[i] * factors[0][i] (x) ... (x) factors[-1][i].
+
+    One product left.T @ right of the row-wise Kronecker tables of the first
+    k // 2 legs (scaled by the coefficients) and of the rest, never a dense
+    term per row.  Terms go in blocks of rows, so no table is larger than
+    the output, the N x d factors it is built from or _BLOCK_ENTRIES.
+    """
+    c = np.asarray(coefficients, dtype=domain.dtype).reshape(-1, 1)
+    half = len(factors) // 2
+    shape = [F.shape[1] for F in factors]
+    cap = max(math.prod(shape), len(c) * max(shape, default=0), _BLOCK_ENTRIES)
+    step = max(1, cap // max(1, math.prod(shape[half:])))
+    total = None
+    for lo in range(0, max(len(c), 1), step):  # N = 0 still yields the zero array
+        rows = slice(lo, lo + step)
+        left = _kron_rows([c[rows], *(F[rows] for F in factors[:half])], domain)
+        right = _kron_rows([F[rows] for F in factors[half:]] or [np.ones_like(c[rows])], domain)
+        part = left.T @ right
+        if total is not None:
+            part += total
+        total = domain.reduce(part)
+    return total.reshape(shape)
 
 
 def apply_sym(A: LinearMap, f: Tensor) -> Tensor:
@@ -242,57 +268,37 @@ def apply_sym(A: LinearMap, f: Tensor) -> Tensor:
     return apply([A] * f.order, f)
 
 
-def apply_sym_power(A: LinearMap, f: Tensor, power: int, budget: int = 1 << 21) -> Tensor:
-    """apply_sym(A, f^{(x)power}) computed from the support of f alone.
+def apply_sym_power(A: LinearMap, f: Tensor, power: int) -> Tensor:
+    """apply_sym(A, f^{(x)power}) as one rank-one sum over the |supp(f)|^power
+    support entries of the power, which may itself exceed the dense cap.
 
-    Enumerates the |supp(f)|^power support combinations of the power
-    instead of materializing it, so the power itself may exceed the dense
-    entry cap.  A's columns are indexed by merged leg tuples of the power
-    (row-major, as tensor_power produces them).
+    Their values are the Kronecker power of f's support values; their merged
+    index on each leg (row-major, as tensor_power merges) is a Kronecker sum.
+    The entries times the r^k outputs are gated at 2^24 work units.
     """
     if not f.is_cubical:
         raise ValueError(f"symmetric application needs a cubical tensor, dims {f.dims}")
     if A.domain != f.domain:
         raise DomainError("domain mismatch between map and tensor")
+    if f.order < 1:
+        raise ValueError("symmetric application needs a tensor of order >= 1")
     d, k = f.dims[0], f.order
     if power < 1:
         raise ValueError(f"need power >= 1, got {power}")
     if A.cols != d ** power:
         raise ValueError(f"map has {A.cols} columns, expected {d}^{power}")
-    supp = support(f)
-    n_combos = len(supp) ** power
-    r = A.rows
-    work = n_combos * max(r, 1) ** k
-    if work > budget << 3:
+    supp = np.array(support(f), dtype=np.int64).reshape(-1, k)  # (S, k)
+    work = len(supp) ** power * max(A.rows, 1) ** k
+    if work > ENTRY_CAP:
         raise TensorSizeError(
-            f"support enumeration needs {work} work units, over budget {budget << 3}"
+            f"support enumeration needs {work} work units, over budget {ENTRY_CAP}"
         )
-    out = np.zeros((r,) * k, dtype=f.domain.dtype)
-    if not supp or r == 0:
-        return Tensor(f.domain, out)
-    supp_arr = np.array(supp, dtype=np.int64)  # (S, k)
-    vals = f.array[tuple(supp_arr.T)]  # (S,)
-    combos = np.array(
-        list(itertools.product(range(len(supp)), repeat=power)), dtype=np.int64
-    )  # (N, power)
-    weights = d ** np.arange(power - 1, -1, -1, dtype=np.int64)
-    cvals = vals[combos[:, 0]]
-    for t in range(1, power):
-        cvals = f.domain.reduce(cvals * vals[combos[:, t]])
-    tables = []  # per leg: (r, N) map values at the merged support columns
-    for leg in range(k):
-        merged = supp_arr[combos, leg] @ weights  # (N,)
-        tables.append(A.array[:, merged])
-    for out_idx in itertools.product(range(r), repeat=k):
-        term = cvals
-        for leg in range(k):
-            term = term * tables[leg][out_idx[leg]]
-            # int64 holds three residues below 2^16, so reduce after every
-            # second product and after the last
-            if leg % 2 or leg == k - 1:
-                term = f.domain.reduce(term)
-        out[out_idx] = f.domain.normalize(np.sum(term))
-    return Tensor(f.domain, f.domain.reduce(out))
+    values = _kron_rows([f.array[tuple(supp.T)].reshape(1, -1)] * power, f.domain)[0]
+    merged = supp  # (N, k): the column of A each support entry of the power meets per leg
+    for _ in range(power - 1):
+        merged = (merged[:, None] * d + supp[None]).reshape(-1, k)
+    factors = [A.array.T[columns] for columns in merged.T]
+    return Tensor(f.domain, _rank_one_sum(values, factors, f.domain))
 
 
 def permute_legs(f: Tensor, perm: Sequence[int]) -> Tensor:
@@ -372,7 +378,7 @@ def _scalar_to_json(domain: Domain, v):
     if isinstance(domain, PrimeField):
         return int(v) % domain.p
     v = complex(v)
-    return [v.real, v.imag]
+    return [v.real + 0.0, v.imag + 0.0]  # + 0.0 turns a -0.0 into 0.0
 
 
 def _scalar_from_json(domain: Domain, v):

@@ -562,3 +562,19 @@ def test_cli_fuzz_malformed_inputs(ws, tmp_path, capsys, data):
     else:
         assert code in (1, 2)
         assert re.fullmatch(r"error: [a-z-]+: [^\n]*\n", err), err
+
+
+def test_complex_json_has_no_negative_zeros(tmp_path, capsys):
+    """-0.0 == 0.0, so a signed zero (from a +0 scaled by a negative pivot
+    inverse) must not make two equal certificates print differently."""
+    printed = []
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        arr = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        if seed % 2:
+            arr = arr[:, :2] @ arr[2:, :]  # rank 2
+        path = tmp_path / f"m{seed}.json"
+        path.write_text(json.dumps(tensor_to_json(Tensor(C, arr))))
+        assert run(["subrank", "--tensor", str(path), "--json"]) == 0
+        printed.append(capsys.readouterr().out)
+    assert [i for i, out in enumerate(printed) if re.search(r"-0\.0(?![0-9e])", out)] == []

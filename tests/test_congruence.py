@@ -309,3 +309,69 @@ def test_power_diag_multinomial_sizes():
         power_diag_certificate(L, 3)  # 2 pivots cannot split an odd power
     with pytest.raises(CongruenceError):
         power_diag_certificate(Tensor(F5, [[1, 2], [0, 1]]), 2)  # not triangular
+
+
+def _pair_value(L, T1, T2, domain):
+    """The entry of L^(tensor n) at (T1, T2) by the product formula."""
+    if domain is C:
+        return complex(np.prod([L[a, b] for a, b in zip(T1, T2)]))
+    return int(np.prod([int(L[a, b]) for a, b in zip(T1, T2)], dtype=object)) % domain.p
+
+
+@pytest.mark.parametrize("domain", [F3, F7, F1009, C])
+def test_power_diag_matches_the_pairwise_product_formula(domain):
+    rng = np.random.default_rng(19)
+    for trial in range(6):
+        d = 2 + trial % 2
+        if domain is C:
+            L = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        else:
+            L = rng.integers(0, domain.p, size=(d, d))
+            L[np.diag_indices(d)] = rng.integers(1, domain.p, size=d)
+        L = np.tril(L)
+        if trial >= 4:
+            L[1, 1] = 0  # one pivot fewer
+        r = d - (trial >= 4)
+        for n in range(r, 7, r):
+            res = power_diag_certificate(Tensor(domain, L), n)
+            assert res.merged_indices == [
+                sum(t * d ** (n - 1 - pos) for pos, t in enumerate(T)) for T in res.tuples
+            ]
+            for i, T1 in enumerate(res.tuples):
+                want = _pair_value(L, T1, T1, domain)
+                assert res.diag_values[i] == pytest.approx(want, rel=1e-12, abs=0)
+                for T2 in res.tuples:
+                    if T2 != T1:
+                        assert domain.is_zero(_pair_value(L, T1, T2, domain))
+            power = np.ones((1, 1), dtype=L.dtype)
+            for _ in range(n):
+                power = np.kron(power, L)
+            sub = power[np.ix_(res.merged_indices, res.merged_indices)]
+            if domain is C:
+                assert np.allclose(sub, np.diag(res.diag_values), rtol=0, atol=1e-9)
+            else:
+                assert np.array_equal(sub % domain.p, np.diag(res.diag_values))
+
+
+def test_power_diag_spanning_several_row_blocks():
+    """r = 4, n = 8: 2,520 arrangements, about 26 rows per checked block."""
+    L = np.tril(np.random.default_rng(23).integers(1, 1009, size=(5, 5)))
+    L[2, 2] = 0
+    res = power_diag_certificate(Tensor(F1009, L), 8)
+    assert res.size == len(res.tuples) == 2520 and res.pivots == [0, 1, 3, 4]
+    assert res.diag_values == [_pair_value(L, T, T, F1009) for T in res.tuples]
+    rng = np.random.default_rng(29)
+    for i, j in rng.integers(0, res.size, size=(200, 2)):
+        want = _pair_value(L, res.tuples[i], res.tuples[j], F1009)
+        assert (want == 0) == (i != j)
+
+
+def test_power_diag_reports_a_degenerate_complex_block():
+    """Within the tolerance an upper entry reads as zero and a pivot as
+    nonzero, while their products may not: both faults are raised."""
+    tiny = Tensor(C, [[1e-5, 0], [0, 1e-5]])
+    with pytest.raises(congruence.PivotSearchExhaustedError, match="zero on the extracted"):
+        power_diag_certificate(tiny, 2)
+    leaky = Tensor(C, [[1, 1e-10], [1e5, 1]])
+    with pytest.raises(congruence.PivotSearchExhaustedError, match="not diagonal"):
+        power_diag_certificate(leaky, 2)

@@ -63,6 +63,18 @@ def test_h_of_large_order_is_gated_before_allocation():
     assert peak < 10 * 2**20
 
 
+def test_waring_h_holds_no_dense_term_per_power():
+    """The order-7 check holds h and the reconstruction (7^7 complex entries
+    each) plus two half-leg tables, not a dense 7^7 term beside the total."""
+    tracemalloc.start()
+    try:
+        waring_h(7, C)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 7**7 * 16
+
+
 def test_waring_h_characteristic_guard():
     with pytest.raises(DomainError):
         waring_h(3, F3)

@@ -11,6 +11,7 @@ from symsub import (
     apply_sym,
     apply_sym_power,
     direct_sum,
+    domain_from_name,
     flattening_rank,
     identity_map,
     is_symmetric,
@@ -28,6 +29,7 @@ from symsub import (
     tensors_equal,
     unit_tensor,
 )
+from symsub.tensors import _kron_rows, _rank_one_sum
 
 
 def test_tensor_is_reduced_and_frozen():
@@ -164,3 +166,55 @@ def test_tensor_id_is_stable_and_content_sensitive():
     assert len(a) == 16 and int(a, 16) >= 0
     assert a != tensor_id(w_tensor(F7))
     assert a != tensor_id(unit_tensor(2, 3, F5))
+
+
+def _rank_one_reference(coefficients, factors):
+    """sum_i c_i * factors[0][i] (x) ... (x) factors[-1][i], one term at a time."""
+    total = np.zeros([F.shape[1] for F in factors], dtype=object)
+    for i, c in enumerate(coefficients):
+        term = np.array(np.asarray(c).item(), dtype=object)  # a Python int or complex
+        for F in factors:
+            term = np.multiply.outer(term, F[i].astype(object))
+        total = total + term
+    return total
+
+
+@pytest.mark.parametrize("name", ["F2", "F3", "F65521", "C"])
+def test_row_kernels_match_term_by_term_reference(name):
+    domain = domain_from_name(name)
+    rng = np.random.default_rng(7)
+
+    def draw(shape):
+        if name == "C":
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return rng.integers(max(0, domain.p - 3), domain.p, size=shape)
+
+    for n_terms, widths in [(0, (2, 3)), (3, (4,)), (5, (2, 0, 3)), (4, (3, 1, 2, 2)),
+                            (6, (2, 2, 2, 2, 2)), (1, (0,)), (7, (3, 3, 3)),
+                            (300, (2, 30, 30))]:  # the last sums five row blocks
+        factors = [domain.asarray(draw((n_terms, w))) for w in widths]
+        coefficients = domain.asarray(draw(n_terms))
+        want = _rank_one_reference(coefficients, factors)
+        got = _rank_one_sum(coefficients, factors, domain)
+        rows = _kron_rows(factors, domain)
+        want_rows = np.zeros((n_terms, int(np.prod(widths))), dtype=object)
+        for i in range(n_terms):
+            want_rows[i] = _rank_one_reference([1], [F[i:i + 1] for F in factors]).reshape(-1)
+        assert got.shape == want.shape and rows.shape == want_rows.shape
+        if name == "C":
+            scale = max(1, np.abs(want).max(initial=0))
+            assert np.allclose(got, want.astype(complex), rtol=0, atol=1e-12 * scale)
+            assert np.allclose(rows, want_rows.astype(complex), rtol=1e-12, atol=0)
+        else:
+            assert got.dtype == rows.dtype == np.int64
+            assert got.tobytes() == (want % domain.p).astype(np.int64).tobytes()
+            assert rows.tobytes() == (want_rows % domain.p).astype(np.int64).tobytes()
+    # order 0: the sum of the coefficients
+    coefficients = domain.asarray(draw(4))
+    got = _rank_one_sum(coefficients, [], domain)
+    assert got.shape == () and domain.arrays_equal(got, np.asarray(coefficients.sum()))
+
+
+def test_apply_sym_power_rejects_order_zero():
+    with pytest.raises(ValueError, match="order >= 1"):
+        apply_sym_power(LinearMap(F5, [[1]]), Tensor(F5, 3), 1)
