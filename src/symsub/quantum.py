@@ -17,6 +17,12 @@ tries is an elementwise scaling by exp(t lam) on every leg of one image, that
 of the maps U^H g (``_step_value``).  One cached fancy index gives all k
 flattenings of a tensor, and one batched product all its marginals.
 
+No entropy here exceeds log2 d, the value of a start whose marginals are
+maximally mixed (the critical case; unit tensors start there).  An ascent
+stops once a step gains less than ``tolerance``, and by the same rule a run
+ends once a start is within ``tolerance`` of log2 d: later starts can only
+tie.
+
 All entropies are in bits, matching F = 2**E.  Spectra come from LAPACK
 through ``np.linalg.eigvalsh``; the matrices here are at most 6x6.
 """
@@ -285,6 +291,9 @@ class OptimizerOptions:
     ``restarts`` counts seeded random starts run in addition to the identity
     start; ``initial`` optionally replaces the identity start with given
     map(s), which is how product points seed product tensors.
+    ``tolerance`` ends a start's ascent once a step gains less than it, and
+    ends the run once a start is within it of the bound log2 d; with 0 every
+    start runs unless one reaches log2 d itself.
     """
 
     restarts: int = 8
@@ -427,7 +436,6 @@ def _orbit_optimize(
         return value, maps, iterations, gnorm
 
     eye = np.eye(d, dtype=np.complex128)
-    starts: List[np.ndarray] = []
     if opts.initial is not None:
         given = tuple(np.array(g, dtype=np.complex128) for g in opts.initial)
         if len(given) != n_maps or any(g.shape != (d, d) for g in given):
@@ -436,23 +444,31 @@ def _orbit_optimize(
             )
         if not np.any(_image(arr, _legs(given, k))):
             raise QuantumError("initial point maps the tensor to zero")
-        starts.append(np.array(given))
+        first = np.array(given)
     else:
-        starts.append(np.array([eye] * n_maps))
-    for idx in range(1, opts.restarts + 1):
+        first = np.array([eye] * n_maps)
+
+    def start(idx: int) -> np.ndarray:
+        if idx == 0:
+            return first
         rng = np.random.default_rng([opts.seed, idx])
-        starts.append(np.array([
+        return np.array([
             eye + 0.25 * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
             for _ in range(n_maps)
-        ]))
+        ])
 
+    # no entropy exceeds log2 d, so once a start is within tolerance of it
+    # no later start can win by more than tolerance
+    bound = math.log2(d) - opts.tolerance
     best: Optional[Tuple[float, np.ndarray, float]] = None
     total_iterations = 0
-    for maps0 in starts:
-        value, maps, iterations, gnorm = ascend(maps0)
+    for idx in range(max(opts.restarts, 0) + 1):  # a negative count runs the first start
+        value, maps, iterations, gnorm = ascend(start(idx))
         total_iterations += iterations
         if best is None or value > best[0]:
             best = (value, maps, gnorm)
+        if best[0] >= bound:
+            break
 
     entropy, maps, gnorm = best
     image = _image(arr, _legs(maps, k))
@@ -469,7 +485,7 @@ def _orbit_optimize(
     return QuantumFunctionalResult(
         value=float(2.0 ** entropy),
         point=point,
-        restarts=len(starts),
+        restarts=idx + 1,
         iterations=total_iterations,
         gradient_norm=gnorm,
     )

@@ -21,6 +21,7 @@ except ``remove_powers``/``create_t`` which only divide by field values.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -36,6 +37,7 @@ from .tensors import (
     LinearMap,
     Tensor,
     TensorSizeError,
+    _BLOCK_ENTRIES,
     _apply_leg,
     _kron_rows,
     _rank_one_sum,
@@ -99,14 +101,18 @@ def _char_guard(domain: Domain, k: int) -> None:
 # h and its Waring decomposition
 # ---------------------------------------------------------------------------
 
-def fully_symmetric(k: int, domain: Domain) -> Tensor:
-    """The order-k dimension-k tensor with entry 1 on every permutation
-    of (0, ..., k-1) and 0 elsewhere."""
+def _h_gate(k: int) -> None:
     if k < 2:
         raise ValueError(f"need order >= 2, got {k}")
     # k^k entries; the float test is exact at the cap's edge, 8^8 = 2^24
     if k * math.log2(k) > math.log2(ENTRY_CAP):
         raise TensorSizeError(f"h of order {k} needs {k}^{k} entries, over the dense cap of 2**24")
+
+
+def fully_symmetric(k: int, domain: Domain) -> Tensor:
+    """The order-k dimension-k tensor with entry 1 on every permutation
+    of (0, ..., k-1) and 0 elsewhere."""
+    _h_gate(k)
     arr = np.zeros((k,) * k, dtype=domain.dtype)
     for perm in itertools.permutations(range(k)):
         arr[perm] = 1
@@ -131,13 +137,30 @@ def waring_reconstruct(dec: WaringDecomposition) -> Tensor:
 def waring_h(k: int, domain: Domain) -> WaringDecomposition:
     """h as (1/2^{k-1}) sum over signs eps in {+-1}^{k-1} of
     (prod eps) (e_1 + eps_2 e_2 + ... + eps_k e_k)^{(x)k}, checked against
-    h itself (gated on its k^k entries)."""
+    h itself (gated on its k^k entries).
+
+    The sum is the product left.T @ right of the tables of the first k // 2
+    legs and of the rest, as in ``waring_reconstruct``, formed one block of
+    output rows at a time; h's block is 1 exactly where the indices form a
+    permutation, so neither array is ever held whole.
+    """
     _char_guard(domain, k)
-    h = fully_symmetric(k, domain)
+    _h_gate(k)
     dec = _waring_terms(k, domain)
-    # the identity is exact (dyadic coefficients), so compare bit-for-bit
-    if not np.array_equal(waring_reconstruct(dec).array, h.array):
-        raise AssertionError("internal error: decomposition failed to reconstruct")
+    half = k // 2
+    c = np.asarray(dec.coefficients, dtype=domain.dtype).reshape(-1, 1)
+    left = _kron_rows([c] + [dec.vectors] * half, domain).T
+    right = _kron_rows([dec.vectors] * (k - half), domain)
+    # index i sets bit i: k indices form a permutation iff they set all k bits
+    bits = [1 << np.arange(k)]
+    lead = functools.reduce(np.bitwise_or.outer, bits * half).ravel()
+    rest = functools.reduce(np.bitwise_or.outer, bits * (k - half)).ravel()
+    step = max(1, _BLOCK_ENTRIES // len(rest))  # one block up to k = 6
+    for lo in range(0, len(lead), step):
+        h = (lead[lo:lo + step, None] | rest) == (1 << k) - 1
+        # the identity is exact (dyadic coefficients), so compare bit-for-bit
+        if not np.array_equal(domain.reduce(left[lo:lo + step] @ right), h):
+            raise AssertionError("internal error: decomposition failed to reconstruct")
     return dec
 
 

@@ -175,6 +175,56 @@ def test_functional_product_seeding_reaches_square():
     assert res2.value >= res1.value**2 - 1e-6
 
 
+@pytest.mark.parametrize("mode", ["sym", "uniform"])
+@pytest.mark.parametrize("r,k", [(r, k) for r in range(1, 5) for k in range(2, 5) if r**k <= 256])
+def test_unit_tensor_ends_the_run_after_the_identity_start(r, k, mode):
+    """<r> is critical: its identity start has maximally mixed marginals,
+    entropy log2 r, so the run ends there, with the result of that start
+    alone."""
+    fn = sym_quantum_functional if mode == "sym" else uniform_quantum_functional
+    f = unit_tensor(r, k, C)
+    res = fn(f)
+    alone = fn(f, OptimizerOptions(restarts=0))
+    assert (res.restarts, res.iterations) == (1, 1)
+    assert res.value == alone.value
+    assert res.gradient_norm == alone.gradient_norm
+    assert res.point.spectrum == alone.point.spectrum
+    assert res.point.tensor.array.tobytes() == alone.point.tensor.array.tobytes()
+    assert [g.tobytes() for g in res.point.maps] == [g.tobytes() for g in alone.point.maps]
+
+
+@pytest.mark.parametrize("mode", ["sym", "uniform"])
+def test_initial_start_onto_a_unit_tensor_ends_the_run(mode):
+    """f = A^(x)3 <3>: the identity start runs every restart, while the
+    start A^-1 maps f onto <3> and ends the run after that start."""
+    fn = sym_quantum_functional if mode == "sym" else uniform_quantum_functional
+    rng = np.random.default_rng(3)
+    A = np.eye(3) + 0.5 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    f = Tensor(C, np.einsum("ia,jb,kc,abc->ijk", A, A, A, unit_tensor(3, 3, C).array))
+    assert fn(f, OptimizerOptions(restarts=4)).restarts == 5
+    initial = (np.linalg.inv(A),) * (1 if mode == "sym" else 3)
+    res = fn(f, OptimizerOptions(restarts=4, initial=initial))
+    assert (res.restarts, res.iterations) == (1, 1)
+    assert res.value == pytest.approx(3, abs=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["sym", "uniform"])
+def test_zero_tolerance_runs_every_start(mode):
+    """With tolerance 0 and a fixed iteration budget a generic tensor stays
+    below log2 d, so every start runs, each for the whole budget."""
+    fn = sym_quantum_functional if mode == "sym" else uniform_quantum_functional
+    f = random_unit_tensor(np.random.default_rng(16), (3, 3, 3))
+    res = fn(f, OptimizerOptions(restarts=3, iterations=12, tolerance=0.0))
+    assert (res.restarts, res.iterations) == (4, 48)
+    assert res.value < 3
+
+
+def test_negative_restarts_run_the_first_start_only():
+    res = sym_quantum_functional(w_tensor(C), OptimizerOptions(restarts=-2))
+    alone = sym_quantum_functional(w_tensor(C), OptimizerOptions(restarts=0))
+    assert (res.restarts, res.value) == (1, alone.value)
+
+
 def hermitian_basis(d):
     """A real basis of the d x d Hermitian matrices."""
     basis = []

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -16,6 +17,7 @@ from symsub import (
     apply_sym,
     apply_sym_power,
     create_t,
+    domain_from_name,
     flattening_rank,
     fully_symmetric,
     is_symmetric,
@@ -33,6 +35,9 @@ from symsub import (
     waring_h,
     waring_reconstruct,
 )
+from symsub import symmetrize
+
+F11 = domain_from_name("F11")
 
 
 def test_fully_symmetric_support():
@@ -73,6 +78,31 @@ def test_waring_h_holds_no_dense_term_per_power():
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * 7**7 * 16
+
+
+def test_waring_h_checks_h_one_block_of_rows_at_a_time():
+    """h of order 8 and the sum of its 128 terms take 8^8 complex entries
+    (256 MiB) each; the check holds one block of their rows at a time."""
+    tracemalloc.start()
+    try:
+        dec = waring_h(8, C)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**20
+    assert len(dec.coefficients) == len(dec.vectors) == 128
+
+
+@pytest.mark.parametrize("k,domain", [(3, F7), (7, F11), (7, C)])
+def test_waring_h_rejects_a_wrong_sum(k, domain, monkeypatch):
+    """One term with the wrong sign fails the check, in one block (k = 3)
+    or in the first of several (k = 7)."""
+    right = symmetrize._waring_terms(k, domain)
+    coefficients = (domain.normalize(-right.coefficients[0]),) + right.coefficients[1:]
+    wrong = dataclasses.replace(right, coefficients=coefficients)
+    monkeypatch.setattr(symmetrize, "_waring_terms", lambda k, domain: wrong)
+    with pytest.raises(AssertionError, match="failed to reconstruct"):
+        waring_h(k, domain)
 
 
 def test_waring_h_characteristic_guard():
