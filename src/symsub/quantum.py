@@ -95,11 +95,13 @@ def jacobi_eigh(matrix) -> np.ndarray:
 
 
 def _entropy_bits(values: Sequence[float]) -> float:
+    """Entropy in bits of a spectrum, clipped to [0, log2 of its length]:
+    rounding can carry the sum a little past either bound."""
     total = 0.0
     for v in values:
         if v > _EIG_FLOOR:
             total -= v * math.log2(v)
-    return max(total, 0.0)
+    return min(max(total, 0.0), math.log2(max(len(values), 1)))
 
 
 # ---------------------------------------------------------------------------

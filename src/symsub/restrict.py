@@ -12,10 +12,15 @@ every map.  A search raises when the number of representatives (or maps)
 it could enumerate, :attr:`SearchInfeasibleError.required`, exceeds its
 budget.
 
-Every search draws its rows from :func:`_row_blocks`.  Symmetric searches
-share one batched branch and bound, :func:`_sym_dfs`; :func:`symsubrank_exact`
-runs it once, from the least flattening rank of f.  The plain search,
-:func:`_restriction_dfs`, solves the last leg for blocks of map tuples at once.
+Every search draws its rows from :func:`_row_blocks`.  The symmetric search
+for <e>, :func:`_sym_dfs`, is a branch and bound over int bitsets of the rows
+that pass the root: each row's bitset of compatible later rows (its pair
+row) is computed once, a child's candidates are its parent's ANDed with the
+chosen row's pair row, and a branch stops once its rows plus candidates
+cannot beat the best set.  :func:`symsubrank_exact` runs it once, from the
+least flattening rank of f; other targets take :func:`_sym_map_dfs`.  The
+plain search, :func:`_restriction_dfs`, solves the last leg for blocks of
+map tuples at once.
 
 Determinism: canonical representatives are enumerated in lexicographic order
 of their rows, and the first certificate found is returned (for
@@ -147,8 +152,9 @@ def symrestriction_exists(
     """Search for A with A^{(x)k} f = g; None after exhaustive refutation.
 
     Prime fields only.  Rows of A are extended one at a time in lexicographic
-    order (:func:`_sym_dfs`); a partial map survives only while every
-    already-determined entry of the image matches g.  For g = <e> the rows
+    order (:func:`_sym_dfs` for g = <e>, :func:`_sym_map_dfs` otherwise); a
+    partial map survives only while every already-determined entry of the
+    image matches g.  For g = <e> the rows
     are nonzero, strictly increasing, and each the least in its orbit under
     the k-th roots of unity: (P D A)^{(x)k} f = <e> whenever
     A^{(x)k} f = <e>, for a permutation P and a diagonal D with D^k = I.
@@ -164,8 +170,8 @@ def symrestriction_exists(
     _check_sym_budget(f, e, unit, budget)
     if e == 0:
         return _certified_sym(np.zeros((0, d), dtype=np.int64), g, f)
-    leads = _root_orbit_leads(f.domain.p, k) if unit else None
-    rows = _sym_dfs(g.array, f.array, f.domain.p, leads, floor=e - 1)
+    p = f.domain.p
+    rows = _sym_dfs(g.array, f.array, p, e - 1) if unit else _sym_map_dfs(g.array, f.array, p)
     return _certified_sym(rows, g, f) if len(rows) else None
 
 
@@ -231,55 +237,129 @@ def _certified_sym(rows: np.ndarray, g: Tensor, f: Tensor) -> Certificate:
     return cert
 
 
-def _sym_dfs(
-    G: np.ndarray, F: np.ndarray, p: int, leads: Optional[Sequence[int]], floor: int
-) -> np.ndarray:
-    """Rows of A with A^{(x)k} F = G[:r, ..., :r] for the largest r in
-    (floor, len(G)], by branch and bound; no rows when no such r has one.
+def _sym_dfs(G: np.ndarray, F: np.ndarray, p: int, floor: int) -> np.ndarray:
+    """Rows of A with A^{(x)k} F = G[:r, ..., :r] (G = <e>) for the largest r
+    in (floor, e], by branch and bound; no rows when no such r has one.
 
-    A node keeps each candidate row under which the image equals G's
-    leading block, scoring all candidates in batched contractions
-    (:func:`_images`).  With ``leads`` (G = <e>) rows strictly increase, and
-    as a row kept under rows 0..i is kept under rows 0..i-1, a child's
-    candidates are its parent's survivors after the chosen row; a branch
-    stops once it cannot beat the largest set so far, and the result is the
-    lexicographically first largest set.
+    Rows strictly increase, each the least in its orbit under the k-th roots
+    of unity.  The root keeps the rows c with F(c, ..., c) = 1 (the first
+    such block when e = 1).  Each survivor's pair row, the int bitset of the
+    later survivors whose two-row image with it is <2>, is computed once, in
+    blocks of vertices that double (:func:`_pair_rows`).  A child's
+    candidates are its parent's after the chosen row ANDed with that row's
+    pair row, so for k = 2 this is a maximum-clique search; for k >= 3 a
+    node with two rows or more also scores its candidates.  A branch stops
+    once its rows and candidates cannot beat the largest set so far; the
+    result is the lexicographically first largest set.
     """
     k, d, e = F.ndim, F.shape[0], G.shape[0]
     leading = [G[(slice(0, i + 1),) * k].reshape(-1) % p for i in range(e)]
     size = max(1, _BLOCK_ENTRIES // max(1, e * d ** (k - 1)))
-    best: List = [floor, np.zeros((0, d), dtype=np.int64)]
+    rows = np.zeros((0, d), dtype=np.int64)
+    for cand in _row_blocks(p, d, _root_orbit_leads(p, k), size):
+        maps = _stacked(rows[:0], cand)
+        rows = np.concatenate((rows, cand[(_images(maps, F, p) == leading[0]).all(axis=1)]))
+        if e == 1 and len(rows):
+            break
+    n = len(rows)
+    step = max(1, _BLOCK_ENTRIES // (2 * d ** (k - 1)))  # pairs scored at once
+    pairs: Dict[int, int] = {}
+    width = [1]  # vertices in the next block of pair rows: doubles up to the cap
+    best: List = [floor, []]
 
-    def extend(rows: np.ndarray, blocks) -> bool:
-        """Search below ``rows``; True once e rows are found."""
-        i = len(rows)
-        found = [np.zeros((0, d), dtype=np.int64)]
-        for cand in blocks:
-            maps = np.empty((len(cand), i + 1, d), dtype=np.int64)
-            maps[:, :i] = rows
-            maps[:, i] = cand
-            found.append(cand[(_images(maps, F, p) == leading[i]).all(axis=1)])
-            if i + 1 == e and len(found[-1]):
-                break
-        found = np.concatenate(found)
-        for j in range(len(found)):
-            if leads is not None and i + len(found) - j <= best[0]:
-                break
-            grown = np.concatenate((rows, found[j:j + 1]))
+    def pair_row(v: int) -> int:
+        if v not in pairs:
+            todo = [w for w in range(v, min(n, v + width[0])) if w not in pairs]
+            pairs.update(zip(todo, _pair_rows(rows, np.array(todo), F, leading[1], p, step)))
+            width[0] = min(2 * width[0], max(1, step // n))
+        return pairs[v]
+
+    def extend(chosen: List[int], found: int) -> bool:
+        """Search below the survivors ``chosen``, whose candidates are the
+        bits of ``found``; True once e rows are found."""
+        i = len(chosen)
+        if k > 2 and i >= 2:
+            idx = np.flatnonzero(np.unpackbits(np.frombuffer(
+                found.to_bytes((n + 7) // 8, "little"), dtype=np.uint8), bitorder="little"))
+            keep = np.zeros(n, dtype=bool)
+            for lo in range(0, len(idx), size):
+                block = idx[lo:lo + size]
+                maps = _stacked(rows[chosen], rows[block])
+                keep[block[(_images(maps, F, p) == leading[i]).all(axis=1)]] = True
+                if i + 1 == e and keep.any():
+                    break
+            found = _bitset(keep)
+        while found and i + found.bit_count() > best[0]:
+            j = (found & -found).bit_length() - 1
+            found &= found - 1
+            grown = chosen + [j]
             if i + 1 > best[0]:
                 best[:] = [i + 1, grown]
                 if i + 1 == e:
                     return True
-            if leads is None:
-                rest = _row_blocks(p, d, None, size)
-            else:
-                rest = (found[lo:lo + size] for lo in range(j + 1, len(found), size))
-            if extend(grown, rest):
+            if extend(grown, found & pair_row(j)):
                 return True
         return False
 
-    extend(np.zeros((0, d), dtype=np.int64), _row_blocks(p, d, leads, size))
-    return best[1]
+    extend([], (1 << n) - 1)
+    return rows[best[1]]
+
+
+def _stacked(rows: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """The maps (rows; c) for the candidate rows c, one stack.  Callers keep
+    it in a local until the next block's is made: freed at once, it lets
+    malloc trim the heap, and a long scan then page-faults about 5x as often."""
+    maps = np.empty((len(cand), len(rows) + 1, cand.shape[1]), dtype=np.int64)
+    maps[:, :-1] = rows
+    maps[:, -1] = cand
+    return maps
+
+
+def _bitset(mask: np.ndarray) -> int:
+    """The int whose bit u is mask[u]."""
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+
+
+def _pair_rows(rows: np.ndarray, vs: np.ndarray, F: np.ndarray, lead: np.ndarray,
+               p: int, step: int) -> List[int]:
+    """For each v in the ascending ``vs``, the bitset of the later rows u
+    with (rows[v]; rows[u])^{(x)k} F = ``lead``: each v is paired with every
+    row after vs[0], ``step`` pairs a stack, and the bits up to v cleared."""
+    first, d = int(vs[0]) + 1, rows.shape[1]
+    maps = np.empty((len(vs), len(rows) - first, 2, d), dtype=np.int64)
+    maps[:, :, 0] = rows[vs, None]
+    maps[:, :, 1] = rows[first:]
+    maps = maps.reshape(-1, 2, d)
+    ok = np.zeros(len(maps), dtype=bool)
+    for lo in range(0, len(maps), step):
+        ok[lo:lo + step] = (_images(maps[lo:lo + step], F, p) == lead).all(axis=1)
+    packed = np.packbits(ok.reshape(len(vs), -1), axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") << first >> v + 1 << v + 1
+            for v, row in zip(vs.tolist(), packed)]
+
+
+def _sym_map_dfs(G: np.ndarray, F: np.ndarray, p: int) -> np.ndarray:
+    """The first map A, in lexicographic order of its rows, with
+    A^{(x)k} F = G (no rows when there is none): a node scores every row in
+    batched contractions and keeps those under which the image equals G's
+    leading block."""
+    k, d, e = F.ndim, F.shape[0], G.shape[0]
+    size = max(1, _BLOCK_ENTRIES // max(1, e * d ** (k - 1)))
+
+    def extend(rows: np.ndarray) -> Optional[np.ndarray]:
+        if len(rows) == e:
+            return rows
+        lead = G[(slice(0, len(rows) + 1),) * k].reshape(-1) % p
+        for cand in _row_blocks(p, d, None, size):
+            maps = _stacked(rows, cand)
+            for row in cand[(_images(maps, F, p) == lead).all(axis=1)]:
+                found = extend(np.concatenate((rows, row[None])))
+                if found is not None:
+                    return found
+        return None
+
+    found = extend(np.zeros((0, d), dtype=np.int64))
+    return np.zeros((0, d), dtype=np.int64) if found is None else found
 
 
 def _images(maps: np.ndarray, F: np.ndarray, p: int) -> np.ndarray:
@@ -510,8 +590,7 @@ def _symsubrank_from(f: Tensor, r0: int, budget: int) -> Tuple[int, Certificate]
     rows = np.zeros((0, d), dtype=np.int64)
     if r0:
         _check_sym_budget(f, r0, True, budget)
-        rows = _sym_dfs(unit_tensor(r0, k, f.domain).array, f.array, p,
-                        _root_orbit_leads(p, k), floor=0)
+        rows = _sym_dfs(unit_tensor(r0, k, f.domain).array, f.array, p, floor=0)
     return len(rows), _certified_sym(rows, unit_tensor(len(rows), k, f.domain), f)
 
 

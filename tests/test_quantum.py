@@ -383,3 +383,13 @@ def test_marginal_equality_on_symmetric_tensors():
     assert marginal_equality_check(w_tensor(C)) <= 1e-12
     lopsided = Tensor(C, np.arange(8.0).reshape(2, 2, 2))
     assert marginal_equality_check(lopsided) > 1e-3
+
+
+def test_no_value_exceeds_its_supremum_d():
+    """Rounding used to carry the entropy past log2 d: this run reported
+    3.0000000000000004 for a supremum of 3."""
+    f = random_unit_tensor(np.random.default_rng(1), (3, 3, 3))
+    res = sym_quantum_functional(f, OptimizerOptions(restarts=3, tolerance=0.0))
+    assert res.value == 3.0
+    for d in range(1, 9):
+        assert quantum._entropy_bits([1 / d] * d) <= np.log2(d)

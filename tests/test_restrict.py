@@ -316,6 +316,17 @@ def every_symmetric_tensor(domain, d, k):
         yield Tensor(domain, arr)
 
 
+def unit_hits(maps, f):
+    """Indices of the maps A in the stack ``maps`` (m x r x d) with
+    A^{(x)k} f = <r>, for f of any order k."""
+    p, k, r = f.domain.p, f.order, maps.shape[1]
+    image = np.broadcast_to(f.array, (len(maps),) + f.dims)
+    for _ in range(k):  # contract the leading leg, its image goes last
+        image = np.einsum("aix,ax...->a...i", maps, image) % p
+    unit = unit_tensor(r, k, f.domain).array
+    return np.flatnonzero(np.all(image == unit, axis=tuple(range(1, k + 1))))
+
+
 def first_unit_rows(f, r):
     """The lexicographically first ascending r rows, each the least in its
     orbit under the k-th roots of unity, with A^{(x)k} f = <r>; None if
@@ -326,13 +337,8 @@ def first_unit_rows(f, r):
         v for v in itertools.product(range(p), repeat=d)
         if any(v) and all(v <= tuple(z * x % p for x in v) for z in roots)
     ]
-    maps = np.array(list(itertools.combinations(rows, r)), dtype=np.int64)
-    if k == 2:
-        image = np.einsum("aix,xy,ajy->aij", maps, f.array, maps)
-    else:
-        image = np.einsum("aix,ajy,akz,xyz->aijk", maps, maps, maps, f.array)
-    unit = unit_tensor(r, k, f.domain).array
-    hits = np.flatnonzero(np.all(image % p == unit, axis=tuple(range(1, k + 1))))
+    maps = np.array(list(itertools.combinations(rows, r)), dtype=np.int64).reshape(-1, r, d)
+    hits = unit_hits(maps, f)
     return maps[hits[0]].tolist() if len(hits) else None
 
 
@@ -354,6 +360,41 @@ def test_symsubrank_matches_brute_force(cases):
         assert value == f.dims[0] or not brute_symrestricts(f, value + 1), f.array.tolist()
         rows = cert.maps[0].array.tolist()
         assert rows == (first_unit_rows(f, value) if value else []), f.array.tolist()
+
+
+def pairwise_but_not_triple():
+    """<3> of order 3 over F2 plus a 1 at (0, 1, 2): every two of e_0, e_1,
+    e_2 map it onto <2>, but the three together do not map it onto <3>."""
+    arr = unit_tensor(3, 3, F2).array.copy()
+    arr[0, 1, 2] = 1
+    return Tensor(F2, arr)
+
+
+@pytest.mark.parametrize(
+    "cases",
+    [
+        lambda: every_symmetric_tensor(F2, 2, 4),
+        lambda: every_symmetric_tensor(F3, 2, 4),
+        lambda: [pairwise_but_not_triple()],
+    ],
+    ids=["all-symmetric-2x2x2x2-F2", "all-symmetric-2x2x2x2-F3", "pairwise-not-triple-3x3x3-F2"],
+)
+def test_symsubrank_matches_brute_force_beyond_pairs(cases):
+    """For k >= 3 rows that are pairwise compatible need not be compatible
+    together: the value is the largest e reached by some map, no map
+    reaches e + 1, and the certificate is the first representative."""
+    for f in cases():
+        p, d = f.domain.p, f.dims[0]
+        value, cert = symsubrank_exact(f)
+        assert cert.maps[0].array.tolist() == (first_unit_rows(f, value) if value else [])
+        assert value == d or not len(unit_hits(all_maps(value + 1, d, p), f)), f.array.tolist()
+
+
+def test_pairwise_compatible_rows_need_not_form_a_unit():
+    f = pairwise_but_not_triple()
+    assert len(unit_hits(np.eye(3, dtype=np.int64)[[[0, 1], [0, 2], [1, 2]]], f)) == 3
+    assert symsubrank_exact(f)[0] == 2
+    assert symrestriction_exists(unit_tensor(3, 3, F2), f) is None
 
 
 def test_symsubrank_budget_gate_counts_the_least_flattening_rank():
