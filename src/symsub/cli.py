@@ -19,66 +19,15 @@ import hashlib
 import json
 import sys
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-import numpy as np
+from ._common import DEFAULT_BUDGET
 
-from .congruence import (
-    CongruenceError,
-    PivotSearchExhaustedError,
-    ballantine_reduce,
-    congruence_result_to_json,
-    matrix_symsubrank,
-    sym_diagonalize,
-)
-from .domains import DomainError, domain_from_name
-from .hypergraphs import (
-    Hypergraph,
-    HypergraphError,
-    alpha_chain_check,
-    capacity_lower,
-    hypergraph_from_json,
-    independence_number,
-    induced_matching_number,
-    strong_power,
-)
-from .quantum import (
-    OptimizerOptions,
-    QuantumError,
-    marginal_equality_check,
-    sandwich_check,
-    sym_quantum_functional,
-    uniform_quantum_functional,
-)
-from .restrict import (
-    DEFAULT_BUDGET,
-    Certificate,
-    SearchInfeasibleError,
-    certificate_from_json,
-    certificate_to_json,
-    reconstruct_waring,
-    subrank_exact,
-    symrank_small,
-    symsubrank_exact,
-    verify_certificate,
-)
-from .symmetrize import (
-    MissingKthRootError,
-    create_t,
-    symmetrize_certificate,
-    waring_h,
-)
-from .tensors import (
-    LinearMap,
-    Tensor,
-    TensorSizeError,
-    flattening_rank,
-    is_symmetric,
-    map_to_json,
-    matrix_rank,
-    tensor_from_json,
-    tensor_to_json,
-)
+if TYPE_CHECKING:
+    from .hypergraphs import Hypergraph
+    from .quantum import OptimizerOptions
+    from .restrict import Certificate
+    from .tensors import Tensor
 
 __all__ = ["build_parser", "main", "run"]
 
@@ -99,12 +48,14 @@ class _ReportedFailure(Exception):
 
 
 def _json_default(o):
-    if isinstance(o, np.integer):
-        return int(o)
-    if isinstance(o, np.floating):
-        return float(o)
-    if isinstance(o, np.bool_):
-        return bool(o)
+    np = sys.modules.get("numpy")  # a run that made a numpy scalar loaded it
+    if np is not None:
+        if isinstance(o, np.integer):
+            return int(o)
+        if isinstance(o, np.floating):
+            return float(o)
+        if isinstance(o, np.bool_):
+            return bool(o)
     raise TypeError(f"not JSON serializable: {type(o).__name__}")
 
 
@@ -139,23 +90,31 @@ def _load_json_file(path: str) -> Tuple[dict, str]:
 def _read_tensor(args, inputs: Dict) -> Tensor:
     obj, digest = _load_json_file(args.tensor)
     inputs["tensor"] = {"path": args.tensor, "sha256": digest}
+    from .tensors import tensor_from_json
+
     return tensor_from_json(obj)
 
 
 def _read_graph(args, inputs: Dict) -> Hypergraph:
     obj, digest = _load_json_file(args.graph)
     inputs["graph"] = {"path": args.graph, "sha256": digest}
+    from .hypergraphs import hypergraph_from_json
+
     return hypergraph_from_json(obj)
 
 
 def _read_certificate(args, inputs: Dict) -> Certificate:
     obj, digest = _load_json_file(args.certificate)
     inputs["certificate"] = {"path": args.certificate, "sha256": digest}
+    from .restrict import certificate_from_json
+
     return certificate_from_json(obj)
 
 
 def _certificate_output(args, cert: Certificate) -> object:
     """Inline certificate JSON, or a file reference when --cert-out is set."""
+    from .restrict import certificate_to_json
+
     obj = certificate_to_json(cert)
     out = getattr(args, "cert_out", None)
     if out:
@@ -168,6 +127,8 @@ def _certificate_output(args, cert: Certificate) -> object:
 
 def _row_values(domain, values) -> list:
     """Serialize a sequence of field scalars through the map format."""
+    from .tensors import LinearMap, map_to_json
+
     m = LinearMap(domain, domain.asarray([list(values)]))
     return map_to_json(m)["data"][0]
 
@@ -179,6 +140,8 @@ def _row_values(domain, values) -> list:
 
 def _cmd_rank(args, inputs):
     f = _read_tensor(args, inputs)
+    from .tensors import flattening_rank, matrix_rank
+
     if f.order == 2:
         outputs = {"rank": matrix_rank(f)}
     else:
@@ -190,15 +153,19 @@ def _cmd_rank(args, inputs):
 
 def _cmd_subrank(args, inputs):
     f = _read_tensor(args, inputs)
+    from .restrict import subrank_exact, verify_certificate
+
     value, cert = subrank_exact(f, budget=args.budget)
     if not verify_certificate(cert, f):
-        raise PivotSearchExhaustedError("internal error: certificate check failed")
+        raise RuntimeError("internal error: certificate check failed")
     return {"value": value, "certificate": _certificate_output(args, cert)}, "verified"
 
 
 def _cmd_symsubrank(args, inputs):
     f = _read_tensor(args, inputs)
     if f.order == 2:
+        from .congruence import matrix_symsubrank
+
         res = matrix_symsubrank(f, budget=args.budget, seed=args.seed)
         outputs = {
             "mode": res.mode,
@@ -210,27 +177,35 @@ def _cmd_symsubrank(args, inputs):
         if res.certificate is not None:
             outputs["certificate"] = _certificate_output(args, res.certificate)
         return outputs, "verified" if res.mode == "exact" else "bounds"
+    from .restrict import symsubrank_exact, verify_certificate
+
     value, cert = symsubrank_exact(f, budget=args.budget)
     if not verify_certificate(cert, f):
-        raise PivotSearchExhaustedError("internal error: certificate check failed")
+        raise RuntimeError("internal error: certificate check failed")
     return {"value": value, "certificate": _certificate_output(args, cert)}, "verified"
 
 
 def _cmd_symrank(args, inputs):
     f = _read_tensor(args, inputs)
+    from .restrict import reconstruct_waring, symrank_small
+    from .tensors import LinearMap, map_to_json
+
     res = symrank_small(f, budget=args.budget)
     outputs: Dict[str, object] = {"value": res.value, "lowerBound": res.lower_bound}
     if res.value is None:
         return outputs, "bounds"
     if res.vectors is not None:
         if not reconstruct_waring(res.vectors, f):
-            raise PivotSearchExhaustedError("internal error: decomposition check failed")
+            raise RuntimeError("internal error: decomposition check failed")
         outputs["vectors"] = map_to_json(LinearMap(f.domain, res.vectors))["data"]
     return outputs, "verified"
 
 
 def _cmd_congruence(args, inputs):
     f = _read_tensor(args, inputs)
+    from .congruence import ballantine_reduce, congruence_result_to_json
+    from .tensors import matrix_rank
+
     res = ballantine_reduce(f, seed=args.seed)
     outputs = congruence_result_to_json(res)
     outputs["rank"] = matrix_rank(f)
@@ -239,6 +214,9 @@ def _cmd_congruence(args, inputs):
 
 def _cmd_diagonalize(args, inputs):
     f = _read_tensor(args, inputs)
+    from .congruence import sym_diagonalize
+    from .tensors import map_to_json, tensor_to_json
+
     res = sym_diagonalize(f, seed=args.seed)
     outputs = {
         "B": map_to_json(res.B),
@@ -249,6 +227,10 @@ def _cmd_diagonalize(args, inputs):
 
 
 def _cmd_waring(args, inputs):
+    from .domains import domain_from_name
+    from .symmetrize import waring_h
+    from .tensors import LinearMap, map_to_json
+
     domain = domain_from_name(args.domain)
     inputs["domain"] = args.domain
     inputs["order"] = args.order
@@ -263,6 +245,8 @@ def _cmd_waring(args, inputs):
 
 def _cmd_createt(args, inputs):
     f = _read_tensor(args, inputs)
+    from .symmetrize import create_t
+
     cert = create_t(f)
     outputs = {
         "sourceId": cert.source_id,
@@ -279,6 +263,8 @@ def _cmd_createt(args, inputs):
 def _cmd_symmetrize(args, inputs):
     f = _read_tensor(args, inputs)
     rc = _read_certificate(args, inputs)
+    from .symmetrize import symmetrize_certificate
+
     res = symmetrize_certificate(f, rc)
     outputs = {
         "n": res.n,
@@ -292,12 +278,16 @@ def _cmd_symmetrize(args, inputs):
 
 def _cmd_hyper_alpha(args, inputs):
     h = _read_graph(args, inputs)
+    from .hypergraphs import independence_number
+
     value, witness = independence_number(h)
     return {"alpha": value, "witness": list(witness)}, "verified"
 
 
 def _cmd_hyper_beta(args, inputs):
     h = _read_graph(args, inputs)
+    from .hypergraphs import induced_matching_number
+
     value, witness = induced_matching_number(h)
     return {"beta": value, "witness": [list(t) for t in witness]}, "verified"
 
@@ -305,6 +295,8 @@ def _cmd_hyper_beta(args, inputs):
 def _cmd_hyper_power(args, inputs):
     h = _read_graph(args, inputs)
     inputs["power"] = args.power
+    from .hypergraphs import capacity_lower, strong_power
+
     res = capacity_lower(h, args.power)
     powered = strong_power(h, res.power)
     outputs = {
@@ -320,6 +312,9 @@ def _cmd_hyper_power(args, inputs):
 
 def _cmd_hyper_chain(args, inputs):
     h = _read_graph(args, inputs)
+    from .domains import domain_from_name
+    from .hypergraphs import alpha_chain_check
+
     domain = domain_from_name(args.domain)
     inputs["domain"] = args.domain
     rep = alpha_chain_check(h, domain, budget=args.budget)
@@ -340,6 +335,8 @@ def _cmd_hyper_chain(args, inputs):
 
 
 def _quantum_options(args) -> OptimizerOptions:
+    from .quantum import OptimizerOptions
+
     if args.restarts is not None:
         return OptimizerOptions(restarts=args.restarts, seed=args.seed)
     return OptimizerOptions(seed=args.seed)
@@ -347,12 +344,16 @@ def _quantum_options(args) -> OptimizerOptions:
 
 def _cmd_quantum_f(args, inputs):
     f = _read_tensor(args, inputs)
+    from .quantum import sym_quantum_functional
+
     res = sym_quantum_functional(f, _quantum_options(args))
     return _quantum_outputs(res), "estimate"
 
 
 def _cmd_quantum_funiform(args, inputs):
     f = _read_tensor(args, inputs)
+    from .quantum import uniform_quantum_functional
+
     res = uniform_quantum_functional(f, _quantum_options(args))
     return _quantum_outputs(res), "estimate"
 
@@ -370,6 +371,9 @@ def _quantum_outputs(res) -> Dict[str, object]:
 
 def _cmd_quantum_check(args, inputs):
     f = _read_tensor(args, inputs)
+    from .quantum import marginal_equality_check, sandwich_check
+    from .tensors import is_symmetric
+
     rep = sandwich_check(f)
     outputs = {
         "entropyOfAverage": rep.entropy_of_average,
@@ -386,6 +390,8 @@ def _cmd_quantum_check(args, inputs):
 def _cmd_verify(args, inputs):
     f = _read_tensor(args, inputs)
     cert = _read_certificate(args, inputs)
+    from .restrict import verify_certificate
+
     ok = verify_certificate(cert, f)
     outputs = {
         "verified": ok,
@@ -561,6 +567,40 @@ def _error(code: str, message: str) -> None:
     print(f"error: {code}: {text}", file=sys.stderr)
 
 
+# (module, class, code, exit code): the first row whose class the exception
+# is an instance of gives its error line.  A class is looked up in
+# sys.modules, since one whose module was never imported cannot have been
+# raised.
+_ERRORS = (
+    ("builtins", "FileNotFoundError", "missing-file", 1),
+    ("builtins", "IsADirectoryError", "missing-file", 1),
+    ("builtins", "PermissionError", "missing-file", 1),
+    ("json", "JSONDecodeError", "malformed-json", 1),
+    ("builtins", "UnicodeDecodeError", "malformed-json", 1),
+    # a JSON value of the wrong type, e.g. "entries": 5
+    ("builtins", "TypeError", "malformed-json", 1),
+    ("builtins", "KeyError", "malformed-json", 1),
+    ("symsub.restrict", "SearchInfeasibleError", "budget", 2),
+    ("symsub.tensors", "TensorSizeError", "size-gate", 2),
+    # every other error of the library's checks is a ValueError
+    ("builtins", "ValueError", "invalid-input", 1),
+    # an integer too large for a float, e.g. a complex entry 10**400
+    ("builtins", "OverflowError", "invalid-input", 1),
+    ("builtins", "RuntimeError", "internal", 1),
+    ("builtins", "AssertionError", "internal", 1),
+)
+
+
+def _error_code(exc: Exception) -> Optional[Tuple[str, int]]:
+    for module, name, code, exit_code in _ERRORS:
+        cls = getattr(sys.modules.get(module), name, None)
+        if cls is not None and isinstance(exc, cls):
+            if code == "invalid-input" and str(exc).startswith("size gate"):
+                return "size-gate", 2  # a hypergraph or quantum search gate
+            return code, exit_code
+    return None
+
+
 def run(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     try:
@@ -577,37 +617,13 @@ def run(argv: Optional[List[str]] = None) -> int:
         _print_report(_report(args, inputs, exc.outputs, "failed"), args.json, elapsed)
         _error(exc.code, str(exc))
         return exc.exit_code
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
-        _error("missing-file", str(exc))
-        return 1
-    except (json.JSONDecodeError, UnicodeDecodeError, TypeError) as exc:
-        # TypeError: a JSON value of the wrong type, e.g. "entries": 5
-        _error("malformed-json", str(exc))
-        return 1
-    except KeyError as exc:
-        _error("malformed-json", f"missing key {exc}")
-        return 1
-    except SearchInfeasibleError as exc:
-        _error("budget", str(exc))
-        return 2
-    except TensorSizeError as exc:
-        _error("size-gate", str(exc))
-        return 2
-    except (HypergraphError, QuantumError) as exc:
-        if str(exc).startswith("size gate"):
-            _error("size-gate", str(exc))
-            return 2
-        _error("invalid-input", str(exc))
-        return 1
-    except (
-        DomainError, CongruenceError, MissingKthRootError, ValueError, OverflowError
-    ) as exc:
-        # OverflowError: a number out of range, e.g. "order": Infinity
-        _error("invalid-input", str(exc))
-        return 1
-    except (RuntimeError, AssertionError) as exc:
-        _error("internal", str(exc))
-        return 1
+    except Exception as exc:
+        found = _error_code(exc)
+        if found is None:
+            raise
+        code, exit_code = found
+        _error(code, f"missing key {exc}" if isinstance(exc, KeyError) else str(exc))
+        return exit_code
     elapsed = time.perf_counter() - started
     _print_report(_report(args, inputs, outputs, verification), args.json, elapsed)
     return 0

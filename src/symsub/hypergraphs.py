@@ -8,7 +8,9 @@ lower-bounds the subrank, and the Shannon capacity is upper-bounded by the
 symmetric quantum functional of a symmetric adjacency tensor.
 
 Both search routines here are exact branch-and-bound procedures behind hard
-size gates; they never return heuristic values.
+size gates; they never return heuristic values.  They run on Python-int
+bitsets, so this module loads numpy only inside the functions that build an
+adjacency tensor.
 """
 
 from __future__ import annotations
@@ -17,12 +19,13 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
-from . import restrict
-from .domains import Domain
-from .restrict import DEFAULT_BUDGET
-from .tensors import Tensor, is_symmetric
+from ._common import DEFAULT_BUDGET, json_int
+
+if TYPE_CHECKING:
+    from .domains import Domain
+    from .tensors import Tensor
 
 __all__ = [
     "VERTEX_GATE",
@@ -99,8 +102,14 @@ def hypergraph_to_json(h: Hypergraph) -> Dict:
 
 
 def hypergraph_from_json(data: Mapping) -> Hypergraph:
+    def edges(rows):  # checked as the constructor walks them, after n and k
+        for e in rows:
+            yield [json_int(v, "edge coordinate") for v in e]
+
     try:
-        return Hypergraph(int(data["n"]), int(data["k"]), data["edges"])
+        n = json_int(data["n"], "vertex count n")
+        k = json_int(data["k"], "uniformity k")
+        return Hypergraph(n, k, edges(data["edges"]))
     except KeyError as exc:
         raise HypergraphError(f"hypergraph JSON is missing key {exc}") from None
 
@@ -119,6 +128,8 @@ def adjacency_tensor(
     ``edge_values`` optionally overrides the coefficient of individual edges
     (any nonzero scalar keeps the support, hence the combinatorial bounds).
     """
+    from .tensors import Tensor
+
     arr = domain.zeros((h.n,) * h.k)
     for v in range(h.n):
         arr[(v,) * h.k] = 1
@@ -339,6 +350,8 @@ def alpha_chain_check(
     """Compute alpha, beta, symsubrank(A_H), subrank(A_H) and verify the chain.
 
     Both subrank searches start from one least flattening rank of A_H."""
+    from . import restrict
+
     alpha, _ = independence_number(h)
     beta, _ = induced_matching_number(h)
     a = adjacency_tensor(h, domain)
@@ -372,6 +385,7 @@ def capacity_upper_quantum(h: Hypergraph, options=None):
     """
     from .domains import ComplexNumbers
     from .quantum import sym_quantum_functional
+    from .tensors import is_symmetric
 
     a = adjacency_tensor(h, ComplexNumbers())
     if not is_symmetric(a):

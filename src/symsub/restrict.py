@@ -40,6 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import linalg
+from ._common import DEFAULT_BUDGET
 from .domains import DomainError, PrimeField
 from .tensors import (
     _BLOCK_ENTRIES,
@@ -75,8 +76,6 @@ __all__ = [
     "symrank_small",
     "reconstruct_waring",
 ]
-
-DEFAULT_BUDGET = 1 << 26
 
 
 class SearchInfeasibleError(RuntimeError):

@@ -31,6 +31,7 @@ from typing import Iterable, List, Sequence, Tuple
 import numpy as np
 
 from . import linalg
+from ._common import json_int
 from .domains import ComplexNumbers, Domain, DomainError, PrimeField, domain_from_name
 
 __all__ = [
@@ -383,9 +384,7 @@ def _scalar_to_json(domain: Domain, v):
 
 def _scalar_from_json(domain: Domain, v):
     if isinstance(domain, PrimeField):
-        if not isinstance(v, int):
-            raise ValueError(f"prime-field entry must be an integer, got {v!r}")
-        return v % domain.p
+        return json_int(v, "prime-field entry") % domain.p
     if isinstance(v, (int, float)):
         z = complex(v)
     elif isinstance(v, list) and len(v) == 2:
@@ -418,9 +417,10 @@ def tensor_id(f: Tensor) -> str:
 
 def tensor_from_json(obj: dict) -> Tensor:
     """Parse the tensor JSON format.  A missing key raises KeyError and a
-    wrongly typed value TypeError, as in map and certificate parsing."""
-    k = int(obj["order"])
-    dims = [int(d) for d in obj["dims"]]
+    wrongly typed value TypeError, as in map and certificate parsing; a
+    bool, float or str where an integer belongs raises ValueError."""
+    k = json_int(obj["order"], "tensor order")
+    dims = [json_int(d, "tensor dimension") for d in obj["dims"]]
     domain = domain_from_name(obj["domain"])
     entries = obj["entries"]
     if len(dims) != k:
@@ -430,7 +430,7 @@ def tensor_from_json(obj: dict) -> Tensor:
     _check_cap(dims)
     arr = domain.zeros(tuple(dims))
     for ent in entries:
-        idx = tuple(int(i) - 1 for i in ent["idx"])
+        idx = tuple(json_int(i, "entry index") - 1 for i in ent["idx"])
         if len(idx) != k or any(i < 0 or i >= d for i, d in zip(idx, dims)):
             raise ValueError(f"index out of range: {ent['idx']}")
         arr[idx] = _scalar_from_json(domain, ent["val"])
@@ -443,8 +443,8 @@ def map_to_json(m: LinearMap) -> dict:
 
 
 def map_from_json(obj: dict) -> LinearMap:
-    rows = int(obj["rows"])
-    cols = int(obj["cols"])
+    rows = json_int(obj["rows"], "map rows")
+    cols = json_int(obj["cols"], "map cols")
     domain = domain_from_name(obj["domain"])
     data = obj["data"]
     if len(data) != rows or any(len(r) != cols for r in data):

@@ -443,7 +443,7 @@ def test_assertion_error_is_internal(ws, capsys, monkeypatch):
     def broken(f):
         raise AssertionError("broken invariant")
 
-    monkeypatch.setattr("symsub.cli.matrix_rank", broken)
+    monkeypatch.setattr("symsub.tensors.matrix_rank", broken)
     code = run(["rank", "--tensor", ws["c5"]])
     err = capsys.readouterr().err
     assert code == 1
@@ -578,3 +578,55 @@ def test_complex_json_has_no_negative_zeros(tmp_path, capsys):
         assert run(["subrank", "--tensor", str(path), "--json"]) == 0
         printed.append(capsys.readouterr().out)
     assert [i for i, out in enumerate(printed) if re.search(r"-0\.0(?![0-9e])", out)] == []
+
+
+
+# One JSON integer field each: (file kind, the object holding it, its key).
+_INTEGER_FIELDS = {
+    "hypergraph-n": ("graph", lambda doc: doc, "n"),
+    "hypergraph-k": ("graph", lambda doc: doc, "k"),
+    "edge-coordinate": ("graph", lambda doc: doc["edges"][0], 0),
+    "tensor-order": ("tensor", lambda doc: doc, "order"),
+    "tensor-dims": ("tensor", lambda doc: doc["dims"], 1),
+    "entry-idx": ("tensor", lambda doc: doc["entries"][0]["idx"], 0),
+    "map-rows": ("certificate", lambda doc: doc["maps"][0], "rows"),
+    "map-cols": ("certificate", lambda doc: doc["maps"][0], "cols"),
+    "prime-field-entry": ("tensor", lambda doc: doc["entries"][0], "val"),
+}
+# Each replaces a valid integer by a look-alike that int() used to accept.
+_LOOK_ALIKES = {
+    "bool": lambda v: True,
+    "float": float,
+    "fraction": lambda v: v + 0.9,
+    "str": str,
+}
+
+
+@pytest.mark.parametrize("look_alike", sorted(_LOOK_ALIKES))
+@pytest.mark.parametrize("field", sorted(_INTEGER_FIELDS))
+def test_integer_fields_refuse_bool_float_and_str(ws, tmp_path, capsys, field, look_alike):
+    """JSON integers only: 2.9 is not read as 2, nor true as 1 or "2" as 2."""
+    kind, holder, key = _INTEGER_FIELDS[field]
+    if kind == "graph":
+        doc = hypergraph_to_json(c5_directed())
+        argv = ["hypergraph", "alpha", "--graph"]
+    elif kind == "tensor":
+        doc = tensor_to_json(w_tensor(F5))
+        argv = ["rank", "--tensor"]
+    else:
+        A = LinearMap(F5, [[1, 0], [0, 1]])
+        doc = certificate_to_json(
+            Certificate(kind="restriction", maps=(A, A, A), target=w_tensor(F5)))
+        argv = ["verify", "--tensor", ws["w_f5"], "--certificate"]
+    path = tmp_path / "integer.json"
+    path.write_text(json.dumps(doc))
+    assert run(argv + [str(path), "--json"]) == 0  # the document as written is valid
+    capsys.readouterr()
+    holder(doc)[key] = _LOOK_ALIKES[look_alike](holder(doc)[key])
+    path.write_text(json.dumps(doc))
+    code = run(argv + [str(path), "--json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert re.fullmatch(r"error: invalid-input: [^\n]*must be an integer, got [^\n]*\n",
+                        captured.err), captured.err
