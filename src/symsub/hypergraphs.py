@@ -227,8 +227,7 @@ def induced_matching_number(
     takes = [tuple(members[j][v] for j, v in enumerate(t)) for t in phi]
     # the elements sharing a coordinate position with phi[i]
     clashes = [functools.reduce(operator.or_, take) for take in takes]
-    best_size = 0
-    best = 0
+    n, best_size, best = h.n, 0, 0
 
     def walk(i: int, size: int, chosen: int, legs: Tuple[int, ...], prod: int,
              free: int, excluded: int) -> None:
@@ -239,11 +238,11 @@ def induced_matching_number(
         nonlocal best_size, best
         if size > best_size and not prod >> i:
             best_size, best = size, chosen
-        if i == total or size + min(h.n - size, (free >> i).bit_count()) <= best_size:
+        if i == total or n <= best_size or size + (free >> i).bit_count() <= best_size:
             return
         bit = 1 << i
         if free & bit:
-            grown = tuple(leg | take for leg, take in zip(legs, takes[i]))
+            grown = tuple(map(operator.or_, legs, takes[i]))
             inside = functools.reduce(operator.and_, grown)
             if not inside & excluded:
                 walk(i + 1, size + 1, chosen | bit, grown, inside, free & ~clashes[i], excluded)
@@ -349,7 +348,8 @@ def alpha_chain_check(
 ) -> ChainReport:
     """Compute alpha, beta, symsubrank(A_H), subrank(A_H) and verify the chain.
 
-    Both subrank searches start from one least flattening rank of A_H."""
+    Both subrank searches start from one least flattening rank of A_H; the
+    subrank search ends above the symmetric subrank, which bounds it below."""
     from . import restrict
 
     alpha, _ = independence_number(h)
@@ -357,8 +357,8 @@ def alpha_chain_check(
     a = adjacency_tensor(h, domain)
     restrict._check_symsubrank_input(a)  # it covers subrank_exact's checks too
     r0 = restrict._least_flattening_rank(a)
-    sym_q, _ = restrict._symsubrank_from(a, r0, budget)
-    q, _ = restrict._subrank_from(a, r0, budget)
+    sym_q, sym_cert = restrict._symsubrank_from(a, r0, budget)
+    q, _ = restrict._subrank_from(a, r0, budget, floor=(sym_q, sym_cert))
     inequalities = (
         ("alpha <= symsubrank", alpha <= sym_q),
         ("symsubrank <= subrank", sym_q <= q),

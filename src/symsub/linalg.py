@@ -39,58 +39,48 @@ def _f2_rank(M: np.ndarray) -> int:
     return len(basis)
 
 
-def _pivot_row(M: np.ndarray, col: int, start: int, domain: Domain) -> Optional[int]:
-    """Pick a pivot row index >= start in the given column, or None."""
-    if isinstance(domain, PrimeField):
-        for i in range(start, M.shape[0]):
-            if M[i, col] % domain.p != 0:
-                return i
-        return None
-    col_abs = np.abs(M[start:, col])
-    if col_abs.size == 0:
-        return None
-    i = int(np.argmax(col_abs))
-    if col_abs[i] <= domain.tol:
-        return None
-    return start + i
-
-
 def row_reduce(
     A: np.ndarray, domain: Domain, reduced: bool = True
 ) -> Tuple[np.ndarray, List[int], np.ndarray]:
     """Row reduce A.  Returns (R, pivots, P) with R = P @ A (mod p for fields).
 
     R is in (reduced) row echelon form with unit pivots; P is invertible.
+    One array [A | I] is eliminated, each pivot (the first nonzero entry over
+    F_p, the largest over C) updating only the rows nonzero in its column.
     """
-    M = domain.asarray(A).copy()
-    n, m = M.shape
-    P = np.eye(n, dtype=M.dtype)
+    A = domain.asarray(A)
+    n, m = A.shape
+    M = np.eye(n, m + n, m, dtype=A.dtype)  # [0 | I]: no second n x n array
+    M[:, :m] = A
+    field = isinstance(domain, PrimeField)
     pivots: List[int] = []
     r = 0
     for col in range(m):
         if r >= n:
             break
-        i = _pivot_row(M, col, r, domain)
-        if i is None:
-            continue
+        # the rows to update, as they stand once rows r and i are swapped
+        if field:
+            live = M[:, col].nonzero()[0].tolist()
+            i = next((j for j in live if j >= r), None)
+            if i is None:
+                continue
+            # row r, swapped to i, is zero here, as are all rows r..i-1
+            targets = [j for j in live if j != i and (reduced or j > i)]
+        else:
+            mags = np.abs(M[:, col])
+            i = r + int(mags[r:].argmax())
+            if mags[i] <= domain.tol:
+                continue
+            mags[i], mags[r] = mags[r], 0
+            targets = [j for j in np.flatnonzero(mags > domain.tol) if reduced or j > r]
         if i != r:
             M[[r, i]] = M[[i, r]]
-            P[[r, i]] = P[[i, r]]
-        inv = domain.inverse(M[r, col])
-        M[r] = domain.reduce(M[r] * inv)
-        P[r] = domain.reduce(P[r] * inv)
-        rows = range(n) if reduced else range(r + 1, n)
-        for j in rows:
-            if j == r:
-                continue
-            factor = M[j, col]
-            if domain.is_zero(factor):
-                continue
-            M[j] = domain.reduce(M[j] - factor * M[r])
-            P[j] = domain.reduce(P[j] - factor * P[r])
+        M[r] = domain.reduce(M[r] * domain.inverse(M[r, col]))
+        for j in targets:
+            M[j] = domain.reduce(M[j] - M[j, col] * M[r])
         pivots.append(col)
         r += 1
-    return M, pivots, P
+    return M[:, :m], pivots, M[:, m:]
 
 
 def rank(A: np.ndarray, domain: Domain) -> int:

@@ -244,12 +244,12 @@ def _sym_dfs(G: np.ndarray, F: np.ndarray, p: int, floor: int) -> np.ndarray:
     of unity.  The root keeps the rows c with F(c, ..., c) = 1 (the first
     such block when e = 1).  Each survivor's pair row, the int bitset of the
     later survivors whose two-row image with it is <2>, is computed once, in
-    blocks of vertices that double (:func:`_pair_rows`).  A child's
-    candidates are its parent's after the chosen row ANDed with that row's
-    pair row, so for k = 2 this is a maximum-clique search; for k >= 3 a
-    node with two rows or more also scores its candidates.  A branch stops
-    once its rows and candidates cannot beat the largest set so far; the
-    result is the lexicographically first largest set.
+    blocks of rows that double (:func:`_pair_rows`).  A child's candidates
+    are its parent's after the chosen row ANDed with that row's pair row, so
+    for k = 2 this is a maximum-clique search; for k >= 3 a node with two
+    rows or more also scores its candidates.  A branch stops once its rows
+    and candidates cannot beat the largest set so far; the result is the
+    lexicographically first largest set.
     """
     k, d, e = F.ndim, F.shape[0], G.shape[0]
     leading = [G[(slice(0, i + 1),) * k].reshape(-1) % p for i in range(e)]
@@ -261,16 +261,16 @@ def _sym_dfs(G: np.ndarray, F: np.ndarray, p: int, floor: int) -> np.ndarray:
         if e == 1 and len(rows):
             break
     n = len(rows)
-    step = max(1, _BLOCK_ENTRIES // (2 * d ** (k - 1)))  # pairs scored at once
     pairs: Dict[int, int] = {}
-    width = [1]  # vertices in the next block of pair rows: doubles up to the cap
+    # rows in the next block of pair rows: first about 2^14 products, then doubling
+    width = [max(1, _BLOCK_ENTRIES // (4 * (d + 1) ** k * max(1, n)))]
     best: List = [floor, []]
 
     def pair_row(v: int) -> int:
         if v not in pairs:
             todo = [w for w in range(v, min(n, v + width[0])) if w not in pairs]
-            pairs.update(zip(todo, _pair_rows(rows, np.array(todo), F, leading[1], p, step)))
-            width[0] = min(2 * width[0], max(1, step // n))
+            pairs.update(zip(todo, _pair_rows(rows, todo, F, p)))
+            width[0] = min(2 * width[0], max(1, _BLOCK_ENTRIES // ((d + 1) ** k + n)))
         return pairs[v]
 
     def extend(chosen: List[int], found: int) -> bool:
@@ -296,7 +296,7 @@ def _sym_dfs(G: np.ndarray, F: np.ndarray, p: int, floor: int) -> np.ndarray:
                 best[:] = [i + 1, grown]
                 if i + 1 == e:
                     return True
-            if extend(grown, found & pair_row(j)):
+            if found and extend(grown, found & pair_row(j)):
                 return True
         return False
 
@@ -319,22 +319,27 @@ def _bitset(mask: np.ndarray) -> int:
     return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 
 
-def _pair_rows(rows: np.ndarray, vs: np.ndarray, F: np.ndarray, lead: np.ndarray,
-               p: int, step: int) -> List[int]:
+def _pair_rows(rows: np.ndarray, vs: List[int], F: np.ndarray, p: int) -> List[int]:
     """For each v in the ascending ``vs``, the bitset of the later rows u
-    with (rows[v]; rows[u])^{(x)k} F = ``lead``: each v is paired with every
-    row after vs[0], ``step`` pairs a stack, and the bits up to v cleared."""
-    first, d = int(vs[0]) + 1, rows.shape[1]
-    maps = np.empty((len(vs), len(rows) - first, 2, d), dtype=np.int64)
-    maps[:, :, 0] = rows[vs, None]
-    maps[:, :, 1] = rows[first:]
-    maps = maps.reshape(-1, 2, d)
-    ok = np.zeros(len(maps), dtype=bool)
-    for lo in range(0, len(maps), step):
-        ok[lo:lo + step] = (_images(maps[lo:lo + step], F, p) == lead).all(axis=1)
-    packed = np.packbits(ok.reshape(len(vs), -1), axis=1, bitorder="little")
+    with (rows[v]; rows[u])^{(x)k} F = <2>, given F(c, ..., c) = 1 for every
+    row c.  Its mixed entry with v on legs T and u on the other m is F_T(v) .
+    u^{(x)m}: per m, one product of the F_T(v) with the later rows' m-th
+    Kronecker powers, a chunk of about _BLOCK_ENTRIES entries at a time."""
+    (n, d), k, field, first = rows.shape, F.ndim, PrimeField(p), vs[0] + 1
+    bad = np.zeros((len(vs), n - first), dtype=bool)
+    for m in range(1, k):
+        splits = [F.transpose(T + tuple(sorted(set(range(k)) - set(T)))).reshape(-1, d**m)
+                  for T in itertools.combinations(range(k), k - m)]
+        left = _kron_rows([rows[vs]] * (k - m), field) @ np.concatenate(splits, axis=1) % p
+        left = left.reshape(-1, d**m)  # row (v, T) is F_T(v)
+        step = max(1, _BLOCK_ENTRIES // (d**m + len(left)))
+        for lo in range(first, n, step):
+            hit = left @ _kron_rows([rows[lo:lo + step]] * m, field).T % p
+            hit = hit.reshape(len(vs), len(splits), -1).any(axis=1)
+            bad[:, lo - first:lo - first + step] |= hit
+    packed = np.packbits(~bad, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") << first >> v + 1 << v + 1
-            for v, row in zip(vs.tolist(), packed)]
+            for v, row in zip(vs, packed)]
 
 
 def _sym_map_dfs(G: np.ndarray, F: np.ndarray, p: int) -> np.ndarray:
@@ -578,9 +583,9 @@ def _check_symsubrank_input(f: Tensor) -> None:
 
 
 def _least_flattening_rank(f: Tensor) -> int:
-    """min over legs of the rank of f's one-leg flattening: an upper bound on
-    its subrank and symmetric subrank."""
-    return min(flattening_rank(f, [leg]) for leg in range(f.order))
+    """min over legs of the rank of f's one-leg flattening (one leg for a
+    matrix, whose row and column ranks agree): a bound on both subranks."""
+    return min(flattening_rank(f, [leg]) for leg in range(1 if f.order == 2 else f.order))
 
 
 def _symsubrank_from(f: Tensor, r0: int, budget: int) -> Tuple[int, Certificate]:
@@ -618,22 +623,26 @@ def _matrix_subrank(f: Tensor) -> Tuple[int, Certificate]:
     return r, cert
 
 
-def _subrank_from(f: Tensor, r0: int, budget: int) -> Tuple[int, Certificate]:
+def _subrank_from(f: Tensor, r0: int, budget: int,
+                  floor: Optional[Tuple[int, Certificate]] = None) -> Tuple[int, Certificate]:
     """:func:`subrank_exact` of a checked f, over a prime field, whose least
-    flattening rank is r0 (for a matrix, one rank normal form decides)."""
+    flattening rank is r0 (for a matrix, one rank normal form decides).
+    ``floor``, (Q_s, its symmetric certificate), ends the search above Q_s
+    and then certifies Q_s, as <r> <=_s f implies <r> <= f."""
     k = f.order
-    if k == 2:
+    low, sym = floor or (0, None)
+    if k == 2 and low < r0:
         return _matrix_subrank(f)
-    for r in range(r0, 0, -1):
+    for r in range(r0, low, -1):
         cert = _restriction_search(unit_tensor(r, k, f.domain), f, True, budget)
         if cert is not None:
             return r, cert
-    maps = tuple(
-        LinearMap(f.domain, np.zeros((0, dl), dtype=np.int64)) for dl in f.dims
-    )
-    cert = Certificate(kind="restriction", maps=maps, target=unit_tensor(0, k, f.domain))
-    assert verify_certificate(cert, f)
-    return 0, cert
+    zero = (LinearMap(f.domain, np.zeros((0, dl), dtype=np.int64)) for dl in f.dims)
+    maps = sym.maps * k if sym is not None else tuple(zero)
+    cert = Certificate(kind="restriction", maps=maps, target=unit_tensor(low, k, f.domain))
+    if not verify_certificate(cert, f):
+        raise RuntimeError("internal error: the floor's certificate failed")
+    return low, cert
 
 
 # ---------------------------------------------------------------------------

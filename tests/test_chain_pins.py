@@ -176,6 +176,21 @@ def test_chain_errors_are_pinned(pins):
     assert dict(library_errors()) == pins["errors"]
 
 
+@pytest.mark.parametrize("name", [name for name, h in sweep_graphs() if chain_domains(h)])
+def test_chain_subrank_is_the_searched_subrank(name, pins):
+    """The chain's subrank, searched down to its symmetric subrank only,
+    equals subrank_exact's on every pinned domain, except where the pins
+    record the chain as over budget, which it still is."""
+    h = GRAPHS[name]
+    for domain in chain_domains(h):
+        a = adjacency_tensor(h, domain_from_name(domain))
+        if "error" in pins["graphs"][name]["outputs"][f"chain/{domain}"]:
+            with pytest.raises(SearchInfeasibleError):
+                alpha_chain_check(h, a.domain)
+        else:
+            assert alpha_chain_check(h, a.domain).subrank == subrank_exact(a)[0]
+
+
 @pytest.mark.parametrize("name", list(CLI))
 def test_cli_reports_are_pinned(name, pins, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)

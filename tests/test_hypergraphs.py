@@ -235,3 +235,17 @@ def test_alpha_and_beta_match_brute_force_on_3_uniform_hypergraphs():
         assert {t for t in h.phi if all(t[j] in coords[j] for j in range(3))} == set(matching)
     assert independence_number(graphs[0]) == (0, ())
     assert induced_matching_number(graphs[0]) == (0, ())
+
+
+def test_power_counts_match_the_strong_power():
+    """n^m vertices and |Phi|^m - n^m edges, diagonal loops included."""
+    rng = np.random.default_rng(18)
+    for _ in range(300):
+        k, m = int(rng.integers(2, 4)), int(rng.integers(1, 4))
+        n = int(rng.integers(0, min(6, int(VERTEX_GATE ** (1 / m))) + 1))
+        tuples = list(itertools.product(range(1, n + 1), repeat=k))
+        edges = [t for t in tuples if rng.random() < 0.3]
+        h = Hypergraph(n, k, edges)
+        power = strong_power(h, m)
+        assert power.n == n**m
+        assert len(power.edges) == len(h.phi) ** m - n**m

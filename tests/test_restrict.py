@@ -26,6 +26,7 @@ from symsub import (
     SearchInfeasibleError,
     Tensor,
     adjacency_tensor,
+    alpha_chain_check,
     apply,
     apply_sym,
     certificate_from_json,
@@ -42,7 +43,15 @@ from symsub import (
     unit_tensor,
     verify_certificate,
 )
-from symsub.restrict import _is_unit, _maps, _root_orbit_leads, _row_blocks
+from symsub.restrict import (
+    _images,
+    _is_unit,
+    _maps,
+    _pair_rows,
+    _root_orbit_leads,
+    _row_blocks,
+    _subrank_from,
+)
 from symsub.symmetrize import fully_symmetric
 
 
@@ -740,3 +749,90 @@ def test_cheap_refutations_are_pinned():
     assert restriction_exists(unit_tensor(2, 3, F11), w_tensor(F11)) is None
     f = Tensor(F3, np.random.default_rng(1).integers(0, 3, (3, 3, 3)))
     assert restriction_exists(unit_tensor(3, 3, F3), f) is None
+
+
+def pair_row_cases():
+    """(rows, F, p): seeded tensors, none symmetric, with the rows c where
+    F(c, ..., c) = 1 as the symmetric search keeps them, cut to 1, 2 and
+    all of them."""
+    rng = np.random.default_rng(18)
+    for k, d in ((2, 4), (3, 3), (4, 2)):
+        for domain in (F2, F3, F5):
+            p = domain.p
+            for _ in range(3):
+                F = rng.integers(0, p, (d,) * k)
+                rows = next(_row_blocks(p, d, None, p**d))[1:]
+                rows = rows[(_images(rows[:, None], F, p) == 1)[:, 0]]
+                for n in sorted({1, 2, len(rows)}) if len(rows) else ():
+                    yield rows[:n], F, p
+
+
+def test_pair_rows_match_the_images_of_every_pair():
+    """Bit u of pair row v, for v < u, is set iff the two-row map
+    (rows[v]; rows[u]) sends F to <2>; no bit u <= v is set.  Any ascending
+    block of rows, gaps included, gives the same pair rows."""
+    sizes, nonsymmetric = set(), 0
+    for rows, F, p in pair_row_cases():
+        n, k = len(rows), F.ndim
+        unit2 = unit_tensor(2, k, domain_from_name(f"F{p}")).array.reshape(-1)
+        want = [sum(1 << u for u in range(v + 1, n)
+                    if (_images(rows[[v, u]][None], F, p)[0] == unit2).all())
+                for v in range(n)]
+        for block in (list(range(n)), list(range(n // 2, n)), list(range(1, n, 3))):
+            if block:
+                assert _pair_rows(rows, block, F, p) == [want[v] for v in block]
+        assert [_pair_rows(rows, [v], F, p)[0] for v in range(n)] == want
+        sizes.add(min(n, 3))
+        nonsymmetric += not np.array_equal(F, F.T)
+    assert sizes == {1, 2, 3} and nonsymmetric
+    # no survivor, or one: the search asks for no pair row
+    empty = Tensor(F3, np.zeros((3, 3, 3), dtype=np.int64))
+    assert symsubrank_exact(empty)[0] == 0
+    one = Tensor(F3, np.eye(1, 3**3, dtype=np.int64).reshape(3, 3, 3))
+    assert symsubrank_exact(one)[0] == 1
+
+
+def test_an_early_find_scores_few_pairs():
+    """x^{(x)4} + y^{(x)4} over F2^10 keeps 512 rows at the root and meets
+    <2> in the first pair row; the search holds a few rows' pairs at a time,
+    not the 512 x 511 table (whose factors alone take 60 MiB)."""
+    x, y = np.eye(10, dtype=np.int64)[:2]
+    f = Tensor(F2, (np.einsum("a,b,c,d->abcd", x, x, x, x)
+                    + np.einsum("a,b,c,d->abcd", y, y, y, y)))
+    tracemalloc.start()
+    try:
+        value, cert = symsubrank_exact(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == 2 and verify_certificate(cert, f)
+    assert peak < 8 * 2**20
+
+
+def maps_of(cert):
+    return [m.array.tolist() for m in cert.maps]
+
+
+def test_the_floor_certifies_the_symmetric_subrank_as_a_subrank():
+    """Given (Q_s, A), the subrank search stops above Q_s and, finding no
+    larger <r>, answers Q_s with (A, ..., A), without the budget of the
+    search at Q_s; so the chain on three isolated vertices answers."""
+    a = adjacency_tensor(Hypergraph(3, 3, []), F2)
+    floor = symsubrank_exact(a)
+    assert floor[0] == 3
+    with pytest.raises(SearchInfeasibleError, match="4704 candidates"):
+        _subrank_from(a, 3, 100)
+    value, cert = _subrank_from(a, 3, 100, floor=floor)
+    assert value == 3 and cert.kind == "restriction" and verify_certificate(cert, a)
+    assert maps_of(cert) == maps_of(floor[1]) * 3
+    rep = alpha_chain_check(Hypergraph(3, 3, []), F2, budget=100)
+    assert (rep.sym_subrank, rep.subrank) == (3, 3) and rep.ok
+    # for a matrix the floor skips the normal form only when it is the rank
+    m = adjacency_tensor(Hypergraph(2, 2, []), F3)
+    sym = symsubrank_exact(m)
+    assert sym[0] == 2
+    assert maps_of(_subrank_from(m, 2, 1, floor=sym)[1]) == maps_of(sym[1]) * 2
+    m = adjacency_tensor(Hypergraph(2, 2, [(1, 2)]), F3)
+    sym = symsubrank_exact(m)
+    assert sym[0] == 1 and subrank_exact(m)[0] == 2
+    assert maps_of(_subrank_from(m, 2, 1, floor=sym)[1]) == maps_of(subrank_exact(m)[1])
