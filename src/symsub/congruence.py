@@ -29,8 +29,8 @@ from .restrict import (
     DEFAULT_BUDGET,
     Certificate,
     SearchInfeasibleError,
+    _certified,
     symsubrank_exact,
-    verify_certificate,
 )
 from .tensors import (
     _BLOCK_ENTRIES,
@@ -420,10 +420,8 @@ def matrix_symsubrank(
     d = _require_square(f)
     domain = f.domain
     if is_skew_zero_diag(f):
-        cert = Certificate(
-            kind="symmetric-restriction",
-            maps=(LinearMap(domain, np.zeros((0, d), dtype=domain.dtype)),),
-            target=unit_tensor(0, 2, domain),
+        cert = _certified(
+            "symmetric-restriction", [domain.zeros((0, d))], unit_tensor(0, 2, domain), f
         )
         return MatrixSymsubrankResult(
             mode="exact", lower=0, upper=0, value=0,
@@ -433,13 +431,9 @@ def matrix_symsubrank(
     if isinstance(domain, ComplexNumbers) and symmetric:
         res = sym_diagonalize(f, seed=seed)
         r = res.rank
-        cert = Certificate(
-            kind="symmetric-restriction",
-            maps=(LinearMap(domain, res.B.array[:r]),),
-            target=unit_tensor(r, 2, domain),
+        cert = _certified(
+            "symmetric-restriction", [res.B.array[:r]], unit_tensor(r, 2, domain), f
         )
-        if not verify_certificate(cert, f):
-            raise PivotSearchExhaustedError("internal error: certificate check failed")
         return MatrixSymsubrankResult(
             mode="exact", lower=r, upper=r, value=r,
             certificate=cert, method="symmetric-diagonalization",
@@ -475,13 +469,7 @@ def _greedy_identity_block(f: Tensor, seed: int) -> Tuple[int, Certificate]:
             asym = (f.array + f.array.T) % 2
             i, j = np.argwhere(asym != 0)[0]
             rows[0, int(i)] = rows[0, int(j)] = 1
-        cert = Certificate(
-            kind="symmetric-restriction",
-            maps=(LinearMap(domain, rows),),
-            target=unit_tensor(1, 2, domain),
-        )
-        assert verify_certificate(cert, f)
-        return 1, cert
+        return 1, _certified("symmetric-restriction", [rows], unit_tensor(1, 2, domain), f)
     res = ballantine_reduce(f, seed=seed)
     Larr = res.L.array
     chosen: List[int] = []
@@ -499,14 +487,8 @@ def _greedy_identity_block(f: Tensor, seed: int) -> Tuple[int, Certificate]:
     rows = domain.reduce(
         np.array(scales, dtype=domain.dtype)[:, None] * res.B.array[chosen]
     ) if chosen else np.zeros((0, d), dtype=domain.dtype)
-    cert = Certificate(
-        kind="symmetric-restriction",
-        maps=(LinearMap(domain, rows),),
-        target=unit_tensor(len(chosen), 2, domain),
-    )
-    if not verify_certificate(cert, f):
-        raise PivotSearchExhaustedError("internal error: certificate check failed")
-    return len(chosen), cert
+    target = unit_tensor(len(chosen), 2, domain)
+    return len(chosen), _certified("symmetric-restriction", [rows], target, f)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ safe to share between workers.
 from __future__ import annotations
 
 import cmath
-import math
 from typing import Optional, Union
 
 import numpy as np

@@ -84,8 +84,13 @@ def row_reduce(
 
 
 def rank(A: np.ndarray, domain: Domain) -> int:
-    if isinstance(domain, PrimeField) and domain.p == 2:
-        return _f2_rank(A)
+    """Rank of A.  Over F_p, of A or A^T, whichever has fewer rows: the two
+    ranks agree exactly (over C the tolerance can tell them apart)."""
+    if isinstance(domain, PrimeField):
+        A = np.asarray(A)
+        A = A.T if A.shape[0] > A.shape[1] else A
+        if domain.p == 2:
+            return _f2_rank(A)
     _, pivots, _ = row_reduce(A, domain, reduced=False)
     return len(pivots)
 

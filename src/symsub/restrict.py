@@ -2,9 +2,13 @@
 
 Everything here answers questions of the form "is g reachable from f by
 linear maps on the legs?" and returns a re-verifiable :class:`Certificate`
-(or a refutation by exhaustion).  Exhaustive searches run over prime fields
-only and respect a hard candidate budget: exceeding it raises
-:class:`SearchInfeasibleError`, never a silent "no".
+(or a refutation by exhaustion).  Every certificate the package returns,
+here and in :mod:`congruence` and :mod:`symmetrize`, is made by
+:func:`_certified`, which checks it against f once and raises RuntimeError
+on failure; :func:`symrank_small` checks its Waring vectors likewise.
+Exhaustive searches run over prime fields only and respect a hard candidate
+budget: exceeding it raises :class:`SearchInfeasibleError`, never a silent
+"no".
 
 When the target is a unit tensor <e>, the searches enumerate one
 representative per orbit of the stabilizer of <e>; other targets enumerate
@@ -125,6 +129,15 @@ def verify_certificate(cert: Certificate, f: Tensor) -> bool:
     return tensors_equal(result, cert.target)
 
 
+def _certified(kind: str, maps: Sequence[np.ndarray], target: Tensor, f: Tensor) -> Certificate:
+    """The certificate carrying f by the map arrays ``maps`` to ``target``,
+    checked against f; every certificate returned as a result is made here."""
+    cert = Certificate(kind, tuple(LinearMap(f.domain, a) for a in maps), target)
+    if not verify_certificate(cert, f):
+        raise RuntimeError(f"internal error: {kind} certificate failed to verify")
+    return cert
+
+
 def certificate_to_json(cert: Certificate) -> dict:
     return {
         "kind": cert.kind,
@@ -168,10 +181,10 @@ def symrestriction_exists(
     unit = _is_unit(g)
     _check_sym_budget(f, e, unit, budget)
     if e == 0:
-        return _certified_sym(np.zeros((0, d), dtype=np.int64), g, f)
+        return _certified("symmetric-restriction", [np.zeros((0, d), dtype=np.int64)], g, f)
     p = f.domain.p
     rows = _sym_dfs(g.array, f.array, p, e - 1) if unit else _sym_map_dfs(g.array, f.array, p)
-    return _certified_sym(rows, g, f) if len(rows) else None
+    return _certified("symmetric-restriction", [rows], g, f) if len(rows) else None
 
 
 def _check_sym_budget(f: Tensor, e: int, unit: bool, budget: int) -> None:
@@ -223,17 +236,6 @@ def _check_search_pair(g: Tensor, f: Tensor) -> None:
         raise ValueError("symmetric restriction needs cubical tensors")
     if not isinstance(f.domain, PrimeField):
         raise DomainError("exhaustive search runs over prime fields only")
-
-
-def _certified_sym(rows: np.ndarray, g: Tensor, f: Tensor) -> Certificate:
-    cert = Certificate(
-        kind="symmetric-restriction",
-        maps=(LinearMap(f.domain, rows),),
-        target=g,
-    )
-    if not verify_certificate(cert, f):
-        raise RuntimeError("internal error: search produced an invalid certificate")
-    return cert
 
 
 def _sym_dfs(G: np.ndarray, F: np.ndarray, p: int, floor: int) -> np.ndarray:
@@ -433,12 +435,7 @@ def _restriction_search(
     if required > budget:
         raise SearchInfeasibleError(required, budget, "leg-by-leg map search")
     maps = _restriction_dfs(g, f, unit)
-    if maps is None:
-        return None
-    cert = Certificate(kind="restriction", maps=tuple(maps), target=g)
-    if not verify_certificate(cert, f):
-        raise RuntimeError("internal error: search produced an invalid certificate")
-    return cert
+    return None if maps is None else _certified("restriction", maps, g, f)
 
 
 def _matrix_restriction(g: Tensor, f: Tensor) -> Optional[Certificate]:
@@ -458,14 +455,7 @@ def _matrix_restriction(g: Tensor, f: Tensor) -> Optional[Certificate]:
         E2[i, i] = 1
     A1 = domain.reduce(Pg_inv @ E1 @ Pf)
     A2 = domain.reduce(Qf @ E2 @ Qg_inv).T
-    cert = Certificate(
-        kind="restriction",
-        maps=(LinearMap(domain, A1), LinearMap(domain, A2)),
-        target=g,
-    )
-    if not verify_certificate(cert, f):
-        raise RuntimeError("internal error: rank-normal-form certificate failed")
-    return cert
+    return _certified("restriction", [A1, A2], g, f)
 
 
 def _frame_count(p: int, d: int, e: int) -> int:
@@ -510,8 +500,8 @@ def _leg_stack(p: int, d: int, e: int, leads: Optional[Tuple[int, ...]], ascendi
     return stack
 
 
-def _restriction_dfs(g: Tensor, f: Tensor, unit: bool) -> Optional[List[LinearMap]]:
-    """The first maps, in :func:`_maps` order on legs 1..k-1, with
+def _restriction_dfs(g: Tensor, f: Tensor, unit: bool) -> Optional[List[np.ndarray]]:
+    """The first map arrays, in :func:`_maps` order on legs 1..k-1, with
     (A1 (x) ... (x) Ak) f = g; the last leg is solved linearly.  A chunk of
     partial tensors meets all maps of the next leg in one matmul,
     prefix-major, and each block of whole tuples gets one batched solve
@@ -524,7 +514,7 @@ def _restriction_dfs(g: Tensor, f: Tensor, unit: bool) -> Optional[List[LinearMa
     p, k = domain.p, f.order
     garr = g.array
     if 0 in garr.shape:  # any maps of these shapes send f onto the empty g
-        return [LinearMap(domain, domain.zeros((e, d))) for e, d in zip(garr.shape, f.dims)]
+        return [domain.zeros((e, d)) for e, d in zip(garr.shape, f.dims)]
     leads = (1,) if unit else None
 
     def walk(leg: int, partials: np.ndarray):
@@ -555,7 +545,7 @@ def _restriction_dfs(g: Tensor, f: Tensor, unit: bool) -> Optional[List[LinearMa
         return None
 
     found = walk(0, f.array.reshape(1, -1) % p)
-    return None if found is None else [LinearMap(domain, a) for a in found[1]]
+    return None if found is None else found[1]
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +585,8 @@ def _symsubrank_from(f: Tensor, r0: int, budget: int) -> Tuple[int, Certificate]
     if r0:
         _check_sym_budget(f, r0, True, budget)
         rows = _sym_dfs(unit_tensor(r0, k, f.domain).array, f.array, p, floor=0)
-    return len(rows), _certified_sym(rows, unit_tensor(len(rows), k, f.domain), f)
+    target = unit_tensor(len(rows), k, f.domain)
+    return len(rows), _certified("symmetric-restriction", [rows], target, f)
 
 
 def subrank_exact(f: Tensor, budget: int = DEFAULT_BUDGET) -> Tuple[int, Certificate]:
@@ -616,11 +607,7 @@ def _matrix_subrank(f: Tensor) -> Tuple[int, Certificate]:
     """P f Q = I_r (+) 0 gives <r> <= f through the maps P[:r] and Q[:, :r]^T."""
     domain = f.domain
     P, Q, r = linalg.equivalence_diagonalize(f.array, domain)
-    maps = (LinearMap(domain, P[:r]), LinearMap(domain, Q[:, :r].T))
-    cert = Certificate(kind="restriction", maps=maps, target=unit_tensor(r, 2, domain))
-    if not verify_certificate(cert, f):
-        raise RuntimeError("internal error: rank-normal-form certificate failed")
-    return r, cert
+    return r, _certified("restriction", [P[:r], Q[:, :r].T], unit_tensor(r, 2, domain), f)
 
 
 def _subrank_from(f: Tensor, r0: int, budget: int,
@@ -637,12 +624,8 @@ def _subrank_from(f: Tensor, r0: int, budget: int,
         cert = _restriction_search(unit_tensor(r, k, f.domain), f, True, budget)
         if cert is not None:
             return r, cert
-    zero = (LinearMap(f.domain, np.zeros((0, dl), dtype=np.int64)) for dl in f.dims)
-    maps = sym.maps * k if sym is not None else tuple(zero)
-    cert = Certificate(kind="restriction", maps=maps, target=unit_tensor(low, k, f.domain))
-    if not verify_certificate(cert, f):
-        raise RuntimeError("internal error: the floor's certificate failed")
-    return low, cert
+    maps = [sym.maps[0].array] * k if sym else [np.zeros((0, dl), np.int64) for dl in f.dims]
+    return low, _certified("restriction", maps, unit_tensor(low, k, f.domain), f)
 
 
 # ---------------------------------------------------------------------------
@@ -681,7 +664,7 @@ def symrank_small(f: Tensor, budget: int = DEFAULT_BUDGET) -> SymrankResult:
     p, d, k = domain.p, f.dims[0], f.order
     if not support(f):
         return SymrankResult(value=0, lower_bound=0, vectors=np.zeros((0, d), np.int64))
-    lower = flattening_rank(f, [0])
+    lower = flattening_rank(f, [0]) if k > 1 else 1  # a vector is its own first power
     r = max(lower, 1)
 
     def fits(r: int) -> bool:
@@ -694,7 +677,10 @@ def symrank_small(f: Tensor, budget: int = DEFAULT_BUDGET) -> SymrankResult:
         while fits(r):
             found = _mitm_decompose(target, powers, r, (r + 1) // 2, p)
             if found is not None:
-                return SymrankResult(value=r, lower_bound=lower, vectors=vectors[list(found)])
+                witness = vectors[list(found)]
+                if not reconstruct_waring(witness, f):
+                    raise RuntimeError("internal error: Waring decomposition failed to verify")
+                return SymrankResult(value=r, lower_bound=lower, vectors=witness)
             r += 1
     return SymrankResult(value=None, lower_bound=lower, vectors=None)
 

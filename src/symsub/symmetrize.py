@@ -31,7 +31,7 @@ import numpy as np
 
 from . import linalg
 from .domains import ComplexNumbers, Domain, DomainError, PrimeField
-from .restrict import Certificate, verify_certificate
+from .restrict import Certificate, _certified, verify_certificate
 from .tensors import (
     ENTRY_CAP,
     LinearMap,
@@ -209,14 +209,7 @@ def make_sym(maps: Sequence[LinearMap], f: Tensor, g: Tensor) -> Certificate:
     for a, m in enumerate(maps):
         B[a::k, a::k] = m.array
     h = fully_symmetric(k, domain)
-    cert = Certificate(
-        kind="symmetric-restriction",
-        maps=(LinearMap(domain, B),),
-        target=tensor_product(g, h),
-    )
-    if not verify_certificate(cert, tensor_product(f, h)):
-        raise AssertionError("internal error: lifted certificate failed to verify")
-    return cert
+    return _certified("symmetric-restriction", [B], tensor_product(g, h), tensor_product(f, h))
 
 
 # ---------------------------------------------------------------------------

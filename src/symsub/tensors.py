@@ -32,7 +32,7 @@ import numpy as np
 
 from . import linalg
 from ._common import json_int
-from .domains import ComplexNumbers, Domain, DomainError, PrimeField, domain_from_name
+from .domains import Domain, DomainError, PrimeField, domain_from_name
 
 __all__ = [
     "ENTRY_CAP",

@@ -450,6 +450,20 @@ def test_assertion_error_is_internal(ws, capsys, monkeypatch):
     assert err == "error: internal: broken invariant\n"
 
 
+@pytest.mark.parametrize("command", ["subrank", "symsubrank"])
+@pytest.mark.parametrize("tensor", ["c5", "w_f3"])
+def test_a_failed_certificate_check_is_one_internal_error(ws, capsys, monkeypatch,
+                                                         command, tensor):
+    """The library checks each certificate where it makes it; the CLI
+    reports the failure once."""
+    monkeypatch.setattr("symsub.restrict.verify_certificate", lambda cert, f: False)
+    code = run([command, "--tensor", ws[tensor]])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert re.fullmatch(r"error: internal: internal error: [^\n]*\n", captured.err), captured.err
+
+
 def test_unknown_subcommand_exits_one(capsys):
     code = run(["frobnicate"])
     assert code == 1

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -196,3 +198,27 @@ def test_f2_kernels_on_wide_matrices(width):
             want[c] = R[i, width:]
         assert np.array_equal(X, want)
         assert np.array_equal(solve_stack_one(D, rhs, F2)[1], want)
+
+
+def test_prime_field_rank_reduces_the_shorter_side():
+    """rank(A) = rank(A^T) exactly over F_p, so a tall matrix is reduced as
+    its transpose: [A | I] would otherwise carry an n x n identity block."""
+    A = np.random.default_rng(0).integers(0, 3, size=(1024, 32))
+    tracemalloc.start()
+    try:
+        assert linalg.rank(A, F3) == 32
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
+
+
+@pytest.mark.parametrize("domain", [F2, F3, F65521])
+@pytest.mark.parametrize("shape", [(40, 6), (6, 40), (9, 9)])
+def test_rank_agrees_with_the_transpose(domain, shape):
+    rng = np.random.default_rng(shape[0])
+    for inner in range(min(shape) + 1):
+        A = rng.integers(0, domain.p, size=(shape[0], inner)) @ rng.integers(
+            0, domain.p, size=(inner, shape[1])) % domain.p
+        want = len(linalg.row_reduce(A, domain, reduced=False)[1])  # A's own rows
+        assert linalg.rank(A, domain) == linalg.rank(A.T, domain) == want

@@ -33,6 +33,8 @@ from symsub import (
     certificate_to_json,
     domain_from_name,
     linalg,
+    make_sym,
+    matrix_symsubrank,
     reconstruct_waring,
     restriction_exists,
     subrank_exact,
@@ -175,6 +177,23 @@ def test_symrank_budget_exhaustion_returns_bounds():
     assert res.value is None
     assert res.lower_bound >= 1
     assert res.vectors is None
+
+
+@pytest.mark.parametrize("domain", [F3, F7])
+def test_symrank_of_a_vector_is_one(domain):
+    """A nonzero vector is its own first power; the zero vector has rank 0."""
+    v = Tensor(domain, [1, 2, 0])
+    res = symrank_small(v)
+    assert (res.value, res.lower_bound) == (1, 1)
+    assert res.vectors.tolist() == [[1, 2, 0]]
+    assert symrank_small(Tensor(domain, [0, 0, 0])).value == 0
+
+
+def test_symrank_checks_its_decomposition(monkeypatch):
+    """A multiset whose powers miss f is an internal error, not an answer."""
+    monkeypatch.setattr("symsub.restrict._mitm_decompose", lambda t, pw, r, a, p: (0,) * r)
+    with pytest.raises(RuntimeError, match="internal error"):
+        symrank_small(w_tensor(F3))
 
 
 def test_symrank_preconditions():
@@ -836,3 +855,59 @@ def test_the_floor_certifies_the_symmetric_subrank_as_a_subrank():
     sym = symsubrank_exact(m)
     assert sym[0] == 1 and subrank_exact(m)[0] == 2
     assert maps_of(_subrank_from(m, 2, 1, floor=sym)[1]) == maps_of(subrank_exact(m)[1])
+
+
+def identity(d, domain):
+    return Tensor(domain, np.eye(d, dtype=np.int64))
+
+
+CERTIFYING_CALLS = {
+    "symrestriction e=0":
+        lambda: symrestriction_exists(unit_tensor(0, 3, F3), unit_tensor(2, 3, F3)),
+    "symrestriction e>0":
+        lambda: symrestriction_exists(unit_tensor(1, 3, F5), unit_tensor(2, 3, F5)),
+    "restriction k=2": lambda: restriction_exists(unit_tensor(1, 2, F5), identity(2, F5)),
+    "restriction k=3": lambda: restriction_exists(unit_tensor(1, 3, F3), unit_tensor(2, 3, F3)),
+    "subrank matrix": lambda: subrank_exact(c5_matrix()),
+    "subrank tensor": lambda: subrank_exact(w_tensor(F3)),
+    "subrank zero": lambda: subrank_exact(Tensor(F3, np.zeros((2, 2, 2), dtype=np.int64))),
+    "symsubrank": lambda: symsubrank_exact(w_tensor(F5)),
+    "matrix skew": lambda: matrix_symsubrank(Tensor(F3, [[0, 1], [2, 0]])),
+    "matrix complex": lambda: matrix_symsubrank(Tensor(C, np.eye(2))),
+    "matrix search": lambda: matrix_symsubrank(identity(2, F3)),
+    "matrix F2 bounds": lambda: matrix_symsubrank(identity(2, F2), budget=0),
+    "matrix Fp bounds": lambda: matrix_symsubrank(identity(2, F3), budget=0),
+    "make_sym": lambda: make_sym([LinearMap(F5, np.eye(2, dtype=np.int64))] * 2,
+                                 identity(2, F5), identity(2, F5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFYING_CALLS))
+def test_every_certificate_is_checked_where_it_is_made(name, monkeypatch):
+    """Each call answers with a certificate, and a certificate that fails its
+    check is an internal error, under ``python -O`` as well."""
+    call = CERTIFYING_CALLS[name]
+    call()
+    monkeypatch.setattr("symsub.restrict.verify_certificate", lambda cert, f: False)
+    with pytest.raises(RuntimeError, match="internal error"):
+        call()
+
+
+def test_matrix_symsubrank_calls_reach_each_method():
+    methods = {name: CERTIFYING_CALLS[name]().method
+               for name in CERTIFYING_CALLS if name.startswith("matrix")}
+    assert methods == {
+        "matrix skew": "skew-zero-diagonal",
+        "matrix complex": "symmetric-diagonalization",
+        "matrix search": "exhaustive-search",
+        "matrix F2 bounds": "triangular-block",
+        "matrix Fp bounds": "triangular-block",
+    }
+
+
+def test_the_chain_floor_is_checked_where_it_is_made(monkeypatch):
+    a = adjacency_tensor(Hypergraph(3, 3, []), F2)
+    floor = symsubrank_exact(a)
+    monkeypatch.setattr("symsub.restrict.verify_certificate", lambda cert, f: False)
+    with pytest.raises(RuntimeError, match="internal error"):
+        _subrank_from(a, 3, 100, floor=floor)
