@@ -19,7 +19,7 @@ import contextlib
 import itertools
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -321,6 +321,16 @@ def _find_pivot(Z, Q, domain) -> Optional[Tuple[int, int, object]]:
 # symmetric diagonalization
 # ---------------------------------------------------------------------------
 
+def _pivot_roots(f: Tensor, seed: int) -> Tuple[CongruenceResult, Dict[int, object]]:
+    """:func:`ballantine_reduce` of f, and for each nonzero diagonal entry
+    L_ii of its L, in order, 1 / sqrt(L_ii) (None where the field has no
+    square root)."""
+    res = ballantine_reduce(f, seed=seed)
+    domain, L = f.domain, res.L.array
+    return res, {i: domain.sqrt(domain.inverse(L[i, i]))
+                 for i in range(len(L)) if not domain.is_zero(L[i, i])}
+
+
 @dataclass(frozen=True)
 class SymDiagResult:
     """B f B^T = I_r (+) 0 for a symmetric matrix f of rank r."""
@@ -344,22 +354,10 @@ def sym_diagonalize(f: Tensor, seed: int = 0) -> SymDiagResult:
     if not is_symmetric(f):
         raise CongruenceError("not symmetric")
     domain = f.domain
-    res = ballantine_reduce(f, seed=seed)
-    Larr = res.L.array
-    diag = np.diagonal(Larr).copy()
-    scales = np.ones(d, dtype=domain.dtype)
-    nonzero: List[int] = []
-    failed: List[int] = []
-    for i in range(d):
-        if domain.is_zero(diag[i]):
-            continue
-        nonzero.append(i)
-        root = domain.sqrt(domain.inverse(diag[i]))
-        if root is None:
-            failed.append(i)
-        else:
-            scales[i] = root
+    res, roots = _pivot_roots(f, seed)
+    failed = [i for i, root in roots.items() if root is None]
     if failed:
+        diag = np.diagonal(res.L.array)
         raise MissingSquareRootError(
             "missing square root: cannot normalize diagonal entries "
             f"{[domain.normalize(diag[i]) for i in failed]}",
@@ -367,10 +365,12 @@ def sym_diagonalize(f: Tensor, seed: int = 0) -> SymDiagResult:
             partial_D=domain.reduce(np.diag(diag)),
             failed_indices=failed,
         )
-    order = nonzero + [i for i in range(d) if i not in nonzero]
+    scales = np.ones(d, dtype=domain.dtype)
+    scales[list(roots)] = list(roots.values())
+    order = list(roots) + [i for i in range(d) if i not in roots]
     B2 = domain.reduce((scales[:, None] * res.B.array)[order])
     D = _product3(B2, f.array, B2.T, domain)
-    r = len(nonzero)
+    r = len(roots)
     target = np.zeros((d, d), dtype=domain.dtype)
     target[:r, :r] = np.eye(r, dtype=domain.dtype)
     if isinstance(domain, PrimeField):
@@ -470,22 +470,14 @@ def _greedy_identity_block(f: Tensor, seed: int) -> Tuple[int, Certificate]:
             i, j = np.argwhere(asym != 0)[0]
             rows[0, int(i)] = rows[0, int(j)] = 1
         return 1, _certified("symmetric-restriction", [rows], unit_tensor(1, 2, domain), f)
-    res = ballantine_reduce(f, seed=seed)
+    res, roots = _pivot_roots(f, seed)
     Larr = res.L.array
     chosen: List[int] = []
-    scales: List = []
-    for i in range(d):
-        if domain.is_zero(Larr[i, i]):
-            continue
-        if any(not domain.is_zero(Larr[i, j]) for j in chosen):
-            continue
-        root = domain.sqrt(domain.inverse(Larr[i, i]))
-        if root is None:
-            continue
-        chosen.append(i)
-        scales.append(root)
+    for i, root in roots.items():
+        if root is not None and all(domain.is_zero(Larr[i, j]) for j in chosen):
+            chosen.append(i)
     rows = domain.reduce(
-        np.array(scales, dtype=domain.dtype)[:, None] * res.B.array[chosen]
+        np.array([roots[i] for i in chosen], dtype=domain.dtype)[:, None] * res.B.array[chosen]
     ) if chosen else np.zeros((0, d), dtype=domain.dtype)
     target = unit_tensor(len(chosen), 2, domain)
     return len(chosen), _certified("symmetric-restriction", [rows], target, f)

@@ -1,29 +1,28 @@
 """Gaussian elimination over a scalar domain (internal helper module).
 
-All routines take plain numpy arrays plus a domain object from
-:mod:`symsub.domains`.  Prime-field elimination is exact on integer residues
-(:func:`solve_stack` serves every F_p solve); complex elimination uses
-partial pivoting with the domain's absolute tolerance, as fixed by the
-scalar contract.
+Two kernels, each taking plain numpy arrays plus a domain object from
+:mod:`symsub.domains`:
+
+* :func:`row_reduce` brings one matrix to (reduced) row echelon form over
+  F_p or C, with the invertible P that does it; :func:`rank` reads its
+  pivots, except over F2, where rows packed into ints are reduced instead.
+* :func:`solve_stack` solves a stack of systems over F_p at once.
+
+Prime-field elimination is exact on integer residues; complex elimination
+uses partial pivoting with the domain's absolute tolerance, as fixed by
+the scalar contract.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from .domains import Domain, PrimeField
 
-__all__ = [
-    "row_reduce",
-    "rank",
-    "solve",
-    "invert",
-    "equivalence_diagonalize",
-    "solve_stack",
-]
+__all__ = ["row_reduce", "rank", "solve_stack"]
 
 
 def _f2_rank(M: np.ndarray) -> int:
@@ -95,34 +94,6 @@ def rank(A: np.ndarray, domain: Domain) -> int:
     return len(pivots)
 
 
-def solve(A: np.ndarray, B: np.ndarray, domain: Domain) -> Optional[np.ndarray]:
-    """One solution X of A @ X = B (free variables set to 0), or None.
-
-    Over F_p this is :func:`solve_stack` on a stack of one."""
-    A = domain.asarray(A)
-    B = domain.asarray(B)
-    single = B.ndim == 1
-    if single:
-        B = B[:, None]
-    m = A.shape[1]
-    if isinstance(domain, PrimeField):
-        ok, X = solve_stack(A[None], B[None], domain)
-        if not ok[0]:
-            return None
-        return X[0, :, 0] if single else X[0]
-    R, pivots, _ = row_reduce(np.concatenate([A, B], axis=1), domain, reduced=True)
-    pivots = [c for c in pivots if c < m]
-    # Rows past the last A-pivot have zero A-part; any nonzero right-hand
-    # side there (including a pivot that fell in the B block) is inconsistent.
-    rest = R[len(pivots):, m:]
-    if not domain.arrays_equal(rest, domain.zeros(rest.shape)):
-        return None
-    X = domain.zeros((m, B.shape[1]))
-    for i, c in enumerate(pivots):
-        X[c] = R[i, m:]
-    return X[:, 0] if single else X
-
-
 @functools.lru_cache(maxsize=16)
 def _inverse_table(p: int) -> np.ndarray:
     """a -> 1/a mod p for a in 0..p-1 (0 -> 0); shared by callers, so read-only."""
@@ -163,37 +134,3 @@ def solve_stack(
         used |= first
     ok = ~(M[:, :, m:].any(axis=2) & ~used).any(axis=1)
     return ok, np.matmul(pivots, M[:, :, m:]).astype(np.int64)
-
-
-def invert(A: np.ndarray, domain: Domain) -> Optional[np.ndarray]:
-    """Inverse of a square matrix, or None if singular."""
-    A = domain.asarray(A)
-    n, m = A.shape
-    if n != m:
-        raise ValueError(f"not square: {A.shape}")
-    R, pivots, P = row_reduce(A, domain, reduced=True)
-    if len(pivots) < n:
-        return None
-    return P
-
-
-def equivalence_diagonalize(
-    A: np.ndarray, domain: Domain
-) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Invertible (P, Q) and r with P @ A @ Q = I_r (+) 0 (rank normal form)."""
-    A = domain.asarray(A)
-    n, m = A.shape
-    R, pivots, P = row_reduce(A, domain, reduced=True)
-    r = len(pivots)
-    # Column permutation bringing pivot columns to the front.
-    perm = pivots + [c for c in range(m) if c not in pivots]
-    C1 = domain.zeros((m, m))
-    for new, old in enumerate(perm):
-        C1[old, new] = 1
-    N1 = domain.reduce(R @ C1)
-    # N1 = [I_r, B; 0, 0]; clear B with column operations.
-    C2 = np.eye(m, dtype=C1.dtype)
-    if r < m and r > 0:
-        C2[:r, r:] = domain.reduce(-N1[:r, r:])
-    Q = domain.reduce(C1 @ C2)
-    return P, Q, r

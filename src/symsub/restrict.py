@@ -390,7 +390,7 @@ def restriction_exists(
 ) -> Optional[Certificate]:
     """Search for per-leg maps with (A1 (x) ... (x) Ak) f = g.
 
-    Order 2 is constructive over any domain (rank normal forms).  Higher
+    Order 2 is constructive over any domain (reduced echelon forms).  Higher
     orders enumerate maps for legs 1..k-1 lexicographically and solve the
     last leg linearly, a block of tuples at a time (:func:`_restriction_dfs`).
     For g = <e> every map has independent rows, each with first nonzero
@@ -439,23 +439,28 @@ def _restriction_search(
 
 
 def _matrix_restriction(g: Tensor, f: Tensor) -> Optional[Certificate]:
-    """Constructive matrix case via rank normal forms P M Q = I_r (+) 0."""
+    """Constructive matrix case from one reduced echelon form each: g is its
+    pivot columns times its echelon rows, g = g[:, piv] R_g[:r_g], and
+    P_f[:r_g] f S_f[:r_g]^T = I_{r_g} (:func:`_unit_maps`) fits in between."""
     domain = f.domain
-    Pf, Qf, rf = linalg.equivalence_diagonalize(f.array, domain)
-    Pg, Qg, rg = linalg.equivalence_diagonalize(g.array, domain)
-    if rg > rf:
+    R, pivots, _ = linalg.row_reduce(g.array, domain)
+    P, S = _unit_maps(f)
+    r = len(pivots)
+    if r > len(P):  # rank g > rank f
         return None
-    Pg_inv = linalg.invert(Pg, domain)
-    Qg_inv = linalg.invert(Qg, domain)
-    assert Pg_inv is not None and Qg_inv is not None
-    E1 = domain.zeros((g.dims[0], f.dims[0]))
-    E2 = domain.zeros((f.dims[1], g.dims[1]))
-    for i in range(rg):
-        E1[i, i] = 1
-        E2[i, i] = 1
-    A1 = domain.reduce(Pg_inv @ E1 @ Pf)
-    A2 = domain.reduce(Qf @ E2 @ Qg_inv).T
+    A1 = domain.reduce(g.array[:, pivots] @ P[:r])
+    A2 = domain.reduce(R[:r].T @ S[:r])
     return _certified("restriction", [A1, A2], g, f)
+
+
+def _unit_maps(f: Tensor) -> Tuple[np.ndarray, np.ndarray]:
+    """(P[:r], S) with P[:r] f S^T = I_r, r the rank of the matrix f: P f = R
+    is its reduced echelon form and S the r x n selector of R's pivot
+    columns."""
+    _, pivots, P = linalg.row_reduce(f.array, f.domain)
+    S = f.domain.zeros((len(pivots), f.dims[1]))
+    S[np.arange(len(pivots)), pivots] = 1
+    return P[:len(pivots)], S
 
 
 def _frame_count(p: int, d: int, e: int) -> int:
@@ -591,7 +596,7 @@ def _symsubrank_from(f: Tensor, r0: int, budget: int) -> Tuple[int, Certificate]
 
 def subrank_exact(f: Tensor, budget: int = DEFAULT_BUDGET) -> Tuple[int, Certificate]:
     """Largest r with a verified <r> <= f certificate: for a matrix its rank,
-    from one rank normal form; otherwise searched from the least flattening
+    from one reduced echelon form; otherwise searched from the least flattening
     rank of f down."""
     k = f.order
     if k == 2:
@@ -604,16 +609,16 @@ def subrank_exact(f: Tensor, budget: int = DEFAULT_BUDGET) -> Tuple[int, Certifi
 
 
 def _matrix_subrank(f: Tensor) -> Tuple[int, Certificate]:
-    """P f Q = I_r (+) 0 gives <r> <= f through the maps P[:r] and Q[:, :r]^T."""
-    domain = f.domain
-    P, Q, r = linalg.equivalence_diagonalize(f.array, domain)
-    return r, _certified("restriction", [P[:r], Q[:, :r].T], unit_tensor(r, 2, domain), f)
+    """<r> <= f through the maps (P[:r], S) of :func:`_unit_maps`."""
+    maps = _unit_maps(f)
+    r = len(maps[0])
+    return r, _certified("restriction", maps, unit_tensor(r, 2, f.domain), f)
 
 
 def _subrank_from(f: Tensor, r0: int, budget: int,
                   floor: Optional[Tuple[int, Certificate]] = None) -> Tuple[int, Certificate]:
     """:func:`subrank_exact` of a checked f, over a prime field, whose least
-    flattening rank is r0 (for a matrix, one rank normal form decides).
+    flattening rank is r0 (for a matrix, one reduced echelon form decides).
     ``floor``, (Q_s, its symmetric certificate), ends the search above Q_s
     and then certifies Q_s, as <r> <=_s f implies <r> <= f."""
     k = f.order

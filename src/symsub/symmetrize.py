@@ -89,6 +89,24 @@ class MissingKthRootError(ValueError):
         self.failed = failed
 
 
+def _symmetric_dims(f: Tensor, what: str) -> Tuple[int, int]:
+    """(d, k) of a symmetric f of order k >= 1 with legs of dimension d."""
+    if not is_symmetric(f):
+        raise ValueError(f"{what} needs a symmetric tensor")
+    if f.order < 1:
+        raise ValueError(f"{what} needs order >= 1")
+    return f.dims[0], f.order
+
+
+def _witness_maps(witness: Certificate, k: int) -> List[LinearMap]:
+    """The k leg maps of a witness: its one map on every leg when symmetric."""
+    if witness.kind == "symmetric-restriction":
+        return [witness.maps[0]] * k
+    if len(witness.maps) != k:
+        raise ValueError(f"witness has {len(witness.maps)} maps, expected {k}")
+    return list(witness.maps)
+
+
 def _char_guard(domain: Domain, k: int) -> None:
     if isinstance(domain, PrimeField) and domain.p <= k:
         raise DomainError(
@@ -192,12 +210,10 @@ def make_sym(maps: Sequence[LinearMap], f: Tensor, g: Tensor) -> Certificate:
     k = f.order
     if len(maps) != k:
         raise ValueError(f"need {k} maps, got {len(maps)}")
-    if not is_symmetric(f) or not is_symmetric(g):
-        raise ValueError("make_sym needs symmetric tensors on both sides")
+    d, _ = _symmetric_dims(f, "make_sym")
+    e, _ = _symmetric_dims(g, "make_sym")
     _char_guard(f.domain, k)
     domain = f.domain
-    d = f.dims[0]
-    e = g.dims[0]
     for i, m in enumerate(maps):
         if m.domain != domain:
             raise DomainError(f"map {i} lives over {m.domain.name}, tensor over {domain.name}")
@@ -226,10 +242,8 @@ def remove_powers(f: Tensor) -> Tuple[LinearMap, Tensor]:
     other diagonal entry, nor any coefficient used to clear another index,
     moves: one pass over the indices, in decreasing order, is final.
     """
-    if not is_symmetric(f):
-        raise ValueError("remove_powers needs a symmetric tensor")
+    d, k = _symmetric_dims(f, "remove_powers")
     domain = f.domain
-    d, k = f.dims[0], f.order
     ident = identity_map(d, domain)
     if d < 2:
         return ident, f
@@ -352,12 +366,8 @@ def create_t(f: Tensor) -> CreateTCertificate:
     columns whose coordinate slices all lie in the support are pairwise
     distinct, which is checked here exhaustively over all k^k choices.
     """
-    if not is_symmetric(f):
-        raise ValueError("create_t needs a symmetric tensor")
-    if f.order < 1:
-        raise ValueError("create_t needs order >= 1")
+    d, k = _symmetric_dims(f, "create_t")
     domain = f.domain
-    d, k = f.dims[0], f.order
     if all(
         flattening_rank(f, range(m)) <= 1 for m in range(1, k // 2 + 1)
     ):
@@ -497,17 +507,10 @@ def symmetrize_certificate(f: Tensor, rc: Certificate) -> SymmetrizeResult:
     support enumeration when feasible; otherwise each link's own
     verification stands.
     """
-    if not is_symmetric(f):
-        raise ValueError("symmetrize_certificate needs a symmetric tensor")
+    d, k = _symmetric_dims(f, "symmetrize_certificate")
     domain = f.domain
-    d, k = f.dims[0], f.order
     _char_guard(domain, k)
-    if rc.kind == "symmetric-restriction":
-        leg_maps = [rc.maps[0]] * k
-    else:
-        leg_maps = list(rc.maps)
-    if len(leg_maps) != k:
-        raise ValueError(f"witness has {len(leg_maps)} maps, expected {k}")
+    leg_maps = _witness_maps(rc, k)
     r = rc.target.dims[0] if rc.target.order else 0
     if not tensors_equal(rc.target, unit_tensor(r, k, domain)):
         raise ValueError("witness target is not a unit tensor")
@@ -517,14 +520,14 @@ def symmetrize_certificate(f: Tensor, rc: Certificate) -> SymmetrizeResult:
         raise ValueError(
             f"witness maps are {leg_maps[0].rows}x{cols}, not r x d^n over d={d}"
         )
+    power = tensor_power(f, n)
     if not verify_certificate(
-        Certificate(kind="restriction", maps=tuple(leg_maps), target=rc.target),
-        tensor_power(f, n),
+        Certificate(kind="restriction", maps=tuple(leg_maps), target=rc.target), power
     ):
         raise ValueError("premise fails: witness does not verify")
     ct = create_t(f)
     M = selection_map(ct)
-    lifted = make_sym(leg_maps, tensor_power(f, n), rc.target)
+    lifted = make_sym(leg_maps, power, rc.target)
     B = lifted.maps[0].array
     row_weights = np.ones(k, dtype=domain.dtype)
     row_weights[0] = domain.inverse(domain.normalize(math.factorial(k)))
@@ -563,17 +566,10 @@ def symrank_upper(f: Tensor, witness: Certificate) -> SymrankUpperResult:
     decomposition is checked against f.  When f is h itself, the direct
     2^{k-1}-term decomposition (``waring_h``) is smaller and returned instead.
     """
-    if not is_symmetric(f):
-        raise ValueError("symrank_upper needs a symmetric tensor")
+    d, k = _symmetric_dims(f, "symrank_upper")
     domain = f.domain
-    d, k = f.dims[0], f.order
     _char_guard(domain, k)
-    if witness.kind == "symmetric-restriction":
-        leg_maps = [witness.maps[0]] * k
-    else:
-        leg_maps = list(witness.maps)
-    if len(leg_maps) != k:
-        raise ValueError(f"witness has {len(leg_maps)} maps, expected {k}")
+    leg_maps = _witness_maps(witness, k)
     if not tensors_equal(witness.target, f):
         raise ValueError("invalid witness: target is not f")
     r = leg_maps[0].cols

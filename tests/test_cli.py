@@ -223,6 +223,21 @@ def test_order_zero_tensors_are_invalid_input(tmp_path, capsys, command):
     assert re.fullmatch(r"error: invalid-input: [^\n]*order >= [12]\n", captured.err), captured.err
 
 
+@pytest.mark.parametrize("as_json", [True, False])
+def test_symmetrize_of_an_order_zero_tensor_is_invalid_input(tmp_path, capsys, as_json):
+    scalar = tensor_to_json(Tensor(F3, np.array(1)))
+    (tmp_path / "scalar.json").write_text(json.dumps(scalar))
+    (tmp_path / "cert.json").write_text(
+        json.dumps({"kind": "restriction", "target": scalar, "maps": []}))
+    argv = ["symmetrize", "--tensor", str(tmp_path / "scalar.json"),
+            "--certificate", str(tmp_path / "cert.json")]
+    code = run(argv + ["--json"] * as_json)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: invalid-input: symmetrize_certificate needs order >= 1\n"
+
+
 @pytest.mark.parametrize("order", [9, 40])
 def test_waring_of_large_order_hits_the_size_gate(capsys, order):
     code = run(["waring", "--order", str(order), "--domain", "C", "--json"])

@@ -1,0 +1,99 @@
+"""Dead code in the package, found by reading its source (standard library only).
+
+Two rules, checked over every module in ``src/symsub``:
+
+* every name an import binds is read in the scope holding the import (a
+  module-level import may also be listed in ``__all__``, as a re-export);
+* every private module-level function is referred to somewhere in the
+  package outside its own body.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "symsub"
+SOURCES = {path.name: ast.parse(path.read_text(), str(path))
+           for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def exported(tree):
+    """The strings of a module-level ``__all__`` list."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return {e.value for e in ast.walk(node.value)
+                    if isinstance(e, ast.Constant) and isinstance(e.value, str)}
+    return set()
+
+
+def scopes(tree):
+    """(scope node, its own imports) for the module and each function in it."""
+    todo = [tree]
+    while todo:
+        scope = todo.pop()
+        imports, stack = [], list(ast.iter_child_nodes(scope))
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                todo.append(node)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                imports.append(node)
+            else:
+                stack.extend(ast.iter_child_nodes(node))
+        yield scope, imports
+
+
+def unused_imports(tree):
+    """'line N: name' for each imported name its scope never reads."""
+    found = []
+    for scope, imports in scopes(tree):
+        used = {n.id for n in ast.walk(scope)
+                if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+        if scope is tree:
+            used |= exported(tree)
+        for node in imports:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used:
+                    found.append(f"line {node.lineno}: {bound}")
+    return found
+
+
+def references(node):
+    """How often each identifier is referred to below ``node``, as a name or
+    an attribute (``module._helper``)."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def uncalled_private_functions(trees):
+    """'module: name' for each private module-level function that nothing
+    outside its own body refers to."""
+    total = sum((references(tree) for tree in trees.values()), Counter())
+    return [f"{module}: {node.name}" for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name.startswith("_") and not node.name.startswith("__")
+            and total[node.name] == references(node)[node.name]]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = {name: unused_imports(tree) for name, tree in SOURCES.items()}
+    assert {name: lines for name, lines in unused.items() if lines} == {}
+
+
+def test_every_private_function_is_called():
+    assert uncalled_private_functions(SOURCES) == []
+
+
+def test_the_rules_catch_what_they_name():
+    """An unused import, also one inside a function, and a private function
+    that only calls itself are found; a function used elsewhere is not."""
+    tree = ast.parse("from typing import Optional, Tuple\n"
+                     "def _dead() -> Tuple: return _dead()\n"
+                     "def _used(): import json\n")
+    other = ast.parse("from m import _used\n_used()\n")
+    assert unused_imports(tree) == ["line 1: Optional", "line 3: json"]
+    assert uncalled_private_functions({"a.py": tree, "b.py": other}) == ["a.py: _dead"]

@@ -53,8 +53,11 @@ from symsub.restrict import (
     _root_orbit_leads,
     _row_blocks,
     _subrank_from,
+    _unit_maps,
 )
 from symsub.symmetrize import fully_symmetric
+
+F65521 = domain_from_name("F65521")
 
 
 def test_certificate_kind_validation():
@@ -209,6 +212,98 @@ def test_restriction_exists_matrix_shortcut():
     cert = restriction_exists(unit_tensor(2, 2, C), f)
     assert cert is not None and verify_certificate(cert, f)
     assert restriction_exists(unit_tensor(3, 2, C), f) is None
+
+
+# ---------------------------------------------------------------------------
+# matrices: certificates read off one reduced echelon form per matrix
+# ---------------------------------------------------------------------------
+
+def matrix_of_rank_at_most(domain, rng, n, m, r):
+    """An n x m matrix over ``domain``, a product through r columns."""
+    if domain is C:
+        return Tensor(C, rng.normal(size=(n, r)) @ rng.normal(size=(r, m)))
+    p = domain.p
+    return Tensor(domain, rng.integers(0, p, (n, r)) @ rng.integers(0, p, (r, m)) % p)
+
+
+@pytest.mark.parametrize("domain", [F5, C, F2, F65521])
+def test_unit_maps_give_the_identity(domain):
+    """P[:r] f S^T = I_r for r the rank of f, with S picking r columns."""
+    rng = np.random.default_rng(9)
+    for _ in range(30):
+        n, m = rng.integers(0, 6, size=2)
+        f = matrix_of_rank_at_most(domain, rng, n, m, int(rng.integers(0, min(n, m) + 1)))
+        P, S = _unit_maps(f)
+        r = linalg.rank(f.array, domain)
+        assert P.shape == (r, n) and S.shape == (r, m)
+        assert domain.arrays_equal(domain.reduce(P @ f.array @ S.T), domain.asarray(np.eye(r)))
+        assert np.array_equal(S.sum(axis=1), np.ones(r)) and set(S.ravel().tolist()) <= {0, 1}
+
+
+@pytest.mark.parametrize("domain", [F2, F3, F65521, C])
+def test_matrix_restriction_is_decided_by_rank(domain):
+    """g <= f for matrices exactly when rank g <= rank f, and the returned
+    maps carry f to g; rank-deficient matrices and empty shapes included."""
+    rng = np.random.default_rng(31)
+    verdicts = set()
+    for _ in range(80):
+        (a, b), (n, m) = rng.integers(0, 5, size=(2, 2))
+        g = matrix_of_rank_at_most(domain, rng, a, b, int(rng.integers(0, min(a, b) + 1)))
+        f = matrix_of_rank_at_most(domain, rng, n, m, int(rng.integers(0, min(n, m) + 1)))
+        cert = restriction_exists(g, f)
+        fits = linalg.rank(g.array, domain) <= linalg.rank(f.array, domain)
+        assert (cert is not None) == fits
+        if cert is not None:
+            assert [mp.array.shape for mp in cert.maps] == [(a, n), (b, m)]
+            assert verify_certificate(cert, f)
+        verdicts.add(fits)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("domain", [F3, C])
+@pytest.mark.parametrize("g_shape,f_shape,maps", [
+    ((0, 3), (2, 3), [(0, 2), (3, 3)]),
+    ((2, 2), (0, 0), [(2, 0), (2, 0)]),
+    ((2, 0), (3, 0), [(2, 3), (0, 0)]),
+    ((3, 2), (0, 4), [(3, 0), (2, 4)]),
+])
+def test_matrix_restriction_of_empty_shapes(domain, g_shape, f_shape, maps):
+    """A zero g restricts from f of any rank, by maps of these shapes."""
+    f = Tensor(domain, np.ones(f_shape))
+    cert = restriction_exists(Tensor(domain, np.zeros(g_shape)), f)
+    assert [mp.array.shape for mp in cert.maps] == maps
+    assert verify_certificate(cert, f)
+    if 0 not in g_shape:  # a nonzero g needs f of rank 1 at least
+        assert restriction_exists(Tensor(domain, np.ones(g_shape)), f) is None
+
+
+# (field, f, g) -> subrank_exact(f) and restriction_exists(g, f) maps, recorded
+# when the matrix maps came from two rank normal forms and two inverses
+PINNED_MATRIX_CERTIFICATES = [
+    (F3, [[1, 2, 0, 1], [2, 1, 0, 2], [0, 1, 1, 1]], [[2, 1, 1], [1, 2, 2]],
+     [[[1, 0, 1], [0, 0, 1]], [[1, 0, 0, 0], [0, 1, 0, 0]]],
+     [[[2, 0, 2], [1, 0, 1]], [[1, 0, 0, 0], [2, 0, 0, 0], [2, 0, 0, 0]]]),
+    (F3, [[0, 0, 1], [0, 2, 2], [1, 1, 0]], [[1, 2], [2, 0]],
+     [[[1, 1, 1], [2, 2, 0], [1, 0, 0]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]],
+     [[[2, 2, 1], [2, 2, 2]], [[1, 0, 0], [0, 1, 0]]]),
+    (F65521, [[7, 65520, 3], [14, 65519, 6], [1, 2, 3]], [[5, 9], [10, 18]],
+     [[[56785, 0, 61153], [4368, 0, 34945]], [[1, 0, 0], [0, 1, 0]]],
+     [[[21841, 0, 43681], [43682, 0, 21841]], [[1, 0, 0], [13106, 0, 0]]]),
+    (F65521, [[0, 40000, 1, 2], [3, 0, 0, 65520]], [[123, 456], [789, 1011]],
+     [[[0, 43681], [5109, 0]], [[1, 0, 0, 0], [0, 1, 0, 0]]],
+     [[[36469, 41], [54561, 263]], [[1, 0, 0, 0], [0, 1, 0, 0]]]),
+]
+
+
+@pytest.mark.parametrize("case", range(len(PINNED_MATRIX_CERTIFICATES)))
+def test_matrix_certificates_are_pinned(case):
+    domain, f, g, sub_maps, res_maps = PINNED_MATRIX_CERTIFICATES[case]
+    f = Tensor(domain, f)
+    value, cert = subrank_exact(f)
+    assert value == len(sub_maps[0])
+    assert [mp.array.tolist() for mp in cert.maps] == sub_maps
+    cert = restriction_exists(Tensor(domain, g), f)
+    assert [mp.array.tolist() for mp in cert.maps] == res_maps
 
 
 # ---------------------------------------------------------------------------
@@ -692,8 +787,8 @@ def test_scaled_unit_target_matches_the_unit():
 
 def first_certificate(g, f):
     """The reference for the plain search: map tuples in _maps order on legs
-    1..k-1, one at a time, and the first whose last leg linalg.solve solves
-    (its maps as lists), or None."""
+    1..k-1, one at a time, and the first whose last leg solves, by
+    linalg.solve_stack on a stack of one (its maps as lists), or None."""
     p, k = f.domain.p, f.order
     unit = tensors_equal(g, unit_tensor(g.dims[0], k, f.domain))
     legs = [np.concatenate(list(_maps(p, d, e, (1,) if unit else None, leg == 0, 64)))
@@ -703,9 +798,9 @@ def first_certificate(g, f):
         t = f.array
         for leg, A in enumerate(maps):
             t = np.moveaxis(np.tensordot(A, t, axes=(1, leg)), 0, leg) % p
-        X = linalg.solve(t.reshape(-1, f.dims[-1]), G, f.domain)
-        if X is not None:
-            return [A.tolist() for A in maps] + [(X.T % p).tolist()]
+        ok, X = linalg.solve_stack(t.reshape(1, -1, f.dims[-1]), G[None], f.domain)
+        if ok[0]:
+            return [A.tolist() for A in maps] + [(X[0].T % p).tolist()]
     return None
 
 

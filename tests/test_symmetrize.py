@@ -297,3 +297,43 @@ def test_symmetrize_chain_gate_counts_the_chained_map():
     assert (res.n, res.c, res.verified) == (1, 2, "sparse")
     assert res.certificate.maps[0].array.shape == (2, d ** 3)
     assert tensors_equal(apply_sym_power(res.certificate.maps[0], f, 3), unit_tensor(2, 2, F5))
+
+
+@pytest.mark.parametrize("name", ["remove_powers", "make_sym", "symmetrize_certificate",
+                                  "symrank_upper"])
+def test_order_zero_tensors_are_rejected(name):
+    """An order-0 tensor is symmetric but has no leg to read a dimension from."""
+    f = Tensor(F3, np.array(1))
+    witness = Certificate(kind="restriction", maps=(), target=f)
+    args = {"remove_powers": (f,), "make_sym": ([], f, f),
+            "symmetrize_certificate": (f, witness), "symrank_upper": (f, witness)}[name]
+    with pytest.raises(ValueError, match=f"^{name} needs order >= 1$"):
+        getattr(symmetrize, name)(*args)
+
+
+@pytest.mark.parametrize("chain", [True, False])
+def test_witness_maps_are_counted_alike(chain):
+    """symmetrize_certificate and symrank_upper read a witness the same way."""
+    u = unit_tensor(2, 3, F5)
+    eye = LinearMap(F5, np.eye(2, dtype=np.int64))
+    witness = Certificate(kind="restriction", maps=(eye, eye), target=u)
+    with pytest.raises(ValueError, match="^witness has 2 maps, expected 3$"):
+        (symmetrize_certificate if chain else symrank_upper)(u, witness)
+
+
+def test_symmetrize_certificate_builds_the_witness_power_once(monkeypatch):
+    """The premise check and make_sym share one f^{(x)n}."""
+    calls = []
+
+    def counted(f, n):
+        calls.append(n)
+        return tensor_power(f, n)
+
+    monkeypatch.setattr(symmetrize, "tensor_power", counted)
+    W = w_tensor(F5)
+    A = LinearMap(F5, [[2, 1, 2, 1], [2, 2, 1, 1]])
+    res = symmetrize_certificate(W, Certificate(kind="restriction", maps=(A, A, A),
+                                                target=unit_tensor(2, 3, F5)))
+    assert (res.n, res.c, res.verified) == (2, 3, "dense")
+    # the witness's power, then those of create_t's check and the chain's
+    assert calls == [2, 3, 5]
