@@ -126,21 +126,22 @@ def adjacency_tensor(
     """The order-k adjacency tensor: 1 on the diagonal and on every edge.
 
     ``edge_values`` optionally overrides the coefficient of individual edges
-    (any nonzero scalar keeps the support, hence the combinatorial bounds).
+    (any nonzero scalar keeps the support, hence the combinatorial bounds;
+    a zero one, over C one within the domain's tolerance, is refused).  The
+    coefficients are coerced together and written in one scatter.
     """
+    import numpy as np
+
     from .tensors import Tensor
 
     arr = domain.zeros((h.n,) * h.k)
-    for v in range(h.n):
-        arr[(v,) * h.k] = 1
-    for e in h.edges:
-        value = 1
-        if edge_values is not None and e in edge_values:
-            value = edge_values[e]
-        coerced = domain.asarray([value])[0]
-        if coerced == 0:
+    edges = list(h.edges)
+    values = domain.asarray([edge_values.get(e, 1) if edge_values else 1 for e in edges])
+    for e, value in zip(edges, values.tolist()):
+        if domain.is_zero(value):
             raise HypergraphError(f"edge coefficient for {e} must be nonzero")
-        arr[tuple(v - 1 for v in e)] = coerced
+    arr[(np.arange(h.n),) * h.k] = 1
+    arr[tuple(np.array(edges, dtype=np.int64).reshape(-1, h.k).T - 1)] = values
     return Tensor(domain, arr)
 
 

@@ -16,15 +16,20 @@ every map.  A search raises when the number of representatives (or maps)
 it could enumerate, :attr:`SearchInfeasibleError.required`, exceeds its
 budget.
 
-Every search draws its rows from :func:`_row_blocks`.  The symmetric search
-for <e>, :func:`_sym_dfs`, is a branch and bound over int bitsets of the rows
-that pass the root: each row's bitset of compatible later rows (its pair
-row) is computed once, a child's candidates are its parent's ANDed with the
-chosen row's pair row, and a branch stops once its rows plus candidates
-cannot beat the best set.  :func:`symsubrank_exact` runs it once, from the
-least flattening rank of f; other targets take :func:`_sym_map_dfs`.  The
-plain search, :func:`_restriction_dfs`, solves the last leg for blocks of
-map tuples at once.
+Every search draws its rows from :func:`_row_blocks`.  The plain search
+and the symmetric search for <e> take them from one read-only stack of maps
+per leg (:func:`_leg_stack`) when they fit in one, and stream them
+otherwise.  Such stacks, the orbit leads and the unit tensors depend on
+no input, so each is built once and shared read-only.  The symmetric
+search for <e>, :func:`_sym_dfs`, is a branch and bound over int bitsets
+of the rows that pass the root: each row's bitset of compatible later rows
+(its pair row) is computed once, a child's candidates are its parent's
+ANDed with the chosen row's pair row, and a branch stops once its rows
+plus candidates cannot beat the best set.  :func:`symsubrank_exact` runs
+it once, from the least flattening rank of f; other targets take
+:func:`_sym_map_dfs`.  The plain search, :func:`_restriction_dfs`, solves
+the last leg for blocks of map tuples at once, its first block sized by
+the work in it.
 
 Determinism: canonical representatives are enumerated in lexicographic order
 of their rows, and the first certificate found is returned (for
@@ -80,6 +85,8 @@ __all__ = [
     "symrank_small",
     "reconstruct_waring",
 ]
+
+_FIRST_CHUNK = 1 << 10  # entries of partial tensors in a leg's first chunk of prefixes
 
 
 class SearchInfeasibleError(RuntimeError):
@@ -204,8 +211,10 @@ def _is_unit(g: Tensor) -> bool:
     return tensors_equal(g, unit_tensor(g.dims[0], g.order, g.domain))
 
 
+@functools.lru_cache(maxsize=16)
 def _root_orbit_leads(p: int, k: int) -> Tuple[int, ...]:
-    """The least element of each orbit of F_p^* under the k-th roots of unity."""
+    """The least element of each orbit of F_p^* under the k-th roots of unity
+    (at most 16 keys of at most p - 1 < 2^16 leads each)."""
     roots = [z for z in range(1, p) if pow(z, k, p) == 1]
     return tuple(a for a in range(1, p) if all(a <= a * z % p for z in roots))
 
@@ -244,25 +253,35 @@ def _sym_dfs(G: np.ndarray, F: np.ndarray, p: int, floor: int) -> np.ndarray:
 
     Rows strictly increase, each the least in its orbit under the k-th roots
     of unity.  The root keeps the rows c with F(c, ..., c) = 1 (the first
-    such block when e = 1).  Each survivor's pair row, the int bitset of the
-    later survivors whose two-row image with it is <2>, is computed once, in
+    such block when e = 1): per block of candidate rows, the image of F
+    under the one-row maps (c), with no stack of maps copied.  The
+    candidates are the plain search's shared stack of one-row maps
+    (:func:`_leg_stack`), or stream from :func:`_row_blocks` when they do
+    not fit in it.  Each survivor's pair row, the int bitset of the later
+    survivors whose two-row image with it is <2>, is computed once, in
     blocks of rows that double (:func:`_pair_rows`).  A child's candidates
     are its parent's after the chosen row ANDed with that row's pair row, so
     for k = 2 this is a maximum-clique search; for k >= 3 a node with two
-    rows or more also scores its candidates.  A branch stops once its rows
-    and candidates cannot beat the largest set so far; the result is the
-    lexicographically first largest set.
+    rows or more also scores its candidates against G's leading block.  A
+    branch stops once its rows and candidates cannot beat the largest set so
+    far; the result is the lexicographically first largest set.
     """
     k, d, e = F.ndim, F.shape[0], G.shape[0]
-    leading = [G[(slice(0, i + 1),) * k].reshape(-1) % p for i in range(e)]
+    leads = _root_orbit_leads(p, k)
     size = max(1, _BLOCK_ENTRIES // max(1, e * d ** (k - 1)))
+    stack = _leg_stack(p, d, 1, leads, False)
+    if stack is None:
+        blocks = (cand[:, None] for cand in _row_blocks(p, d, leads, size))
+    else:
+        blocks = (stack[lo:lo + size] for lo in range(0, len(stack), size))
     rows = np.zeros((0, d), dtype=np.int64)
-    for cand in _row_blocks(p, d, _root_orbit_leads(p, k), size):
-        maps = _stacked(rows[:0], cand)
-        rows = np.concatenate((rows, cand[(_images(maps, F, p) == leading[0]).all(axis=1)]))
+    for maps in blocks:  # the one-row maps (c), whose image is F(c, ..., c)
+        rows = np.concatenate((rows, maps[_images(maps, F, p)[:, 0] == 1, 0]))
         if e == 1 and len(rows):
             break
     n = len(rows)
+    # read only by the scoring of nodes with two rows or more, which k = 2 skips
+    leading = [G[(slice(0, i + 1),) * k].reshape(-1) % p for i in range(e)] if k > 2 else []
     pairs: Dict[int, int] = {}
     # rows in the next block of pair rows: first about 2^14 products, then doubling
     width = [max(1, _BLOCK_ENTRIES // (4 * (d + 1) ** k * max(1, n)))]
@@ -330,18 +349,33 @@ def _pair_rows(rows: np.ndarray, vs: List[int], F: np.ndarray, p: int) -> List[i
     (n, d), k, field, first = rows.shape, F.ndim, PrimeField(p), vs[0] + 1
     bad = np.zeros((len(vs), n - first), dtype=bool)
     for m in range(1, k):
-        splits = [F.transpose(T + tuple(sorted(set(range(k)) - set(T)))).reshape(-1, d**m)
-                  for T in itertools.combinations(range(k), k - m)]
-        left = _kron_rows([rows[vs]] * (k - m), field) @ np.concatenate(splits, axis=1) % p
+        shared = math.comb(k, m) * d**k <= _BLOCK_ENTRIES
+        splits = F.reshape(-1)[(_split_index if shared else _split_index.__wrapped__)(d, k, m)]
+        left = _kron_rows([rows[vs]] * (k - m), field) @ splits % p
         left = left.reshape(-1, d**m)  # row (v, T) is F_T(v)
         step = max(1, _BLOCK_ENTRIES // (d**m + len(left)))
         for lo in range(first, n, step):
             hit = left @ _kron_rows([rows[lo:lo + step]] * m, field).T % p
-            hit = hit.reshape(len(vs), len(splits), -1).any(axis=1)
+            hit = hit.reshape(len(vs), math.comb(k, m), -1).any(axis=1)
             bad[:, lo - first:lo - first + step] |= hit
     packed = np.packbits(~bad, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") << first >> v + 1 << v + 1
             for v, row in zip(vs, packed)]
+
+
+@functools.lru_cache(maxsize=16)
+def _split_index(d: int, k: int, m: int) -> np.ndarray:
+    """Where the flat array of an order-k, side-d F holds the matrix of its
+    contractions F_T over the (k - m)-subsets T of legs, side by side in
+    ``itertools.combinations`` order (T's legs index the rows, the other m
+    the columns).  Read-only; :func:`_pair_rows` shares the ones of at most
+    _BLOCK_ENTRIES entries, so the cache holds at most 16 such."""
+    codes = np.arange(d**k).reshape((d,) * k)
+    index = np.concatenate(
+        [codes.transpose(T + tuple(sorted(set(range(k)) - set(T)))).reshape(-1, d**m)
+         for T in itertools.combinations(range(k), k - m)], axis=1)
+    index.setflags(write=False)
+    return index
 
 
 def _sym_map_dfs(G: np.ndarray, F: np.ndarray, p: int) -> np.ndarray:
@@ -494,7 +528,9 @@ def _maps(p: int, d: int, e: int, leads: Optional[Sequence[int]], ascending: boo
 @functools.lru_cache(maxsize=16)
 def _leg_stack(p: int, d: int, e: int, leads: Optional[Tuple[int, ...]], ascending: bool):
     """Every map of :func:`_maps` in one read-only stack, shared by every
-    search over the leg; None if they hold more than _BLOCK_ENTRIES entries."""
+    search over the leg, the symmetric search's root included; None if they
+    hold more than _BLOCK_ENTRIES entries.  The cache holds at most 16
+    stacks, so at most 2^20 entries (8 MiB)."""
     size = _BLOCK_ENTRIES // max(1, e * d)
     stack = np.zeros((0, e, d), dtype=np.int64)
     for block in _maps(p, d, e, leads, ascending, size):
@@ -510,8 +546,13 @@ def _restriction_dfs(g: Tensor, f: Tensor, unit: bool) -> Optional[List[np.ndarr
     (A1 (x) ... (x) Ak) f = g; the last leg is solved linearly.  A chunk of
     partial tensors meets all maps of the next leg in one matmul,
     prefix-major, and each block of whole tuples gets one batched solve
-    (:func:`linalg.solve_stack`).  Chunks double from one prefix up to
-    _BLOCK_ENTRIES entries a block; a larger leg streams under one prefix.
+    (:func:`linalg.solve_stack`).  A leg's first chunk holds as many
+    prefixes as give about _FIRST_CHUNK entries of the next partial tensors
+    (at least one), so a small refutation makes one batched solve; chunks
+    then double up to _BLOCK_ENTRIES entries a block, and a larger leg
+    streams under one prefix.  The chunks change no answer, only how much is
+    solved before an early find returns: <2> <= tight over F2 solves a first
+    block of 84 tuples.
     Nothing is pruned before the solve: one that succeeds puts g's columns in
     every partial tensor's span and, for g = <e>, needs independent rows.
     """
@@ -532,10 +573,12 @@ def _restriction_dfs(g: Tensor, f: Tensor, unit: bool) -> Optional[List[np.ndarr
         e, d = garr.shape[leg], f.dims[leg]
         before, after = math.prod(garr.shape[:leg]), math.prod(f.dims[leg + 1:])
         size = max(1, _BLOCK_ENTRIES // max(e * d, before * e * after))  # maps per block
-        stack = _leg_stack(p, d, e, leads, unit and leg == 0)
+        stack = _leg_stack(p, d, e, leads, unit and leg == 0 and e > 1)  # one row: no order
         streamed = stack is None or len(stack) > size
         cap = 1 if streamed else max(1, size // max(1, len(stack)))
-        lo, step = 0, 1
+        # the first chunk holds about _FIRST_CHUNK entries of the next partials
+        per_prefix = (1 if streamed else len(stack)) * before * e * after
+        lo, step = 0, min(cap, max(1, _FIRST_CHUNK // max(1, per_prefix)))
         while lo < len(partials):
             chunk = partials[lo:lo + step]
             chunk = chunk.reshape(len(chunk), 1, before, d, after)

@@ -23,6 +23,7 @@ Conventions
 from __future__ import annotations
 
 import cmath
+import functools
 import hashlib
 import json
 import math
@@ -139,12 +140,23 @@ class LinearMap:
 # ---------------------------------------------------------------------------
 
 def unit_tensor(r: int, k: int, domain: Domain) -> Tensor:
-    """The diagonal unit tensor with r ones, order k (r = 0: all dims 0)."""
+    """The diagonal unit tensor with r ones, order k (r = 0: all dims 0).
+
+    Tensors are immutable, so one of at most 2^12 entries is built once and
+    shared (:func:`_shared_unit_tensor`)."""
     if r < 0:
         raise ValueError(f"r must be nonnegative, got {r}")
+    build = _shared_unit_tensor if r**k <= 1 << 12 else _shared_unit_tensor.__wrapped__
+    return build(r, k, domain)
+
+
+@functools.lru_cache(maxsize=64)
+def _shared_unit_tensor(r: int, k: int, domain: Domain) -> Tensor:
+    """<r> of order k over domain; the cache holds at most 64 of them, of at
+    most 2^12 entries each (4 MiB over C)."""
     arr = domain.zeros((r,) * k)
-    for i in range(r):
-        arr[(i,) * k] = 1
+    if r:  # at k = 0 the empty index would set the one entry of <0> too
+        arr[(np.arange(r),) * k] = 1
     return Tensor(domain, arr)
 
 

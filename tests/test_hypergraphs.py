@@ -63,6 +63,18 @@ def test_adjacency_tensor_entries():
         adjacency_tensor(c5_directed(), F5, edge_values={(1, 2): 0})
 
 
+def test_adjacency_refuses_an_edge_coefficient_of_zero_within_tolerance():
+    """Over C an edge coefficient within the tolerance of 0 would drop the
+    edge from the support; it is refused as an exact 0 is over F_p."""
+    h = Hypergraph(2, 2, [(1, 2)])
+    with pytest.raises(HypergraphError, match=r"edge coefficient for \(1, 2\) must be nonzero"):
+        adjacency_tensor(h, C, {(1, 2): 1e-12})
+    with pytest.raises(HypergraphError, match=r"edge coefficient for \(1, 2\) must be nonzero"):
+        adjacency_tensor(h, F5, {(1, 2): 5})
+    assert adjacency_tensor(h, C, {(1, 2): 1e-6}).array[0, 1] == 1e-6
+    assert adjacency_tensor(h, F5, {(1, 2): 7}).array.tolist() == [[1, 2], [0, 1]]
+
+
 def test_independence_c5():
     for h, alpha in ((c5_directed(), 2), (undirected_c5(), 2)):
         value, witness = independence_number(h)
