@@ -248,7 +248,6 @@ def _cmd_createt(args, inputs):
         "relabeling": list(cert.relabeling),
         "rows": [list(t) for t in cert.rows],
         "columns": [list(t) for t in cert.columns],
-        "checked": cert.verified,
     }
     return outputs, "verified"
 
@@ -263,7 +262,6 @@ def _cmd_symmetrize(args, inputs):
         "n": res.n,
         "c": res.c,
         "power": res.n + res.c,
-        "checked": res.verified,
         "certificate": _certificate_output(args, res.certificate),
     }
     return outputs, "verified"

@@ -538,7 +538,8 @@ def power_diag_certificate(L: Tensor, n: int) -> PowerDiagResult:
     base = tuple(p for p in pivots for _ in range(n // r))
     tuples = sorted(set(itertools.permutations(base)))
     size = math.factorial(n) // math.factorial(n // r) ** r
-    assert len(tuples) == size
+    if len(tuples) != size:
+        raise AssertionError("internal error: arrangement count mismatch")
     T = np.array(tuples, dtype=np.int64)
     step = max(1, _BLOCK_ENTRIES // size)
     diag_values = []

@@ -127,9 +127,12 @@ def adjacency_tensor(
 
     ``edge_values`` optionally overrides the coefficient of individual edges
     (any nonzero scalar keeps the support, hence the combinatorial bounds;
-    a zero one, over C one within the domain's tolerance, is refused).  The
-    coefficients are coerced together and written in one scatter.
+    a zero one, over C one within the domain's tolerance, is refused, as is
+    a non-finite one).  The coefficients are coerced together and written
+    in one scatter.
     """
+    import cmath
+
     import numpy as np
 
     from .tensors import Tensor
@@ -138,6 +141,8 @@ def adjacency_tensor(
     edges = list(h.edges)
     values = domain.asarray([edge_values.get(e, 1) if edge_values else 1 for e in edges])
     for e, value in zip(edges, values.tolist()):
+        if not cmath.isfinite(value):
+            raise HypergraphError(f"edge coefficient for {e} must be finite")
         if domain.is_zero(value):
             raise HypergraphError(f"edge coefficient for {e} must be nonzero")
     arr[(np.arange(h.n),) * h.k] = 1
@@ -305,15 +310,11 @@ def capacity_lower(h: Hypergraph, m: int) -> CapacityLowerResult:
     if m < 1:
         raise HypergraphError(f"power must be positive, got {m}")
     history: List[Tuple[int, int, float]] = []
-    best: Optional[Tuple[int, int, float]] = None
     for j in range(1, m + 1):
         power = h if j == 1 else strong_power(h, j)
         alpha, _ = independence_number(power)
-        value = alpha ** (1.0 / j)
-        history.append((alpha, j, value))
-        if best is None or value > best[2]:
-            best = (alpha, j, value)
-    assert best is not None
+        history.append((alpha, j, alpha ** (1.0 / j)))
+    best = max(history, key=lambda entry: entry[2])  # the first of the largest
     return CapacityLowerResult(
         alpha=best[0], power=best[1], value=best[2], history=tuple(history)
     )

@@ -9,9 +9,10 @@ e_{pi(1)} (x) ... (x) e_{pi(k)} over all permutations pi):
   restriction maps along an auxiliary k-dimensional register;
 * ``remove_powers`` and ``create_t`` produce, for any symmetric f with a
   flattening rank >= 2, a power c and a selection map with
-  f^{(x)c} >=_s h, certified combinatorially;
+  f^{(x)c} >=_s h, checked entry by entry on h without forming f^{(x)c};
 * ``symmetrize_certificate`` chains the three into
-  <r> <=_s f^{(x)(n+c)} from a plain witness <r> <= f^{(x)n};
+  <r> <=_s f^{(x)(n+c)} from a plain witness <r> <= f^{(x)n}, checked
+  through the chain's Kronecker structure on f^{(x)n} alone;
 * ``symrank_upper`` turns a rank witness f <= <r> into an explicit
   Waring (symmetric) decomposition with r * 2^{k-1} terms.
 
@@ -24,7 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -43,7 +44,6 @@ from .tensors import (
     _rank_one_sum,
     apply,
     apply_sym,
-    apply_sym_power,
     flattening_rank,
     identity_map,
     is_symmetric,
@@ -337,8 +337,7 @@ class CreateTCertificate:
     ``rows`` lists all index tuples of type ``y`` (the rows of the
     selection arrangement), ``columns`` its k columns read as c-tuples,
     and scaling the first selection row by ``scale`` makes the extracted
-    tensor exactly h.  ``verified`` records how the certificate was
-    checked: "dense", "sparse" (support enumeration), or "combinatorial".
+    tensor exactly h.  ``create_t`` checks that claim before it returns.
     """
 
     source_id: str
@@ -353,18 +352,17 @@ class CreateTCertificate:
     pre_map: LinearMap
     base_value: object
     scale: object
-    verified: str
 
 
 def create_t(f: Tensor) -> CreateTCertificate:
-    """Find c with f^{(x)c} >=_s h and certify it combinatorially.
+    """Find c with f^{(x)c} >=_s h and check it on h's k^k entries.
 
     Requires some flattening rank >= 2.  After clearing diagonal support
     (remove_powers) and relabeling a coordinate of maximal bounded
     multiplicity to position 0, the rows are all arrangements of the
     chosen type y and the selection columns are provably scattered: any k
     columns whose coordinate slices all lie in the support are pairwise
-    distinct, which is checked here exhaustively over all k^k choices.
+    distinct.  :func:`_check_selection` confirms the result exactly.
     """
     d, k = _symmetric_dims(f, "create_t")
     domain = f.domain
@@ -389,28 +387,12 @@ def create_t(f: Tensor) -> CreateTCertificate:
     for old, new in enumerate(relabeling):
         P[new, old] = 1
     relabeled = apply_sym(LinearMap(domain, P), clean)
-    supp2 = set(support(relabeled))
-    types = {tuple(s.count(a) for a in range(d)) for s in supp2}
+    types = {tuple(s.count(a) for a in range(d)) for s in support(relabeled)}
     y = min(t for t in types if t[0] == best)
     base = tuple(a for a in range(d) for _ in range(y[a]))
     rows = tuple(sorted(set(itertools.permutations(base))))
     c = len(rows)
-    assert c == math.factorial(k) // math.prod(math.factorial(m) for m in y)
     columns = tuple(tuple(rows[i][j] for i in range(c)) for j in range(k))
-    if len(set(columns)) != k:
-        raise AssertionError("internal error: selection columns not distinct")
-    # soundness: a fully-supported choice of k columns must be all-distinct
-    for choice in itertools.product(range(k), repeat=k):
-        if len(set(choice)) == k:
-            continue
-        for i in range(c):
-            piece = tuple(columns[j][i] for j in choice)
-            if piece not in supp2:
-                break
-        else:
-            raise AssertionError(
-                f"internal error: soundness fails for column choice {choice}"
-            )
     base_value = relabeled.array[rows[0]]
     lam = base_value
     for _ in range(c - 1):
@@ -428,9 +410,9 @@ def create_t(f: Tensor) -> CreateTCertificate:
         pre_map=LinearMap(domain, domain.reduce(P @ pre.array)),
         base_value=base_value,
         scale=domain.inverse(lam),
-        verified="combinatorial",
     )
-    return replace(cert, verified=_create_t_check(cert, f))
+    _check_selection(cert, f)
+    return cert
 
 
 def selection_map(cert: CreateTCertificate) -> LinearMap:
@@ -451,32 +433,36 @@ def selection_map(cert: CreateTCertificate) -> LinearMap:
     return LinearMap(domain, M)
 
 
-def _create_t_check(cert: CreateTCertificate, f: Tensor) -> str:
-    """Cross-check the certificate against f^{(x)c} when small enough."""
-    d, c, k = cert.dim, cert.c, cert.order
-    if c * math.log2(max(d, 2)) > MAP_GATE_BITS:
-        return "combinatorial"
-    h = fully_symmetric(k, cert.domain)
-    return _check_on_power(selection_map(cert), f, c, h, "combinatorial")
+def _check_selection(cert: CreateTCertificate, f: Tensor) -> None:
+    """Check that the selection map carries f^{(x)c} to h, building neither.
 
-
-def _check_on_power(
-    A: LinearMap, f: Tensor, power: int, target: Tensor, gated: str
-) -> str:
-    """Check apply_sym(A, f^{(x)power}) = target: densely when the power fits
-    the entry cap ("dense"), else by support enumeration ("sparse"); returns
-    ``gated`` when that is over its budget too.  Raises on a mismatch."""
-    d, k = f.dims[0], f.order
-    if d ** (power * k) <= ENTRY_CAP:
-        got, how = apply_sym(A, tensor_power(f, power)), "dense"
-    else:
-        try:
-            got, how = apply_sym_power(A, f, power), "sparse"
-        except TensorSizeError:
-            return gated
-    if not tensors_equal(got, target):
-        raise AssertionError(f"internal error: {how} check failed")
-    return how
+    Row j of the map is the Kronecker product over i < c of the rows
+    columns[j][i] of ``pre_map``, row 0 times ``scale``.  So entry j (a
+    k-tuple) of the image is T_j = scale^{#{l : j_l = 0}} times the product
+    over i of g[columns[j_1][i], ..., columns[j_k][i]], g = pre_map^{(x)k} f.
+    The k^k tuples go in blocks, each compared with h's block (1 exactly on
+    the permutations); a tuple leaves once its running product is 0.
+    """
+    d, k, domain = cert.dim, cert.order, cert.domain
+    _h_gate(k)
+    g = apply_sym(cert.pre_map, f).array.ravel()
+    symbols = np.array(cert.columns).T  # row i: the symbol each column puts in place i
+    place = d ** np.arange(k - 1, -1, -1)
+    digit = k ** np.arange(k - 1, -1, -1)
+    powers = domain.asarray([domain.normalize(cert.scale ** m) for m in range(k + 1)])
+    for lo in range(0, k ** k, _BLOCK_ENTRIES):
+        choice = np.arange(lo, min(lo + _BLOCK_ENTRIES, k ** k))[:, None] // digit % k
+        h = np.bitwise_or.reduce(1 << choice, axis=1) == (1 << k) - 1
+        live = np.arange(len(choice))
+        value = np.ones(len(choice), dtype=domain.dtype)
+        for row in symbols:
+            value = domain.reduce(value * g[row[choice[live]] @ place])
+            keep = value != 0
+            live, value = live[keep], value[keep]
+        T = domain.zeros(len(choice))
+        T[live] = domain.reduce(value * powers[(choice[live] == 0).sum(axis=1)])
+        if not domain.arrays_equal(T, h.astype(domain.dtype)):
+            raise AssertionError("internal error: the selection does not extract h")
 
 
 # ---------------------------------------------------------------------------
@@ -491,28 +477,30 @@ class SymmetrizeResult:
     create_cert: CreateTCertificate
     n: int
     c: int
-    verified: str  # "dense" | "sparse" | "links"
 
 
 def symmetrize_certificate(f: Tensor, rc: Certificate) -> SymmetrizeResult:
     """Chain <r> <= f^{(x)n} into a symmetric <r> <=_s f^{(x)(n+c)}.
 
     Composition per leg (right to left): select f^{(x)c} down to h inside
-    f^{(x)(n+c)}, lift the witness maps through the h register (make_sym),
-    then collapse <r> (x) h to <r> by summing the register against
-    (1/k!, 1, ..., 1).  The selection map M acts on the register alone, so
-    the collapsed lift, read as (r, d^n, k), meets M in one product: the
-    chained r x d^(n+c) map is all that is materialized, and all the gate
-    counts.  The result is re-verified against the full power densely or by
-    support enumeration when feasible; otherwise each link's own
-    verification stands.
+    f^{(x)(n+c)}, lift the witness maps A_a through the h register as
+    make_sym does, then collapse <r> (x) h to <r> by summing the register
+    against w = (1/k!, 1, ..., 1).  On indices merged as (f^{(x)n} index,
+    f^{(x)c} index) the chained map is A = sum_a C_a (x) M_a, with
+    C_a = w_a A_a and M_a row a of the selection map: one product C M,
+    whose r x d^(n+c) entries are all that is materialized and all the gate
+    counts.  Hence A^{(x)k} f^{(x)(n+c)} is the sum over j in [k]^k of
+    T_j (C_{j_1} (x) ... (x) C_{j_k}) f^{(x)n}, with T = M^{(x)k} f^{(x)c},
+    which ``create_t`` has checked to be h: only the k! permutations j
+    count, and :func:`_check_chain` checks their sum on f^{(x)n}.
     """
     d, k = _symmetric_dims(f, "symmetrize_certificate")
     domain = f.domain
     _char_guard(domain, k)
     leg_maps = _witness_maps(rc, k)
     r = rc.target.dims[0] if rc.target.order else 0
-    if not tensors_equal(rc.target, unit_tensor(r, k, domain)):
+    unit = unit_tensor(r, k, domain)
+    if not tensors_equal(rc.target, unit):
         raise ValueError("witness target is not a unit tensor")
     cols = leg_maps[0].cols
     n = max(1, round(math.log(max(cols, 1), d))) if d > 1 else 1
@@ -526,25 +514,34 @@ def symmetrize_certificate(f: Tensor, rc: Certificate) -> SymmetrizeResult:
     ):
         raise ValueError("premise fails: witness does not verify")
     ct = create_t(f)
-    M = selection_map(ct)
-    lifted = make_sym(leg_maps, power, rc.target)
-    B = lifted.maps[0].array
-    row_weights = np.ones(k, dtype=domain.dtype)
-    row_weights[0] = domain.inverse(domain.normalize(math.factorial(k)))
-    collapse = (np.eye(r, dtype=domain.dtype)[:, :, None] * row_weights).reshape(r, r * k)
+    M = selection_map(ct).array
     if r * d ** (n + ct.c) > ENTRY_CAP:
         raise TensorSizeError(f"chained map would need {r} x {d ** (n + ct.c)} entries")
-    A_total = domain.reduce(domain.reduce(collapse @ B).reshape(r, d ** n, k) @ M.array)
-    total_map = LinearMap(domain, A_total.reshape(r, d ** (n + ct.c)))
-    cert = Certificate(
-        kind="symmetric-restriction",
-        maps=(total_map,),
-        target=unit_tensor(r, k, domain),
-    )
-    verified = _check_on_power(total_map, f, n + ct.c, cert.target, "links")
-    return SymmetrizeResult(
-        certificate=cert, create_cert=ct, n=n, c=ct.c, verified=verified
-    )
+    C = np.stack([m.array for m in leg_maps], axis=-1)  # (r, d^n, k): C[:, :, a] = w_a A_a
+    C[:, :, 0] = domain.reduce(C[:, :, 0] * domain.inverse(domain.normalize(math.factorial(k))))
+    A = domain.reduce(C @ M)
+    _check_chain(A, C, M, power, unit)
+    total_map = LinearMap(domain, A.reshape(r, d ** (n + ct.c)))
+    cert = Certificate(kind="symmetric-restriction", maps=(total_map,), target=unit)
+    return SymmetrizeResult(certificate=cert, create_cert=ct, n=n, c=ct.c)
+
+
+def _check_chain(A: np.ndarray, C: np.ndarray, M: np.ndarray, power: Tensor,
+                 unit: Tensor) -> None:
+    """Check the chained map A, read as (r, d^n, d^c), against the Kronecker
+    form sum_a C_a (x) M_a entry by entry, and the sum over the k!
+    permutations pi of (C_{pi(1)} (x) ... (x) C_{pi(k)}) applied to
+    ``power`` = f^{(x)n} against ``unit`` = <r>."""
+    domain = power.domain
+    k = C.shape[2]
+    kron = functools.reduce(np.add, (np.multiply.outer(C[:, :, a], M[a]) for a in range(k)))
+    if not domain.arrays_equal(A, domain.reduce(kron)):
+        raise AssertionError("internal error: the chained map is not its Kronecker form")
+    maps = [LinearMap(domain, C[:, :, a]) for a in range(k)]
+    image = functools.reduce(np.add, (apply([maps[a] for a in perm], power).array
+                                      for perm in itertools.permutations(range(k))))
+    if not domain.arrays_equal(domain.reduce(image), unit.array):
+        raise AssertionError("internal error: the chained map does not carry f^(n+c) to <r>")
 
 
 # ---------------------------------------------------------------------------

@@ -145,7 +145,7 @@ def test_symmetrize_certificate(ws, capsys, tmp_path):
     assert code == 0
     assert rep["outputs"]["power"] == 5
     assert rep["outputs"]["c"] == 3
-    assert rep["outputs"]["checked"] == "dense"
+    assert rep["verification"] == "verified"
 
 
 # The "outputs" objects of `--json` reports, compared as canonical JSON text.
@@ -161,12 +161,12 @@ _GOLDEN = {
                     [1, 65520, 65520, 65520]],
     },
     "createt-W-F5": {
-        "c": 3, "checked": "dense", "columns": [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
+        "c": 3, "columns": [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
         "relabeling": [0, 1], "rows": [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
         "sourceId": "7f7f9f017e22422c", "y": [2, 1],
     },
     "symmetrize-W-F5": {
-        "c": 3, "checked": "dense", "n": 2, "power": 5,
+        "c": 3, "n": 2, "power": 5,
         "certificate": {
             "kind": "symmetric-restriction",
             "maps": [{"cols": 32, "domain": "F5", "rows": 2, "data": [

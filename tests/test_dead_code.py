@@ -1,11 +1,13 @@
 """Dead code in the package, found by reading its source (standard library only).
 
-Two rules, checked over every module in ``src/symsub``:
+Three rules, checked over every module in ``src/symsub``:
 
 * every name an import binds is read in the scope holding the import (a
   module-level import may also be listed in ``__all__``, as a re-export);
 * every private module-level function is referred to somewhere in the
-  package outside its own body.
+  package outside its own body;
+* no check is an ``assert`` statement, since ``python -O`` strips them: an
+  internal check raises explicitly.
 """
 
 import ast
@@ -79,6 +81,11 @@ def uncalled_private_functions(trees):
             and total[node.name] == references(node)[node.name]]
 
 
+def assert_statements(tree):
+    """'line N' for each ``assert`` statement."""
+    return [f"line {n.lineno}" for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+
+
 def test_no_module_imports_a_name_it_never_uses():
     unused = {name: unused_imports(tree) for name, tree in SOURCES.items()}
     assert {name: lines for name, lines in unused.items() if lines} == {}
@@ -88,12 +95,20 @@ def test_every_private_function_is_called():
     assert uncalled_private_functions(SOURCES) == []
 
 
+def test_no_check_is_an_assert_statement():
+    found = {name: assert_statements(tree) for name, tree in SOURCES.items()}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 def test_the_rules_catch_what_they_name():
-    """An unused import, also one inside a function, and a private function
-    that only calls itself are found; a function used elsewhere is not."""
+    """An unused import, also one inside a function, a private function
+    that only calls itself and a nested assert are found; a function used
+    elsewhere and an explicit raise are not."""
     tree = ast.parse("from typing import Optional, Tuple\n"
                      "def _dead() -> Tuple: return _dead()\n"
                      "def _used(): import json\n")
     other = ast.parse("from m import _used\n_used()\n")
     assert unused_imports(tree) == ["line 1: Optional", "line 3: json"]
     assert uncalled_private_functions({"a.py": tree, "b.py": other}) == ["a.py: _dead"]
+    checks = ast.parse("def f(x):\n    if x:\n        assert x > 1\n    raise AssertionError\n")
+    assert assert_statements(checks) == ["line 3"]

@@ -75,6 +75,17 @@ def test_adjacency_refuses_an_edge_coefficient_of_zero_within_tolerance():
     assert adjacency_tensor(h, F5, {(1, 2): 7}).array.tolist() == [[1, 2], [0, 1]]
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"),
+                                   complex(1, float("nan")), complex(float("inf"), 0)])
+def test_adjacency_refuses_a_non_finite_edge_coefficient(value):
+    """Over C a NaN is not within the tolerance of 0, yet it would fall out
+    of the support the tensor promises to keep; every non-finite value is
+    refused."""
+    h = Hypergraph(2, 2, [(1, 2)])
+    with pytest.raises(HypergraphError, match=r"edge coefficient for \(1, 2\) must be finite"):
+        adjacency_tensor(h, C, {(1, 2): value})
+
+
 def test_independence_c5():
     for h, alpha in ((c5_directed(), 2), (undirected_c5(), 2)):
         value, witness = independence_number(h)

@@ -35,7 +35,7 @@ from symsub import (
     waring_h,
     waring_reconstruct,
 )
-from symsub import symmetrize
+from symsub import linalg, restrict, symmetrize
 
 F11 = domain_from_name("F11")
 
@@ -192,16 +192,17 @@ def test_create_t_on_w():
     cert = create_t(w_tensor(C))
     assert cert.y == (2, 1)
     assert cert.c == 3
-    assert cert.verified in ("dense", "sparse", "combinatorial")
     S = selection_map(cert)
     assert tensors_equal(apply_sym(S, tensor_power(w_tensor(C), 3)), fully_symmetric(3, C))
 
 
 def test_create_t_checks_a_power_over_the_cap_by_its_support():
-    """h^6 has 3^18 entries, over the dense cap: the check enumerates its
-    support instead."""
-    cert = create_t(fully_symmetric(3, F5))
-    assert (cert.c, cert.y, cert.verified) == (6, (1, 1, 1), "sparse")
+    """h^6 has 3^18 entries, over the dense cap: create_t's check reads the
+    selection on h's 27 entries, and the support of h^6 confirms it."""
+    h = fully_symmetric(3, F5)
+    cert = create_t(h)
+    assert (cert.c, cert.y) == (6, (1, 1, 1))
+    assert tensors_equal(apply_sym_power(selection_map(cert), h, 6), h)
 
 
 def test_create_t_needs_flattening_rank_two():
@@ -294,7 +295,7 @@ def test_symmetrize_chain_gate_counts_the_chained_map():
     rc = Certificate(kind="symmetric-restriction", maps=(LinearMap(F5, A),),
                      target=unit_tensor(2, 2, F5))
     res = symmetrize_certificate(f, rc)
-    assert (res.n, res.c, res.verified) == (1, 2, "sparse")
+    assert (res.n, res.c) == (1, 2)
     assert res.certificate.maps[0].array.shape == (2, d ** 3)
     assert tensors_equal(apply_sym_power(res.certificate.maps[0], f, 3), unit_tensor(2, 2, F5))
 
@@ -322,7 +323,8 @@ def test_witness_maps_are_counted_alike(chain):
 
 
 def test_symmetrize_certificate_builds_the_witness_power_once(monkeypatch):
-    """The premise check and make_sym share one f^{(x)n}."""
+    """The premise check and the chain's check share one f^{(x)n}; neither
+    create_t nor the chain forms another power of f."""
     calls = []
 
     def counted(f, n):
@@ -334,6 +336,89 @@ def test_symmetrize_certificate_builds_the_witness_power_once(monkeypatch):
     A = LinearMap(F5, [[2, 1, 2, 1], [2, 2, 1, 1]])
     res = symmetrize_certificate(W, Certificate(kind="restriction", maps=(A, A, A),
                                                 target=unit_tensor(2, 3, F5)))
-    assert (res.n, res.c, res.verified) == (2, 3, "dense")
-    # the witness's power, then those of create_t's check and the chain's
-    assert calls == [2, 3, 5]
+    assert (res.n, res.c) == (2, 3)
+    assert calls == [2]  # the witness's power
+
+
+def _w_chain_witness():
+    """<2> <= W^{(x)2} over F5, the same map on every leg."""
+    A = LinearMap(F5, [[2, 1, 2, 1], [2, 2, 1, 1]])
+    return Certificate(kind="restriction", maps=(A, A, A), target=unit_tensor(2, 3, F5))
+
+
+def test_a_chain_over_the_old_support_budget_is_confirmed_by_an_independent_sum():
+    """f = V^{(x)3}<5> over F13 with the witness V^{-1} (n = 1, c = 3): f^{(x)4}
+    = (V^{(x)4})^{(x)3}<625> has 5^12 entries, so A^{(x)3} f^{(x)4} is read as
+    the sum of u^{(x)3} over the columns u of A V^{(x)4}, outside the library."""
+    p, d = 13, 5
+    F13 = domain_from_name("F13")
+    rng = np.random.default_rng(0)
+    V = rng.integers(0, p, (d, d))
+    while linalg.rank(V, F13) < d:
+        V = rng.integers(0, p, (d, d))
+    _, _, inverse = linalg.row_reduce(V, F13)
+    f = apply([LinearMap(F13, V)] * 3, unit_tensor(d, 3, F13))
+    rc = Certificate(kind="restriction", maps=(LinearMap(F13, inverse),) * 3,
+                     target=unit_tensor(d, 3, F13))
+    res = symmetrize_certificate(f, rc)
+    assert (res.n, res.c) == (1, 3)
+    V4 = V
+    for _ in range(3):
+        V4 = np.kron(V4, V) % p
+    U = res.certificate.maps[0].array @ V4 % p  # 5 x 625: column u per unit entry
+    got = np.einsum("iu,ju,ku->ijk", U, U, U) % p
+    assert np.array_equal(got, unit_tensor(d, 3, F13).array)
+
+
+def test_the_chain_check_catches_a_changed_entry_of_the_map(monkeypatch):
+    check = symmetrize._check_chain
+
+    def corrupted(A, *rest):
+        A = A.copy()
+        A.flat[1] = (A.flat[1] + 1) % 5
+        return check(A, *rest)
+
+    monkeypatch.setattr(symmetrize, "_check_chain", corrupted)
+    with pytest.raises(AssertionError, match="^internal error: the chained map is not"):
+        symmetrize_certificate(w_tensor(F5), _w_chain_witness())
+
+
+@pytest.mark.parametrize("field", ["scale", "pre_map"])
+def test_the_selection_check_catches_a_changed_scale_or_basis_change(field):
+    W = w_tensor(F5)
+    cert = create_t(W)
+    symmetrize._check_selection(cert, W)
+    if field == "scale":
+        bad = dataclasses.replace(cert, scale=(cert.scale + 1) % 5)
+    else:
+        arr = cert.pre_map.array.copy()
+        arr[0, 0] = (arr[0, 0] + 1) % 5
+        bad = dataclasses.replace(cert, pre_map=LinearMap(F5, arr))
+    with pytest.raises(AssertionError, match="^internal error: the selection does not extract h$"):
+        symmetrize._check_selection(bad, W)
+
+
+def test_the_chain_checks_symmetry_on_f_alone(monkeypatch):
+    """A power of a symmetric f is symmetric, and <r> is checked to be the
+    unit tensor, so no symmetry test sees f^{(x)n} or <r>."""
+    seen = []
+
+    def counted(t):
+        seen.append(t.array.size)
+        return is_symmetric(t)
+
+    for module in (symmetrize, restrict):
+        monkeypatch.setattr(module, "is_symmetric", counted)
+    W = w_tensor(F5)
+    symmetrize_certificate(W, _w_chain_witness())
+    assert seen and max(seen) <= W.array.size
+
+
+def test_create_t_checks_h_of_order_seven_in_blocks():
+    """The order-7 W over F11 (ones where one index is 1) selects h of order
+    7, whose 7^7 entries the check reads in 13 blocks of 2^16 tuples."""
+    arr = np.zeros((2,) * 7, dtype=np.int64)
+    for leg in range(7):
+        arr[(0,) * leg + (1,) + (0,) * (6 - leg)] = 1
+    cert = create_t(Tensor(F11, arr))
+    assert (cert.c, cert.y) == (7, (6, 1))
