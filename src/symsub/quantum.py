@@ -11,10 +11,13 @@ The ascent moves each map along the orbit by g <- exp(tX) g with X
 Hermitian.  The entropy is invariant under unitaries and scaling, so its
 gradient in X is a Hermitian, traceless moment map read from the image
 alone: dH(rho) = -tr[(log2 rho) d rho], so one eigh per marginal gives both
-the value and the gradient (see ``_value_and_gradient``), and exp keeps
-every map invertible.  With X = U diag(lam) U^H, each step t the line search
-tries is an elementwise scaling by exp(t lam) on every leg of one image, that
-of the maps U^H g (``_step_value``).  One cached fancy index gives all k
+the value and the gradient (see ``_gradient``), and exp keeps every map
+invertible.  With X = U diag(lam) U^H, each step t the line search tries is
+an elementwise scaling by exp(t lam) on every leg of one image, that of the
+maps U^H g (``_step``).  The accepted candidate is the image of the new maps
+under U^H on every leg, so its flattenings and eigh give the next value and
+gradient: each iteration images one tensor, the last candidate rotated into
+the new eigenbasis, and never the input.  One cached fancy index gives all k
 flattenings of a tensor, and one batched product all its marginals.
 
 No entropy here exceeds log2 d, the value of a start whose marginals are
@@ -335,45 +338,41 @@ def _image(arr: np.ndarray, legs: Sequence[np.ndarray]) -> np.ndarray:
     return arr
 
 
-def _entropy(v: np.ndarray, mode: str) -> float:
-    """Entropy objective in bits of the image v, from one batched eigvalsh."""
-    spectra = np.linalg.eigvalsh(_marginal_stack(_flattenings(v), mode == "sym"))
-    return sum(_entropy_bits(values) for values in spectra.tolist()) / len(spectra)
+def _evaluate(v: np.ndarray, mode: str) -> Tuple[float, tuple]:
+    """Entropy objective in bits of the image v, and the point its gradient
+    reads: v, its k flattenings, the eigh of its marginal stack and the
+    entropy of each of those marginals."""
+    flats = _flattenings(v)
+    spectra, vectors = np.linalg.eigh(_marginal_stack(flats, mode == "sym"))
+    entropies = [_entropy_bits(values) for values in spectra.tolist()]
+    return sum(entropies) / len(entropies), (v, flats, spectra, vectors, entropies)
 
 
-def _objective(arr: np.ndarray, maps: np.ndarray, mode: str) -> float:
-    """Entropy objective in bits at the stacked maps."""
-    return _entropy(_image(arr, _legs(maps, arr.ndim)), mode)
-
-
-def _step_value(w: np.ndarray, eigs: np.ndarray, t: float, mode: str) -> float:
-    """The objective at the maps U exp(t diag(eigs)) U^H g from w, the image
-    under the maps U^H g: the entropy is blind to the unitary U on any leg."""
+def _step(w: np.ndarray, eigs: np.ndarray, t: float, mode: str) -> Tuple[float, tuple]:
+    """``_evaluate`` at the maps exp(t diag(eigs)) U^H g from w, the image
+    under the maps U^H g; its value is the objective at the maps
+    U exp(t diag(eigs)) U^H g, as the entropy is blind to the unitary U on
+    any leg."""
     scale = functools.reduce(np.multiply.outer, _legs(np.exp(t * eigs), w.ndim))
-    return _entropy(w * scale, mode)
+    return _evaluate(w * scale, mode)
 
 
-def _value_and_gradient(
-    arr: np.ndarray, maps: np.ndarray, mode: str
-) -> Tuple[float, np.ndarray]:
-    """The value ``_objective`` returns, and for each map the gradient X of
-    the value in the direction g <- exp(X) g, X Hermitian.
+def _gradient(point: tuple, mode: str) -> np.ndarray:
+    """For each map, the gradient X of the objective at an ``_evaluate``
+    point in the direction g <- exp(X) g, X Hermitian, in the frame of the
+    point's image v (a unitary R on every leg of v conjugates X by R).
 
-    Let v be the image of arr, N = |v|^2, and L_j = log2 of the marginal on
-    leg j with eigenvalues clipped at _EIG_FLOOR (in sym mode every L_j and
-    H_j belong to the averaged marginal).  As tr rho stays 1,
-    dH = -tr[L d rho] = Re<G, dv> with
-    G = -(2/(kN)) sum_j (L_j on leg j of v + H_j v).  Moving the map on leg
-    j by exp(X) moves v by X on leg j, so that map gets G_(j) v_(j)^H
+    Let N = |v|^2, and L_j = log2 of the marginal on leg j with eigenvalues
+    clipped at _EIG_FLOOR (in sym mode every L_j and H_j belong to the
+    averaged marginal).  As tr rho stays 1, dH = -tr[L d rho] = Re<G, dv>
+    with G = -(2/(kN)) sum_j (L_j on leg j of v + H_j v).  Moving the map on
+    leg j by exp(X) moves v by X on leg j, so that map gets G_(j) v_(j)^H
     (flattenings with leg j as rows); the shared sym map sums all k.  The
     Hermitian part of the sum is X, and it is traceless because scaling a
     map leaves the entropy unchanged.
     """
-    k = arr.ndim
-    v = _image(arr, _legs(maps, k))
-    flats = _flattenings(v)
-    spectra, vectors = np.linalg.eigh(_marginal_stack(flats, mode == "sym"))
-    entropies = [_entropy_bits(values) for values in spectra.tolist()]
+    v, flats, spectra, vectors, entropies = point
+    k = v.ndim
     logs = np.log2(np.maximum(spectra, _EIG_FLOOR))
     log_rhos = (vectors * logs[:, None, :]) @ vectors.conj().swapaxes(1, 2)
     # L_j on leg j of v, in flattening j, then every leg back in order
@@ -383,7 +382,7 @@ def _value_and_gradient(
     G = terms.sum(axis=0) * (-2.0 / (k * float(np.vdot(v, v).real)))
     X = G[index] @ flats.conj().swapaxes(1, 2)
     X = X.sum(axis=0, keepdims=True) if mode == "sym" else X
-    return sum(entropies) / len(entropies), (X + X.conj().swapaxes(1, 2)) / 2
+    return (X + X.conj().swapaxes(1, 2)) / 2
 
 
 def _orbit_optimize(
@@ -409,28 +408,32 @@ def _orbit_optimize(
     n_maps = 1 if mode == "sym" else k
 
     def ascend(maps: np.ndarray) -> Tuple[float, np.ndarray, int, float]:
-        value = _objective(arr, maps, mode)
+        # the point's image is that of the maps under frame^H on every leg
+        value, point = _evaluate(_image(arr, _legs(maps, k)), mode)
+        frame = eye
         iterations = 0
         gnorm = 0.0
         size = _STEP
         for _ in range(opts.iterations):
-            _, X = _value_and_gradient(arr, maps, mode)
+            X = _gradient(point, mode)
             gnorm = float(np.linalg.norm(X))
             iterations += 1
             if gnorm < 1e-12:
                 break
-            # X / |X| = U diag(eigs) U^H: every step t below scales one image
+            # X / |X| = V diag(eigs) V^H in the point's frame, so U = frame V
+            # in the maps': every step t below scales w, the image under U^H g
             eigs, vectors = np.linalg.eigh(X / gnorm)
+            w = _image(point[0], _legs(vectors.conj().swapaxes(1, 2), k))
+            vectors = frame @ vectors
             adjoint = vectors.conj().swapaxes(1, 2)
-            w = _image(arr, _legs(adjoint @ maps, k))
             size = min(_STEP, 2 * size)
             delta = -1.0
             while size > 1e-12:
-                cand_value = _step_value(w, eigs, size, mode)
+                cand_value, cand = _step(w, eigs, size, mode)
                 if cand_value > value:
                     delta = cand_value - value
                     maps = (vectors * np.exp(size * eigs)[:, None, :]) @ adjoint @ maps
-                    value = cand_value
+                    value, point, frame = cand_value, cand, vectors
                     break
                 size /= 2
             if delta < 0 or delta < opts.tolerance:

@@ -409,10 +409,17 @@ def _scalar_from_json(domain: Domain, v):
 
 
 def tensor_to_json(f: Tensor) -> dict:
-    entries = [
-        {"idx": [i + 1 for i in idx], "val": _scalar_to_json(f.domain, f.array[idx])}
-        for idx in support(f)
-    ]
+    """The tensor JSON format: ``support`` with 1-based indices, each entry
+    as ``_scalar_to_json`` writes it, read off whole arrays."""
+    if isinstance(f.domain, PrimeField):
+        arr = f.array % f.domain.p
+        mask = arr != 0
+        vals = arr[mask].tolist()
+    else:
+        mask = np.abs(f.array) > f.domain.tol
+        z = f.array[mask]
+        vals = list(map(list, zip((z.real + 0.0).tolist(), (z.imag + 0.0).tolist())))
+    entries = [{"idx": idx, "val": val} for idx, val in zip((np.argwhere(mask) + 1).tolist(), vals)]
     return {
         "order": f.order,
         "dims": list(f.dims),

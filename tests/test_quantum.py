@@ -225,6 +225,19 @@ def test_negative_restarts_run_the_first_start_only():
     assert (res.restarts, res.value) == (1, alone.value)
 
 
+def value_and_gradient(arr, maps, mode):
+    """The ascent's value and gradient X at the maps, read off their image."""
+    value, point = quantum._evaluate(quantum._image(arr, quantum._legs(maps, arr.ndim)), mode)
+    return value, quantum._gradient(point, mode)
+
+
+def objective(arr, maps, mode):
+    """The ascent's objective at the maps through the public sandwich check:
+    the entropy of the averaged marginal (sym) or the mean marginal entropy."""
+    rep = sandwich_check(Tensor(C, quantum._image(arr, quantum._legs(maps, arr.ndim))))
+    return rep.entropy_of_average if mode == "sym" else rep.mean_entropy
+
+
 def hermitian_basis(d):
     """A real basis of the d x d Hermitian matrices."""
     basis = []
@@ -256,10 +269,10 @@ def test_closed_form_gradient_matches_central_differences(mode, scale):
                 np.eye(d) + 0.3 * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
                 for _ in range(1 if mode == "sym" else k)
             ])
-            unscaled = quantum._value_and_gradient(arr, maps, mode)
+            unscaled = value_and_gradient(arr, maps, mode)
             maps = scale * maps
-            value, X = quantum._value_and_gradient(arr, maps, mode)
-            assert value == pytest.approx(quantum._objective(arr, maps, mode), abs=1e-12)
+            value, X = value_and_gradient(arr, maps, mode)
+            assert value == pytest.approx(objective(arr, maps, mode), abs=1e-12)
             assert value == pytest.approx(unscaled[0], abs=1e-12)
             norm = np.linalg.norm(X)
             assert np.linalg.norm(X - unscaled[1]) <= 1e-9 * norm
@@ -274,7 +287,7 @@ def test_closed_form_gradient_matches_central_differences(mode, scale):
                     def moved(t):
                         step = maps.copy()
                         step[m] = (u * np.exp(t * w)) @ u.conj().T @ maps[m]
-                        return quantum._objective(arr, step, mode)
+                        return objective(arr, step, mode)
 
                     analytic.append(np.trace(X[m] @ e).real)
                     numeric.append((moved(1e-6) - moved(-1e-6)) / 2e-6)
@@ -299,15 +312,15 @@ def test_line_search_in_the_eigenbasis_matches_the_objective(mode):
                 np.eye(d) + 0.3 * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
                 for _ in range(1 if mode == "sym" else k)
             ])
-            value, X = quantum._value_and_gradient(arr, maps, mode)
+            value, X = value_and_gradient(arr, maps, mode)
             eigs, vectors = np.linalg.eigh(X / np.linalg.norm(X))
             adjoint = vectors.conj().swapaxes(1, 2)
             w = quantum._image(arr, quantum._legs(adjoint @ maps, k))
             t, accepted = 8.0, False
             while not accepted and t > 1e-12:
-                got = quantum._step_value(w, eigs, t, mode)
+                got = quantum._step(w, eigs, t, mode)[0]
                 moved = (vectors * np.exp(t * eigs)[:, None, :]) @ adjoint @ maps
-                assert got == pytest.approx(quantum._objective(arr, moved, mode), abs=1e-12)
+                assert got == pytest.approx(objective(arr, moved, mode), abs=1e-12)
                 accepted = got > value
                 tried[accepted] += 1
                 t /= 2
@@ -315,8 +328,65 @@ def test_line_search_in_the_eigenbasis_matches_the_objective(mode):
     fn = sym_quantum_functional if mode == "sym" else uniform_quantum_functional
     f = random_unit_tensor(rng, (3, 3, 3))
     res = fn(f, OptimizerOptions(restarts=1, iterations=12, tolerance=0.0))
-    again = quantum._objective(f.array, np.array(res.point.maps), mode)
+    again = objective(f.array, np.array(res.point.maps), mode)
     assert np.log2(res.value) == pytest.approx(again, abs=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["sym", "uniform"])
+def test_accepted_candidate_is_the_next_point(mode):
+    """The line search's accepted candidate serves as the next iteration's
+    point: its value is the objective at the moved maps U exp(t eigs) U^H g,
+    and its gradient is theirs in the frame of U (conjugated by U^H)."""
+    rng = np.random.default_rng(16)
+    for d in range(2, 5):
+        for k in range(2, 5):
+            arr = random_unit_tensor(rng, (d,) * k).array
+            maps = np.array([
+                np.eye(d) + 0.3 * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+                for _ in range(1 if mode == "sym" else k)
+            ])
+            value, X = value_and_gradient(arr, maps, mode)
+            eigs, vectors = np.linalg.eigh(X / np.linalg.norm(X))
+            adjoint = vectors.conj().swapaxes(1, 2)
+            w = quantum._image(arr, quantum._legs(adjoint @ maps, k))
+            t = 0.5
+            while (cand := quantum._step(w, eigs, t, mode))[0] <= value:
+                t /= 2
+            moved = (vectors * np.exp(t * eigs)[:, None, :]) @ adjoint @ maps
+            want_value, want_X = value_and_gradient(arr, moved, mode)
+            assert cand[0] == pytest.approx(want_value, abs=1e-12)
+            got_X = quantum._gradient(cand[1], mode)
+            assert np.abs(got_X - adjoint @ want_X @ vectors).max() <= 1e-9 * np.linalg.norm(want_X)
+
+
+@pytest.mark.parametrize("mode", ["sym", "uniform"])
+def test_each_iteration_images_one_tensor(mode, monkeypatch):
+    """Leg contractions in the ascent: k per iteration (the accepted image
+    rotated into the new eigenbasis), k per start (its first image) and k
+    for the returned point; the input is not imaged again per iteration."""
+    calls = []
+    apply_leg = quantum._apply_leg
+    monkeypatch.setattr(quantum, "_apply_leg", lambda *a: calls.append(a[2]) or apply_leg(*a))
+    f = random_unit_tensor(np.random.default_rng(23), (3, 3, 3))
+    fn = sym_quantum_functional if mode == "sym" else uniform_quantum_functional
+    res = fn(f, OptimizerOptions(restarts=1, iterations=12, tolerance=0.0))
+    assert (res.restarts, res.iterations) == (2, 24)
+    assert len(calls) == 3 * res.iterations + 3 * res.restarts + 3
+    assert calls == [0, 1, 2] * (len(calls) // 3)
+
+
+@pytest.mark.parametrize("mode", ["sym", "uniform"])
+def test_zero_iterations_return_the_start(mode):
+    """With no iterations the identity start is returned as it is: its own
+    objective, no iteration and a zero gradient norm."""
+    f = random_unit_tensor(np.random.default_rng(24), (3, 3, 3))
+    fn = sym_quantum_functional if mode == "sym" else uniform_quantum_functional
+    res = fn(f, OptimizerOptions(restarts=0, iterations=0))
+    eye = np.array([np.eye(3)] * (1 if mode == "sym" else 3))
+    assert (res.restarts, res.iterations, res.gradient_norm) == (1, 0, 0.0)
+    assert np.log2(res.value) == pytest.approx(objective(f.array, eye, mode), abs=1e-12)
+    assert np.array_equal(np.array(res.point.maps), eye)
+    assert np.abs(res.point.tensor.array - f.array).max() <= 1e-12
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])

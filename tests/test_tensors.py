@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from conftest import C, F2, F5, F7, w_tensor
 from symsub import (
     ENTRY_CAP,
     LinearMap,
+    PrimeField,
     Tensor,
     TensorSizeError,
     apply,
@@ -29,7 +33,7 @@ from symsub import (
     tensors_equal,
     unit_tensor,
 )
-from symsub.tensors import _kron_rows, _rank_one_sum
+from symsub.tensors import _kron_rows, _rank_one_sum, _scalar_to_json
 
 
 def test_tensor_is_reduced_and_frozen():
@@ -150,6 +154,40 @@ def test_tensor_json_roundtrip(domain):
         assert min(min(e["idx"]) for e in obj["entries"]) >= 1
     g = tensor_from_json(obj)
     assert tensors_equal(f, g)
+
+
+def json_tensor_cases():
+    """35 tensors over F2, F3, F7, F65521 and C, of order 0 to 4: F_p entries
+    given outside [0, p), C entries with -0.0 parts and entries of 1e-10."""
+    rng = np.random.default_rng(31)
+    shapes = [(), (0,), (1,), (4,), (2, 3), (2, 1, 3), (3, 3, 3, 3)]
+    for domain in (F2, PrimeField(3), F7, PrimeField(65521), C):
+        for shape in shapes:
+            if domain is C:
+                parts = rng.normal(size=(2,) + shape)
+                re, im = parts[0, ...], parts[1, ...]  # arrays even at order 0
+                pick = rng.integers(0, 5, size=shape)
+                re[pick == 0] = -0.0
+                im[pick == 1] = -0.0
+                re[pick == 2], im[pick == 2] = 1e-10, -0.0  # within the tolerance of 0
+                re[pick == 3], im[pick == 3] = -0.0, -0.0
+                arr = np.empty(shape, dtype=complex)
+                arr.real, arr.imag = re, im
+            else:
+                arr = rng.integers(-2 * domain.p, 2 * domain.p, size=shape)
+            yield Tensor(domain, arr)
+
+
+def test_tensor_json_matches_the_per_entry_form():
+    """The JSON form and its hash equal those of the entry-by-entry form
+    (``support`` and ``_scalar_to_json``), byte for byte."""
+    for f in json_tensor_cases():
+        entries = [{"idx": [i + 1 for i in idx], "val": _scalar_to_json(f.domain, f.array[idx])}
+                   for idx in support(f)]
+        want = json.dumps({"order": f.order, "dims": list(f.dims), "domain": f.domain.name,
+                           "entries": entries}, sort_keys=True)
+        assert json.dumps(tensor_to_json(f), sort_keys=True) == want
+        assert tensor_id(f) == hashlib.sha256(want.encode()).hexdigest()[:16]
 
 
 def test_map_json_roundtrip():
