@@ -19,8 +19,7 @@ _EXPORTS = {
         PivotSearchExhaustedError PowerDiagResult SkewInputError SymDiagResult
         ballantine_reduce congruence_result_to_json is_skew_zero_diag
         matrix_symsubrank power_diag_certificate sym_diagonalize""",
-    "domains": """ComplexNumbers Domain DomainError PrimeField characteristic
-        domain_from_name field_inverse square_root_in_field""",
+    "domains": "ComplexNumbers Domain DomainError PrimeField domain_from_name",
     "hypergraphs": """CapacityLowerResult ChainReport Hypergraph HypergraphError
         adjacency_tensor alpha_chain_check capacity_lower
         capacity_upper_quantum hypergraph_from_json hypergraph_to_json

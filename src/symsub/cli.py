@@ -578,7 +578,6 @@ _ERRORS = (
     # an integer too large for a float, e.g. a complex entry 10**400
     ("builtins", "OverflowError", "invalid-input", 1),
     ("builtins", "RuntimeError", "internal", 1),
-    ("builtins", "AssertionError", "internal", 1),
 )
 
 

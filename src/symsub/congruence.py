@@ -125,15 +125,11 @@ def _require_square(f: Tensor) -> int:
     return f.dims[0]
 
 
-def _is_zero(arr: np.ndarray, domain: Domain) -> bool:
-    return domain.arrays_equal(arr, domain.zeros(arr.shape))
-
-
 def is_skew_zero_diag(f: Tensor) -> bool:
     """True iff f has zero diagonal and f_ij = -f_ji everywhere."""
     _require_square(f)
     arr, domain = f.array, f.domain
-    return _is_zero(np.diagonal(arr), domain) and domain.arrays_equal(arr, -arr.T)
+    return not domain.nonzero(np.diagonal(arr)).any() and domain.arrays_equal(arr, -arr.T)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +158,7 @@ def ballantine_reduce(f: Tensor, seed: int = 0) -> CongruenceResult:
     domain = f.domain
     if isinstance(domain, PrimeField) and domain.p == 2:
         raise DomainTooSmallError("domain too small: congruence needs |F| >= 3")
-    if is_skew_zero_diag(f) and not _is_zero(f.array, domain):
+    if is_skew_zero_diag(f) and domain.nonzero(f.array).any():
         raise SkewInputError("skew input: nonzero skew matrix with zero diagonal")
     expected_rank = matrix_rank(f)
     for attempt in range(MAX_RESTARTS + 1):
@@ -200,10 +196,9 @@ def _validated(
     if linalg.rank(B, domain) != d:
         return None
     if isinstance(domain, PrimeField):
-        p = domain.p
-        if np.any(np.triu(L, 1) % p != 0):
+        if domain.nonzero(np.triu(L, 1)).any():
             return None
-        nz = int(np.sum(np.diagonal(L) % p != 0))
+        nz = int(np.sum(domain.nonzero(np.diagonal(L))))
     else:
         scale = max(1.0, float(np.max(np.abs(f.array))) if f.array.size else 1.0)
         cut = domain.tol * scale * 100
@@ -249,7 +244,7 @@ def _reduce_attempt(farr: np.ndarray, domain: Domain) -> Optional[np.ndarray]:
             # Q is the pairing block of a skew remainder; break it by mixing
             # the last pivot p back in: u = w + c p for a paired w, scored
             # from the Gram matrix of the space with p appended
-            w = next((i for i, row in enumerate(Q) if not _is_zero(row, domain)), None)
+            w = next((i for i, row in enumerate(Q) if domain.nonzero(row).any()), None)
             if w is None:
                 break  # trailing zero block; remaining rows go in as-is
             if not pivots:
@@ -462,12 +457,11 @@ def _greedy_identity_block(f: Tensor, seed: int) -> Tuple[int, Certificate]:
         # not skew over F_2: either some diagonal entry is nonzero, or the
         # matrix is asymmetric and e_i + e_j works where f_ij != f_ji
         rows = np.zeros((1, d), dtype=np.int64)
-        diag = f.array.diagonal() % 2
-        if np.any(diag != 0):
+        diag = domain.nonzero(f.array.diagonal())
+        if diag.any():
             rows[0, int(np.argmax(diag))] = 1
         else:
-            asym = (f.array + f.array.T) % 2
-            i, j = np.argwhere(asym != 0)[0]
+            i, j = np.argwhere(domain.nonzero(f.array + f.array.T))[0]
             rows[0, int(i)] = rows[0, int(j)] = 1
         return 1, _certified("symmetric-restriction", [rows], unit_tensor(1, 2, domain), f)
     res, roots = _pivot_roots(f, seed)
@@ -521,7 +515,7 @@ def power_diag_certificate(L: Tensor, n: int) -> PowerDiagResult:
     d = _require_square(L)
     domain = L.domain
     arr = L.array
-    if not _is_zero(np.triu(arr, 1), domain):
+    if domain.nonzero(np.triu(arr, 1)).any():
         raise CongruenceError("matrix is not lower triangular")
     if n < 1:
         raise ValueError(f"need a positive power, got n={n}")
@@ -539,7 +533,7 @@ def power_diag_certificate(L: Tensor, n: int) -> PowerDiagResult:
     tuples = sorted(set(itertools.permutations(base)))
     size = math.factorial(n) // math.factorial(n // r) ** r
     if len(tuples) != size:
-        raise AssertionError("internal error: arrangement count mismatch")
+        raise RuntimeError("internal error: arrangement count mismatch")
     T = np.array(tuples, dtype=np.int64)
     step = max(1, _BLOCK_ENTRIES // size)
     diag_values = []
@@ -548,9 +542,8 @@ def power_diag_certificate(L: Tensor, n: int) -> PowerDiagResult:
         block = arr[np.ix_(rows[:, 0], T[:, 0])]
         for t in range(1, n):
             block = domain.reduce(block * arr[np.ix_(rows[:, t], T[:, t])])
-        zero = block == 0 if isinstance(domain, PrimeField) else np.abs(block) <= domain.tol
         on_diag = np.arange(lo, lo + len(rows))
-        bad = zero == (on_diag[:, None] == np.arange(size))
+        bad = domain.nonzero(block) != (on_diag[:, None] == np.arange(size))
         if bad.any():  # the first bad pair in row-major order names the fault
             i, j = np.argwhere(bad)[0]
             raise PivotSearchExhaustedError(

@@ -4,16 +4,17 @@ Every other module computes over one of two scalar domains:
 
 * :class:`PrimeField` -- integers mod a prime ``p < 2**16``, exact arithmetic,
   residues stored as machine integers (numpy ``int64`` in bulk).
-* :class:`ComplexNumbers` -- ``complex128`` floating point with an absolute
-  comparison/pivot tolerance ``tol`` (default ``1e-9``).
+* :class:`ComplexNumbers` -- finite ``complex128`` floating point with an
+  absolute comparison/pivot tolerance ``tol`` (default ``1e-9``).
 
-Domains are small immutable value objects; they are compared by value and are
-safe to share between workers.
+Domains are small immutable value objects, compared by value.  Each carries
+only the arithmetic the package calls, and one bulk zero test, ``nonzero``.
 """
 
 from __future__ import annotations
 
 import cmath
+import operator
 from typing import Optional, Union
 
 import numpy as np
@@ -24,9 +25,6 @@ __all__ = [
     "ComplexNumbers",
     "Domain",
     "domain_from_name",
-    "characteristic",
-    "field_inverse",
-    "square_root_in_field",
 ]
 
 MAX_PRIME = 1 << 16
@@ -56,21 +54,20 @@ class PrimeField:
 
     __slots__ = ("p",)
 
-    kind = "prime-field"
     dtype = np.int64
 
     def __init__(self, p: int):
-        if not isinstance(p, int) or not _is_prime(p):
+        try:
+            p = operator.index(p)  # an int or a numpy integer, not 7.0 or "7"
+        except TypeError:
+            raise DomainError(f"not a prime: {p!r}") from None
+        if not _is_prime(p):
             raise DomainError(f"not a prime: {p!r}")
         if p >= MAX_PRIME:
             raise DomainError(f"prime too large: {p} >= 2**16")
         self.p = p
 
     # -- identity / representation -------------------------------------------
-
-    @property
-    def char(self) -> int:
-        return self.p
 
     @property
     def name(self) -> str:
@@ -92,21 +89,6 @@ class PrimeField:
 
     def is_zero(self, v) -> bool:
         return int(v) % self.p == 0
-
-    def eq(self, a, b) -> bool:
-        return (int(a) - int(b)) % self.p == 0
-
-    def add(self, a, b) -> int:
-        return (int(a) + int(b)) % self.p
-
-    def sub(self, a, b) -> int:
-        return (int(a) - int(b)) % self.p
-
-    def mul(self, a, b) -> int:
-        return (int(a) * int(b)) % self.p
-
-    def neg(self, a) -> int:
-        return (-int(a)) % self.p
 
     def inverse(self, a) -> int:
         a = int(a) % self.p
@@ -150,15 +132,6 @@ class PrimeField:
             t, r = t * c % p, r * b % p
         return r
 
-    def kth_root(self, a, k: int) -> Optional[int]:
-        """Some x with x**k = a, or None.  Enumerative (p < 2**16)."""
-        p = self.p
-        a = int(a) % p
-        for x in range(p):
-            if pow(x, k, p) == a:
-                return x
-        return None
-
     # -- bulk array support ---------------------------------------------------
 
     def asarray(self, data) -> np.ndarray:
@@ -166,6 +139,10 @@ class PrimeField:
 
     def reduce(self, arr: np.ndarray) -> np.ndarray:
         return arr % self.p
+
+    def nonzero(self, arr: np.ndarray) -> np.ndarray:
+        """The mask of entries that are nonzero mod p (given unreduced)."""
+        return arr % self.p != 0
 
     def arrays_equal(self, a: np.ndarray, b: np.ndarray) -> bool:
         return bool(np.array_equal(a % self.p, b % self.p))
@@ -179,8 +156,6 @@ class ComplexNumbers:
 
     __slots__ = ("tol",)
 
-    kind = "complex"
-    char = 0
     dtype = np.complex128
     name = "C"
     p = None
@@ -205,21 +180,6 @@ class ComplexNumbers:
     def is_zero(self, v) -> bool:
         return abs(complex(v)) <= self.tol
 
-    def eq(self, a, b) -> bool:
-        return abs(complex(a) - complex(b)) <= self.tol
-
-    def add(self, a, b) -> complex:
-        return complex(a) + complex(b)
-
-    def sub(self, a, b) -> complex:
-        return complex(a) - complex(b)
-
-    def mul(self, a, b) -> complex:
-        return complex(a) * complex(b)
-
-    def neg(self, a) -> complex:
-        return -complex(a)
-
     def inverse(self, a) -> complex:
         a = complex(a)
         if abs(a) <= self.tol:
@@ -229,19 +189,20 @@ class ComplexNumbers:
     def sqrt(self, a) -> complex:
         return cmath.sqrt(complex(a))
 
-    def kth_root(self, a, k: int) -> complex:
-        """Principal k-th root."""
-        a = complex(a)
-        if a == 0:
-            return 0j
-        r, phi = cmath.polar(a)
-        return cmath.rect(r ** (1.0 / k), phi / k)
-
     def asarray(self, data) -> np.ndarray:
-        return np.asarray(data, dtype=np.complex128)
+        """The entries as complex128; NaN and ±inf are refused, since every
+        zero test would read them as zero."""
+        arr = np.asarray(data, dtype=np.complex128)
+        if not np.isfinite(arr).all():
+            raise DomainError("complex entry is not finite")
+        return arr
 
     def reduce(self, arr: np.ndarray) -> np.ndarray:
         return arr
+
+    def nonzero(self, arr: np.ndarray) -> np.ndarray:
+        """The mask of entries of modulus above the tolerance."""
+        return np.abs(arr) > self.tol
 
     def arrays_equal(self, a: np.ndarray, b: np.ndarray) -> bool:
         if a.shape != b.shape:
@@ -269,17 +230,3 @@ def domain_from_name(name: str) -> Domain:
         return PrimeField(p)
     raise DomainError(f"unknown domain tag: {name!r}")
 
-
-def characteristic(domain: Domain) -> int:
-    """0 for the complex numbers, p for F_p."""
-    return domain.char
-
-
-def field_inverse(domain: Domain, a):
-    """The multiplicative inverse of ``a``; raises DomainError on zero."""
-    return domain.inverse(a)
-
-
-def square_root_in_field(domain: Domain, a):
-    """A square root of ``a`` or None (None only over prime fields)."""
-    return domain.sqrt(a)

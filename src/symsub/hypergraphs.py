@@ -139,10 +139,12 @@ def adjacency_tensor(
 
     arr = domain.zeros((h.n,) * h.k)
     edges = list(h.edges)
-    values = domain.asarray([edge_values.get(e, 1) if edge_values else 1 for e in edges])
-    for e, value in zip(edges, values.tolist()):
+    values = [edge_values.get(e, 1) if edge_values else 1 for e in edges]
+    for e, value in zip(edges, values):  # before domain.asarray refuses a non-finite one
         if not cmath.isfinite(value):
             raise HypergraphError(f"edge coefficient for {e} must be finite")
+    values = domain.asarray(values)
+    for e, value in zip(edges, values.tolist()):
         if domain.is_zero(value):
             raise HypergraphError(f"edge coefficient for {e} must be nonzero")
     arr[(np.arange(h.n),) * h.k] = 1

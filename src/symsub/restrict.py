@@ -63,7 +63,6 @@ from .tensors import (
     is_symmetric,
     map_from_json,
     map_to_json,
-    support,
     tensor_from_json,
     tensor_to_json,
     tensors_equal,
@@ -710,7 +709,7 @@ def symrank_small(f: Tensor, budget: int = DEFAULT_BUDGET) -> SymrankResult:
         raise ValueError("symmetric rank needs order >= 1")
     domain = f.domain
     p, d, k = domain.p, f.dims[0], f.order
-    if not support(f):
+    if not domain.nonzero(f.array).any():
         return SymrankResult(value=0, lower_bound=0, vectors=np.zeros((0, d), np.int64))
     lower = flattening_rank(f, [0]) if k > 1 else 1  # a vector is its own first power
     r = max(lower, 1)

@@ -178,7 +178,7 @@ def waring_h(k: int, domain: Domain) -> WaringDecomposition:
         h = (lead[lo:lo + step, None] | rest) == (1 << k) - 1
         # the identity is exact (dyadic coefficients), so compare bit-for-bit
         if not np.array_equal(domain.reduce(left[lo:lo + step] @ right), h):
-            raise AssertionError("internal error: decomposition failed to reconstruct")
+            raise RuntimeError("internal error: decomposition failed to reconstruct")
     return dec
 
 
@@ -294,9 +294,9 @@ def remove_powers(f: Tensor) -> Tuple[LinearMap, Tensor]:
             failed=failed,
         )
     if any(not domain.is_zero(diag(i)) for i in range(d - 1)):
-        raise AssertionError("internal error: diagonal support survived the pass")
+        raise RuntimeError("internal error: diagonal support survived the pass")
     if linalg.rank(total, domain) != d:
-        raise AssertionError("internal error: transformation not invertible")
+        raise RuntimeError("internal error: transformation not invertible")
     return LinearMap(domain, total), Tensor(domain, garr)
 
 
@@ -315,7 +315,7 @@ def _poly_root(coeffs: List, domain: Domain):
                 return eps
         return None
     arr = np.array(coeffs[::-1], dtype=complex)
-    nz = np.flatnonzero(np.abs(arr) > domain.tol)
+    nz = np.flatnonzero(domain.nonzero(arr))
     if nz.size == 0 or arr.size - (nz[0] + 1) < 1:
         return None  # zero or constant polynomial: no useful root
     roots = np.roots(arr[nz[0]:])
@@ -378,7 +378,7 @@ def create_t(f: Tensor) -> CreateTCertificate:
     }
     admissible = [a for a in range(d) if 1 <= max_mult[a] <= k - 1]
     if not admissible:
-        raise AssertionError("internal error: no admissible coordinate")
+        raise RuntimeError("internal error: no admissible coordinate")
     best = max(max_mult[a] for a in admissible)
     a_star = min(a for a in admissible if max_mult[a] == best)
     relabeling = list(range(d))
@@ -462,7 +462,7 @@ def _check_selection(cert: CreateTCertificate, f: Tensor) -> None:
         T = domain.zeros(len(choice))
         T[live] = domain.reduce(value * powers[(choice[live] == 0).sum(axis=1)])
         if not domain.arrays_equal(T, h.astype(domain.dtype)):
-            raise AssertionError("internal error: the selection does not extract h")
+            raise RuntimeError("internal error: the selection does not extract h")
 
 
 # ---------------------------------------------------------------------------
@@ -536,12 +536,12 @@ def _check_chain(A: np.ndarray, C: np.ndarray, M: np.ndarray, power: Tensor,
     k = C.shape[2]
     kron = functools.reduce(np.add, (np.multiply.outer(C[:, :, a], M[a]) for a in range(k)))
     if not domain.arrays_equal(A, domain.reduce(kron)):
-        raise AssertionError("internal error: the chained map is not its Kronecker form")
+        raise RuntimeError("internal error: the chained map is not its Kronecker form")
     maps = [LinearMap(domain, C[:, :, a]) for a in range(k)]
     image = functools.reduce(np.add, (apply([maps[a] for a in perm], power).array
                                       for perm in itertools.permutations(range(k))))
     if not domain.arrays_equal(domain.reduce(image), unit.array):
-        raise AssertionError("internal error: the chained map does not carry f^(n+c) to <r>")
+        raise RuntimeError("internal error: the chained map does not carry f^(n+c) to <r>")
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +590,7 @@ def symrank_upper(f: Tensor, witness: Certificate) -> SymrankUpperResult:
         vectors=domain.reduce(vec.reshape(-1, d)),
     )
     if not tensors_equal(waring_reconstruct(dec), f):
-        raise AssertionError("internal error: polarized decomposition failed")
+        raise RuntimeError("internal error: polarized decomposition failed")
     bound = r * 2 ** (k - 1)
     if d == k and tensors_equal(f, fully_symmetric(k, domain)):
         direct = waring_h(k, domain)

@@ -339,11 +339,7 @@ def is_symmetric(f: Tensor) -> bool:
 
 def support(f: Tensor) -> List[Tuple[int, ...]]:
     """Sorted list of 0-based index tuples with a nonzero entry."""
-    if isinstance(f.domain, PrimeField):
-        mask = f.array % f.domain.p != 0
-    else:
-        mask = np.abs(f.array) > f.domain.tol
-    return [tuple(int(i) for i in idx) for idx in np.argwhere(mask)]
+    return [tuple(int(i) for i in idx) for idx in np.argwhere(f.domain.nonzero(f.array))]
 
 
 def flattening_rank(f: Tensor, legs: Iterable[int]) -> int:
@@ -411,13 +407,11 @@ def _scalar_from_json(domain: Domain, v):
 def tensor_to_json(f: Tensor) -> dict:
     """The tensor JSON format: ``support`` with 1-based indices, each entry
     as ``_scalar_to_json`` writes it, read off whole arrays."""
+    mask = f.domain.nonzero(f.array)
+    z = f.array[mask]
     if isinstance(f.domain, PrimeField):
-        arr = f.array % f.domain.p
-        mask = arr != 0
-        vals = arr[mask].tolist()
+        vals = (z % f.domain.p).tolist()
     else:
-        mask = np.abs(f.array) > f.domain.tol
-        z = f.array[mask]
         vals = list(map(list, zip((z.real + 0.0).tolist(), (z.imag + 0.0).tolist())))
     entries = [{"idx": idx, "val": val} for idx, val in zip((np.argwhere(mask) + 1).tolist(), vals)]
     return {

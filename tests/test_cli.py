@@ -455,8 +455,10 @@ def test_non_finite_complex_entries_exit_one(ws, tmp_path, capsys, where, value)
 
 
 def test_assertion_error_is_internal(ws, capsys, monkeypatch):
+    """An internal failure is a RuntimeError (the package raises no
+    AssertionError); the CLI reports it as one internal error line."""
     def broken(f):
-        raise AssertionError("broken invariant")
+        raise RuntimeError("broken invariant")
 
     monkeypatch.setattr("symsub.tensors.matrix_rank", broken)
     code = run(["rank", "--tensor", ws["c5"]])

@@ -1,13 +1,17 @@
 """Dead code in the package, found by reading its source (standard library only).
 
-Three rules, checked over every module in ``src/symsub``:
+Four rules, checked over every module in ``src/symsub``:
 
 * every name an import binds is read in the scope holding the import (a
   module-level import may also be listed in ``__all__``, as a re-export);
 * every private module-level function is referred to somewhere in the
   package outside its own body;
-* no check is an ``assert`` statement, since ``python -O`` strips them: an
-  internal check raises explicitly.
+* no check is an ``assert`` statement, since ``python -O`` strips them, nor
+  a ``raise AssertionError``: an internal check raises ``RuntimeError``;
+* every public method of the two domain classes is called as ``.name(``
+  (on something other than a module such as ``np``) in some module other
+  than ``domains.py``, so the domains carry only the arithmetic the
+  package calls.
 """
 
 import ast
@@ -86,6 +90,28 @@ def assert_statements(tree):
     return [f"line {n.lineno}" for n in ast.walk(tree) if isinstance(n, ast.Assert)]
 
 
+def assertion_error_raises(tree):
+    """'line N' for each ``raise AssertionError`` (called or not)."""
+    return [f"line {n.lineno}" for n in ast.walk(tree) if isinstance(n, ast.Raise) and any(
+        isinstance(e, ast.Name) and e.id == "AssertionError" for e in ast.walk(n.exc or n))]
+
+
+MODULE_NAMES = {"np", "math", "cmath", "itertools", "json", "hashlib", "operator"}
+
+
+def uncalled_domain_methods(trees, domains="domains.py"):
+    """'Class.name' for each public method of a class in ``domains`` that no
+    other module calls as ``.name(`` on something other than a module."""
+    called = {n.func.attr for module, tree in trees.items() if module != domains
+              for n in ast.walk(tree)
+              if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+              and not (isinstance(n.func.value, ast.Name) and n.func.value.id in MODULE_NAMES)}
+    return [f"{cls.name}.{node.name}" for cls in trees[domains].body if isinstance(cls, ast.ClassDef)
+            for node in cls.body if isinstance(node, ast.FunctionDef)
+            and not node.name.startswith("_") and not node.decorator_list
+            and node.name not in called]
+
+
 def test_no_module_imports_a_name_it_never_uses():
     unused = {name: unused_imports(tree) for name, tree in SOURCES.items()}
     assert {name: lines for name, lines in unused.items() if lines} == {}
@@ -100,6 +126,15 @@ def test_no_check_is_an_assert_statement():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
+def test_no_internal_error_is_an_assertion_error():
+    found = {name: assertion_error_raises(tree) for name, tree in SOURCES.items()}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_every_public_domain_method_is_called_elsewhere():
+    assert uncalled_domain_methods(SOURCES) == []
+
+
 def test_the_rules_catch_what_they_name():
     """An unused import, also one inside a function, a private function
     that only calls itself and a nested assert are found; a function used
@@ -112,3 +147,11 @@ def test_the_rules_catch_what_they_name():
     assert uncalled_private_functions({"a.py": tree, "b.py": other}) == ["a.py: _dead"]
     checks = ast.parse("def f(x):\n    if x:\n        assert x > 1\n    raise AssertionError\n")
     assert assert_statements(checks) == ["line 3"]
+    assert assertion_error_raises(checks) == ["line 4"]
+    assert assertion_error_raises(ast.parse("raise AssertionError('x')\nraise RuntimeError('y')\n")) == [
+        "line 1"]
+    domains = ast.parse("class F:\n    @property\n    def name(self): pass\n"
+                        "    def used(self): pass\n    def sqrt(self): pass\n"
+                        "    def dead(self): pass\n    def _private(self): pass\n")
+    caller = ast.parse("f.used(1)\nnp.sqrt(2)\nf.dead\n")
+    assert uncalled_domain_methods({"domains.py": domains, "b.py": caller}) == ["F.sqrt", "F.dead"]

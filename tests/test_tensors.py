@@ -4,9 +4,11 @@ import json
 import numpy as np
 import pytest
 
+import symsub
 from conftest import C, F2, F5, F7, w_tensor
 from symsub import (
     ENTRY_CAP,
+    DomainError,
     LinearMap,
     PrimeField,
     Tensor,
@@ -256,3 +258,29 @@ def test_row_kernels_match_term_by_term_reference(name):
 def test_apply_sym_power_rejects_order_zero():
     with pytest.raises(ValueError, match="order >= 1"):
         apply_sym_power(LinearMap(F5, [[1]]), Tensor(F5, 3), 1)
+
+
+def _nan_corner():
+    arr = np.zeros((2, 2, 2), dtype=np.complex128)
+    arr[0, 0, 0], arr[1, 1, 1] = np.nan, 1
+    return arr
+
+
+@pytest.mark.parametrize("case", [
+    # every zero test read the NaN as zero: a "lower estimate" of 1.0, a
+    # passing sandwich, a flattening rank of 2 and a JSON form without it
+    lambda: symsub.sym_quantum_functional(Tensor(C, _nan_corner())),
+    lambda: symsub.sandwich_check(Tensor(C, _nan_corner())),
+    lambda: flattening_rank(Tensor(C, _nan_corner()), [0]),
+    lambda: tensor_to_json(Tensor(C, _nan_corner())),
+    # 64 restarts, then PivotSearchExhaustedError
+    lambda: symsub.ballantine_reduce(Tensor(C, [[np.nan, 1], [2, 3]])),
+    # "not symmetric"
+    lambda: symsub.sym_diagonalize(Tensor(C, [[np.inf, 1], [1, 3]])),
+    lambda: LinearMap(C, [[np.inf]]),
+    lambda: symsub.linalg.row_reduce(np.array([[1, -np.inf]]), C),
+    lambda: C.asarray([complex(0, -np.inf), complex(np.nan, 0)]),
+])
+def test_complex_inputs_refuse_non_finite_entries(case):
+    with pytest.raises(DomainError, match="^complex entry is not finite$"):
+        case()
