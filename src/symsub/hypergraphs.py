@@ -10,7 +10,9 @@ symmetric quantum functional of a symmetric adjacency tensor.
 Both search routines here are exact branch-and-bound procedures behind hard
 size gates; they never return heuristic values.  They run on Python-int
 bitsets, so this module loads numpy only inside the functions that build an
-adjacency tensor.
+adjacency tensor.  Its classes are a ``__slots__`` value class and two
+``NamedTuple`` results, not dataclasses, so importing it loads neither numpy
+nor ``dataclasses`` (whose ``inspect`` import costs more than this module's).
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from ._common import DEFAULT_BUDGET, json_int
 
@@ -53,15 +56,17 @@ class HypergraphError(ValueError):
     """Invalid hypergraph data or an exceeded search gate."""
 
 
-@dataclass(frozen=True)
 class Hypergraph:
     """A directed k-uniform hypergraph on the vertex set {1, ..., n}.
 
     Edges are ordered k-tuples of vertices; duplicates collapse by set
     semantics.  Diagonal tuples (all coordinates equal) are allowed in
     ``edges`` but carry no information: the adjacency tensor fixes the
-    diagonal to 1 regardless.
+    diagonal to 1 regardless.  Immutable; equal and hashed by
+    ``(n, k, edges)``.
     """
+
+    __slots__ = ("n", "k", "edges")
 
     n: int
     k: int
@@ -83,6 +88,26 @@ class Hypergraph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "edges", frozenset(normalized))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> Tuple[int, int, FrozenSet[Tuple[int, ...]]]:
+        return self.n, self.k, self.edges
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self):  # pickle and copy through the constructor
+        return Hypergraph, self._key()
 
     @property
     def diagonal(self) -> FrozenSet[Tuple[int, ...]]:
@@ -297,8 +322,7 @@ def strong_power(h: Hypergraph, m: int) -> Hypergraph:
     return Hypergraph(size, h.k, edges)
 
 
-@dataclass(frozen=True)
-class CapacityLowerResult:
+class CapacityLowerResult(NamedTuple):
     """Best Shannon-capacity lower bound alpha(H^m)^(1/m) seen up to m."""
 
     alpha: int
@@ -326,8 +350,7 @@ def capacity_lower(h: Hypergraph, m: int) -> CapacityLowerResult:
 # the combinatorics-to-tensor chain
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ChainReport:
+class ChainReport(NamedTuple):
     """alpha <= symsubrank <= subrank and alpha <= beta <= subrank, checked.
 
     ``separation`` flags instances where the symmetric subrank drops

@@ -393,6 +393,9 @@ def _scalar_to_json(domain: Domain, v):
 def _scalar_from_json(domain: Domain, v):
     if isinstance(domain, PrimeField):
         return json_int(v, "prime-field entry") % domain.p
+    parts = v if isinstance(v, list) else [v]  # [re, im] or a bare number
+    if any(isinstance(x, (bool, str)) for x in parts):  # refused, not coerced
+        raise ValueError(f"complex entry must hold JSON numbers, got {v!r}")
     if isinstance(v, (int, float)):
         z = complex(v)
     elif isinstance(v, list) and len(v) == 2:

@@ -661,3 +661,49 @@ def test_integer_fields_refuse_bool_float_and_str(ws, tmp_path, capsys, field, l
     assert captured.out == ""
     assert re.fullmatch(r"error: invalid-input: [^\n]*must be an integer, got [^\n]*\n",
                         captured.err), captured.err
+
+
+# One complex scalar each: (file kind, the list holding it, its index or key).
+_COMPLEX_SCALARS = {
+    "tensor-entry": ("tensor", lambda doc: doc["entries"][0], "val"),
+    "map-data": ("certificate", lambda doc: doc["maps"][0]["data"][0], 0),
+    "certificate-target-entry": ("certificate", lambda doc: doc["target"]["entries"][0], "val"),
+}
+# Each replaces a valid scalar by a bool or str that float() or complex() accepted.
+_COMPLEX_LOOK_ALIKES = {
+    "bare-bool": True,
+    "bare-str": "1",
+    "pair-bool-re": [True, 0],
+    "pair-bool-im": [1, False],
+    "pair-str": ["1", "2"],
+    "pair-padded-str": [" 3 ", 0],
+}
+
+
+@pytest.mark.parametrize("look_alike", sorted(_COMPLEX_LOOK_ALIKES))
+@pytest.mark.parametrize("field", sorted(_COMPLEX_SCALARS))
+def test_complex_scalars_refuse_bool_and_str(ws, tmp_path, capsys, field, look_alike):
+    """JSON numbers only, bare or as [re, im]: true is not read as 1, nor "1" as 1."""
+    kind, holder, key = _COMPLEX_SCALARS[field]
+    if kind == "tensor":
+        doc = tensor_to_json(w_tensor(C))
+        argv = ["rank", "--tensor"]
+    else:
+        A = LinearMap(C, [[1, 0], [0, 1]])
+        doc = certificate_to_json(
+            Certificate(kind="restriction", maps=(A, A, A), target=w_tensor(C)))
+        argv = ["verify", "--tensor", ws["w_c"], "--certificate"]
+    path = tmp_path / "complex.json"
+    for valid in (1, 1.0, [1, 0], [1.0, 0.0]):  # the document with numbers is valid
+        holder(doc)[key] = valid
+        path.write_text(json.dumps(doc))
+        assert run(argv + [str(path), "--json"]) == 0
+        capsys.readouterr()
+    holder(doc)[key] = _COMPLEX_LOOK_ALIKES[look_alike]
+    path.write_text(json.dumps(doc))
+    code = run(argv + [str(path), "--json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert re.fullmatch(r"error: invalid-input: complex entry must hold JSON numbers, got "
+                        r"[^\n]*\n", captured.err), captured.err

@@ -9,9 +9,12 @@ Four rules, checked over every module in ``src/symsub``:
 * no check is an ``assert`` statement, since ``python -O`` strips them, nor
   a ``raise AssertionError``: an internal check raises ``RuntimeError``;
 * every public method of the two domain classes is called as ``.name(``
-  (on something other than a module such as ``np``) in some module other
-  than ``domains.py``, so the domains carry only the arithmetic the
-  package calls.
+  in some module other than ``domains.py``, on a receiver that is not
+  rooted at a name the calling module imports (``np.sqrt(`` or
+  ``functools.reduce(`` is no call of a domain method), so the domains
+  carry only the arithmetic the package calls.  Receivers are told apart
+  by name only: a domain held in an imported name would be missed, and a
+  non-domain object with a method of the same name counts as a caller.
 """
 
 import ast
@@ -96,16 +99,30 @@ def assertion_error_raises(tree):
         isinstance(e, ast.Name) and e.id == "AssertionError" for e in ast.walk(n.exc or n))]
 
 
-MODULE_NAMES = {"np", "math", "cmath", "itertools", "json", "hashlib", "operator"}
+def imported_names(tree):
+    """The names an import anywhere in the module binds."""
+    return {alias.asname or alias.name.split(".")[0] for n in ast.walk(tree)
+            if isinstance(n, (ast.Import, ast.ImportFrom)) for alias in n.names}
+
+
+def root_name(node):
+    """``a`` for ``a.b.c``; None when the chain starts at a call, subscript, ..."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
 
 
 def uncalled_domain_methods(trees, domains="domains.py"):
     """'Class.name' for each public method of a class in ``domains`` that no
-    other module calls as ``.name(`` on something other than a module."""
-    called = {n.func.attr for module, tree in trees.items() if module != domains
-              for n in ast.walk(tree)
-              if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
-              and not (isinstance(n.func.value, ast.Name) and n.func.value.id in MODULE_NAMES)}
+    other module calls as ``.name(`` on a receiver not rooted at one of its
+    imported names."""
+    called = set()
+    for module, tree in trees.items():
+        if module != domains:
+            imported = imported_names(tree)
+            called |= {n.func.attr for n in ast.walk(tree)
+                       if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                       and root_name(n.func.value) not in imported}
     return [f"{cls.name}.{node.name}" for cls in trees[domains].body if isinstance(cls, ast.ClassDef)
             for node in cls.body if isinstance(node, ast.FunctionDef)
             and not node.name.startswith("_") and not node.decorator_list
@@ -152,6 +169,11 @@ def test_the_rules_catch_what_they_name():
         "line 1"]
     domains = ast.parse("class F:\n    @property\n    def name(self): pass\n"
                         "    def used(self): pass\n    def sqrt(self): pass\n"
-                        "    def dead(self): pass\n    def _private(self): pass\n")
-    caller = ast.parse("f.used(1)\nnp.sqrt(2)\nf.dead\n")
-    assert uncalled_domain_methods({"domains.py": domains, "b.py": caller}) == ["F.sqrt", "F.dead"]
+                        "    def reduce(self): pass\n    def dead(self): pass\n"
+                        "    def _private(self): pass\n")
+    caller = ast.parse("import functools\nimport numpy as np\n"
+                       "f.used(1)\nnp.linalg.sqrt(2)\nfunctools.reduce(g, [])\nf.dead\n")
+    assert uncalled_domain_methods({"domains.py": domains, "b.py": caller}) == [
+        "F.sqrt", "F.reduce", "F.dead"]
+    assert uncalled_domain_methods({"domains.py": domains, "b.py": ast.parse(
+        "def h(functools): functools.reduce(1)\nnp.sqrt(2)\n")}) == ["F.used", "F.dead"]

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -35,6 +37,37 @@ def test_hypergraph_validation():
         Hypergraph(-1, 2, [])
     h = Hypergraph(3, 2, [(1, 2), (1, 2)])
     assert len(h.edges) == 1  # duplicates collapse
+
+
+def test_hypergraph_is_an_immutable_value():
+    h = Hypergraph(3, 2, [(1, 2), (2, 3)])
+    same = Hypergraph(3, 2, iter([[2, 3], (1, 2), (1, 2)]))
+    assert h == same and hash(h) == hash(same) == hash((3, 2, h.edges))
+    assert h != Hypergraph(3, 2, [(1, 2)]) and h != Hypergraph(4, 2, h.edges)
+    assert h != Hypergraph(3, 1, [])  # differs in k alone
+    assert h != (3, 2, h.edges)
+    assert len({h, same, Hypergraph(3, 2, [(2, 3)])}) == 2
+    assert repr(h) == "Hypergraph(n=3, k=2, |E|=2)"
+    for name in ("n", "k", "edges", "other"):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(h, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(h, name)
+    assert (h.n, h.k, h.edges) == (3, 2, frozenset({(1, 2), (2, 3)}))
+    for twin in (pickle.loads(pickle.dumps(h)), copy.copy(h), copy.deepcopy(h)):
+        assert twin == h and type(twin) is Hypergraph
+
+
+def test_results_are_named_tuples():
+    res = capacity_lower(undirected_c5(), 1)
+    assert res == (2, 1, 2.0, ((2, 1, 2.0),))
+    assert repr(res) == "CapacityLowerResult(alpha=2, power=1, value=2.0, history=((2, 1, 2.0),))"
+    rep = alpha_chain_check(Hypergraph(1, 2, []), F2)
+    assert repr(rep) == (
+        "ChainReport(alpha=1, beta=1, sym_subrank=1, subrank=1, inequalities=("
+        "('alpha <= symsubrank', True), ('symsubrank <= subrank', True), "
+        "('alpha <= beta', True), ('beta <= subrank', True)), separation=False)")
+    assert rep.ok and not rep._replace(inequalities=(("alpha <= beta", False),)).ok
 
 
 def test_phi_includes_the_diagonal():

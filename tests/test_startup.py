@@ -1,7 +1,9 @@
 """What a process loads at start-up: the package namespace resolves each
 name on first use, and a CLI run imports only what its subcommand runs.
-Each import set is taken in a fresh interpreter."""
+Each import set is taken in a fresh interpreter, and a CLI process prints
+and writes what ``run`` does in-process."""
 
+import gc
 import importlib
 import json
 import os
@@ -11,8 +13,9 @@ import sys
 import pytest
 
 import symsub
-from conftest import c5_directed, c5_matrix
+from conftest import c5_directed, c5_matrix, tight_tensor
 from symsub import hypergraph_to_json, tensor_to_json
+from symsub.cli import run
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -52,13 +55,14 @@ LIBRARY_SUBMODULES = (
 )
 
 # Runs the CLI on argv in this interpreter, then prints which of symsub's
-# modules and numpy it loaded.
-_PROBE = """
+# modules it loaded, and whether numpy, dataclasses and inspect.
+_HEAVY = ("numpy", "dataclasses", "inspect")
+_PROBE = f"""
 import contextlib, io, json, sys
 from symsub.cli import run
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = run(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m == "numpy" or m.startswith("symsub"))]))
+print(json.dumps([code, sorted(m for m in sys.modules if m in {_HEAVY!r} or m.startswith("symsub"))]))
 """
 
 
@@ -75,9 +79,12 @@ def inputs(tmp_path):
     graph.write_text(json.dumps(hypergraph_to_json(c5_directed())))
     tensor = tmp_path / "c5.json"
     tensor.write_text(json.dumps(tensor_to_json(c5_matrix())))
+    tight = tmp_path / "tight.json"
+    tight.write_text(json.dumps(tensor_to_json(tight_tensor())))
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
-    return {"graph": str(graph), "tensor": str(tensor), "broken": str(broken)}
+    return {"graph": str(graph), "tensor": str(tensor), "tight": str(tight),
+            "broken": str(broken), "cert": str(tmp_path / "cert.json")}
 
 
 def test_import_loads_no_submodule_and_no_numpy():
@@ -101,9 +108,10 @@ def test_import_loads_no_submodule_and_no_numpy():
     ids=["help", "alpha", "beta", "power", "malformed-syntax"],
 )
 def test_combinatorial_and_unreadable_runs_skip_numpy(inputs, argv, code):
+    """Nor do they load dataclasses, or the inspect it imports."""
     got, loaded = _fresh(_PROBE, *(a.format(**inputs) for a in argv))
     assert got == code
-    assert "numpy" not in loaded
+    assert set(_HEAVY).isdisjoint(loaded)
 
 
 def test_rank_skips_the_search_and_functional_modules(inputs):
@@ -145,3 +153,63 @@ def test_star_import_binds_the_exports_and_library_submodules():
 def test_unknown_names_raise_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'nope'"):
         getattr(symsub, "nope")
+
+
+# (argv, exit code), run in this order: verify reads the certificate that
+# symsubrank writes.
+_PROCESS_RUNS = {
+    "symsubrank-cert-out": (["symsubrank", "--tensor", "{tensor}", "--cert-out", "{cert}"], 0),
+    "verify": (["verify", "--tensor", "{tensor}", "--certificate", "{cert}"], 0),
+    "alpha": (["hypergraph", "alpha", "--graph", "{graph}"], 0),
+    "usage-error": (["subrank", "--tensor", "{tensor}", "--budget", "-1"], 1),
+    "over-budget": (["subrank", "--tensor", "{tight}", "--budget", "1000"], 2),
+}
+
+# main() as the process entry point runs it, after an atexit hook that adds
+# the collector's frozen object count to the end of stderr.
+_MAIN = """
+import atexit, gc, sys
+atexit.register(lambda: print(f"frozen {gc.get_freeze_count()}", file=sys.stderr))
+from symsub.cli import main
+main()
+"""
+
+
+def _process(argv, entry=("-m", "symsub.cli")):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, *entry, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _in_process(argv, capsys):
+    frozen = gc.get_freeze_count()
+    code = run(argv)
+    assert gc.get_freeze_count() == frozen  # only main() freezes
+    return (code, *capsys.readouterr())
+
+
+def _cert_bytes(inputs):
+    with open(inputs["cert"], "rb") as fh:
+        return fh.read()
+
+
+def test_a_cli_process_prints_and_writes_what_run_does(inputs, capsys):
+    for name, (argv, want) in _PROCESS_RUNS.items():
+        argv = [a.format(**inputs) for a in argv] + ["--json"]
+        expected = _in_process(argv, capsys)
+        cert = _cert_bytes(inputs)
+        assert expected[0] == want, name
+        assert _process(argv) == expected, name
+        assert _cert_bytes(inputs) == cert, name
+
+
+def test_a_cli_process_freezes_the_collector_before_it_exits(inputs, capsys):
+    argv = ["symsubrank", "--tensor", inputs["tensor"], "--cert-out", inputs["cert"], "--json"]
+    code, out, err = _in_process(argv, capsys)
+    cert = _cert_bytes(inputs)
+    got_code, got_out, got_err = _process(argv, entry=("-c", _MAIN))
+    assert (got_code, got_out, _cert_bytes(inputs)) == (code, out, cert)
+    assert got_err.startswith(err)
+    frozen = got_err[len(err):]
+    assert frozen.startswith("frozen ") and int(frozen.split()[1]) > 0
