@@ -26,10 +26,10 @@ of the rows that pass the root: each row's bitset of compatible later rows
 (its pair row) is computed once, a child's candidates are its parent's
 ANDed with the chosen row's pair row, and a branch stops once its rows
 plus candidates cannot beat the best set.  :func:`symsubrank_exact` runs
-it once, from the least flattening rank of f; other targets take
-:func:`_sym_map_dfs`.  The plain search, :func:`_restriction_dfs`, solves
-the last leg for blocks of map tuples at once, its first block sized by
-the work in it.
+it once, from the least flattening rank r0 of f, or from r0 - 1 when f is
+r0 x ... x r0 and not symmetric; other targets take :func:`_sym_map_dfs`.
+The plain search, :func:`_restriction_dfs`, solves the last leg for blocks
+of map tuples at once, its first block sized by the work in it.
 
 Determinism: canonical representatives are enumerated in lexicographic order
 of their rows, and the first certificate found is returned (for
@@ -603,8 +603,10 @@ def symsubrank_exact(
     f: Tensor, budget: int = DEFAULT_BUDGET
 ) -> Tuple[int, Certificate]:
     """Largest r with a verified <r> <=_s f certificate, by one search from
-    r0, the least flattening rank of f.  The budget gate counts C(N, r0)
-    representatives: C(N, r) grows with r up to d <= (N + 1) / 2."""
+    r0, the least flattening rank of f, or from r0 - 1 when f is concise
+    (every dimension r0) and not symmetric, as then no map reaches <r0>.
+    The budget gate counts C(N, e) representatives for that start e: C(N, r)
+    grows with r up to d <= (N + 1) / 2."""
     _check_symsubrank_input(f)
     return _symsubrank_from(f, _least_flattening_rank(f), budget)
 
@@ -629,9 +631,13 @@ def _symsubrank_from(f: Tensor, r0: int, budget: int) -> Tuple[int, Certificate]
     """:func:`symsubrank_exact` of a checked f whose least flattening rank is r0."""
     d, k, p = f.dims[0], f.order, f.domain.p
     rows = np.zeros((0, d), dtype=np.int64)
-    if r0:
-        _check_sym_budget(f, r0, True, budget)
-        rows = _sym_dfs(unit_tensor(r0, k, f.domain).array, f.array, p, floor=0)
+    # A witness A of <r0> <=_s f for a concise f (d = r0) is an invertible
+    # r0 x r0 map, so f = (A^-1)^{(x)k} <r0> is symmetric: when f is not,
+    # the search starts one step lower, and the gate counts that search.
+    top = r0 - 1 if d == r0 and not is_symmetric(f) else r0
+    if top:
+        _check_sym_budget(f, top, True, budget)
+        rows = _sym_dfs(unit_tensor(top, k, f.domain).array, f.array, p, floor=0)
     target = unit_tensor(len(rows), k, f.domain)
     return len(rows), _certified("symmetric-restriction", [rows], target, f)
 

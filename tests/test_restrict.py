@@ -32,6 +32,8 @@ from symsub import (
     certificate_from_json,
     certificate_to_json,
     domain_from_name,
+    flattening_rank,
+    is_symmetric,
     linalg,
     make_sym,
     matrix_symsubrank,
@@ -48,11 +50,13 @@ from symsub import (
 from symsub.restrict import (
     _images,
     _is_unit,
+    _least_flattening_rank,
     _maps,
     _pair_rows,
     _root_orbit_leads,
     _row_blocks,
     _subrank_from,
+    _sym_dfs,
     _unit_maps,
 )
 from symsub.symmetrize import fully_symmetric
@@ -465,24 +469,52 @@ def first_unit_rows(f, r):
     return maps[hits[0]].tolist() if len(hits) else None
 
 
+def is_concise(f):
+    """Every one-leg flattening of the cubical f has full rank."""
+    return all(flattening_rank(f, [leg]) == f.dims[0] for leg in range(f.order))
+
+
+def concise_tensors(domain, shape, count, seed):
+    """The first ``count`` concise tensors a seeded generator draws."""
+    rng = np.random.default_rng(seed)
+    found = []
+    while len(found) < count:
+        f = Tensor(domain, rng.integers(0, domain.p, size=shape))
+        if is_concise(f):
+            found.append(f)
+    return found
+
+
 @pytest.mark.parametrize(
     "cases",
     [
+        lambda: every_tensor(F2, (2, 2)),
         lambda: every_tensor(F2, (3, 3)),
+        lambda: every_tensor(F3, (2, 2)),
+        lambda: every_tensor(F5, (2, 2)),
+        lambda: every_tensor(F2, (2, 2, 2)),
         lambda: every_symmetric_tensor(F3, 2, 3),
         lambda: (random_symmetric(np.random.default_rng(seed), 3, 3, F3) for seed in range(8)),
+        lambda: concise_tensors(F2, (3, 3, 3), 12, seed=26),
+        lambda: concise_tensors(F3, (3, 3, 3), 4, seed=26),
     ],
-    ids=["all-3x3-F2", "all-symmetric-2x2x2-F3", "seeded-symmetric-3x3x3-F3"],
+    ids=["all-2x2-F2", "all-3x3-F2", "all-2x2-F3", "all-2x2-F5", "all-2x2x2-F2",
+         "all-symmetric-2x2x2-F3", "seeded-symmetric-3x3x3-F3", "seeded-concise-3x3x3-F2",
+         "seeded-concise-3x3x3-F3"],
 )
 def test_symsubrank_matches_brute_force(cases):
     """The value is the largest e with <e> <=_s f over every map, and the
-    certificate is the lexicographically first ascending representative."""
+    certificate is the lexicographically first ascending representative.
+    No map reaches <d> from a concise f that is not symmetric, which is why
+    the search starts at d - 1 there."""
     for f in cases():
         value, cert = symsubrank_exact(f)
         assert value == 0 or brute_symrestricts(f, value), f.array.tolist()
         assert value == f.dims[0] or not brute_symrestricts(f, value + 1), f.array.tolist()
         rows = cert.maps[0].array.tolist()
         assert rows == (first_unit_rows(f, value) if value else []), f.array.tolist()
+        if is_concise(f) and not is_symmetric(f):
+            assert not brute_symrestricts(f, f.dims[0]), f.array.tolist()
 
 
 def pairwise_but_not_triple():
@@ -531,6 +563,43 @@ def test_symsubrank_budget_gate_counts_the_least_flattening_rank():
         f"search-infeasible: map search over F_7^(5x5) needs {required} candidates, "
         "budget is 1000"
     )
+
+
+def test_symsubrank_budget_gate_counts_the_search_below_a_non_symmetric_top():
+    """A concise f that is not symmetric starts one step lower, and the gate
+    counts that search: r0 - 1 = 4 rows out of N = (7^5 - 1) / 2."""
+    arr = np.eye(5, dtype=np.int64)
+    arr[0, 1] = 1
+    f = Tensor(F7, arr)
+    with pytest.raises(SearchInfeasibleError) as info:
+        symsubrank_exact(f, budget=1000)
+    required = math.comb(8403, 4)
+    assert info.value.required == required
+    assert str(info.value) == (
+        f"search-infeasible: map search over F_7^(4x5) needs {required} candidates, "
+        "budget is 1000"
+    )
+
+
+def test_sym_dfs_rows_do_not_depend_on_the_start():
+    """From every start e between its answer and r0, the search returns the
+    same rows, the lexicographically first largest set: so starting below a
+    top step that cannot be reached changes no certificate."""
+    rng = np.random.default_rng(26)
+    below = 0
+    for k, domain, d in itertools.product((2, 3, 4), (F2, F3, F5), (1, 2, 3, 4)):
+        p = domain.p
+        for f in (Tensor(domain, rng.integers(0, p, size=(d,) * k)),
+                  random_symmetric(rng, d, k, domain),
+                  Tensor(domain, (rng.random((d,) * k) < 0.3) * rng.integers(1, p, size=(d,) * k))):
+            r0 = _least_flattening_rank(f)
+            if not r0:
+                continue
+            rows = _sym_dfs(unit_tensor(r0, k, domain).array, f.array, p, 0).tolist()
+            for e in range(max(len(rows), 1), r0):
+                assert _sym_dfs(unit_tensor(e, k, domain).array, f.array, p, 0).tolist() == rows
+                below += 1
+    assert below
 
 
 # symsubrank_exact certificate rows, recorded before the batched search
