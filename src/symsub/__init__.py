@@ -24,24 +24,23 @@ _EXPORTS = {
         adjacency_tensor alpha_chain_check capacity_lower
         capacity_upper_quantum hypergraph_from_json hypergraph_to_json
         independence_number induced_matching_number strong_power""",
-    "quantum": """DensityMatrix OptimizerOptions OrbitPoint QuantumError
-        QuantumFunctionalResult SandwichReport density
-        directional_derivative_check jacobi_eigh marginal
+    "quantum": """OptimizerOptions OrbitPoint QuantumError QuantumFunctionalResult
+        SandwichReport directional_derivative_check jacobi_eigh
         marginal_equality_check moment_map sandwich_check
-        sym_quantum_functional uniform_quantum_functional vn_entropy""",
+        sym_quantum_functional uniform_quantum_functional""",
     "restrict": """DEFAULT_BUDGET Certificate SearchInfeasibleError SymrankResult
-        certificate_from_json certificate_to_json reconstruct_waring
-        restriction_exists subrank_exact symrank_small symrestriction_exists
-        symsubrank_exact verify_certificate""",
+        certificate_from_json certificate_to_json restriction_exists
+        subrank_exact symrank_small symrestriction_exists symsubrank_exact
+        verify_certificate""",
     "symmetrize": """CreateTCertificate MissingKthRootError SymmetrizeResult
         SymrankUpperResult WaringDecomposition create_t fully_symmetric
         make_sym remove_powers selection_map symmetrize_certificate
         symrank_upper waring_h waring_reconstruct""",
     "tensors": """ENTRY_CAP LinearMap Tensor TensorSizeError apply apply_sym
-        apply_sym_power direct_sum flattening_rank identity_map is_symmetric
-        kron map_from_json map_to_json matrix_rank permute_legs support
-        tensor_from_json tensor_id tensor_power tensor_product tensor_to_json
-        tensors_equal unit_tensor""",
+        apply_sym_power flattening_rank identity_map is_symmetric kron
+        map_from_json map_to_json matrix_rank support tensor_from_json
+        tensor_id tensor_power tensor_product tensor_to_json tensors_equal
+        unit_tensor""",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 _SUBMODULES = (

@@ -47,10 +47,6 @@ __all__ = [
     "ORDER_GATE",
     "QuantumError",
     "jacobi_eigh",
-    "DensityMatrix",
-    "density",
-    "marginal",
-    "vn_entropy",
     "moment_map",
     "directional_derivative_check",
     "OrbitPoint",
@@ -67,9 +63,7 @@ DIMENSION_GATE = 6
 ORDER_GATE = 4
 
 _EIG_FLOOR = 1e-14       # spectrum entries below this count as 0 in entropy
-_NEG_EIG_TOL = 1e-10     # most negative eigenvalue a density matrix may show
 _HERMITIAN_TOL = 1e-12
-_TRACE_TOL = 1e-10
 _COMPLEX = ComplexNumbers()
 
 # entropy ascent along exp(tX) g: the largest line-search step t
@@ -89,7 +83,8 @@ def jacobi_eigh(matrix) -> np.ndarray:
 
     The matrix is symmetrized to (a + a^H)/2 first, so both triangles count;
     ``np.linalg.eigvalsh`` alone reads only the lower one.  The name is kept
-    from the cyclic Jacobi solver this wrapper replaced.
+    from the cyclic Jacobi solver this wrapper replaced, because the
+    benchmark counts its calls under it (``quantum.jacobi_eigh.calls``).
     """
     a = np.array(matrix, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -108,65 +103,13 @@ def _entropy_bits(values: Sequence[float]) -> float:
 
 
 # ---------------------------------------------------------------------------
-# density matrices and marginals
+# marginals
 # ---------------------------------------------------------------------------
-
-class DensityMatrix:
-    """A Hermitian, trace-1, PSD matrix with a lazily computed spectrum."""
-
-    __slots__ = ("array", "_spectrum")
-
-    def __init__(self, array, spectrum: Optional[Sequence[float]] = None):
-        a = np.array(array, dtype=np.complex128)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise QuantumError(f"density matrix must be square, got {a.shape}")
-        if float(np.max(np.abs(a - a.conj().T), initial=0.0)) > _HERMITIAN_TOL:
-            raise QuantumError("density matrix is not Hermitian within 1e-12")
-        if abs(np.trace(a).real - 1.0) > _TRACE_TOL or abs(np.trace(a).imag) > _TRACE_TOL:
-            raise QuantumError(f"density matrix trace is {np.trace(a):.12g}, not 1")
-        a.setflags(write=False)
-        self.array = a
-        self._spectrum = None if spectrum is None else tuple(float(v) for v in spectrum)
-
-    @property
-    def dimension(self) -> int:
-        return self.array.shape[0]
-
-    @property
-    def spectrum(self) -> Tuple[float, ...]:
-        """Eigenvalues, non-increasing, clipped to 0 below the -1e-10 floor."""
-        if self._spectrum is None:
-            values = jacobi_eigh(self.array)
-            if values.size and values[-1] < -_NEG_EIG_TOL:
-                raise QuantumError(
-                    f"density matrix has eigenvalue {values[-1]:.3e} < -1e-10"
-                )
-            self._spectrum = tuple(max(float(v), 0.0) for v in values)
-        return self._spectrum
-
-    def __repr__(self) -> str:
-        return f"DensityMatrix(dim={self.dimension})"
-
 
 def _complex_array(f: Tensor, what: str) -> np.ndarray:
     if not isinstance(f.domain, ComplexNumbers):
         raise DomainError(f"{what} runs over the complex numbers, not {f.domain.name}")
     return np.asarray(f.array, dtype=np.complex128)
-
-
-def density(f: Tensor) -> DensityMatrix:
-    """rho(f) = f f* / |f|^2 on the full tensor-product space.
-
-    Pure states have known spectrum (1, 0, ..., 0); it is recorded directly
-    so the full-space matrix is never fed to the eigensolver.
-    """
-    arr = _complex_array(f, "density")
-    v = arr.ravel()
-    n2 = float(np.vdot(v, v).real)
-    if n2 <= 1e-300:
-        raise QuantumError("zero tensor has no density matrix")
-    rho = np.outer(v, v.conj()) / n2
-    return DensityMatrix(rho, spectrum=(1.0,) + (0.0,) * (v.size - 1))
 
 
 @functools.lru_cache(maxsize=32)
@@ -199,22 +142,6 @@ def _cubical_array(f: Tensor, what: str) -> np.ndarray:
     if not f.is_cubical or arr.ndim == 0:
         raise QuantumError(f"{what} needs a cubical tensor of order >= 1")
     return arr
-
-
-def marginal(f: Tensor, j: int) -> DensityMatrix:
-    """The j-th marginal density matrix (all other legs traced out)."""
-    arr = _complex_array(f, "marginal")
-    if not 0 <= j < arr.ndim:
-        raise QuantumError(f"leg {j} out of range for an order-{arr.ndim} tensor")
-    if float(np.sum(np.abs(arr) ** 2)) <= 1e-300:
-        raise QuantumError("zero tensor has no marginals")
-    rho = np.tensordot(arr, arr.conj(), axes=2 * ([i for i in range(arr.ndim) if i != j],))
-    return DensityMatrix(rho / np.trace(rho).real)
-
-
-def vn_entropy(rho: DensityMatrix) -> float:
-    """Von Neumann entropy in bits: H(spec(rho)), with 0 log 0 = 0."""
-    return _entropy_bits(rho.spectrum)
 
 
 def moment_map(f: Tensor) -> np.ndarray:

@@ -82,7 +82,6 @@ __all__ = [
     "subrank_exact",
     "SymrankResult",
     "symrank_small",
-    "reconstruct_waring",
 ]
 
 _FIRST_CHUNK = 1 << 10  # entries of partial tensors in a leg's first chunk of prefixes
@@ -731,19 +730,12 @@ def symrank_small(f: Tensor, budget: int = DEFAULT_BUDGET) -> SymrankResult:
             found = _mitm_decompose(target, powers, r, (r + 1) // 2, p)
             if found is not None:
                 witness = vectors[list(found)]
-                if not reconstruct_waring(witness, f):
+                total = _rank_one_sum([1] * r, [witness] * k, domain)
+                if not domain.arrays_equal(total, f.array):
                     raise RuntimeError("internal error: Waring decomposition failed to verify")
                 return SymrankResult(value=r, lower_bound=lower, vectors=witness)
             r += 1
     return SymrankResult(value=None, lower_bound=lower, vectors=None)
-
-
-def reconstruct_waring(vectors: np.ndarray, f: Tensor) -> bool:
-    """Check that the k-th powers of the given vectors sum to f exactly."""
-    domain = f.domain
-    vectors = domain.asarray(vectors).reshape(-1, f.dims[0])
-    total = _rank_one_sum([1] * len(vectors), [vectors] * f.order, domain)
-    return domain.arrays_equal(total, f.array)
 
 
 def _mitm_decompose(

@@ -3,8 +3,8 @@
 A :class:`Tensor` is an immutable dense array tagged with a domain; a
 :class:`LinearMap` is a rectangular matrix over the same kind of domain.
 Module functions implement the operations every higher layer builds on:
-unit tensors, products, direct sums, per-leg map application, leg
-permutation, symmetry tests, supports, flattening ranks and matrix rank.
+unit tensors, products, per-leg map application, symmetry tests, supports,
+flattening ranks and matrix rank.
 Every Kronecker power of rows (power sums, support powers, selection
 rows) goes through one kernel, ``_kron_rows``, and every sum of rank-one
 terms through ``_rank_one_sum``.
@@ -43,11 +43,9 @@ __all__ = [
     "unit_tensor",
     "tensor_product",
     "tensor_power",
-    "direct_sum",
     "apply",
     "apply_sym",
     "apply_sym_power",
-    "permute_legs",
     "is_symmetric",
     "support",
     "flattening_rank",
@@ -197,17 +195,6 @@ def tensor_power(f: Tensor, n: int) -> Tensor:
     return out
 
 
-def direct_sum(f: Tensor, g: Tensor) -> Tensor:
-    """Block tensor: f on the low index block, g on the high, zero elsewhere."""
-    _require_same(f, g)
-    shape = tuple(df + dg for df, dg in zip(f.dims, g.dims))
-    _check_cap(shape)
-    out = f.domain.zeros(shape)
-    out[tuple(slice(0, d) for d in f.dims)] = f.array
-    out[tuple(slice(d, None) for d in f.dims)] = g.array
-    return Tensor(f.domain, out)
-
-
 def apply(maps: Sequence[LinearMap], f: Tensor) -> Tensor:
     """g = (A1 (x) ... (x) Ak) f, one map per leg."""
     if len(maps) != f.order:
@@ -312,16 +299,6 @@ def apply_sym_power(A: LinearMap, f: Tensor, power: int) -> Tensor:
         merged = (merged[:, None] * d + supp[None]).reshape(-1, k)
     factors = [A.array.T[columns] for columns in merged.T]
     return Tensor(f.domain, _rank_one_sum(values, factors, f.domain))
-
-
-def permute_legs(f: Tensor, perm: Sequence[int]) -> Tensor:
-    """g with g[i_{perm(1)},...,i_{perm(k)}] = f[i_1,...,i_k] (0-based perm)."""
-    k = f.order
-    if sorted(perm) != list(range(k)):
-        raise ValueError(f"not a permutation of 0..{k - 1}: {perm}")
-    # numpy transpose(axes) satisfies g[idx o axes] = f[idx], which is
-    # exactly the stated convention with axes = perm.
-    return Tensor(f.domain, f.array.transpose(list(perm)))
 
 
 def is_symmetric(f: Tensor) -> bool:

@@ -1,6 +1,6 @@
 """Dead code in the package, found by reading its source (standard library only).
 
-Four rules, checked over every module in ``src/symsub``:
+Five rules, the first four checked over every module in ``src/symsub``:
 
 * every name an import binds is read in the scope holding the import (a
   module-level import may also be listed in ``__all__``, as a re-export);
@@ -14,16 +14,41 @@ Four rules, checked over every module in ``src/symsub``:
   ``functools.reduce(`` is no call of a domain method), so the domains
   carry only the arithmetic the package calls.  Receivers are told apart
   by name only: a domain held in an imported name would be missed, and a
-  non-domain object with a method of the same name counts as a caller.
+  non-domain object with a method of the same name counts as a caller;
+* every name the package exports (``symsub._EXPORTS``) is reached: referred
+  to as a name, an attribute or a ``from ... import`` alias in
+  ``src/symsub`` outside its own definition (the export tables are strings,
+  so they do not count); or, in ``perfbench/*.py``, as a name, an attribute
+  or a string constant equal to the name or ending in ``.name`` (a docstring
+  that mentions it is no reference); or referred to in
+  ``tests/test_acceptance.py``; or kept in ``KEPT`` with its reason.  A
+  name reached only from the body of another unreached export counts as
+  reached until that export is gone.
 """
 
 import ast
 from collections import Counter
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "symsub"
-SOURCES = {path.name: ast.parse(path.read_text(), str(path))
-           for path in sorted(PACKAGE.glob("*.py"))}
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "symsub"
+
+
+def parsed(paths):
+    return {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(paths)}
+
+
+SOURCES = parsed(PACKAGE.glob("*.py"))
+BENCH_SOURCES = parsed((ROOT / "perfbench").glob("*.py"))
+ACCEPTANCE = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
+
+# Exports no caller reaches, each kept for the reason given.
+KEPT = {
+    "hypergraph_to_json": "writes the hypergraph JSON format the CLI reads; the "
+                          "tests build their CLI inputs with it",
+    "symrank_upper": "the polarization bound: symmetric rank <= 2^(k-1) * rank "
+                     "for a symmetric tensor, the Comon side of the paper",
+}
 
 
 def exported(tree):
@@ -76,6 +101,58 @@ def references(node):
     an attribute (``module._helper``)."""
     return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
                    if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def referred_names(tree):
+    """Identifiers read as a name or an attribute, or bound by a ``from ...
+    import``, below ``tree``; a module-level def or class does not count as
+    referring to itself."""
+    found = set()
+    for stmt in tree.body:
+        names = set()
+        for n in ast.walk(stmt):
+            if isinstance(n, ast.ImportFrom):
+                names |= {alias.name for alias in n.names}
+            elif isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+                names.add(n.id)
+            elif isinstance(n, ast.Attribute) and not isinstance(n.ctx, ast.Store):
+                names.add(n.attr)
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.discard(stmt.name)
+        found |= names
+    return found
+
+
+def string_references(tree):
+    """Every string constant below ``tree`` that is not a docstring, and its
+    last dotted part (``"quantum.jacobi_eigh"`` names ``jacobi_eigh``)."""
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                       ast.AsyncFunctionDef))
+                  and node.body and isinstance(node.body[0], ast.Expr)
+                  and isinstance(node.body[0].value, ast.Constant)}
+    return {part for n in ast.walk(tree)
+            if isinstance(n, ast.Constant) and isinstance(n.value, str)
+            and id(n) not in docstrings
+            for part in (n.value, n.value.rsplit(".", 1)[-1])}
+
+
+def package_exports(init):
+    """The names of the package's ``_EXPORTS`` table (module -> names string)."""
+    for node in init.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "_EXPORTS" for t in node.targets):
+            return {name for value in node.value.values for name in value.value.split()}
+    return set()
+
+
+def unreached_exports(package, bench, acceptance, kept):
+    """Each exported name that neither the package, the benchmark nor an
+    acceptance test reaches, and that ``kept`` does not keep, sorted."""
+    reached = set().union(*map(referred_names, package.values()), referred_names(acceptance),
+                          *map(referred_names, bench.values()),
+                          *map(string_references, bench.values()))
+    return sorted(package_exports(package["__init__.py"]) - reached - set(kept))
 
 
 def uncalled_private_functions(trees):
@@ -152,6 +229,15 @@ def test_every_public_domain_method_is_called_elsewhere():
     assert uncalled_domain_methods(SOURCES) == []
 
 
+def test_every_export_is_reached():
+    assert unreached_exports(SOURCES, BENCH_SOURCES, ACCEPTANCE, KEPT) == []
+
+
+def test_kept_exports_are_exported_and_not_reached_otherwise():
+    """A kept name that a caller comes to reach leaves ``KEPT``."""
+    assert unreached_exports(SOURCES, BENCH_SOURCES, ACCEPTANCE, {}) == sorted(KEPT)
+
+
 def test_the_rules_catch_what_they_name():
     """An unused import, also one inside a function, a private function
     that only calls itself and a nested assert are found; a function used
@@ -177,3 +263,19 @@ def test_the_rules_catch_what_they_name():
         "F.sqrt", "F.reduce", "F.dead"]
     assert uncalled_domain_methods({"domains.py": domains, "b.py": ast.parse(
         "def h(functools): functools.reduce(1)\nnp.sqrt(2)\n")}) == ["F.used", "F.dead"]
+
+
+def test_the_export_rule_catches_what_it_names():
+    """An export that only refers to itself or that a benchmark docstring
+    mentions is unreached; a call in the package, a dotted string in the
+    benchmark, an acceptance import and a kept name reach theirs."""
+    package = {
+        "__init__.py": ast.parse('_EXPORTS = {"m": """used self_only traced\\n'
+                                 '    mentioned accepted kept"""}\n'),
+        "m.py": ast.parse("def used(): pass\ndef self_only(): return self_only()\n"
+                          "def caller(): used()\n"),
+    }
+    bench = {"run.py": ast.parse('"""Times m.mentioned"""\ncalls("m.traced")\n')}
+    acceptance = ast.parse("from symsub import accepted\n")
+    assert unreached_exports(package, bench, acceptance, {"kept": "why"}) == [
+        "mentioned", "self_only"]

@@ -3,15 +3,12 @@ import pytest
 
 from conftest import C, F5, random_unit_tensor, w_tensor
 from symsub import (
-    DensityMatrix,
     DomainError,
     OptimizerOptions,
     QuantumError,
     Tensor,
-    density,
     directional_derivative_check,
     jacobi_eigh,
-    marginal,
     marginal_equality_check,
     moment_map,
     sandwich_check,
@@ -19,7 +16,6 @@ from symsub import (
     tensor_product,
     uniform_quantum_functional,
     unit_tensor,
-    vn_entropy,
 )
 from symsub import quantum
 
@@ -52,54 +48,28 @@ def test_jacobi_rejects_non_square():
         jacobi_eigh(np.zeros((2, 3)))
 
 
-def test_density_matrix_validation():
-    with pytest.raises(QuantumError):
-        DensityMatrix(np.array([[1.0, 1.0], [0.0, 0.0]]))  # not Hermitian
-    with pytest.raises(QuantumError):
-        DensityMatrix(np.eye(2))  # trace 2
-    rho = DensityMatrix(np.eye(2) / 2)
-    assert rho.spectrum == pytest.approx((0.5, 0.5))
-
-
-def test_density_matrix_rejects_negative_spectrum():
-    rho = DensityMatrix(np.diag([1.5, -0.5]))  # Hermitian, trace 1, not PSD
-    with pytest.raises(QuantumError):
-        rho.spectrum
-
-
-def test_density_of_a_tensor_is_pure():
-    rho = density(w_tensor(C))
-    assert rho.spectrum[0] == pytest.approx(1.0)
-    assert sum(rho.spectrum) == pytest.approx(1.0)
-    assert rho.dimension == 8
-
-
-def test_density_rejects_field_tensors():
+@pytest.mark.parametrize("call", [
+    moment_map,
+    sandwich_check,
+    marginal_equality_check,
+    lambda f: directional_derivative_check(f, np.eye(2)),
+    sym_quantum_functional,
+    uniform_quantum_functional,
+], ids=["moment_map", "sandwich_check", "marginal_equality_check",
+        "directional_derivative_check", "sym_quantum_functional", "uniform_quantum_functional"])
+def test_field_tensors_are_rejected(call):
     with pytest.raises(DomainError):
-        density(w_tensor(F5))
-
-
-def test_marginals_of_w():
-    f = w_tensor(C)
-    for j in range(3):
-        rho = marginal(f, j)
-        assert np.allclose(rho.array, rho.array.conj().T)
-        assert sum(rho.spectrum) == pytest.approx(1.0)
-        assert rho.spectrum == pytest.approx((2 / 3, 1 / 3))
-    with pytest.raises(QuantumError):
-        marginal(f, 3)
-
-
-def test_vn_entropy_known_values():
-    assert vn_entropy(DensityMatrix(np.eye(4) / 4)) == pytest.approx(2.0)
-    assert vn_entropy(DensityMatrix(np.diag([1.0, 0.0]))) == pytest.approx(0.0)
+        call(w_tensor(F5))
 
 
 def test_moment_map_sums_marginals():
-    f = w_tensor(C)
-    mu = moment_map(f)
-    assert np.allclose(mu, sum(marginal(f, j).array for j in range(3)))
-    assert np.allclose(mu, np.diag([2.0, 1.0]))
+    """mu(f) against the k marginals traced out by tensordot."""
+    for f in (w_tensor(C), random_unit_tensor(np.random.default_rng(5), (3, 3, 3))):
+        a = f.array / np.linalg.norm(f.array)
+        want = sum(np.tensordot(a, a.conj(), axes=2 * ([i for i in range(3) if i != j],))
+                   for j in range(3))
+        assert np.allclose(moment_map(f), want)
+    assert np.allclose(moment_map(w_tensor(C)), np.diag([2.0, 1.0]))
 
 
 @pytest.mark.parametrize("check", [moment_map, sandwich_check, marginal_equality_check])

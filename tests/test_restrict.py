@@ -37,7 +37,6 @@ from symsub import (
     linalg,
     make_sym,
     matrix_symsubrank,
-    reconstruct_waring,
     restriction_exists,
     subrank_exact,
     symrank_small,
@@ -59,7 +58,7 @@ from symsub.restrict import (
     _sym_dfs,
     _unit_maps,
 )
-from symsub.symmetrize import fully_symmetric
+from symsub.symmetrize import WaringDecomposition, fully_symmetric, waring_reconstruct
 
 F65521 = domain_from_name("F65521")
 
@@ -169,14 +168,15 @@ def test_symrank_h3_over_f7():
     assert res.value == 4
     assert res.lower_bound <= 4
     assert res.vectors is not None and len(res.vectors) == 4
-    assert reconstruct_waring(res.vectors, fully_symmetric(3, F7))
+    dec = WaringDecomposition(F7, 3, (1,) * 4, res.vectors)
+    assert tensors_equal(waring_reconstruct(dec), fully_symmetric(3, F7))
 
 
 def test_symrank_diagonal_is_dimension():
     u = unit_tensor(2, 3, F5)
     res = symrank_small(u)
     assert res.value == 2
-    assert reconstruct_waring(res.vectors, u)
+    assert tensors_equal(waring_reconstruct(WaringDecomposition(F5, 3, (1, 1), res.vectors)), u)
 
 
 def test_symrank_budget_exhaustion_returns_bounds():

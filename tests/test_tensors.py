@@ -16,7 +16,6 @@ from symsub import (
     apply,
     apply_sym,
     apply_sym_power,
-    direct_sum,
     domain_from_name,
     flattening_rank,
     identity_map,
@@ -25,7 +24,6 @@ from symsub import (
     map_from_json,
     map_to_json,
     matrix_rank,
-    permute_legs,
     support,
     tensor_from_json,
     tensor_id,
@@ -73,16 +71,6 @@ def test_tensor_product_groups_legs():
         tensor_product(f, w_tensor(F7))
 
 
-def test_direct_sum_blocks():
-    f = Tensor(F5, [[1, 2], [3, 4]])
-    g = Tensor(F5, [[1]])
-    s = direct_sum(f, g)
-    assert s.dims == (3, 3)
-    assert s.array[:2, :2].tolist() == [[1, 2], [3, 4]]
-    assert s.array[2, 2] == 1
-    assert not s.array[:2, 2:].any() and not s.array[2:, :2].any()
-
-
 def test_apply_matches_apply_sym_for_equal_maps():
     rng = np.random.default_rng(0)
     f = w_tensor(F7)
@@ -108,13 +96,11 @@ def test_apply_sym_power_equals_power_then_apply():
     assert tensors_equal(got, want)
 
 
-def test_permute_legs_and_symmetry():
+def test_is_symmetric():
     f = w_tensor(C)
     assert is_symmetric(f)
     g = Tensor(C, np.arange(8, dtype=float).reshape(2, 2, 2))
     assert not is_symmetric(g)
-    h = permute_legs(g, [2, 0, 1])
-    assert h.array[1, 0, 1] == g.array[0, 1, 1]
 
 
 def test_flattening_and_matrix_rank():
