@@ -5,7 +5,8 @@ Every other module computes over one of two scalar domains:
 * :class:`PrimeField` -- integers mod a prime ``p < 2**16``, exact arithmetic,
   residues stored as machine integers (numpy ``int64`` in bulk).
 * :class:`ComplexNumbers` -- finite ``complex128`` floating point with an
-  absolute comparison/pivot tolerance ``tol`` (default ``1e-9``).
+  absolute comparison/pivot tolerance ``tol``, fixed at ``1e-9`` (a class
+  constant, not a parameter), so every ℂ domain is equal.
 
 Domains are small immutable value objects, compared by value.  Each carries
 only the arithmetic the package calls, and one bulk zero test, ``nonzero``.
@@ -154,25 +155,21 @@ class PrimeField:
 class ComplexNumbers:
     """Floating-point complex scalars with absolute tolerance ``tol``."""
 
-    __slots__ = ("tol",)
+    __slots__ = ()
 
     dtype = np.complex128
     name = "C"
     p = None
-
-    def __init__(self, tol: float = 1e-9):
-        if not tol > 0:
-            raise DomainError(f"tolerance must be positive, got {tol}")
-        self.tol = float(tol)
+    tol = 1e-9
 
     def __repr__(self) -> str:
-        return f"ComplexNumbers(tol={self.tol})"
+        return "ComplexNumbers()"
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, ComplexNumbers) and other.tol == self.tol
+        return isinstance(other, ComplexNumbers)
 
     def __hash__(self) -> int:
-        return hash(("ComplexNumbers", self.tol))
+        return hash("ComplexNumbers")
 
     def normalize(self, v) -> complex:
         return complex(v)

@@ -21,7 +21,7 @@ import functools
 import itertools
 import operator
 from typing import (
-    TYPE_CHECKING, Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+    TYPE_CHECKING, Dict, FrozenSet, List, Mapping, NamedTuple, Sequence, Tuple,
 )
 
 from ._common import DEFAULT_BUDGET, json_int
@@ -143,37 +143,15 @@ def hypergraph_from_json(data: Mapping) -> Hypergraph:
 # adjacency
 # ---------------------------------------------------------------------------
 
-def adjacency_tensor(
-    h: Hypergraph,
-    domain: Domain,
-    edge_values: Optional[Mapping[Tuple[int, ...], object]] = None,
-) -> Tensor:
-    """The order-k adjacency tensor: 1 on the diagonal and on every edge.
-
-    ``edge_values`` optionally overrides the coefficient of individual edges
-    (any nonzero scalar keeps the support, hence the combinatorial bounds;
-    a zero one, over C one within the domain's tolerance, is refused, as is
-    a non-finite one).  The coefficients are coerced together and written
-    in one scatter.
-    """
-    import cmath
-
+def adjacency_tensor(h: Hypergraph, domain: Domain) -> Tensor:
+    """The order-k adjacency tensor: 1 on the diagonal and on every edge."""
     import numpy as np
 
     from .tensors import Tensor
 
     arr = domain.zeros((h.n,) * h.k)
-    edges = list(h.edges)
-    values = [edge_values.get(e, 1) if edge_values else 1 for e in edges]
-    for e, value in zip(edges, values):  # before domain.asarray refuses a non-finite one
-        if not cmath.isfinite(value):
-            raise HypergraphError(f"edge coefficient for {e} must be finite")
-    values = domain.asarray(values)
-    for e, value in zip(edges, values.tolist()):
-        if domain.is_zero(value):
-            raise HypergraphError(f"edge coefficient for {e} must be nonzero")
     arr[(np.arange(h.n),) * h.k] = 1
-    arr[tuple(np.array(edges, dtype=np.int64).reshape(-1, h.k).T - 1)] = values
+    arr[tuple(np.array(list(h.edges), dtype=np.int64).reshape(-1, h.k).T - 1)] = 1
     return Tensor(domain, arr)
 
 

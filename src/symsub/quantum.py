@@ -35,12 +35,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import ClassVar, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .domains import ComplexNumbers, DomainError
-from .tensors import LinearMap, Tensor, _apply_leg, apply_sym, tensor_id
+from .tensors import LinearMap, Tensor, _apply_leg, apply_sym
 
 __all__ = [
     "DIMENSION_GATE",
@@ -205,7 +205,6 @@ class OrbitPoint:
     of the averaged marginal of the unit-norm transformed tensor.
     """
 
-    source_id: str
     maps: Tuple[np.ndarray, ...]
     tensor: Tensor
     spectrum: Tuple[float, ...]
@@ -221,28 +220,29 @@ class OptimizerOptions:
     """Knobs for the entropy ascent; defaults suit dimensions up to 6.
 
     ``restarts`` counts seeded random starts run in addition to the identity
-    start; ``initial`` optionally replaces the identity start with given
-    map(s), which is how product points seed product tensors.
-    ``tolerance`` ends a start's ascent once a step gains less than it, and
-    ends the run once a start is within it of the bound log2 d; with 0 every
-    start runs unless one reaches log2 d itself.
+    start.  ``tolerance`` ends a start's ascent once a step gains less than
+    it, and ends the run once a start is within it of the bound log2 d; with
+    0 every start runs unless one reaches log2 d itself.  To start from maps
+    G instead of the identity, run on the image of f under G (``apply_sym``
+    or ``apply``): the functionals are suprema over the orbit of f, so the
+    image has the same value, and the identity start on it is G's.
     """
 
     restarts: int = 8
     iterations: int = 60
     seed: int = 0
     tolerance: float = 1e-9
-    initial: Optional[Tuple[np.ndarray, ...]] = None
 
 
 @dataclass(frozen=True)
 class QuantumFunctionalResult:
     """A lower estimate of a quantum functional with optimizer metadata.
 
-    ``restarts`` counts every start actually run, the identity (or seeded)
-    one included; ``gradient_norm`` is the Frobenius norm, over all maps,
+    ``restarts`` counts every start actually run, the identity one
+    included; ``gradient_norm`` is the Frobenius norm, over all maps,
     of the entropy gradient X in the direction g <- exp(X) g at the last
-    iteration of the winning start.
+    iteration of the winning start.  ``label`` is a class constant: every
+    result is a lower estimate.
     """
 
     value: float
@@ -250,7 +250,7 @@ class QuantumFunctionalResult:
     restarts: int
     iterations: int
     gradient_norm: float
-    label: str = "lower estimate"
+    label: ClassVar[str] = "lower estimate"
 
 
 def _legs(maps: Sequence[np.ndarray], k: int) -> List[np.ndarray]:
@@ -368,21 +368,10 @@ def _orbit_optimize(
         return value, maps, iterations, gnorm
 
     eye = np.eye(d, dtype=np.complex128)
-    if opts.initial is not None:
-        given = tuple(np.array(g, dtype=np.complex128) for g in opts.initial)
-        if len(given) != n_maps or any(g.shape != (d, d) for g in given):
-            raise QuantumError(
-                f"initial point needs {n_maps} map(s) of shape {d}x{d}"
-            )
-        if not np.any(_image(arr, _legs(given, k))):
-            raise QuantumError("initial point maps the tensor to zero")
-        first = np.array(given)
-    else:
-        first = np.array([eye] * n_maps)
 
     def start(idx: int) -> np.ndarray:
         if idx == 0:
-            return first
+            return np.array([eye] * n_maps)
         rng = np.random.default_rng([opts.seed, idx])
         return np.array([
             eye + 0.25 * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
@@ -409,7 +398,6 @@ def _orbit_optimize(
     spectrum = tuple(max(float(v), 0.0) for v in jacobi_eigh(avg))
     maps.setflags(write=False)
     point = OrbitPoint(
-        source_id=tensor_id(f),
         maps=tuple(maps),
         tensor=Tensor(ComplexNumbers(), unit),
         spectrum=spectrum,
@@ -464,13 +452,12 @@ class SandwichReport:
     upper_slack: float
 
 
-def sandwich_check(f: Tensor, point: Optional[OrbitPoint] = None) -> SandwichReport:
-    """Check the two-sided entropy sandwich at an orbit point of f.
-
-    Without an explicit point the normalized tensor itself is used.  A slack
-    below -1e-9 on either side is a numeric violation and raises.
+def sandwich_check(f: Tensor) -> SandwichReport:
+    """Check the two-sided entropy sandwich at the normalized tensor f; for
+    an orbit point, pass its ``tensor``.  A slack below -1e-9 on either side
+    is a numeric violation and raises.
     """
-    arr = _cubical_array(f if point is None else point.tensor, "sandwich check")
+    arr = _cubical_array(f, "sandwich check")
     if float(np.sum(np.abs(arr) ** 2)) <= 1e-300:
         raise QuantumError("zero tensor has no sandwich check")
     k = arr.ndim

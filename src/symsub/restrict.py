@@ -2,10 +2,13 @@
 
 Everything here answers questions of the form "is g reachable from f by
 linear maps on the legs?" and returns a re-verifiable :class:`Certificate`
-(or a refutation by exhaustion).  Every certificate the package returns,
-here and in :mod:`congruence` and :mod:`symmetrize`, is made by
-:func:`_certified`, which checks it against f once and raises RuntimeError
-on failure; :func:`symrank_small` checks its Waring vectors likewise.
+(or a refutation by exhaustion).  Every certificate made here, in
+:mod:`congruence` and by ``make_sym`` is made by :func:`_certified`, which
+checks it against f once and raises RuntimeError on failure;
+:func:`symrank_small` checks its Waring vectors likewise.
+``symmetrize_certificate`` builds its own :class:`Certificate` once
+``_check_chain`` has checked it through the chain's Kronecker structure,
+as ``create_t`` checks its selection.
 Exhaustive searches run over prime fields only and respect a hard candidate
 budget: exceeding it raises :class:`SearchInfeasibleError`, never a silent
 "no".
@@ -646,12 +649,12 @@ def subrank_exact(f: Tensor, budget: int = DEFAULT_BUDGET) -> Tuple[int, Certifi
     from one reduced echelon form; otherwise searched from the least flattening
     rank of f down."""
     k = f.order
+    if k < 2:
+        raise ValueError("restriction search needs order >= 2")
     if k == 2:
         return _matrix_subrank(f)
     if not isinstance(f.domain, PrimeField):
         raise DomainError("subrank_exact (order >= 3) runs over prime fields only")
-    if k < 2:
-        raise ValueError("restriction search needs order >= 2")
     return _subrank_from(f, _least_flattening_rank(f), budget)
 
 

@@ -350,7 +350,6 @@ class CreateTCertificate:
     columns: Tuple[Tuple[int, ...], ...]
     c: int
     pre_map: LinearMap
-    base_value: object
     scale: object
 
 
@@ -393,10 +392,10 @@ def create_t(f: Tensor) -> CreateTCertificate:
     rows = tuple(sorted(set(itertools.permutations(base))))
     c = len(rows)
     columns = tuple(tuple(rows[i][j] for i in range(c)) for j in range(k))
-    base_value = relabeled.array[rows[0]]
-    lam = base_value
+    value = relabeled.array[rows[0]]
+    lam = value
     for _ in range(c - 1):
-        lam = domain.normalize(lam * base_value)
+        lam = domain.normalize(lam * value)
     cert = CreateTCertificate(
         source_id=tensor_id(f),
         domain=domain,
@@ -408,7 +407,6 @@ def create_t(f: Tensor) -> CreateTCertificate:
         columns=columns,
         c=c,
         pre_map=LinearMap(domain, domain.reduce(P @ pre.array)),
-        base_value=base_value,
         scale=domain.inverse(lam),
     )
     _check_selection(cert, f)
@@ -474,7 +472,6 @@ class SymmetrizeResult:
     """<r> <=_s f^{(x)(n+c)} assembled from a plain witness <r> <= f^{(x)n}."""
 
     certificate: Certificate
-    create_cert: CreateTCertificate
     n: int
     c: int
 
@@ -523,7 +520,7 @@ def symmetrize_certificate(f: Tensor, rc: Certificate) -> SymmetrizeResult:
     _check_chain(A, C, M, power, unit)
     total_map = LinearMap(domain, A.reshape(r, d ** (n + ct.c)))
     cert = Certificate(kind="symmetric-restriction", maps=(total_map,), target=unit)
-    return SymmetrizeResult(certificate=cert, create_cert=ct, n=n, c=ct.c)
+    return SymmetrizeResult(certificate=cert, n=n, c=ct.c)
 
 
 def _check_chain(A: np.ndarray, C: np.ndarray, M: np.ndarray, power: Tensor,

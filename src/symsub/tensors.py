@@ -411,7 +411,8 @@ def tensor_id(f: Tensor) -> str:
 def tensor_from_json(obj: dict) -> Tensor:
     """Parse the tensor JSON format.  A missing key raises KeyError and a
     wrongly typed value TypeError, as in map and certificate parsing; a
-    bool, float or str where an integer belongs raises ValueError."""
+    bool, float or str where an integer belongs, or an index given twice,
+    raises ValueError."""
     k = json_int(obj["order"], "tensor order")
     dims = [json_int(d, "tensor dimension") for d in obj["dims"]]
     domain = domain_from_name(obj["domain"])
@@ -422,10 +423,14 @@ def tensor_from_json(obj: dict) -> Tensor:
         raise ValueError(f"negative dimension in {dims}")
     _check_cap(dims)
     arr = domain.zeros(tuple(dims))
+    seen = set()
     for ent in entries:
         idx = tuple(json_int(i, "entry index") - 1 for i in ent["idx"])
         if len(idx) != k or any(i < 0 or i >= d for i, d in zip(idx, dims)):
             raise ValueError(f"index out of range: {ent['idx']}")
+        if idx in seen:  # the file would mean whichever value comes last
+            raise ValueError(f"duplicate index: {ent['idx']}")
+        seen.add(idx)
         arr[idx] = _scalar_from_json(domain, ent["val"])
     return Tensor(domain, arr)
 

@@ -223,6 +223,16 @@ def test_order_zero_tensors_are_invalid_input(tmp_path, capsys, command):
     assert re.fullmatch(r"error: invalid-input: [^\n]*order >= [12]\n", captured.err), captured.err
 
 
+def test_a_repeated_tensor_index_is_invalid_input(tmp_path, capsys):
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps({"order": 2, "dims": [2, 2], "domain": "F5", "entries": [
+        {"idx": [1, 2], "val": 2}, {"idx": [2, 2], "val": 1}, {"idx": [1, 2], "val": 3}]}))
+    code = run(["rank", "--tensor", str(path), "--json"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == "error: invalid-input: duplicate index: [1, 2]\n"
+
+
 @pytest.mark.parametrize("as_json", [True, False])
 def test_symmetrize_of_an_order_zero_tensor_is_invalid_input(tmp_path, capsys, as_json):
     scalar = tensor_to_json(Tensor(F3, np.array(1)))

@@ -1,6 +1,6 @@
 """Dead code in the package, found by reading its source (standard library only).
 
-Five rules, the first four checked over every module in ``src/symsub``:
+Six rules, the first four checked over every module in ``src/symsub``:
 
 * every name an import binds is read in the scope holding the import (a
   module-level import may also be listed in ``__all__``, as a re-export);
@@ -23,7 +23,15 @@ Five rules, the first four checked over every module in ``src/symsub``:
   that mentions it is no reference); or referred to in
   ``tests/test_acceptance.py``; or kept in ``KEPT`` with its reason.  A
   name reached only from the body of another unreached export counts as
-  reached until that export is gone.
+  reached until that export is gone;
+* every knob is set: each optional parameter of an exported function or
+  class ``__init__``, and each defaulted field (``ClassVar`` aside) of an
+  exported dataclass or ``NamedTuple``, is passed, by keyword or by
+  position, by some call of its function or class (called by name or as an
+  attribute) in ``src/symsub`` outside its own definition, in
+  ``perfbench/*.py`` or in ``tests/test_acceptance.py``; or kept in
+  ``KEPT_KNOBS`` with its reason.  A call that passes ``*args`` or
+  ``**kwargs`` sets no knob by them.
 """
 
 import ast
@@ -48,6 +56,15 @@ KEPT = {
                           "tests build their CLI inputs with it",
     "symrank_upper": "the polarization bound: symmetric rank <= 2^(k-1) * rank "
                      "for a symmetric tensor, the Comon side of the paper",
+}
+
+
+# Knobs no caller sets, each kept for the reason given.
+KEPT_KNOBS = {
+    "restriction_exists.budget": "every exact search shares the one candidate budget "
+                                 "gate; the CLI sets it on the other four searches",
+    "symrestriction_exists.budget": "every exact search shares the one candidate budget "
+                                    "gate; the CLI sets it on the other four searches",
 }
 
 
@@ -155,6 +172,83 @@ def unreached_exports(package, bench, acceptance, kept):
     return sorted(package_exports(package["__init__.py"]) - reached - set(kept))
 
 
+def is_classvar(annotation):
+    """Whether an annotation is ``ClassVar`` or ``ClassVar[...]`` (or
+    ``typing.ClassVar...``)."""
+    node = annotation.value if isinstance(annotation, ast.Subscript) else annotation
+    return (isinstance(node, ast.Name) and node.id == "ClassVar") or (
+        isinstance(node, ast.Attribute) and node.attr == "ClassVar")
+
+
+def is_record(cls):
+    """Whether a class takes its fields as constructor arguments: a
+    dataclass or a ``NamedTuple``."""
+    tags = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list] + cls.bases
+    return any(getattr(t, "id", getattr(t, "attr", None)) in ("dataclass", "NamedTuple")
+               for t in tags)
+
+
+def optional_parameters(args, skip_self=False):
+    """(name, position) of each parameter with a default; keyword-only ones
+    have position None."""
+    positional = (args.posonlyargs + args.args)[1 if skip_self else 0:]
+    first = len(positional) - len(args.defaults)
+    return [(a.arg, i) for i, a in enumerate(positional) if i >= first] + [
+        (a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+
+
+def knobs(package):
+    """(definition, "Name.knob", knob, position) for each knob of an export."""
+    names = package_exports(package["__init__.py"])
+    for tree in package.values():
+        for node in tree.body:
+            params = []
+            if isinstance(node, ast.FunctionDef) and node.name in names:
+                params = optional_parameters(node.args)
+            elif isinstance(node, ast.ClassDef) and node.name in names:
+                init = [n for n in node.body if isinstance(n, ast.FunctionDef) and n.name == "__init__"]
+                if init:
+                    params = optional_parameters(init[0].args, skip_self=True)
+                elif is_record(node):
+                    fields = [n for n in node.body if isinstance(n, ast.AnnAssign)
+                              and isinstance(n.target, ast.Name) and not is_classvar(n.annotation)]
+                    params = [(f.target.id, i) for i, f in enumerate(fields) if f.value is not None]
+            for param, position in params:
+                yield node, f"{node.name}.{param}", param, position
+
+
+def calls_of(tree, name, skip=None):
+    """The calls ``name(...)`` and ``anything.name(...)`` below ``tree``,
+    outside the node ``skip``."""
+    found, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Call) and name in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            found.append(node)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def passes(call, param, position):
+    """Whether a call passes the parameter by keyword or by position."""
+    return any(kw.arg == param for kw in call.keywords) or (
+        position is not None and len(call.args) > position
+        and not any(isinstance(a, ast.Starred) for a in call.args[:position + 1]))
+
+
+def unset_knobs(package, bench, acceptance, kept):
+    """Each knob that no call in the package (outside its definition), the
+    benchmark or the acceptance tests passes, and that ``kept`` does not
+    keep, sorted."""
+    trees = [*package.values(), *bench.values(), acceptance]
+    return sorted(knob for node, knob, param, position in knobs(package) if knob not in kept
+                  and not any(passes(call, param, position)
+                              for tree in trees for call in calls_of(tree, node.name, node)))
+
+
 def uncalled_private_functions(trees):
     """'module: name' for each private module-level function that nothing
     outside its own body refers to."""
@@ -238,6 +332,15 @@ def test_kept_exports_are_exported_and_not_reached_otherwise():
     assert unreached_exports(SOURCES, BENCH_SOURCES, ACCEPTANCE, {}) == sorted(KEPT)
 
 
+def test_every_knob_is_set():
+    assert unset_knobs(SOURCES, BENCH_SOURCES, ACCEPTANCE, KEPT_KNOBS) == []
+
+
+def test_kept_knobs_are_knobs_no_caller_sets():
+    """A kept knob that a caller comes to set leaves ``KEPT_KNOBS``."""
+    assert unset_knobs(SOURCES, BENCH_SOURCES, ACCEPTANCE, {}) == sorted(KEPT_KNOBS)
+
+
 def test_the_rules_catch_what_they_name():
     """An unused import, also one inside a function, a private function
     that only calls itself and a nested assert are found; a function used
@@ -279,3 +382,25 @@ def test_the_export_rule_catches_what_it_names():
     acceptance = ast.parse("from symsub import accepted\n")
     assert unreached_exports(package, bench, acceptance, {"kept": "why"}) == [
         "mentioned", "self_only"]
+
+
+def test_the_knob_rule_catches_what_it_names():
+    """A knob passed by keyword or by position is set, one passed only by
+    its own body, by ``*args`` or ``**kwargs`` or by nobody is not, a kept
+    knob is let be, and a ``ClassVar`` or an undefaulted field is no knob."""
+    package = {
+        "__init__.py": ast.parse('_EXPORTS = {"m": "f Opts Plain Result"}\n'),
+        "m.py": ast.parse(
+            "def f(x, by_key=1, by_place=2, *, unset=3, kept=4, starred=5):\n"
+            "    return f(x, unset=0)\n"
+            "class Plain:\n    def __init__(self, a, b=None): pass\n"
+            "@dataclass(frozen=True)\nclass Opts:\n    a: int\n"
+            "    label: ClassVar[str] = 'x'\n    b: int = 0\n    c: int = 1\n"
+            "class Result(NamedTuple):\n    v: int\n    w: int = 0\n"
+            "def caller(args, kw):\n    f(1, by_key=0)\n    Opts(1, 2)\n"
+            "    f(*args, **kw)\n    Plain(1, *args)\n"),
+    }
+    bench = {"run.py": ast.parse("m.f(1, 2, 3)\n")}
+    acceptance = ast.parse("Result(v=1, w=2)\n")
+    assert unset_knobs(package, bench, acceptance, {"f.kept": "why"}) == [
+        "Opts.c", "Plain.b", "f.starred", "f.unset"]

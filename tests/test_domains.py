@@ -64,8 +64,6 @@ def test_complex_eq_uses_tolerance():
     assert C.arrays_equal(np.array(1.0), np.array(1.0 + 1e-12))
     assert not C.arrays_equal(np.array(1.0), np.array(1.0 + 1e-6))
     assert C.is_zero(1e-10)
-    loose = ComplexNumbers(tol=1e-3)
-    assert loose.arrays_equal(np.array(1.0), np.array(1.0005))
 
 
 def test_prime_field_accepts_numpy_integers_only_as_integers():
@@ -96,7 +94,7 @@ def test_nonzero_matches_the_prime_field_masks_it_replaces(p):
 def test_nonzero_matches_the_complex_masks_it_replaces():
     """Over C ``nonzero`` is ``abs(arr) > tol``: an entry of modulus exactly
     tol is zero, one a hair above is not; -0.0 and 1e-300 are zero."""
-    C = ComplexNumbers(tol=1e-9)
+    C = ComplexNumbers()
     arr = np.array([1e-9, 1e-9 * (1 + 1e-12), -0.0, 1e-300, -1e-9j, 2e-9j], dtype=np.complex128)
     mask = C.nonzero(arr)
     assert mask.tolist() == [False, True, False, False, False, True]

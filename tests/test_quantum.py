@@ -4,9 +4,11 @@ import pytest
 from conftest import C, F5, random_unit_tensor, w_tensor
 from symsub import (
     DomainError,
+    LinearMap,
     OptimizerOptions,
     QuantumError,
     Tensor,
+    apply_sym,
     directional_derivative_check,
     jacobi_eigh,
     marginal_equality_check,
@@ -134,14 +136,13 @@ def test_functional_restart_count():
 
 
 def test_functional_product_seeding_reaches_square():
-    """Seeding f*f with the single-copy optimum exhibits multiplicativity."""
+    """W(x)W moved by the single-copy optimum g(x)g, a point of its own
+    orbit, exhibits multiplicativity."""
     W = w_tensor(C)
     res1 = sym_quantum_functional(W, OptimizerOptions(restarts=2))
     g = res1.point.maps[0]
-    res2 = sym_quantum_functional(
-        tensor_product(W, W),
-        OptimizerOptions(restarts=1, initial=(np.kron(g, g),)),
-    )
+    moved = apply_sym(LinearMap(C, np.kron(g, g)), tensor_product(W, W))
+    res2 = sym_quantum_functional(moved, OptimizerOptions(restarts=1))
     assert res2.value >= res1.value**2 - 1e-6
 
 
@@ -165,15 +166,14 @@ def test_unit_tensor_ends_the_run_after_the_identity_start(r, k, mode):
 
 @pytest.mark.parametrize("mode", ["sym", "uniform"])
 def test_initial_start_onto_a_unit_tensor_ends_the_run(mode):
-    """f = A^(x)3 <3>: the identity start runs every restart, while the
-    start A^-1 maps f onto <3> and ends the run after that start."""
+    """f = A^(x)3 <3>: the identity start runs every restart, while f moved
+    by A^-1 is <3>, whose identity start ends the run."""
     fn = sym_quantum_functional if mode == "sym" else uniform_quantum_functional
     rng = np.random.default_rng(3)
     A = np.eye(3) + 0.5 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
     f = Tensor(C, np.einsum("ia,jb,kc,abc->ijk", A, A, A, unit_tensor(3, 3, C).array))
     assert fn(f, OptimizerOptions(restarts=4)).restarts == 5
-    initial = (np.linalg.inv(A),) * (1 if mode == "sym" else 3)
-    res = fn(f, OptimizerOptions(restarts=4, initial=initial))
+    res = fn(apply_sym(LinearMap(C, np.linalg.inv(A)), f), OptimizerOptions(restarts=4))
     assert (res.restarts, res.iterations) == (1, 1)
     assert res.value == pytest.approx(3, abs=1e-12)
 
@@ -390,15 +390,6 @@ def test_size_gates():
         uniform_quantum_functional(unit_tensor(2, 5, C))
     with pytest.raises(QuantumError):
         sym_quantum_functional(Tensor(C, np.zeros((2, 3))))  # not cubical
-
-
-def test_initial_point_validation():
-    W = w_tensor(C)
-    with pytest.raises(QuantumError, match="shape"):
-        sym_quantum_functional(W, OptimizerOptions(initial=(np.eye(3),)))
-    # every term of W has a 1 index, which diag(1, 0) kills
-    with pytest.raises(QuantumError, match="to zero"):
-        sym_quantum_functional(W, OptimizerOptions(initial=(np.diag([1.0, 0.0]),)))
 
 
 def test_sandwich_check_on_random_tensors():

@@ -111,6 +111,16 @@ def test_symrestriction_needs_prime_field():
         symrestriction_exists(unit_tensor(1, 2, C), Tensor(C, np.eye(2)))
 
 
+@pytest.mark.parametrize("domain", [C, F5], ids=["C", "F5"])
+@pytest.mark.parametrize("shape", [(), (3,)], ids=["order0", "order1"])
+def test_subrank_exact_refuses_orders_below_two_over_every_domain(domain, shape):
+    """Order 0 and 1 are refused for their order, also over C, where the
+    prime-field refusal of order >= 3 must not answer first."""
+    with pytest.raises(ValueError, match="restriction search needs order >= 2") as info:
+        subrank_exact(Tensor(domain, np.ones(shape, dtype=domain.dtype)))
+    assert info.type is ValueError
+
+
 def test_search_budget_raises_with_details():
     f = Tensor(F7, np.eye(5, dtype=np.int64))
     with pytest.raises(SearchInfeasibleError) as info:

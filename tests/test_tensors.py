@@ -144,6 +144,16 @@ def test_tensor_json_roundtrip(domain):
     assert tensors_equal(f, g)
 
 
+def test_tensor_json_refuses_a_repeated_index():
+    """An entry given twice would give one file two readings; it is refused."""
+    obj = {"order": 1, "dims": [2], "domain": "F5",
+           "entries": [{"idx": [1], "val": 2}, {"idx": [1], "val": 3}]}
+    with pytest.raises(ValueError, match=r"^duplicate index: \[1\]$"):
+        tensor_from_json(obj)
+    obj["entries"][1]["idx"] = [2]
+    assert tensor_from_json(obj).array.tolist() == [2, 3]
+
+
 def json_tensor_cases():
     """35 tensors over F2, F3, F7, F65521 and C, of order 0 to 4: F_p entries
     given outside [0, p), C entries with -0.0 parts and entries of 1e-10."""
