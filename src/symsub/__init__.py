@@ -37,10 +37,9 @@ _EXPORTS = {
         make_sym remove_powers selection_map symmetrize_certificate
         symrank_upper waring_h waring_reconstruct""",
     "tensors": """ENTRY_CAP LinearMap Tensor TensorSizeError apply apply_sym
-        apply_sym_power flattening_rank identity_map is_symmetric kron
-        map_from_json map_to_json matrix_rank support tensor_from_json
-        tensor_id tensor_power tensor_product tensor_to_json tensors_equal
-        unit_tensor""",
+        apply_sym_power flattening_rank identity_map is_symmetric map_from_json
+        map_to_json matrix_rank support tensor_from_json tensor_id tensor_power
+        tensor_product tensor_to_json tensors_equal unit_tensor""",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 _SUBMODULES = (

@@ -125,14 +125,6 @@ def _certificate_output(args, cert: Certificate) -> object:
     return obj
 
 
-def _row_values(domain, values) -> list:
-    """Serialize a sequence of field scalars through the map format."""
-    from .tensors import LinearMap, map_to_json
-
-    m = LinearMap(domain, domain.asarray([list(values)]))
-    return map_to_json(m)["data"][0]
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers: (args, inputs) -> (outputs, verification)
 # ---------------------------------------------------------------------------
@@ -230,7 +222,7 @@ def _cmd_waring(args, inputs):
     dec = waring_h(args.order, domain)  # checked bit for bit against h
     outputs = {
         "terms": len(dec.coefficients),
-        "coefficients": _row_values(domain, dec.coefficients),
+        "coefficients": map_to_json(LinearMap(domain, [dec.coefficients]))["data"][0],
         "vectors": map_to_json(LinearMap(domain, dec.vectors))["data"],
     }
     return outputs, "verified"
@@ -572,7 +564,8 @@ _ERRORS = (
     ("builtins", "TypeError", "malformed-json", 1),
     ("builtins", "KeyError", "malformed-json", 1),
     ("symsub.restrict", "SearchInfeasibleError", "budget", 2),
-    ("symsub.tensors", "TensorSizeError", "size-gate", 2),
+    # every size gate, of dense tensors, searches and ascents alike
+    ("symsub._common", "TensorSizeError", "size-gate", 2),
     # every other error of the library's checks is a ValueError
     ("builtins", "ValueError", "invalid-input", 1),
     # an integer too large for a float, e.g. a complex entry 10**400
@@ -585,8 +578,6 @@ def _error_code(exc: Exception) -> Optional[Tuple[str, int]]:
     for module, name, code, exit_code in _ERRORS:
         cls = getattr(sys.modules.get(module), name, None)
         if cls is not None and isinstance(exc, cls):
-            if code == "invalid-input" and str(exc).startswith("size gate"):
-                return "size-gate", 2  # a hypergraph or quantum search gate
             return code, exit_code
     return None
 

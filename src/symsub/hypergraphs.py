@@ -24,7 +24,7 @@ from typing import (
     TYPE_CHECKING, Dict, FrozenSet, List, Mapping, NamedTuple, Sequence, Tuple,
 )
 
-from ._common import DEFAULT_BUDGET, json_int
+from ._common import DEFAULT_BUDGET, TensorSizeError, json_int
 
 if TYPE_CHECKING:
     from .domains import Domain
@@ -53,7 +53,8 @@ MATCHING_GATE = 64
 
 
 class HypergraphError(ValueError):
-    """Invalid hypergraph data or an exceeded search gate."""
+    """Invalid hypergraph data or parameters; an exceeded size gate raises
+    ``TensorSizeError``."""
 
 
 class Hypergraph:
@@ -127,16 +128,15 @@ def hypergraph_to_json(h: Hypergraph) -> Dict:
 
 
 def hypergraph_from_json(data: Mapping) -> Hypergraph:
+    """Parse the hypergraph JSON format; a missing key raises KeyError."""
+
     def edges(rows):  # checked as the constructor walks them, after n and k
         for e in rows:
             yield [json_int(v, "edge coordinate") for v in e]
 
-    try:
-        n = json_int(data["n"], "vertex count n")
-        k = json_int(data["k"], "uniformity k")
-        return Hypergraph(n, k, edges(data["edges"]))
-    except KeyError as exc:
-        raise HypergraphError(f"hypergraph JSON is missing key {exc}") from None
+    n = json_int(data["n"], "vertex count n")
+    k = json_int(data["k"], "uniformity k")
+    return Hypergraph(n, k, edges(data["edges"]))
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +168,7 @@ def independence_number(h: Hypergraph) -> Tuple[int, Tuple[int, ...]]:
     unless some edge at v has all its other vertices in ``chosen``.
     """
     if h.n > VERTEX_GATE:
-        raise HypergraphError(
+        raise TensorSizeError(
             f"size gate: independence search handles at most {VERTEX_GATE} "
             f"vertices, got {h.n}"
         )
@@ -226,7 +226,7 @@ def induced_matching_number(
     phi = h.phi
     total = len(phi)
     if total > MATCHING_GATE:
-        raise HypergraphError(
+        raise TensorSizeError(
             f"size gate: induced matching search handles at most "
             f"{MATCHING_GATE} elements of Phi, got {total}"
         )
@@ -280,7 +280,7 @@ def strong_power(h: Hypergraph, m: int) -> Hypergraph:
         raise HypergraphError(f"power must be positive, got {m}")
     size = h.n ** m
     if size > VERTEX_GATE:
-        raise HypergraphError(
+        raise TensorSizeError(
             f"size gate: strong power has {size} vertices, limit {VERTEX_GATE}"
         )
 
@@ -360,7 +360,7 @@ def alpha_chain_check(
     alpha, _ = independence_number(h)
     beta, _ = induced_matching_number(h)
     a = adjacency_tensor(h, domain)
-    restrict._check_symsubrank_input(a)  # it covers subrank_exact's checks too
+    restrict._check_search(a, "symmetric restriction search", True)  # subrank_exact's too
     r0 = restrict._least_flattening_rank(a)
     sym_q, sym_cert = restrict._symsubrank_from(a, r0, budget)
     q, _ = restrict._subrank_from(a, r0, budget, floor=(sym_q, sym_cert))

@@ -40,7 +40,7 @@ from typing import ClassVar, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .domains import ComplexNumbers, DomainError
-from .tensors import LinearMap, Tensor, _apply_leg, apply_sym
+from .tensors import LinearMap, Tensor, TensorSizeError, _apply_leg, apply_sym
 
 __all__ = [
     "DIMENSION_GATE",
@@ -71,7 +71,8 @@ _STEP = 0.5
 
 
 class QuantumError(ValueError):
-    """Invalid input to a quantum-side operation, or an exceeded gate."""
+    """Invalid input to a quantum-side operation; an exceeded size gate
+    raises ``TensorSizeError``."""
 
 
 # ---------------------------------------------------------------------------
@@ -106,12 +107,6 @@ def _entropy_bits(values: Sequence[float]) -> float:
 # marginals
 # ---------------------------------------------------------------------------
 
-def _complex_array(f: Tensor, what: str) -> np.ndarray:
-    if not isinstance(f.domain, ComplexNumbers):
-        raise DomainError(f"{what} runs over the complex numbers, not {f.domain.name}")
-    return np.asarray(f.array, dtype=np.complex128)
-
-
 @functools.lru_cache(maxsize=32)
 def _flat_index(d: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
     """Indices into a raveled d^k array, shared by every caller so read-only:
@@ -138,17 +133,21 @@ def _marginal_stack(flats: np.ndarray, average: bool = False) -> np.ndarray:
 
 
 def _cubical_array(f: Tensor, what: str) -> np.ndarray:
-    arr = _complex_array(f, what)
+    """The array of f, once f is checked to be a nonzero cubical tensor of
+    order >= 1 over the complex numbers."""
+    if not isinstance(f.domain, ComplexNumbers):
+        raise DomainError(f"{what} runs over the complex numbers, not {f.domain.name}")
+    arr = np.asarray(f.array, dtype=np.complex128)
     if not f.is_cubical or arr.ndim == 0:
         raise QuantumError(f"{what} needs a cubical tensor of order >= 1")
+    if float(np.sum(np.abs(arr) ** 2)) <= 1e-300:
+        raise QuantumError(f"zero tensor has no {what}")
     return arr
 
 
 def moment_map(f: Tensor) -> np.ndarray:
     """mu(f): the sum of all k marginal density matrices (Hermitian, trace k)."""
     arr = _cubical_array(f, "moment map")
-    if float(np.sum(np.abs(arr) ** 2)) <= 1e-300:
-        raise QuantumError("zero tensor has no moment map")
     return _marginal_stack(_flattenings(arr)).sum(axis=0)
 
 
@@ -175,12 +174,9 @@ def directional_derivative_check(f: Tensor, direction) -> Tuple[float, float]:
     norm = float(np.max(np.abs(eigs), initial=0.0))
     if norm > 1.0 + 1e-9:
         raise QuantumError(f"direction has spectral norm {norm:.6g} > 1")
-    n2 = float(np.sum(np.abs(arr) ** 2))
-    if n2 <= 1e-300:
-        raise QuantumError("zero tensor has no derivative check")
 
     analytic = float(np.trace(moment_map(f) @ h).real)
-    unit = arr / math.sqrt(n2)
+    unit = arr / math.sqrt(float(np.sum(np.abs(arr) ** 2)))
     step = 1e-5
 
     def log_norm(t: float) -> float:
@@ -316,21 +312,18 @@ def _orbit_optimize(
     f: Tensor, mode: str, options: Optional[OptimizerOptions]
 ) -> QuantumFunctionalResult:
     arr = _cubical_array(f, "quantum functional")
-    k = arr.ndim
-    d = arr.shape[0] if k else 0
+    k, d = arr.ndim, arr.shape[0]
     if k < 2:
         raise QuantumError(f"quantum functionals need order >= 2, got {k}")
     if d > DIMENSION_GATE:
-        raise QuantumError(
+        raise TensorSizeError(
             f"size gate: quantum functionals handle dimension <= {DIMENSION_GATE}, "
             f"got {d}"
         )
     if k > ORDER_GATE:
-        raise QuantumError(
+        raise TensorSizeError(
             f"size gate: quantum functionals handle order <= {ORDER_GATE}, got {k}"
         )
-    if float(np.sum(np.abs(arr) ** 2)) <= 1e-300:
-        raise QuantumError("zero tensor has no quantum functional")
     opts = options if options is not None else OptimizerOptions()
     n_maps = 1 if mode == "sym" else k
 
@@ -455,11 +448,9 @@ class SandwichReport:
 def sandwich_check(f: Tensor) -> SandwichReport:
     """Check the two-sided entropy sandwich at the normalized tensor f; for
     an orbit point, pass its ``tensor``.  A slack below -1e-9 on either side
-    is a numeric violation and raises.
+    is a numeric violation and raises RuntimeError.
     """
     arr = _cubical_array(f, "sandwich check")
-    if float(np.sum(np.abs(arr) ** 2)) <= 1e-300:
-        raise QuantumError("zero tensor has no sandwich check")
     k = arr.ndim
     rhos = _marginal_stack(_flattenings(arr))
     spectra = np.linalg.eigvalsh(np.concatenate([rhos, rhos.mean(axis=0, keepdims=True)]))
@@ -469,13 +460,9 @@ def sandwich_check(f: Tensor) -> SandwichReport:
     concavity = entropy_avg - mean_entropy
     upper = mean_entropy + log_k - entropy_avg
     if concavity < -1e-9:
-        raise ArithmeticError(
-            f"sandwich violation: H(avg) - avg H = {concavity:.3e} < -1e-9"
-        )
+        raise RuntimeError(f"sandwich violation: H(avg) - avg H = {concavity:.3e} < -1e-9")
     if upper < -1e-9:
-        raise ArithmeticError(
-            f"sandwich violation: avg H + log2 k - H(avg) = {upper:.3e} < -1e-9"
-        )
+        raise RuntimeError(f"sandwich violation: avg H + log2 k - H(avg) = {upper:.3e} < -1e-9")
     return SandwichReport(
         entropy_of_average=entropy_avg,
         mean_entropy=mean_entropy,
@@ -492,7 +479,5 @@ def marginal_equality_check(f: Tensor) -> float:
     diagnostic: at most ~1e-12 on symmetric input, possibly large otherwise.
     """
     arr = _cubical_array(f, "marginal equality check")
-    if float(np.sum(np.abs(arr) ** 2)) <= 1e-300:
-        raise QuantumError("zero tensor has no marginals")
     rhos = _marginal_stack(_flattenings(arr))
     return float(np.max(np.abs(rhos - rhos[0]), initial=0.0))

@@ -179,7 +179,7 @@ def symrestriction_exists(
     the k-th roots of unity: (P D A)^{(x)k} f = <e> whenever
     A^{(x)k} f = <e>, for a permutation P and a diagonal D with D^k = I.
     """
-    _check_search_pair(g, f)
+    _check_search(f, "symmetric restriction search", True, g)
     k = f.order
     e, d = g.dims[0], f.dims[0]
     # Flattening ranks never increase under restriction.
@@ -235,17 +235,20 @@ def _row_blocks(p: int, d: int, leads: Optional[Sequence[int]], size: int):
             yield rows
 
 
-def _check_search_pair(g: Tensor, f: Tensor) -> None:
-    if g.order != f.order:
+def _check_search(f: Tensor, what: str, symmetric: bool, g: Optional[Tensor] = None) -> None:
+    """Raise unless the search ``what`` can run on f (and its target g): one
+    order and domain, order >= 2, cubical tensors for a symmetric search,
+    and a prime field unless it is a plain search on matrices."""
+    if g is not None and g.order != f.order:
         raise ValueError(f"order mismatch: {g.order} vs {f.order}")
-    if g.order < 2:
-        raise ValueError("symmetric restriction search needs order >= 2")
-    if g.domain != f.domain:
+    if g is not None and g.domain != f.domain:
         raise DomainError(f"domain mismatch: {g.domain.name} vs {f.domain.name}")
-    if not (f.is_cubical and g.is_cubical):
-        raise ValueError("symmetric restriction needs cubical tensors")
-    if not isinstance(f.domain, PrimeField):
-        raise DomainError("exhaustive search runs over prime fields only")
+    if f.order < 2:
+        raise ValueError(f"{what} needs order >= 2")
+    if symmetric and not (f.is_cubical and (g is None or g.is_cubical)):
+        raise ValueError(f"{what} needs cubical tensors")
+    if not isinstance(f.domain, PrimeField) and (symmetric or f.order > 2):
+        raise DomainError(f"{what} runs over prime fields only")
 
 
 def _sym_dfs(G: np.ndarray, F: np.ndarray, p: int, floor: int) -> np.ndarray:
@@ -433,19 +436,10 @@ def restriction_exists(
     Ak) f = <e> whenever (A1, ..., Ak) works, for a permutation P and
     diagonals with D1 ... Dk = I, and Dk absorbs the other legs' scaling.
     """
-    if g.order != f.order:
-        raise ValueError(f"order mismatch: {g.order} vs {f.order}")
-    if g.domain != f.domain:
-        raise DomainError(f"domain mismatch: {g.domain.name} vs {f.domain.name}")
+    _check_search(f, "restriction search", False, g)
     k = f.order
-    if k < 2:
-        raise ValueError("restriction search needs order >= 2")
     if k == 2:
         return _matrix_restriction(g, f)
-    if not isinstance(f.domain, PrimeField):
-        raise DomainError(
-            "exhaustive restriction search (order >= 3) runs over prime fields only"
-        )
     for leg in range(k):
         if flattening_rank(g, [leg]) > flattening_rank(f, [leg]):
             return None
@@ -609,18 +603,8 @@ def symsubrank_exact(
     (every dimension r0) and not symmetric, as then no map reaches <r0>.
     The budget gate counts C(N, e) representatives for that start e: C(N, r)
     grows with r up to d <= (N + 1) / 2."""
-    _check_symsubrank_input(f)
+    _check_search(f, "symmetric restriction search", True)
     return _symsubrank_from(f, _least_flattening_rank(f), budget)
-
-
-def _check_symsubrank_input(f: Tensor) -> None:
-    """Raise unless f is a cubical tensor of order >= 2 over a prime field."""
-    if not f.is_cubical:
-        raise ValueError("symmetric subrank needs a cubical tensor")
-    if not isinstance(f.domain, PrimeField):
-        raise DomainError("symsubrank_exact runs over prime fields only")
-    if f.order < 2:
-        raise ValueError("symmetric restriction search needs order >= 2")
 
 
 def _least_flattening_rank(f: Tensor) -> int:
@@ -648,13 +632,9 @@ def subrank_exact(f: Tensor, budget: int = DEFAULT_BUDGET) -> Tuple[int, Certifi
     """Largest r with a verified <r> <= f certificate: for a matrix its rank,
     from one reduced echelon form; otherwise searched from the least flattening
     rank of f down."""
-    k = f.order
-    if k < 2:
-        raise ValueError("restriction search needs order >= 2")
-    if k == 2:
+    _check_search(f, "restriction search", False)
+    if f.order == 2:
         return _matrix_subrank(f)
-    if not isinstance(f.domain, PrimeField):
-        raise DomainError("subrank_exact (order >= 3) runs over prime fields only")
     return _subrank_from(f, _least_flattening_rank(f), budget)
 
 

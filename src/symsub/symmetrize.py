@@ -531,8 +531,8 @@ def _check_chain(A: np.ndarray, C: np.ndarray, M: np.ndarray, power: Tensor,
     ``power`` = f^{(x)n} against ``unit`` = <r>."""
     domain = power.domain
     k = C.shape[2]
-    kron = functools.reduce(np.add, (np.multiply.outer(C[:, :, a], M[a]) for a in range(k)))
-    if not domain.arrays_equal(A, domain.reduce(kron)):
+    form = functools.reduce(np.add, (np.multiply.outer(C[:, :, a], M[a]) for a in range(k)))
+    if not domain.arrays_equal(A, domain.reduce(form)):
         raise RuntimeError("internal error: the chained map is not its Kronecker form")
     maps = [LinearMap(domain, C[:, :, a]) for a in range(k)]
     image = functools.reduce(np.add, (apply([maps[a] for a in perm], power).array

@@ -32,7 +32,7 @@ from typing import Iterable, List, Sequence, Tuple
 import numpy as np
 
 from . import linalg
-from ._common import json_int
+from ._common import TensorSizeError, json_int
 from .domains import Domain, DomainError, PrimeField, domain_from_name
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "flattening_rank",
     "matrix_rank",
     "tensors_equal",
-    "kron",
     "identity_map",
     "tensor_to_json",
     "tensor_from_json",
@@ -62,10 +61,6 @@ __all__ = [
 
 ENTRY_CAP = 1 << 24
 _BLOCK_ENTRIES = 1 << 16  # about the most entries one block of rows holds
-
-
-class TensorSizeError(ValueError):
-    """Dense materialization would exceed the 2**24 entry cap."""
 
 
 def _check_cap(shape: Sequence[int]) -> None:
@@ -349,22 +344,17 @@ def tensors_equal(f: Tensor, g: Tensor) -> bool:
     return f.domain.arrays_equal(f.array, g.array)
 
 
-def kron(a: LinearMap, b: LinearMap) -> LinearMap:
-    """Kronecker product, consistent with the tensor_product index merge."""
-    if a.domain != b.domain:
-        raise DomainError("domain mismatch in kron")
-    return LinearMap(a.domain, a.domain.reduce(np.kron(a.array, b.array)))
-
-
 # ---------------------------------------------------------------------------
 # JSON (1-based indices; complex scalars as [re, im])
 # ---------------------------------------------------------------------------
 
-def _scalar_to_json(domain: Domain, v):
+def _values_to_json(domain: Domain, arr: np.ndarray) -> list:
+    """An array of scalars as nested JSON lists: F_p residues, and complex
+    numbers as [re, im], read off the complex128 array's float64 view."""
     if isinstance(domain, PrimeField):
-        return int(v) % domain.p
-    v = complex(v)
-    return [v.real + 0.0, v.imag + 0.0]  # + 0.0 turns a -0.0 into 0.0
+        return (arr % domain.p).tolist()
+    pairs = (arr + 0.0).view(np.float64)  # + 0.0 turns a -0.0 part into 0.0
+    return pairs.reshape(arr.shape + (2,)).tolist()
 
 
 def _scalar_from_json(domain: Domain, v):
@@ -386,13 +376,9 @@ def _scalar_from_json(domain: Domain, v):
 
 def tensor_to_json(f: Tensor) -> dict:
     """The tensor JSON format: ``support`` with 1-based indices, each entry
-    as ``_scalar_to_json`` writes it, read off whole arrays."""
+    as ``_values_to_json`` writes it."""
     mask = f.domain.nonzero(f.array)
-    z = f.array[mask]
-    if isinstance(f.domain, PrimeField):
-        vals = (z % f.domain.p).tolist()
-    else:
-        vals = list(map(list, zip((z.real + 0.0).tolist(), (z.imag + 0.0).tolist())))
+    vals = _values_to_json(f.domain, f.array[mask])
     entries = [{"idx": idx, "val": val} for idx, val in zip((np.argwhere(mask) + 1).tolist(), vals)]
     return {
         "order": f.order,
@@ -436,7 +422,7 @@ def tensor_from_json(obj: dict) -> Tensor:
 
 
 def map_to_json(m: LinearMap) -> dict:
-    data = [[_scalar_to_json(m.domain, v) for v in row] for row in m.array]
+    data = _values_to_json(m.domain, m.array)
     return {"rows": m.rows, "cols": m.cols, "domain": m.domain.name, "data": data}
 
 

@@ -12,6 +12,7 @@ from symsub import (
     Tensor,
     certificate_to_json,
     hypergraph_to_json,
+    quantum,
     tensor_to_json,
     unit_tensor,
 )
@@ -510,14 +511,80 @@ def test_budget_exhaustion_exits_two(ws, capsys):
     assert err.startswith("error: budget:")
 
 
-def test_size_gate_exits_two(tmp_path, capsys):
-    big = {"n": 41, "k": 2, "edges": [[1, 2]]}
+_SIZE_GATES = {
+    # n = 41 vertices, over the gate of 40
+    "hypergraph-alpha": (["hypergraph", "alpha"], {"n": 41, "k": 2, "edges": [[1, 2]]}),
+    # |Phi| = 72 edges + 9 diagonal tuples, over the gate of 64
+    "hypergraph-beta": (["hypergraph", "beta"], {"n": 9, "k": 2, "edges": [
+        [i, j] for i in range(1, 10) for j in range(1, 10) if i != j]}),
+    # the second strong power has 7^2 = 49 vertices, over the gate of 40
+    "hypergraph-power": (["hypergraph", "power", "-m", "2"], {"n": 7, "k": 2, "edges": [[1, 2]]}),
+    # dimension 7, over the gate of 6
+    "quantum-F": (["quantum", "F"], tensor_to_json(unit_tensor(7, 2, C))),
+    # order 5, over the gate of 4
+    "quantum-Funiform": (["quantum", "Funiform"], tensor_to_json(unit_tensor(2, 5, C))),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SIZE_GATES))
+def test_size_gate_exits_two(tmp_path, capsys, command):
+    """Every size gate, of the hypergraph searches and of the quantum
+    ascents alike, exits 2 with one error line."""
+    argv, obj = _SIZE_GATES[command]
     path = tmp_path / "big.json"
-    path.write_text(json.dumps(big))
-    code = run(["hypergraph", "alpha", "--graph", str(path)])
-    err = capsys.readouterr().err
+    path.write_text(json.dumps(obj))
+    flag = "--graph" if argv[0] == "hypergraph" else "--tensor"
+    code = run([*argv, flag, str(path), "--json"])
+    captured = capsys.readouterr()
     assert code == 2
-    assert err.startswith("error: size-gate:")
+    assert captured.out == ""
+    assert re.fullmatch(r"error: size-gate: size gate: [^\n]*\n", captured.err), captured.err
+
+
+def _without(obj, key):
+    return {name: value for name, value in obj.items() if name != key}
+
+
+_MAP = {"rows": 1, "cols": 2, "domain": "F5", "data": [[1, 0]]}
+
+
+@pytest.mark.parametrize("argv, doc, key", [
+    pytest.param(["rank", "--tensor"], _without(_TARGET, "dims"), "dims", id="tensor"),
+    pytest.param(["verify", "--certificate"], {"kind": "restriction", "target": _TARGET,
+                 "maps": [_without(_MAP, "data")] * 3}, "data", id="certificate-map"),
+    pytest.param(["verify", "--certificate"], {"kind": "restriction", "target": _TARGET},
+                 "maps", id="certificate"),
+    pytest.param(["hypergraph", "alpha", "--graph"], {"n": 2, "k": 2}, "edges", id="hypergraph"),
+])
+def test_a_missing_key_is_malformed_json_in_every_file_kind(ws, tmp_path, capsys, argv, doc,
+                                                           key):
+    path = tmp_path / "missing.json"
+    path.write_text(json.dumps(doc))
+    tensor = ["--tensor", ws["w_f5"]] if argv[0] == "verify" else []
+    code = run([*argv, str(path), *tensor, "--json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: malformed-json: missing key '{key}'\n"
+
+
+def test_a_sandwich_violation_is_one_internal_error(ws, capsys, monkeypatch):
+    """A failed check inside the library is one internal error line, not a
+    traceback: here the averaged marginal's entropy, the fourth one the
+    check of the order-3 W reads, drops by 1."""
+    entropy, calls = quantum._entropy_bits, []
+
+    def lowered(values):
+        calls.append(values)
+        return entropy(values) - (len(calls) == 4)
+
+    monkeypatch.setattr(quantum, "_entropy_bits", lowered)
+    code = run(["quantum", "check", "--tensor", ws["w_c"]])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert re.fullmatch(r"error: internal: sandwich violation: [^\n]*\n", captured.err), (
+        captured.err)
 
 
 def test_failed_verification_exits_one(ws, tmp_path, capsys):

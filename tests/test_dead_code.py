@@ -22,8 +22,11 @@ Six rules, the first four checked over every module in ``src/symsub``:
   or a string constant equal to the name or ending in ``.name`` (a docstring
   that mentions it is no reference); or referred to in
   ``tests/test_acceptance.py``; or kept in ``KEPT`` with its reason.  A
-  name reached only from the body of another unreached export counts as
-  reached until that export is gone;
+  name read in the top-level statement that binds it (a local variable or a
+  parameter) and an attribute rooted at a name imported from outside the
+  package (``np.kron``) refer to something else.  A name reached only from
+  the body of another unreached export counts as reached until that export
+  is gone;
 * every knob is set: each optional parameter of an exported function or
   class ``__init__``, and each defaulted field (``ClassVar`` aside) of an
   exported dataclass or ``NamedTuple``, is passed, by keyword or by
@@ -120,20 +123,42 @@ def references(node):
                    if isinstance(n, (ast.Name, ast.Attribute)))
 
 
+def foreign_names(tree):
+    """The names that imports from outside the package bind below ``tree``
+    (``np`` of ``import numpy as np``); relative imports and those of
+    ``symsub`` are the package's own."""
+    found = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Import):
+            found |= {alias.asname or alias.name.split(".")[0] for alias in n.names
+                      if alias.name.split(".")[0] != "symsub"}
+        elif isinstance(n, ast.ImportFrom) and not n.level and n.module.split(".")[0] != "symsub":
+            found |= {alias.asname or alias.name for alias in n.names}
+    return found
+
+
 def referred_names(tree):
     """Identifiers read as a name or an attribute, or bound by a ``from ...
-    import``, below ``tree``; a module-level def or class does not count as
-    referring to itself."""
+    import``, below ``tree``.  A module-level def or class does not count as
+    referring to itself, a name read in the top-level statement that binds
+    it (a local variable or a parameter) is no reference, and neither is an
+    attribute rooted at a name imported from outside the package
+    (``np.kron``)."""
+    foreign = foreign_names(tree)
     found = set()
     for stmt in tree.body:
-        names = set()
+        names, reads, bound = set(), set(), set()
         for n in ast.walk(stmt):
             if isinstance(n, ast.ImportFrom):
                 names |= {alias.name for alias in n.names}
-            elif isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
-                names.add(n.id)
-            elif isinstance(n, ast.Attribute) and not isinstance(n.ctx, ast.Store):
+            elif isinstance(n, ast.arg):
+                bound.add(n.arg)
+            elif isinstance(n, ast.Name):
+                (bound if isinstance(n.ctx, ast.Store) else reads).add(n.id)
+            elif isinstance(n, ast.Attribute) and not isinstance(n.ctx, ast.Store) and (
+                    root_name(n) not in foreign):
                 names.add(n.attr)
+        names |= reads - bound
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names.discard(stmt.name)
         found |= names
@@ -369,19 +394,27 @@ def test_the_rules_catch_what_they_name():
 
 
 def test_the_export_rule_catches_what_it_names():
-    """An export that only refers to itself or that a benchmark docstring
-    mentions is unreached; a call in the package, a dotted string in the
-    benchmark, an acceptance import and a kept name reach theirs."""
+    """An export that only refers to itself, that a benchmark docstring
+    mentions, that only a local variable or a parameter of the same name is
+    read as, or that only an attribute of numpy is named after, is
+    unreached; a call in the package, an attribute of the package, a dotted
+    string in the benchmark, an acceptance import and a kept name reach
+    theirs."""
     package = {
         "__init__.py": ast.parse('_EXPORTS = {"m": """used self_only traced\\n'
-                                 '    mentioned accepted kept"""}\n'),
-        "m.py": ast.parse("def used(): pass\ndef self_only(): return self_only()\n"
-                          "def caller(): used()\n"),
+                                 '    mentioned accepted kept kron total local qualified"""}\n'),
+        "m.py": ast.parse("import numpy as np\nimport symsub\n"
+                          "def used(): pass\ndef self_only(): return self_only()\n"
+                          "def caller(): used()\n"
+                          "def kron(): pass\ndef total(): pass\ndef local(): pass\n"
+                          "def qualified(): pass\n"
+                          "def shadows(x, local):\n    total = np.kron(x, local)\n"
+                          "    return total, symsub.qualified\n"),
     }
     bench = {"run.py": ast.parse('"""Times m.mentioned"""\ncalls("m.traced")\n')}
     acceptance = ast.parse("from symsub import accepted\n")
     assert unreached_exports(package, bench, acceptance, {"kept": "why"}) == [
-        "mentioned", "self_only"]
+        "kron", "local", "mentioned", "self_only", "total"]
 
 
 def test_the_knob_rule_catches_what_it_names():

@@ -8,6 +8,7 @@ from symsub import (
     OptimizerOptions,
     QuantumError,
     Tensor,
+    TensorSizeError,
     apply_sym,
     directional_derivative_check,
     jacobi_eigh,
@@ -384,9 +385,9 @@ def test_stacked_flattenings_match_moveaxis(d, k):
 
 
 def test_size_gates():
-    with pytest.raises(QuantumError, match="size gate"):
+    with pytest.raises(TensorSizeError, match="size gate"):
         sym_quantum_functional(unit_tensor(7, 2, C))
-    with pytest.raises(QuantumError, match="size gate"):
+    with pytest.raises(TensorSizeError, match="size gate"):
         uniform_quantum_functional(unit_tensor(2, 5, C))
     with pytest.raises(QuantumError):
         sym_quantum_functional(Tensor(C, np.zeros((2, 3))))  # not cubical

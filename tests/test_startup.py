@@ -44,9 +44,9 @@ EXPORTS = {
         remove_powers selection_map symmetrize_certificate symrank_upper waring_h
         waring_reconstruct""",
     "tensors": """ENTRY_CAP LinearMap Tensor TensorSizeError apply apply_sym
-        apply_sym_power flattening_rank identity_map is_symmetric kron
-        map_from_json map_to_json matrix_rank support tensor_from_json tensor_id
-        tensor_power tensor_product tensor_to_json tensors_equal unit_tensor""",
+        apply_sym_power flattening_rank identity_map is_symmetric map_from_json
+        map_to_json matrix_rank support tensor_from_json tensor_id tensor_power
+        tensor_product tensor_to_json tensors_equal unit_tensor""",
 }
 LIBRARY_SUBMODULES = (
     "congruence", "domains", "hypergraphs", "linalg", "quantum", "restrict",

@@ -20,7 +20,6 @@ from symsub import (
     flattening_rank,
     identity_map,
     is_symmetric,
-    kron,
     map_from_json,
     map_to_json,
     matrix_rank,
@@ -33,7 +32,7 @@ from symsub import (
     tensors_equal,
     unit_tensor,
 )
-from symsub.tensors import _kron_rows, _rank_one_sum, _scalar_to_json
+from symsub.tensors import _kron_rows, _rank_one_sum
 
 
 def test_tensor_is_reduced_and_frozen():
@@ -113,14 +112,6 @@ def test_flattening_and_matrix_rank():
     assert flattening_rank(diag, [0, 1]) == 3
 
 
-def test_kron_of_maps():
-    A = LinearMap(F5, [[1, 2], [3, 4]])
-    B = LinearMap(F5, [[0, 1]])
-    K = kron(A, B)
-    assert K.rows == 2 and K.cols == 4
-    assert K.array.tolist() == [[0, 1, 0, 2], [0, 3, 0, 4]]
-
-
 def test_identity_map():
     assert apply_sym(identity_map(2, F5), w_tensor(F5)).array.tolist() == w_tensor(
         F5
@@ -154,6 +145,32 @@ def test_tensor_json_refuses_a_repeated_index():
     assert tensor_from_json(obj).array.tolist() == [2, 3]
 
 
+def _scalar_to_json(domain, v):
+    """One scalar as the JSON formats write it, entry by entry: the reference
+    for the array-wise writer."""
+    if isinstance(domain, PrimeField):
+        return int(v) % domain.p
+    v = complex(v)
+    return [v.real + 0.0, v.imag + 0.0]  # + 0.0 turns a -0.0 into 0.0
+
+
+def json_map_cases():
+    """24 maps over F2, F7, F65521 and C, the empty shapes (0, d), (r, 0) and
+    (0, 0) among them: F_p entries given outside [0, p), C entries with -0.0
+    parts."""
+    rng = np.random.default_rng(32)
+    for domain in (F2, F7, PrimeField(65521), C):
+        for shape in [(0, 3), (3, 0), (0, 0), (1, 1), (2, 3), (4, 4)]:
+            if domain is C:
+                parts = rng.normal(size=(2,) + shape)
+                parts[rng.random(parts.shape) < 0.35] = -0.0
+                arr = np.empty(shape, dtype=complex)
+                arr.real, arr.imag = parts
+            else:
+                arr = rng.integers(-2 * domain.p, 2 * domain.p, size=shape)
+            yield LinearMap(domain, arr)
+
+
 def json_tensor_cases():
     """35 tensors over F2, F3, F7, F65521 and C, of order 0 to 4: F_p entries
     given outside [0, p), C entries with -0.0 parts and entries of 1e-10."""
@@ -177,8 +194,9 @@ def json_tensor_cases():
 
 
 def test_tensor_json_matches_the_per_entry_form():
-    """The JSON form and its hash equal those of the entry-by-entry form
-    (``support`` and ``_scalar_to_json``), byte for byte."""
+    """The JSON forms of tensors (and their hash) and of maps equal those
+    written entry by entry (``support`` and ``_scalar_to_json``), byte for
+    byte."""
     for f in json_tensor_cases():
         entries = [{"idx": [i + 1 for i in idx], "val": _scalar_to_json(f.domain, f.array[idx])}
                    for idx in support(f)]
@@ -186,6 +204,10 @@ def test_tensor_json_matches_the_per_entry_form():
                            "entries": entries}, sort_keys=True)
         assert json.dumps(tensor_to_json(f), sort_keys=True) == want
         assert tensor_id(f) == hashlib.sha256(want.encode()).hexdigest()[:16]
+    for m in json_map_cases():
+        data = [[_scalar_to_json(m.domain, v) for v in row] for row in m.array]
+        want = {"rows": m.rows, "cols": m.cols, "domain": m.domain.name, "data": data}
+        assert json.dumps(map_to_json(m), sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
 def test_map_json_roundtrip():
