@@ -13,12 +13,15 @@ gradient in X is a Hermitian, traceless moment map read from the image
 alone: dH(rho) = -tr[(log2 rho) d rho], so one eigh per marginal gives both
 the value and the gradient (see ``_gradient``), and exp keeps every map
 invertible.  With X = U diag(lam) U^H, each step t the line search tries is
-an elementwise scaling by exp(t lam) on every leg of one image, that of the
-maps U^H g (``_step``).  The accepted candidate is the image of the new maps
-under U^H on every leg, so its flattenings and eigh give the next value and
-gradient: each iteration images one tensor, the last candidate rotated into
-the new eigenbasis, and never the input.  One cached fancy index gives all k
-flattenings of a tensor, and one batched product all its marginals.
+an elementwise scaling of one image, that of the maps U^H g, by exp(t Lam):
+Lam, the outer sum of the k legs' eigenvalues, is built once per iteration
+(``_exponents``), so a candidate takes one exp (``_step``).  The accepted
+candidate is the image of the new maps under U^H on every leg, so its
+flattenings and eigh give the next value and gradient: each iteration
+images one tensor, the last candidate rotated into the new eigenbasis, and
+never the input.  One cached fancy index gives all k flattenings of a
+tensor, one batched product all its marginals, and their sum, scaled once,
+the averaged marginal.
 
 No entropy here exceeds log2 d, the value of a start whose marginals are
 maximally mixed (the critical case; unit tensors start there).  An ascent
@@ -108,16 +111,18 @@ def _entropy_bits(values: Sequence[float]) -> float:
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=32)
-def _flat_index(d: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
+def _flat_index(d: int, k: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Indices into a raveled d^k array, shared by every caller so read-only:
-    its k flattenings (k, d, d^(k-1)), leg j as rows of entry j, and
-    (k, d^k) the raveled flattening j back in order."""
+    its k flattenings (k, d, d^(k-1)), leg j as rows of entry j; (k, d^k)
+    the raveled flattening j back in order; and (k, 1) the row j of each,
+    which pairs with the second to index a (k, d^k) stack."""
     cells = np.arange(d**k).reshape((d,) * k)
     index = np.array([np.moveaxis(cells, j, 0).reshape(d, -1) for j in range(k)])
     unflatten = np.argsort(index.reshape(k, -1), axis=1)
-    for a in (index, unflatten):
+    rows = np.arange(k)[:, None]
+    for a in (index, unflatten, rows):
         a.setflags(write=False)
-    return index, unflatten
+    return index, unflatten, rows
 
 
 def _flattenings(arr: np.ndarray) -> np.ndarray:
@@ -127,9 +132,13 @@ def _flattenings(arr: np.ndarray) -> np.ndarray:
 
 def _marginal_stack(flats: np.ndarray, average: bool = False) -> np.ndarray:
     """The k marginal density matrices, stacked, from the k flattenings; with
-    ``average`` only their average, as a stack of one (the sym ascent's)."""
-    rhos = flats @ flats.conj().swapaxes(1, 2) / float(np.vdot(flats[0], flats[0]).real)
-    return rhos.mean(axis=0, keepdims=True) if average else rhos
+    ``average`` only their average, as a stack of one (the sym ascent's and
+    the sandwich check's): the k Gram matrices summed, then scaled once."""
+    grams = flats @ flats.conj().swapaxes(1, 2)
+    norm = float(np.vdot(flats[0], flats[0]).real)
+    if average:
+        return np.add.reduce(grams, axis=0, keepdims=True) / (len(flats) * norm)
+    return grams / norm
 
 
 def _cubical_array(f: Tensor, what: str) -> np.ndarray:
@@ -271,13 +280,19 @@ def _evaluate(v: np.ndarray, mode: str) -> Tuple[float, tuple]:
     return sum(entropies) / len(entropies), (v, flats, spectra, vectors, entropies)
 
 
-def _step(w: np.ndarray, eigs: np.ndarray, t: float, mode: str) -> Tuple[float, tuple]:
+def _exponents(eigs: np.ndarray, k: int) -> np.ndarray:
+    """The (d,)*k table of sums eigs_0[i_0] + ... + eigs_(k-1)[i_(k-1)] of
+    the eigenvalues on each leg (``eigs`` holds one row per map)."""
+    return functools.reduce(np.add.outer, _legs(eigs, k))
+
+
+def _step(w: np.ndarray, exponents: np.ndarray, t: float, mode: str) -> Tuple[float, tuple]:
     """``_evaluate`` at the maps exp(t diag(eigs)) U^H g from w, the image
-    under the maps U^H g; its value is the objective at the maps
-    U exp(t diag(eigs)) U^H g, as the entropy is blind to the unitary U on
-    any leg."""
-    scale = functools.reduce(np.multiply.outer, _legs(np.exp(t * eigs), w.ndim))
-    return _evaluate(w * scale, mode)
+    under the maps U^H g, with ``exponents`` the ``_exponents`` of eigs: the
+    maps scale entry i of w by exp(t * exponents[i]).  Its value is the
+    objective at the maps U exp(t diag(eigs)) U^H g, as the entropy is
+    blind to the unitary U on any leg."""
+    return _evaluate(w * np.exp(t * exponents), mode)
 
 
 def _gradient(point: tuple, mode: str) -> np.ndarray:
@@ -299,8 +314,8 @@ def _gradient(point: tuple, mode: str) -> np.ndarray:
     logs = np.log2(np.maximum(spectra, _EIG_FLOOR))
     log_rhos = (vectors * logs[:, None, :]) @ vectors.conj().swapaxes(1, 2)
     # L_j on leg j of v, in flattening j, then every leg back in order
-    index, unflatten = _flat_index(v.shape[0], k)
-    moved = (log_rhos @ flats).reshape(k, -1)[np.arange(k)[:, None], unflatten]
+    index, unflatten, rows = _flat_index(v.shape[0], k)
+    moved = (log_rhos @ flats).reshape(k, -1)[rows, unflatten]
     terms = moved + np.array(entropies)[:, None] * v.ravel()
     G = terms.sum(axis=0) * (-2.0 / (k * float(np.vdot(v, v).real)))
     X = G[index] @ flats.conj().swapaxes(1, 2)
@@ -343,13 +358,14 @@ def _orbit_optimize(
             # X / |X| = V diag(eigs) V^H in the point's frame, so U = frame V
             # in the maps': every step t below scales w, the image under U^H g
             eigs, vectors = np.linalg.eigh(X / gnorm)
+            exponents = _exponents(eigs, k)
             w = _image(point[0], _legs(vectors.conj().swapaxes(1, 2), k))
             vectors = frame @ vectors
             adjoint = vectors.conj().swapaxes(1, 2)
             size = min(_STEP, 2 * size)
             delta = -1.0
             while size > 1e-12:
-                cand_value, cand = _step(w, eigs, size, mode)
+                cand_value, cand = _step(w, exponents, size, mode)
                 if cand_value > value:
                     delta = cand_value - value
                     maps = (vectors * np.exp(size * eigs)[:, None, :]) @ adjoint @ maps
@@ -452,8 +468,9 @@ def sandwich_check(f: Tensor) -> SandwichReport:
     """
     arr = _cubical_array(f, "sandwich check")
     k = arr.ndim
-    rhos = _marginal_stack(_flattenings(arr))
-    spectra = np.linalg.eigvalsh(np.concatenate([rhos, rhos.mean(axis=0, keepdims=True)]))
+    flats = _flattenings(arr)
+    spectra = np.linalg.eigvalsh(
+        np.concatenate([_marginal_stack(flats), _marginal_stack(flats, average=True)]))
     mean_entropy = sum(_entropy_bits(values) for values in spectra[:k].tolist()) / k
     entropy_avg = _entropy_bits(spectra[k].tolist())
     log_k = math.log2(k)

@@ -32,7 +32,10 @@ plus candidates cannot beat the best set.  :func:`symsubrank_exact` runs
 it once, from the least flattening rank r0 of f, or from r0 - 1 when f is
 r0 x ... x r0 and not symmetric; other targets take :func:`_sym_map_dfs`.
 The plain search, :func:`_restriction_dfs`, solves the last leg for blocks
-of map tuples at once, its first block sized by the work in it.
+of map tuples at once, its first block sized by the work in it.  For <e>,
+once every leg left has dimension e, it drops the partial tensors that do
+not vanish at the prefixes that are not constant, as the maps left must be
+invertible.
 
 Determinism: canonical representatives are enumerated in lexicographic order
 of their rows, and the first certificate found is returned (for
@@ -543,13 +546,20 @@ def _restriction_dfs(g: Tensor, f: Tensor, unit: bool) -> Optional[List[np.ndarr
     prefix-major, and each block of whole tuples gets one batched solve
     (:func:`linalg.solve_stack`).  A leg's first chunk holds as many
     prefixes as give about _FIRST_CHUNK entries of the next partial tensors
-    (at least one), so a small refutation makes one batched solve; chunks
-    then double up to _BLOCK_ENTRIES entries a block, and a larger leg
-    streams under one prefix.  The chunks change no answer, only how much is
+    (at least one), so a small refutation makes at most one batched solve;
+    chunks then double up to _BLOCK_ENTRIES entries a block, and a larger
+    leg streams under one prefix.  The chunks change no answer, only how much is
     solved before an early find returns: <2> <= tight over F2 solves a first
     block of 84 tuples.
-    Nothing is pruned before the solve: one that succeeds puts g's columns in
-    every partial tensor's span and, for g = <e>, needs independent rows.
+    For g = <e>, once every leg of f from leg j >= 2 on has dimension e,
+    the maps on those legs are invertible (each flattening of <e> has rank
+    e), so a partial tensor that reaches <e> vanishes at every prefix
+    (i_0, ..., i_(j-1)) that is not constant: the others are dropped before
+    leg j is enumerated or solved, and the indices of the rest map back, so
+    the first find stays the first.
+    Nothing else is pruned before the solve: one that succeeds puts g's
+    columns in every partial tensor's span and, for g = <e>, needs
+    independent rows.
     """
     domain = f.domain
     p, k = domain.p, f.order
@@ -557,10 +567,21 @@ def _restriction_dfs(g: Tensor, f: Tensor, unit: bool) -> Optional[List[np.ndarr
     if 0 in garr.shape:  # any maps of these shapes send f onto the empty g
         return [domain.zeros((e, d)) for e, d in zip(garr.shape, f.dims)]
     leads = (1,) if unit else None
+    e = garr.shape[0]
+    square = [unit and e > 1 and leg >= 2 and set(f.dims[leg:]) == {e} for leg in range(k)]
 
     def walk(leg: int, partials: np.ndarray):
         """(i, maps on the legs from ``leg`` on) for the first entry i of the
         stack ``partials`` that reaches g, or None."""
+        if not square[leg]:
+            return descend(leg, partials)
+        # residues are nonnegative: a zero weighted sum means zeros off the diagonal
+        keep = np.flatnonzero(partials @ _off_diagonal(e, leg, k) == 0)
+        found = descend(leg, partials[keep]) if len(keep) else None
+        return None if found is None else (keep[found[0]], found[1])
+
+    def descend(leg: int, partials: np.ndarray):
+        """``walk`` on partial tensors that are not pruned at ``leg``."""
         if leg == k - 1:
             T = partials.reshape(len(partials), -1, f.dims[-1])
             ok, X = linalg.solve_stack(T, garr.reshape(-1, garr.shape[-1]), domain)
@@ -589,6 +610,18 @@ def _restriction_dfs(g: Tensor, f: Tensor, unit: bool) -> Optional[List[np.ndarr
 
     found = walk(0, f.array.reshape(1, -1) % p)
     return None if found is None else found[1]
+
+
+@functools.lru_cache(maxsize=16)
+def _off_diagonal(e: int, m: int, k: int) -> np.ndarray:
+    """0/1 weights on a raveled e^k array: 1 at the entries whose prefix
+    (i_0, ..., i_(m-1)) is not constant.  Read-only (at most 16 keys of e^k
+    entries each)."""
+    # (i, ..., i) sits at i (1 + e + ... + e^(m-1)), the multiples below e^m
+    prefixes = np.arange(e**m) % sum(e**j for j in range(m)) != 0
+    weights = np.repeat(prefixes, e ** (k - m)).astype(np.int64)
+    weights.setflags(write=False)
+    return weights
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,17 @@
 """The fixed costs of the exact searches: batched leaf solves sized by work,
 tables shared read-only between searches, and cached unit tensors."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from conftest import F2, F3, F5, tight_tensor, w_tensor
 from symsub import (
+    Hypergraph,
     Tensor,
+    adjacency_tensor,
+    alpha_chain_check,
     flattening_rank,
     restriction_exists,
     subrank_exact,
@@ -48,15 +53,38 @@ def seeded_refutations(count):
 
 def test_a_small_search_makes_one_batched_solve_per_target(solves):
     """Each <r> step of subrank_exact on a 2 x 2 x 2 refutation, and
-    <2> <= W over F3, solves every tuple of maps in one call."""
+    <2> <= W over F3, solves at most one block of map tuples.  On a
+    2 x 2 x 2 tensor every map onto <2> is invertible, so each partial tensor
+    of the <2> steps that does not vanish off the diagonal prefixes is
+    dropped before the solve: here all of them are."""
     for f in seeded_refutations(3):
         solves.clear()
         value, cert = subrank_exact(f)
         assert value == 1 and verify_certificate(cert, f)
-        assert len(solves) == 2  # the <2> refutation, then the <1> find
+        assert solves == [16]  # the <1> find; the <2> refutation solves nothing
     solves.clear()
     assert restriction_exists(unit_tensor(2, 3, F3), w_tensor(F3)) is None
-    assert solves == [72]
+    assert solves == []
+
+
+def test_a_square_four_uniform_chain_solves_few_blocks(solves):
+    """The chain of the first concise 3-vertex 4-uniform hypergraph over F2
+    drawn from default_rng(1) (24 of the 78 non-constant 4-tuples): the
+    plain search refutes <3> on the 3 x 3 x 3 x 3 adjacency tensor, whose
+    maps on legs 3 and 4 would be invertible, so it drops the partial
+    tensors that do not vanish off the diagonal prefixes and solves 630
+    tuples in 4 blocks (1,544,130 in 2,467 without)."""
+    rng = np.random.default_rng(1)
+    tuples = [t for t in itertools.product(range(1, 4), repeat=4) if len(set(t)) > 1]
+    while True:
+        h = Hypergraph(3, 4, [tuples[i] for i in rng.choice(len(tuples), 24, replace=False)])
+        a = adjacency_tensor(h, F2)
+        if all(flattening_rank(a, [leg]) == 3 for leg in range(4)):
+            break
+    report = alpha_chain_check(h, F2)
+    assert (report.alpha, report.beta, report.sym_subrank, report.subrank) == (1, 1, 1, 2)
+    assert report.ok and not report.separation
+    assert (len(solves), sum(solves)) == (4, 630)
 
 
 def test_an_early_find_keeps_its_certificate(solves):
