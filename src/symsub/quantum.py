@@ -24,10 +24,17 @@ tensor, one batched product all its marginals, and their sum, scaled once,
 the averaged marginal.
 
 No entropy here exceeds log2 d, the value of a start whose marginals are
-maximally mixed (the critical case; unit tensors start there).  An ascent
-stops once a step gains less than ``tolerance``, and by the same rule a run
-ends once a start is within ``tolerance`` of log2 d: later starts can only
-tie.
+maximally mixed (the critical case; unit tensors start there).  Nor does a
+uniform one exceed B, the largest mean marginal entropy of a distribution on
+the support of f: 2^B is Strassen's upper support functional in the given
+basis (V. Strassen, J. reine angew. Math. 413, 1991), which bounds the
+uniform quantum functional (M. Christandl, P. Vrana and J. Zuiddam,
+arXiv:1709.07851).  B bounds the sym objective too when f is symmetric.  An
+ascent stops once a step gains less than ``tolerance``, and by the same rule
+a run ends once a start is within ``tolerance`` of min(log2 d, B): later
+starts can only tie.  B is computed at most once, after a first start that
+ends below log2 d, and serves only this stop; every result stays a lower
+estimate.
 
 All entropies are in bits, matching F = 2**E.  Spectra come from LAPACK
 through ``np.linalg.eigvalsh``; the matrices here are at most 6x6.
@@ -142,16 +149,26 @@ def _marginal_stack(flats: np.ndarray, average: bool = False) -> np.ndarray:
 
 
 def _cubical_array(f: Tensor, what: str) -> np.ndarray:
-    """The array of f, once f is checked to be a nonzero cubical tensor of
-    order >= 1 over the complex numbers."""
+    """The array of f, once f is checked to be a cubical tensor of order >= 1
+    over the complex numbers with an entry that is not exactly 0, scaled by
+    the power of two that brings its largest real or imaginary part into
+    [1/2, 1).  It keeps norms of very large or very small tensors from
+    overflowing or underflowing.  Every quantity read from the array is
+    blind to scale, and the scaling is exact, so it changes no result, as
+    long as no nonzero part falls below 2^-1022 (float64's subnormal range)
+    after it.  Only a tensor whose parts span a ratio beyond about 2^1021
+    can do that; such a part is rounded, possibly to 0, which drops its cell
+    from the support that ``_support_bound`` reads."""
     if not isinstance(f.domain, ComplexNumbers):
         raise DomainError(f"{what} runs over the complex numbers, not {f.domain.name}")
     arr = np.asarray(f.array, dtype=np.complex128)
     if not f.is_cubical or arr.ndim == 0:
         raise QuantumError(f"{what} needs a cubical tensor of order >= 1")
-    if float(np.sum(np.abs(arr) ** 2)) <= 1e-300:
+    parts = np.ascontiguousarray(arr).view(np.float64)
+    top = float(np.max(np.abs(parts), initial=0.0))
+    if top == 0.0:
         raise QuantumError(f"zero tensor has no {what}")
-    return arr
+    return np.ldexp(parts, -math.frexp(top)[1]).view(np.complex128)
 
 
 def moment_map(f: Tensor) -> np.ndarray:
@@ -226,8 +243,11 @@ class OptimizerOptions:
 
     ``restarts`` counts seeded random starts run in addition to the identity
     start.  ``tolerance`` ends a start's ascent once a step gains less than
-    it, and ends the run once a start is within it of the bound log2 d; with
-    0 every start runs unless one reaches log2 d itself.  To start from maps
+    it, and ends the run once a start is within it of the bound min(log2 d,
+    B), where B is the support bound of the module docstring (Strassen's
+    upper support functional, which caps the quantum functionals by
+    Christandl-Vrana-Zuiddam), used in sym mode only on a symmetric f; with
+    0 every start runs unless one reaches the bound itself.  To start from maps
     G instead of the identity, run on the image of f under G (``apply_sym``
     or ``apply``): the functionals are suprema over the orbit of f, so the
     image has the same value, and the identity start on it is G's.
@@ -323,6 +343,28 @@ def _gradient(point: tuple, mode: str) -> np.ndarray:
     return (X + X.conj().swapaxes(1, 2)) / 2
 
 
+def _support_bound(arr: np.ndarray) -> float:
+    """An upper bound in bits, at most log2 d, on B: the largest mean
+    marginal entropy phi(P) = (1/k) sum_j H(P_j) of a distribution P on the
+    support of arr, the exact one (arr != 0), since the orbit can scale up a
+    tiny entry.  2^B is Strassen's upper support functional in the basis of
+    arr, which bounds the uniform quantum functional (Christandl-Vrana-
+    Zuiddam), so B bounds the uniform objective at every point of the orbit.
+
+    phi is concave, so B is at most its Frank-Wolfe dual value at any P,
+    phi(P) + max_s grad_s - <grad, P>: the largest mean of -log2 P_j(s_j)
+    over the support cells s.  This is that dual at the uniform P, where
+    P_j(a) is the share of support cells with index a on leg j.  It is B
+    itself when every support cell has the same mean, as on W and on a full
+    support, since the dual then meets phi(P).
+    """
+    k, d = arr.ndim, arr.shape[0]
+    cells = np.nonzero(arr)
+    n = len(cells[0])
+    means = sum(np.log2(n / np.bincount(leg, minlength=d)[leg]) for leg in cells) / k
+    return min(math.log2(d), float(means.max()))
+
+
 def _orbit_optimize(
     f: Tensor, mode: str, options: Optional[OptimizerOptions]
 ) -> QuantumFunctionalResult:
@@ -387,17 +429,25 @@ def _orbit_optimize(
             for _ in range(n_maps)
         ])
 
-    # no entropy exceeds log2 d, so once a start is within tolerance of it
-    # no later start can win by more than tolerance
-    bound = math.log2(d) - opts.tolerance
+    # no entropy exceeds log2 d, and no uniform one exceeds B; nor does a sym
+    # one on a symmetric f, whose orbit points are symmetric tensors, so their
+    # averaged marginal is each marginal.  Once a start is within tolerance
+    # of the bound no later start can win by more than tolerance.
+    bound = math.log2(d)
+    starts = max(opts.restarts, 0) + 1  # a negative count runs the first start
     best: Optional[Tuple[float, np.ndarray, float]] = None
     total_iterations = 0
-    for idx in range(max(opts.restarts, 0) + 1):  # a negative count runs the first start
+    for idx in range(starts):
         value, maps, iterations, gnorm = ascend(start(idx))
         total_iterations += iterations
         if best is None or value > best[0]:
             best = (value, maps, gnorm)
-        if best[0] >= bound:
+        if idx == 0 and starts > 1 and best[0] < bound - opts.tolerance and (
+            mode == "uniform"
+            or all(np.array_equal(arr, arr.swapaxes(j, j + 1)) for j in range(k - 1))
+        ):
+            bound = _support_bound(arr)
+        if best[0] >= bound - opts.tolerance:
             break
 
     entropy, maps, gnorm = best

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import C, F2, F3, F5, c5_directed, c5_matrix, tight_tensor, w_tensor
+from conftest import (
+    C, F2, F3, F5, c5_directed, c5_matrix, random_unit_tensor, tight_tensor, w_tensor,
+)
 from symsub import (
     LinearMap,
     Certificate,
@@ -267,8 +269,22 @@ def test_quantum_f(ws, capsys):
     )
     assert code == 0
     assert rep["outputs"]["value"] == pytest.approx(1.88988157, abs=1e-4)
-    assert rep["outputs"]["restarts"] == 3
+    assert rep["outputs"]["restarts"] == 1  # the identity start reaches W's support bound
     assert rep["verification"] == "estimate"
+
+
+@pytest.mark.parametrize("functional", ["F", "Funiform"])
+def test_quantum_restarts_count_every_start_run(tmp_path, capsys, functional):
+    """A dense tensor, whose support bound is log2 d, runs the identity
+    start and both random ones."""
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps(tensor_to_json(random_unit_tensor(np.random.default_rng(0),
+                                                                 (3, 3, 3)))))
+    code, rep, _ = run_json(
+        capsys, ["quantum", functional, "--tensor", str(path), "--restarts", "2"]
+    )
+    assert code == 0
+    assert rep["outputs"]["restarts"] == 3
 
 
 def test_negative_restarts_is_a_usage_error(ws, tmp_path, capsys):
@@ -299,8 +315,33 @@ def test_quantum_funiform(ws, capsys):
     assert rep["command"] == "quantum Funiform"
     assert rep["outputs"]["value"] == pytest.approx(1.88988157, abs=1e-4)
     assert rep["outputs"]["spectrum"] == pytest.approx([2 / 3, 1 / 3], abs=1e-6)
-    assert (rep["outputs"]["label"], rep["outputs"]["restarts"]) == ("lower estimate", 3)
+    assert (rep["outputs"]["label"], rep["outputs"]["restarts"]) == ("lower estimate", 1)
     assert rep["verification"] == "estimate"
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.filterwarnings("error")  # pytest would hide a warning from capsys
+@pytest.mark.parametrize("scale", [1e300, 1e-300])
+def test_quantum_on_large_and_tiny_tensors(tmp_path, capsys, scale):
+    """scale * <2>, written by hand since the writer drops entries within
+    1e-9 of zero: every quantum subcommand reads it as <2>, without a
+    warning and with strict JSON (no NaN)."""
+    path = tmp_path / "scaled.json"
+    entries = [{"idx": [i] * 3, "val": [scale, 0.0]} for i in (1, 2)]
+    path.write_text(json.dumps({"order": 3, "dims": [2, 2, 2], "domain": "C", "entries": entries}))
+    for sub in ("F", "Funiform", "check"):
+        code = run(["quantum", sub, "--tensor", str(path), "--json"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, ""), sub
+        out = json.loads(captured.out, parse_constant=_refuse_constant)["outputs"]
+        if sub == "check":
+            assert (out["entropyOfAverage"], out["meanEntropy"]) == (1.0, 1.0)
+            assert out["marginalDeviation"] == 0.0
+        else:
+            assert out["value"] == 2.0
 
 
 def test_quantum_check(ws, capsys):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -132,8 +134,13 @@ def test_functional_determinism():
 
 
 def test_functional_restart_count():
-    res = sym_quantum_functional(w_tensor(C), OptimizerOptions(restarts=2))
-    assert res.restarts == 3  # identity start plus two random ones
+    """A dense tensor, whose support bound is log2 d, runs the identity
+    start plus two random ones; W ends at its identity start, which reaches
+    W's support bound."""
+    f = random_unit_tensor(np.random.default_rng(0), (3, 3, 3))
+    for fn in (sym_quantum_functional, uniform_quantum_functional):
+        assert fn(f, OptimizerOptions(restarts=2)).restarts == 3
+        assert fn(w_tensor(C), OptimizerOptions(restarts=2)).restarts == 1
 
 
 def test_functional_product_seeding_reaches_square():
@@ -194,6 +201,132 @@ def test_negative_restarts_run_the_first_start_only():
     res = sym_quantum_functional(w_tensor(C), OptimizerOptions(restarts=-2))
     alone = sym_quantum_functional(w_tensor(C), OptimizerOptions(restarts=0))
     assert (res.restarts, res.value) == (1, alone.value)
+
+
+def w_state(k, extra=None):
+    """W of order k: ones at the permutations of (1, 0, ..., 0); ``extra``
+    adds that value at (1, ..., 1)."""
+    arr = np.zeros((2,) * k, dtype=complex)
+    for j in range(k):
+        arr[tuple(int(i == j) for i in range(k))] = 1
+    if extra is not None:
+        arr[(1,) * k] = extra
+    return Tensor(C, arr)
+
+
+def sparse_tensor(rng, d, k, most):
+    """Seeded complex entries on 1 to ``most`` random cells."""
+    cells = rng.choice(d**k, rng.integers(1, most + 1), replace=False)
+    arr = np.zeros(d**k, dtype=complex)
+    arr[cells] = rng.normal(size=len(cells)) + 1j * rng.normal(size=len(cells))
+    return arr.reshape((d,) * k)
+
+
+def symmetrized(arr):
+    return sum(arr.transpose(p) for p in itertools.permutations(range(arr.ndim)))
+
+
+def test_no_value_exceeds_the_support_bound():
+    """The support bound B, in bits, caps the uniform value of sparse
+    tensors and the sym value of symmetrized ones.  No value exceeds log2 d
+    anyway, so only the tensors with B below it are run, and the floor on
+    their count keeps the check's teeth."""
+    rng = np.random.default_rng(3)
+    below = {"uniform": 0, "sym": 0}
+    for d, k in [(2, 3), (2, 4), (3, 3), (3, 4)] * 30:
+        for mode, fn, arr in (
+            ("uniform", uniform_quantum_functional, sparse_tensor(rng, d, k, d**k // 2)),
+            ("sym", sym_quantum_functional, symmetrized(sparse_tensor(rng, d, k, d))),
+        ):
+            bound = quantum._support_bound(arr)
+            if bound < np.log2(d) - 1e-9:
+                below[mode] += 1
+                res = fn(Tensor(C, arr), OptimizerOptions(restarts=1, iterations=20))
+                assert np.log2(res.value) <= bound + 1e-12, (mode, d, k, res.value, bound)
+    assert min(below.values()) >= 40, below
+
+
+def mean_marginal_entropy(cells, p, d):
+    """(1/k) sum_j H(P_j), in bits, of the distribution p on the cells."""
+    total = 0.0
+    for leg in cells:
+        marginal = np.bincount(leg, weights=p, minlength=d)
+        marginal = marginal[marginal > 0]
+        total -= float(marginal @ np.log2(marginal))
+    return total / len(cells)
+
+
+def test_support_bound_caps_every_distribution_on_the_support():
+    """B is log2 d on a full support and h(1/3) on W, and on sparse tensors
+    no distribution on the support has a larger mean marginal entropy."""
+    dense = random_unit_tensor(np.random.default_rng(4), (3, 3, 3)).array
+    assert quantum._support_bound(dense) == np.log2(3)
+    assert quantum._support_bound(w_state(3).array) == pytest.approx(np.log2(W_VALUE), abs=1e-12)
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        arr = sparse_tensor(rng, 3, 3, 13)
+        bound, cells = quantum._support_bound(arr), np.nonzero(arr)
+        for p in rng.dirichlet(np.ones(len(cells[0])), size=20):
+            assert mean_marginal_entropy(cells, p, 3) <= bound + 1e-12
+
+
+@pytest.mark.parametrize("mode", ["sym", "uniform"])
+@pytest.mark.parametrize("k", [3, 4])
+def test_w_ends_the_run_at_its_support_bound(mode, k):
+    """W's identity start reaches h(1/k), W's support bound, so the run
+    ends there, with the bytes of that start alone."""
+    fn = sym_quantum_functional if mode == "sym" else uniform_quantum_functional
+    f = w_state(k)
+    alone = fn(f, OptimizerOptions(restarts=0))
+    assert np.log2(alone.value) == pytest.approx(quantum._support_bound(f.array),
+                                                 abs=1e-12)
+    for options in (OptimizerOptions(restarts=1), OptimizerOptions(restarts=2), None):
+        res = fn(f, options)
+        assert (res.restarts, res.iterations) == (1, 1)
+        assert (res.value, res.gradient_norm) == (alone.value, alone.gradient_norm)
+        assert res.point.spectrum == alone.point.spectrum
+        assert res.point.tensor.array.tobytes() == alone.point.tensor.array.tobytes()
+        assert [g.tobytes() for g in res.point.maps] == [g.tobytes() for g in alone.point.maps]
+
+
+@pytest.mark.parametrize("mode", ["sym", "uniform"])
+def test_a_tiny_entry_counts_in_the_support(mode):
+    """W + 1e-12 at (2,2,2) is generic, of supremum 2: its exact support
+    carries the uniform marginals, so B = 1 and every start runs, where the
+    1e-9 zero rule would read W's support and stop at h(1/3)."""
+    fn = sym_quantum_functional if mode == "sym" else uniform_quantum_functional
+    f = w_state(3, extra=1e-12)
+    assert quantum._support_bound(f.array) == 1.0
+    res = fn(f)
+    assert res.restarts == OptimizerOptions().restarts + 1
+    assert res.value == pytest.approx(W_VALUE, abs=1e-6)
+
+
+def test_sym_mode_keeps_log2_d_for_a_non_symmetric_tensor():
+    """e0 e0 e1 has one support cell, so B = 0, yet its averaged marginal
+    has entropy h(1/3): the sym value is not capped by B, so the run keeps
+    the log2 d rule and every start runs."""
+    arr = np.zeros((2, 2, 2), dtype=complex)
+    arr[0, 0, 1] = 1
+    assert quantum._support_bound(arr) == 0.0
+    res = sym_quantum_functional(Tensor(C, arr), OptimizerOptions(restarts=3))
+    assert res.restarts == 4
+    assert res.value == pytest.approx(W_VALUE, abs=1e-9)
+
+
+def test_large_and_tiny_tensors_give_the_values_of_their_scaled_copies():
+    """1e300 <2> and 1e-300 <2> are <2> up to scale: their norms neither
+    overflow nor underflow, and only an all-zero tensor is refused."""
+    unit = unit_tensor(2, 3, C).array
+    for scale in (1e300, 1e-300, 2.0**-1070):
+        f = Tensor(C, scale * unit)
+        for fn in (sym_quantum_functional, uniform_quantum_functional):
+            assert fn(f).value == 2.0
+        rep = sandwich_check(f)
+        assert (rep.entropy_of_average, rep.mean_entropy) == (1.0, 1.0)
+        assert marginal_equality_check(f) == 0.0
+    with pytest.raises(QuantumError, match="zero tensor"):
+        sym_quantum_functional(Tensor(C, np.zeros((2, 2, 2))))
 
 
 def value_and_gradient(arr, maps, mode):
