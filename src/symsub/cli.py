@@ -354,8 +354,8 @@ def _quantum_outputs(res) -> Dict[str, object]:
 
 def _cmd_quantum_check(args, inputs):
     f = _read_tensor(args, inputs)
-    from .quantum import marginal_equality_check, sandwich_check
-    from .tensors import is_symmetric
+    from .quantum import _cubical_array, marginal_equality_check, sandwich_check
+    from .tensors import Tensor, is_symmetric
 
     rep = sandwich_check(f)
     outputs = {
@@ -365,7 +365,9 @@ def _cmd_quantum_check(args, inputs):
         "concavitySlack": rep.concavity_slack,
         "upperSlack": rep.upper_slack,
     }
-    if is_symmetric(f):
+    # symmetry is read off the array every quantum check reads, scaled by a
+    # power of two, so the 1e-9 rule is relative to the largest entry
+    if is_symmetric(Tensor(f.domain, _cubical_array(f, "quantum check"))):
         outputs["marginalDeviation"] = marginal_equality_check(f)
     return outputs, "verified"
 

@@ -16,6 +16,7 @@ diagonal principal-subtensor certificate for powers of triangular matrices.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -150,8 +151,9 @@ def ballantine_reduce(f: Tensor, seed: int = 0) -> CongruenceResult:
     A remainder on which q vanishes identically is a skew block; it is
     broken by mixing the last processed pivot back in (q(w + c p) =
     c f(w,p) + c^2 q(p) is nonzero for a good scalar c), demoting that
-    pivot into the space.  The output contract is re-verified; on failure
-    the input is randomly pre-mixed and the reduction restarted (up to 64
+    pivot into the space.  The first attempt reduces f itself; the output
+    contract is re-verified (see :func:`_validated`), and on failure the
+    input is randomly pre-mixed and the reduction restarted (up to 64
     seeded restarts).
     """
     d = _require_square(f)
@@ -160,19 +162,15 @@ def ballantine_reduce(f: Tensor, seed: int = 0) -> CongruenceResult:
         raise DomainTooSmallError("domain too small: congruence needs |F| >= 3")
     if is_skew_zero_diag(f) and domain.nonzero(f.array).any():
         raise SkewInputError("skew input: nonzero skew matrix with zero diagonal")
-    expected_rank = matrix_rank(f)
     for attempt in range(MAX_RESTARTS + 1):
-        if attempt == 0:
-            pre = np.eye(d, dtype=domain.dtype)
-        else:
-            pre = _random_invertible(d, domain, seed, attempt)
-        farr = _product3(pre, f.array, pre.T, domain)
+        pre = _random_invertible(d, domain, seed, attempt) if attempt else None
+        farr = f.array if pre is None else _product3(pre, f.array, pre.T, domain)
         rows = _reduce_attempt(farr, domain)
         if rows is None:
             continue
-        B = domain.reduce(rows @ pre)
+        B = rows if pre is None else domain.reduce(rows @ pre)
         L = _product3(B, f.array, B.T, domain)
-        result = _validated(f, B, L, expected_rank, domain)
+        result = _validated(f, B, L, domain)
         if result is not None:
             return result
     raise PivotSearchExhaustedError(
@@ -190,15 +188,22 @@ def _product3(a: np.ndarray, m: np.ndarray, b: np.ndarray, domain: Domain) -> np
 
 
 def _validated(
-    f: Tensor, B: np.ndarray, L: np.ndarray, expected_rank: int, domain: Domain
+    f: Tensor, B: np.ndarray, L: np.ndarray, domain: Domain
 ) -> Optional[CongruenceResult]:
+    """The result for B f B^T = L if it meets the contract, else None.
+
+    Over F_p, L with nz nonzero diagonal entries must be zero above the
+    diagonal and on its trailing (d - nz) x (d - nz) block: then rank L = nz
+    (its first nz columns hold an invertible triangle, the rest are zero),
+    which B of rank d makes rank f, with no elimination of f.  Over C, where
+    a tolerance decides each zero, nz is compared with ``matrix_rank(f)``.
+    """
     d = B.shape[0]
-    if linalg.rank(B, domain) != d:
-        return None
     if isinstance(domain, PrimeField):
-        if domain.nonzero(np.triu(L, 1)).any():
+        nonzero = domain.nonzero(L)
+        nz = int(nonzero.diagonal().sum())
+        if np.triu(nonzero, 1).any() or nonzero[nz:, nz:].any():
             return None
-        nz = int(np.sum(domain.nonzero(np.diagonal(L))))
     else:
         scale = max(1.0, float(np.max(np.abs(f.array))) if f.array.size else 1.0)
         cut = domain.tol * scale * 100
@@ -206,7 +211,9 @@ def _validated(
             return None
         L = np.tril(L)  # clean numeric dust strictly above the diagonal
         nz = int(np.sum(np.abs(np.diagonal(L)) > cut))
-    if nz != expected_rank:
+        if nz != matrix_rank(f):
+            return None
+    if linalg.rank(B, domain) != d:
         return None
     return CongruenceResult(
         B=LinearMap(domain, B), L=Tensor(domain, L), diag_nonzeros=nz
@@ -282,6 +289,25 @@ def _score(Q: np.ndarray, i, j, c):
     return (Q[i, i] + c * c * Q[j, j]) + c * (Q[i, j] + Q[j, i])
 
 
+@functools.lru_cache(maxsize=32)
+def _candidates(n: int, field: bool) -> Tuple[np.ndarray, np.ndarray, object]:
+    """(I, J, c): the candidates z_I + c z_J that :func:`_find_pivot` scores
+    over n rows, in its order, built once per size and shared, so
+    read-only; over F_p only the pairwise sums (c = 1)."""
+    k = np.arange(n)
+    i, j = (k[:, None] != k).nonzero()  # i != j, row-major
+    pairs, m = i < j, len(_COMPLEX_SCALARS)
+    if field:
+        tables = [i[pairs], j[pairs]]
+    else:
+        tables = [np.concatenate([k, i[pairs]] + [i] * m),
+                  np.concatenate([k, j[pairs]] + [j] * m),
+                  np.repeat([0, 1, *_COMPLEX_SCALARS], [n, pairs.sum()] + [len(i)] * m)]
+    for a in tables:
+        a.setflags(write=False)
+    return (*tables, 1) if field else tuple(tables)
+
+
 def _find_pivot(Z, Q, domain) -> Optional[Tuple[int, int, object]]:
     """First (prime fields) or largest-|q| (complex) z_i + c z_j with q != 0,
     over the rows z of Z and scored from Q = Z f Z^T: basis vectors (c = 0),
@@ -293,19 +319,14 @@ def _find_pivot(Z, Q, domain) -> Optional[Tuple[int, int, object]]:
     and q(z_i + c z_j) = 0 for every c, so no scaled sum can be the first
     pivot.
     """
-    k = np.arange(len(Z))
-    if isinstance(domain, PrimeField):
+    field = isinstance(domain, PrimeField)
+    I, J, c = _candidates(len(Z), field)
+    if field:
         hit = Q.diagonal().nonzero()[0]
         if hit.size:
             return hit[0], hit[0], 0
-        i, j = (k[:, None] < k).nonzero()  # i < j, row-major
-        hit = domain.reduce(_score(Q, i, j, 1)).nonzero()[0]
-        return (i[hit[0]], j[hit[0]], 1) if hit.size else None
-    i, j = (k[:, None] != k).nonzero()  # i != j, row-major
-    pairs, m = i < j, len(_COMPLEX_SCALARS)
-    I = np.concatenate([k, i[pairs]] + [i] * m)
-    J = np.concatenate([k, j[pairs]] + [j] * m)
-    c = np.repeat([0, 1, *_COMPLEX_SCALARS], [len(k), pairs.sum()] + [len(i)] * m)
+        hit = domain.reduce(_score(Q, I, J, c)).nonzero()[0]
+        return (I[hit[0]], J[hit[0]], c) if hit.size else None
     scores = np.abs(_score(Q, I, J, c))
     best = int(np.argmax(scores))
     scale = max(1.0, float(np.max(np.abs(Z[I] + c[:, None] * Z[J]))))

@@ -4,8 +4,9 @@ Two kernels, each taking plain numpy arrays plus a domain object from
 :mod:`symsub.domains`:
 
 * :func:`row_reduce` brings one matrix to (reduced) row echelon form over
-  F_p or C, with the invertible P that does it; :func:`rank` reads its
-  pivots, except over F2, where rows packed into ints are reduced instead.
+  F_p or C, with the invertible P that does it, by one array update per
+  pivot; :func:`rank` reads its pivots, except over F2, where rows packed
+  into ints are reduced instead.
 * :func:`solve_stack` solves a stack of systems over F_p at once.
 
 Prime-field elimination is exact on integer residues; complex elimination
@@ -44,8 +45,11 @@ def row_reduce(
     """Row reduce A.  Returns (R, pivots, P) with R = P @ A (mod p for fields).
 
     R is in (reduced) row echelon form with unit pivots; P is invertible.
-    One array [A | I] is eliminated, each pivot (the first nonzero entry over
-    F_p, the largest over C) updating only the rows nonzero in its column.
+    One array [A | I] is eliminated by one update per pivot (the first
+    nonzero entry over F_p, the largest over C): its column, zeroed at the
+    pivot row, above it unless ``reduced`` and at modulus <= tol over C,
+    gives the factors, and factors x pivot row is subtracted from the whole
+    array if at least half the rows change, else from the changed rows.
     """
     A = domain.asarray(A)
     n, m = A.shape
@@ -57,26 +61,30 @@ def row_reduce(
     for col in range(m):
         if r >= n:
             break
-        # the rows to update, as they stand once rows r and i are swapped
+        factors = M[:, col].copy()  # one strided read of the column
         if field:
-            live = M[:, col].nonzero()[0].tolist()
-            i = next((j for j in live if j >= r), None)
-            if i is None:
+            live = factors[r:].nonzero()[0]
+            if not live.size:
                 continue
-            # row r, swapped to i, is zero here, as are all rows r..i-1
-            targets = [j for j in live if j != i and (reduced or j > i)]
+            i = r + int(live[0])
         else:
-            mags = np.abs(M[:, col])
+            mags = np.abs(factors)
             i = r + int(mags[r:].argmax())
             if mags[i] <= domain.tol:
                 continue
-            mags[i], mags[r] = mags[r], 0
-            targets = [j for j in np.flatnonzero(mags > domain.tol) if reduced or j > r]
+            factors[mags <= domain.tol] = 0
         if i != r:
             M[[r, i]] = M[[i, r]]
+            factors[[r, i]] = factors[[i, r]]
         M[r] = domain.reduce(M[r] * domain.inverse(M[r, col]))
-        for j in targets:
-            M[j] = domain.reduce(M[j] - M[j, col] * M[r])
+        factors[r if reduced else 0:r + 1] = 0
+        changed = factors.nonzero()[0]
+        if 2 * len(changed) >= n:  # in place, no new array
+            M -= factors[:, None] * M[r]
+            if field:
+                M %= domain.p
+        elif changed.size:
+            M[changed] = domain.reduce(M[changed] - factors[changed, None] * M[r])
         pivots.append(col)
         r += 1
     return M[:, :m], pivots, M[:, m:]

@@ -352,6 +352,32 @@ def test_quantum_check(ws, capsys):
     assert out["marginalDeviation"] <= 1e-12
 
 
+def test_quantum_check_reads_symmetry_at_the_tensor_s_own_scale(ws, tmp_path, capsys):
+    """1e-300 * arange(1, 9) is not symmetric, though every entry lies
+    within 1e-9 of its transposes, so it gets no marginalDeviation; 1e-300
+    * <2> keeps its deviation of 0.0, and W's report is unchanged.  The
+    files are written by hand, since the writer drops entries within 1e-9
+    of zero."""
+    def check(arr):
+        path = tmp_path / "tiny.json"
+        entries = [{"idx": [int(i) + 1 for i in idx], "val": [float(arr[idx]), 0.0]}
+                   for idx in zip(*np.nonzero(arr))]
+        path.write_text(json.dumps({"order": 3, "dims": [2, 2, 2], "domain": "C",
+                                    "entries": entries}))
+        code, rep, _ = run_json(capsys, ["quantum", "check", "--tensor", str(path)])
+        assert code == 0
+        return rep["outputs"]
+
+    assert "marginalDeviation" not in check(1e-300 * np.arange(1.0, 9.0).reshape(2, 2, 2))
+    assert check(1e-300 * np.eye(2)[:, :, None] * np.eye(2))["marginalDeviation"] == 0.0
+    code, rep, _ = run_json(capsys, ["quantum", "check", "--tensor", ws["w_c"]])
+    assert code == 0
+    assert rep["outputs"] == {  # as printed before the change
+        "concavitySlack": 0.0, "entropyOfAverage": 0.9182958340544896,
+        "logK": 1.584962500721156, "marginalDeviation": 0.0,
+        "meanEntropy": 0.9182958340544896, "upperSlack": 1.584962500721156}
+
+
 @pytest.mark.parametrize("shape", [(2, 3, 2), ()], ids=["2x3x2", "order-0"])
 def test_quantum_check_needs_a_cubical_tensor_of_order_one_or_more(tmp_path, capsys, shape):
     path = tmp_path / "lopsided.json"

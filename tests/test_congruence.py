@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from symsub import (
     CongruenceError,
     LinearMap,
     MissingSquareRootError,
+    PivotSearchExhaustedError,
     SkewInputError,
     Tensor,
     ballantine_reduce,
@@ -234,6 +238,67 @@ def test_ballantine_restarts_are_seeded_and_validated(monkeypatch):
     again = ballantine_reduce(f)
     assert attempts == [1, 2, 3] * 2
     assert np.array_equal(again.B.array, B) and np.array_equal(again.L.array, L)
+
+
+# sha256 (first 16 hex digits) over every matrix in row-major order of the
+# entries: b"skew" for a refused input, else the little-endian int64 bytes
+# of B and then L; recorded before the F_p rank proof replaced the
+# elimination of f
+BALLANTINE_DIGESTS = {
+    (3, 2): ("ae9164b5130bf238", 2),
+    (3, 3): ("77efdbe08db6b48a", 26),
+    (5, 2): ("a4a7125b7e979e75", 4),
+    (7, 2): ("333657959befb417", 6),
+}
+
+
+@pytest.mark.parametrize("p, d", sorted(BALLANTINE_DIGESTS), ids=lambda v: str(v))
+def test_ballantine_rank_proof_on_every_small_matrix(p, d):
+    """Every d x d matrix over F_p: skew inputs are refused, and every
+    other gets diag_nonzeros = rank f, read off L without an elimination of
+    f, and the (B, L) recorded before that change."""
+    domain = domain_from_name(f"F{p}")
+    digest = hashlib.sha256()
+    refused = 0
+    for entries in itertools.product(range(p), repeat=d * d):
+        f = Tensor(domain, np.array(entries).reshape(d, d))
+        try:
+            res = ballantine_reduce(f)
+        except SkewInputError:
+            refused += 1
+            digest.update(b"skew")
+            continue
+        assert res.diag_nonzeros == matrix_rank(f), entries
+        digest.update(res.B.array.astype("<i8").tobytes() + res.L.array.astype("<i8").tobytes())
+    assert (digest.hexdigest()[:16], refused) == BALLANTINE_DIGESTS[p, d]
+
+
+@pytest.mark.parametrize("f, B", [
+    # lower triangular with one nonzero diagonal entry, but a nonzero
+    # trailing block: rank 2
+    ([[1, 0, 0], [0, 0, 0], [0, 1, 0]], np.eye(3)),
+    # diagonal of rank 1, but its nonzero entry is not the first
+    ([[0, 0], [0, 1]], np.eye(2)),
+    # rank 1, first diagonal entry nonzero, but not lower triangular
+    ([[1, 1], [0, 0]], np.eye(2)),
+    # L = diag(1, 0) has the form, but B is singular and f has rank 2
+    ([[1, 0], [0, 1]], [[1, 0], [0, 0]]),
+], ids=["trailing-block", "zero-first-diagonal", "upper-entry", "singular-B"])
+def test_a_form_that_breaks_the_rank_proof_is_never_returned(monkeypatch, f, B):
+    """Every attempt, restarts too, reaches this B and L = B f B^T; each
+    such result, with as many nonzero diagonal entries as f has rank in
+    two of them, fails the F_p rank proof, so the search ends in
+    PivotSearchExhaustedError, while the valid form diag(1, 0) with B = I
+    is returned."""
+    B = np.array(B, dtype=np.int64)
+    monkeypatch.setattr(congruence, "_reduce_attempt", lambda farr, domain: B)
+    monkeypatch.setattr(congruence, "_random_invertible",
+                        lambda d, *args: np.eye(d, dtype=np.int64))
+    with pytest.raises(PivotSearchExhaustedError):
+        ballantine_reduce(Tensor(F5, f))
+    B = np.eye(2, dtype=np.int64)  # read by the patched _reduce_attempt
+    res = ballantine_reduce(Tensor(F5, [[1, 0], [0, 0]]))
+    assert res.diag_nonzeros == 1 and np.array_equal(res.L.array, [[1, 0], [0, 0]])
 
 
 def test_sym_diagonalize_rejects_asymmetric():

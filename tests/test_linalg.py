@@ -6,6 +6,7 @@ import pytest
 from conftest import C, F2, F3, F5, F7
 from symsub.domains import PrimeField
 
+F101 = PrimeField(101)
 F65521 = PrimeField(65521)
 from symsub import linalg
 
@@ -181,3 +182,95 @@ def test_rank_agrees_with_the_transpose(domain, shape):
             0, domain.p, size=(inner, shape[1])) % domain.p
         want = len(linalg.row_reduce(A, domain, reduced=False)[1])  # A's own rows
         assert linalg.rank(A, domain) == linalg.rank(A.T, domain) == want
+
+
+def per_row_reduce(A, domain, reduced=True):
+    """The reference for linalg.row_reduce: the same pivots and arithmetic,
+    each target row of a pivot updated by its own row operation."""
+    A = domain.asarray(A)
+    n, m = A.shape
+    M = np.eye(n, m + n, m, dtype=A.dtype)
+    M[:, :m] = A
+    field = isinstance(domain, PrimeField)
+    pivots = []
+    r = 0
+    for col in range(m):
+        if r >= n:
+            break
+        if field:
+            live = M[:, col].nonzero()[0].tolist()
+            i = next((j for j in live if j >= r), None)
+            if i is None:
+                continue
+            targets = [j for j in live if j != i and (reduced or j > i)]
+        else:
+            mags = np.abs(M[:, col])
+            i = r + int(mags[r:].argmax())
+            if mags[i] <= domain.tol:
+                continue
+            mags[i], mags[r] = mags[r], 0
+            targets = [j for j in np.flatnonzero(mags > domain.tol) if reduced or j > r]
+        if i != r:
+            M[[r, i]] = M[[i, r]]
+        M[r] = domain.reduce(M[r] * domain.inverse(M[r, col]))
+        for j in targets:
+            M[j] = domain.reduce(M[j] - M[j, col] * M[r])
+        pivots.append(col)
+        r += 1
+    return M[:, :m], pivots, M[:, m:]
+
+
+def _sweep_inputs(domain, rng):
+    """Every shape from 0 x 0 to 8 x 8: dense, with zero columns, with
+    repeated rows, of low rank, sparse, and the identity and a row
+    permutation of it; over C also entries at and below the tolerance."""
+    for n in range(9):
+        for m in range(9):
+            def draw(shape):
+                if domain is C:
+                    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                return rng.integers(0, domain.p, size=shape)
+            dense = draw((n, m))
+            yield dense
+            zero_cols = dense.copy()
+            zero_cols[:, rng.random(m) < 0.4] = 0
+            yield zero_cols
+            if n:
+                yield dense[rng.integers(0, n, size=n)]  # repeated rows
+            inner = min(n, m) // 2
+            low = draw((n, inner)) @ draw((inner, m))
+            yield low if domain is C else low % domain.p
+            sparse = dense.copy()
+            sparse[rng.random((n, m)) < 0.8] = 0
+            yield sparse
+            eye = np.eye(n, m, dtype=np.int64)
+            yield eye
+            yield eye[rng.permutation(n)]
+            if domain is C and n and m:
+                tiny = dense.copy()
+                tiny[rng.random((n, m)) < 0.3] = 1e-12
+                tiny[rng.random((n, m)) < 0.2] = -0.0
+                yield tiny
+
+
+@pytest.mark.parametrize("domain", [F2, F3, F7, F101, F65521, C], ids=lambda d: d.name)
+def test_row_reduce_matches_the_per_row_kernel(domain):
+    """One update per pivot, over the whole array or the changed rows,
+    gives what a row operation per target row gives: byte for byte over
+    F_p, and up to the sign of a zero over C (a row whose factor is 0 is
+    rewritten as itself minus 0 x the pivot row)."""
+    rng = np.random.default_rng(domain.p or 0)
+    count = 0
+    for A in _sweep_inputs(domain, rng):
+        for reduced in (True, False):
+            got = linalg.row_reduce(A, domain, reduced=reduced)
+            want = per_row_reduce(A, domain, reduced=reduced)
+            assert got[1] == want[1], (A, reduced)
+            for g, w in ((got[0], want[0]), (got[2], want[2])):
+                assert g.dtype == w.dtype and g.shape == w.shape
+                if domain is C:
+                    assert np.array_equal(g, w), (A, reduced)
+                else:
+                    assert g.tobytes() == w.tobytes(), (A, reduced)
+            count += 1
+    assert count >= 2 * 81 * 6
