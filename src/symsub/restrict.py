@@ -13,29 +13,27 @@ Exhaustive searches run over prime fields only and respect a hard candidate
 budget: exceeding it raises :class:`SearchInfeasibleError`, never a silent
 "no".
 
-When the target is a unit tensor <e>, the searches enumerate one
-representative per orbit of the stabilizer of <e>; other targets enumerate
-every map.  A search raises when the number of representatives (or maps)
-it could enumerate, :attr:`SearchInfeasibleError.required`, exceeds its
-budget.
+The exhaustive searches take only unit targets <e> (order-2 restriction,
+decided by echelon forms, takes any target), and enumerate one
+representative per orbit of the stabilizer of <e>.  A search raises when
+the number of representatives it could enumerate,
+:attr:`SearchInfeasibleError.required`, exceeds its budget.
 
-Every search draws its rows from :func:`_row_blocks`.  The plain search
-and the symmetric search for <e> take them from one read-only stack of maps
-per leg (:func:`_leg_stack`) when they fit in one, and stream them
-otherwise.  Such stacks, the orbit leads and the unit tensors depend on
-no input, so each is built once and shared read-only.  The symmetric
-search for <e>, :func:`_sym_dfs`, is a branch and bound over int bitsets
-of the rows that pass the root: each row's bitset of compatible later rows
-(its pair row) is computed once, a child's candidates are its parent's
-ANDed with the chosen row's pair row, and a branch stops once its rows
-plus candidates cannot beat the best set.  :func:`symsubrank_exact` runs
-it once, from the least flattening rank r0 of f, or from r0 - 1 when f is
-r0 x ... x r0 and not symmetric; other targets take :func:`_sym_map_dfs`.
-The plain search, :func:`_restriction_dfs`, solves the last leg for blocks
-of map tuples at once, its first block sized by the work in it.  For <e>,
-once every leg left has dimension e, it drops the partial tensors that do
-not vanish at the prefixes that are not constant, as the maps left must be
-invertible.
+Every search draws its rows from :func:`_row_blocks`.  The plain and the
+symmetric search take them from one read-only stack of maps per leg
+(:func:`_leg_stack`) when they fit in one, and stream them otherwise.  Such
+stacks, the orbit leads and the unit tensors depend on no input, so each is
+built once and shared read-only.  The symmetric search, :func:`_sym_dfs`,
+is a branch and bound over int bitsets of the rows that pass the root: each
+row's bitset of compatible later rows (its pair row) is computed once, a
+child's candidates are its parent's ANDed with the chosen row's pair row,
+and a branch stops once its rows plus candidates cannot beat the best set.
+:func:`symsubrank_exact` runs it once, from the least flattening rank r0 of
+f, or from r0 - 1 when f is r0 x ... x r0 and not symmetric.  The plain
+search, :func:`_restriction_dfs`, solves the last leg for blocks of map
+tuples at once, its first block sized by the work in it.  Once every leg
+left has dimension e, it drops the partial tensors that do not vanish at
+the prefixes that are not constant, as the maps left must be invertible.
 
 Determinism: canonical representatives are enumerated in lexicographic order
 of their rows, and the first certificate found is returned (for
@@ -96,11 +94,11 @@ _FIRST_CHUNK = 1 << 10  # entries of partial tensors in a leg's first chunk of p
 class SearchInfeasibleError(RuntimeError):
     """The exhaustive search would exceed the candidate budget.
 
-    ``required`` is the exact number of candidates the search can enumerate:
-    canonical representatives for a unit target, every map otherwise (for
-    restriction, maps on all legs but the last, which is solved linearly).
-    The plain search also meets maps with dependent rows for <e>, e >= 3;
-    their last-leg solve fails and ``required`` does not count them.
+    ``required`` is the exact number of canonical representatives the
+    search for <e> can enumerate (for restriction, maps on all legs but the
+    last, which is solved linearly).  The plain search also meets maps with
+    dependent rows for e >= 3; their last-leg solve fails and ``required``
+    does not count them.
     """
 
     def __init__(self, required: int, budget: int, what: str):
@@ -172,47 +170,36 @@ def certificate_from_json(obj: dict) -> Certificate:
 def symrestriction_exists(
     g: Tensor, f: Tensor, budget: int = DEFAULT_BUDGET
 ) -> Optional[Certificate]:
-    """Search for A with A^{(x)k} f = g; None after exhaustive refutation.
+    """Search for A with A^{(x)k} f = g for a unit tensor g = <e>; None after
+    exhaustive refutation.
 
-    Prime fields only.  Rows of A are extended one at a time in lexicographic
-    order (:func:`_sym_dfs` for g = <e>, :func:`_sym_map_dfs` otherwise); a
+    Prime fields only; any other g is refused with a ValueError.  Rows of A
+    are extended one at a time in lexicographic order (:func:`_sym_dfs`); a
     partial map survives only while every already-determined entry of the
-    image matches g.  For g = <e> the rows
-    are nonzero, strictly increasing, and each the least in its orbit under
-    the k-th roots of unity: (P D A)^{(x)k} f = <e> whenever
-    A^{(x)k} f = <e>, for a permutation P and a diagonal D with D^k = I.
+    image matches <e>.  The rows are nonzero, strictly increasing, and each
+    the least in its orbit under the k-th roots of unity:
+    (P D A)^{(x)k} f = <e> whenever A^{(x)k} f = <e>, for a permutation P and
+    a diagonal D with D^k = I.
     """
     _check_search(f, "symmetric restriction search", True, g)
-    k = f.order
     e, d = g.dims[0], f.dims[0]
-    # Flattening ranks never increase under restriction.
-    for leg in range(k):
-        if flattening_rank(g, [leg]) > flattening_rank(f, [leg]):
-            return None
-    unit = _is_unit(g)
-    _check_sym_budget(f, e, unit, budget)
+    # Flattening ranks never increase under restriction; each of <e>'s is e.
+    if e > _least_flattening_rank(f):
+        return None
+    _check_sym_budget(f, e, budget)
     if e == 0:
         return _certified("symmetric-restriction", [np.zeros((0, d), dtype=np.int64)], g, f)
-    p = f.domain.p
-    rows = _sym_dfs(g.array, f.array, p, e - 1) if unit else _sym_map_dfs(g.array, f.array, p)
+    rows = _sym_dfs(g.array, f.array, f.domain.p, e - 1)
     return _certified("symmetric-restriction", [rows], g, f) if len(rows) else None
 
 
-def _check_sym_budget(f: Tensor, e: int, unit: bool, budget: int) -> None:
-    """Raise unless the e x d maps the search enumerates fit the budget."""
+def _check_sym_budget(f: Tensor, e: int, budget: int) -> None:
+    """Raise unless the e x d maps the search for <e> enumerates fit the budget."""
     p, d, k = f.domain.p, f.dims[0], f.order
-    if unit:
-        # the k-th roots of unity act freely on the nonzero rows
-        required = math.comb((p**d - 1) // math.gcd(k, p - 1), e)
-    else:
-        required = p ** (e * d)
+    # the k-th roots of unity act freely on the nonzero rows
+    required = math.comb((p**d - 1) // math.gcd(k, p - 1), e)
     if required > budget:
         raise SearchInfeasibleError(required, budget, f"map search over F_{p}^({e}x{d})")
-
-
-def _is_unit(g: Tensor) -> bool:
-    """True iff g is the unit tensor <e> of its order over its domain."""
-    return tensors_equal(g, unit_tensor(g.dims[0], g.order, g.domain))
 
 
 @functools.lru_cache(maxsize=16)
@@ -241,7 +228,8 @@ def _row_blocks(p: int, d: int, leads: Optional[Sequence[int]], size: int):
 def _check_search(f: Tensor, what: str, symmetric: bool, g: Optional[Tensor] = None) -> None:
     """Raise unless the search ``what`` can run on f (and its target g): one
     order and domain, order >= 2, cubical tensors for a symmetric search,
-    and a prime field unless it is a plain search on matrices."""
+    and, unless it is a plain search on matrices, a prime field and a unit
+    target <e>."""
     if g is not None and g.order != f.order:
         raise ValueError(f"order mismatch: {g.order} vs {f.order}")
     if g is not None and g.domain != f.domain:
@@ -250,8 +238,12 @@ def _check_search(f: Tensor, what: str, symmetric: bool, g: Optional[Tensor] = N
         raise ValueError(f"{what} needs order >= 2")
     if symmetric and not (f.is_cubical and (g is None or g.is_cubical)):
         raise ValueError(f"{what} needs cubical tensors")
-    if not isinstance(f.domain, PrimeField) and (symmetric or f.order > 2):
+    if not (symmetric or f.order > 2):  # a plain search on matrices
+        return
+    if not isinstance(f.domain, PrimeField):
         raise DomainError(f"{what} runs over prime fields only")
+    if g is not None and not tensors_equal(g, unit_tensor(g.dims[0], g.order, g.domain)):
+        raise ValueError(f"{what} takes only unit targets <e>")
 
 
 def _sym_dfs(G: np.ndarray, F: np.ndarray, p: int, floor: int) -> np.ndarray:
@@ -385,30 +377,6 @@ def _split_index(d: int, k: int, m: int) -> np.ndarray:
     return index
 
 
-def _sym_map_dfs(G: np.ndarray, F: np.ndarray, p: int) -> np.ndarray:
-    """The first map A, in lexicographic order of its rows, with
-    A^{(x)k} F = G (no rows when there is none): a node scores every row in
-    batched contractions and keeps those under which the image equals G's
-    leading block."""
-    k, d, e = F.ndim, F.shape[0], G.shape[0]
-    size = max(1, _BLOCK_ENTRIES // max(1, e * d ** (k - 1)))
-
-    def extend(rows: np.ndarray) -> Optional[np.ndarray]:
-        if len(rows) == e:
-            return rows
-        lead = G[(slice(0, len(rows) + 1),) * k].reshape(-1) % p
-        for cand in _row_blocks(p, d, None, size):
-            maps = _stacked(rows, cand)
-            for row in cand[(_images(maps, F, p) == lead).all(axis=1)]:
-                found = extend(np.concatenate((rows, row[None])))
-                if found is not None:
-                    return found
-        return None
-
-    found = extend(np.zeros((0, d), dtype=np.int64))
-    return np.zeros((0, d), dtype=np.int64) if found is None else found
-
-
 def _images(maps: np.ndarray, F: np.ndarray, p: int) -> np.ndarray:
     """A^{(x)k} F, flattened, for every map A in the stack ``maps`` (m x r x d).
 
@@ -431,42 +399,35 @@ def restriction_exists(
 ) -> Optional[Certificate]:
     """Search for per-leg maps with (A1 (x) ... (x) Ak) f = g.
 
-    Order 2 is constructive over any domain (reduced echelon forms).  Higher
-    orders enumerate maps for legs 1..k-1 lexicographically and solve the
-    last leg linearly, a block of tuples at a time (:func:`_restriction_dfs`).
-    For g = <e> every map has independent rows, each with first nonzero
-    entry 1, and the rows of A1 strictly increase: (P D1 A1 (x) ... (x) P Dk
-    Ak) f = <e> whenever (A1, ..., Ak) works, for a permutation P and
-    diagonals with D1 ... Dk = I, and Dk absorbs the other legs' scaling.
+    Order 2 is constructive over any domain and for any g (reduced echelon
+    forms).  Higher orders take only a unit target g = <e> over a prime
+    field (any other g is refused with a ValueError): they enumerate maps
+    for legs 1..k-1 lexicographically and solve the last leg linearly, a
+    block of tuples at a time (:func:`_restriction_dfs`).  Every map has
+    independent rows, each with first nonzero entry 1, and the rows of A1
+    strictly increase: (P D1 A1 (x) ... (x) P Dk Ak) f = <e> whenever
+    (A1, ..., Ak) works, for a permutation P and diagonals with
+    D1 ... Dk = I, and Dk absorbs the other legs' scaling.
     """
     _check_search(f, "restriction search", False, g)
-    k = f.order
-    if k == 2:
+    if f.order == 2:
         return _matrix_restriction(g, f)
-    for leg in range(k):
-        if flattening_rank(g, [leg]) > flattening_rank(f, [leg]):
-            return None
-    return _restriction_search(g, f, _is_unit(g), budget)
+    # Flattening ranks never increase under restriction; each of <e>'s is e.
+    if g.dims[0] > _least_flattening_rank(f):
+        return None
+    return _restriction_search(g, f, budget)
 
 
-def _restriction_search(
-    g: Tensor, f: Tensor, unit: bool, budget: int
-) -> Optional[Certificate]:
-    """The budget gate and the search of :func:`restriction_exists`, order >= 3."""
-    p = f.domain.p
-    k = f.order
-    if unit:
-        e = g.dims[0]
-        required = _frame_count(p, f.dims[0], e) // math.factorial(e)
-        for leg in range(1, k - 1):
-            required *= _frame_count(p, f.dims[leg], e)
-    else:
-        required = 1
-        for leg in range(k - 1):
-            required *= p ** (g.dims[leg] * f.dims[leg])
+def _restriction_search(g: Tensor, f: Tensor, budget: int) -> Optional[Certificate]:
+    """The budget gate and the search of :func:`restriction_exists` for
+    g = <e>, order >= 3."""
+    p, e = f.domain.p, g.dims[0]
+    required = _frame_count(p, f.dims[0], e) // math.factorial(e)
+    for leg in range(1, f.order - 1):
+        required *= _frame_count(p, f.dims[leg], e)
     if required > budget:
         raise SearchInfeasibleError(required, budget, "leg-by-leg map search")
-    maps = _restriction_dfs(g, f, unit)
+    maps = _restriction_dfs(g, f)
     return None if maps is None else _certified("restriction", maps, g, f)
 
 
@@ -503,19 +464,17 @@ def _frame_count(p: int, d: int, e: int) -> int:
     return count // (p - 1) ** e
 
 
-def _maps(p: int, d: int, e: int, leads: Optional[Sequence[int]], ascending: bool, size: int):
+def _maps(p: int, d: int, e: int, leads: Sequence[int], ascending: bool, size: int):
     """e x d maps over F_p in lexicographic order of their rows, in stacks of
-    at most ``size``.  The rows come from :func:`_row_blocks`: with ``leads``,
-    distinct rows that strictly increase when ``ascending``; without, every
-    e-tuple of rows.  For e = 1 the rows stream, as one leg can have more of
-    them than fit in memory."""
+    at most ``size``: distinct rows of F_p^d whose first nonzero entry is in
+    ``leads`` (:func:`_row_blocks`), strictly increasing when ``ascending``.
+    For e = 1 the rows stream, as one leg can have more of them than fit in
+    memory."""
     if e == 1:
         yield from (block[:, None] for block in _row_blocks(p, d, leads, size))
         return
     rows = np.concatenate(list(_row_blocks(p, d, leads, _BLOCK_ENTRIES // (d + 1))))
-    if leads is None:
-        picks = itertools.product(range(len(rows)), repeat=e)
-    elif ascending:
+    if ascending:
         picks = itertools.combinations(range(len(rows)), e)
     else:
         picks = itertools.permutations(range(len(rows)), e)
@@ -524,7 +483,7 @@ def _maps(p: int, d: int, e: int, leads: Optional[Sequence[int]], ascending: boo
 
 
 @functools.lru_cache(maxsize=16)
-def _leg_stack(p: int, d: int, e: int, leads: Optional[Tuple[int, ...]], ascending: bool):
+def _leg_stack(p: int, d: int, e: int, leads: Tuple[int, ...], ascending: bool):
     """Every map of :func:`_maps` in one read-only stack, shared by every
     search over the leg, the symmetric search's root included; None if they
     hold more than _BLOCK_ENTRIES entries.  The cache holds at most 16
@@ -539,10 +498,10 @@ def _leg_stack(p: int, d: int, e: int, leads: Optional[Tuple[int, ...]], ascendi
     return stack
 
 
-def _restriction_dfs(g: Tensor, f: Tensor, unit: bool) -> Optional[List[np.ndarray]]:
+def _restriction_dfs(g: Tensor, f: Tensor) -> Optional[List[np.ndarray]]:
     """The first map arrays, in :func:`_maps` order on legs 1..k-1, with
-    (A1 (x) ... (x) Ak) f = g; the last leg is solved linearly.  A chunk of
-    partial tensors meets all maps of the next leg in one matmul,
+    (A1 (x) ... (x) Ak) f = g = <e>; the last leg is solved linearly.  A
+    chunk of partial tensors meets all maps of the next leg in one matmul,
     prefix-major, and each block of whole tuples gets one batched solve
     (:func:`linalg.solve_stack`).  A leg's first chunk holds as many
     prefixes as give about _FIRST_CHUNK entries of the next partial tensors
@@ -551,24 +510,22 @@ def _restriction_dfs(g: Tensor, f: Tensor, unit: bool) -> Optional[List[np.ndarr
     leg streams under one prefix.  The chunks change no answer, only how much is
     solved before an early find returns: <2> <= tight over F2 solves a first
     block of 84 tuples.
-    For g = <e>, once every leg of f from leg j >= 2 on has dimension e,
-    the maps on those legs are invertible (each flattening of <e> has rank
-    e), so a partial tensor that reaches <e> vanishes at every prefix
+    Once every leg of f from leg j >= 2 on has dimension e, the maps on
+    those legs are invertible (each flattening of <e> has rank e), so a
+    partial tensor that reaches <e> vanishes at every prefix
     (i_0, ..., i_(j-1)) that is not constant: the others are dropped before
     leg j is enumerated or solved, and the indices of the rest map back, so
     the first find stays the first.
     Nothing else is pruned before the solve: one that succeeds puts g's
-    columns in every partial tensor's span and, for g = <e>, needs
-    independent rows.
+    columns in every partial tensor's span and needs independent rows.
     """
     domain = f.domain
     p, k = domain.p, f.order
     garr = g.array
-    if 0 in garr.shape:  # any maps of these shapes send f onto the empty g
-        return [domain.zeros((e, d)) for e, d in zip(garr.shape, f.dims)]
-    leads = (1,) if unit else None
     e = garr.shape[0]
-    square = [unit and e > 1 and leg >= 2 and set(f.dims[leg:]) == {e} for leg in range(k)]
+    if e == 0:  # any maps of these shapes send f onto the empty g
+        return [domain.zeros((0, d)) for d in f.dims]
+    square = [e > 1 and leg >= 2 and set(f.dims[leg:]) == {e} for leg in range(k)]
 
     def walk(leg: int, partials: np.ndarray):
         """(i, maps on the legs from ``leg`` on) for the first entry i of the
@@ -586,10 +543,9 @@ def _restriction_dfs(g: Tensor, f: Tensor, unit: bool) -> Optional[List[np.ndarr
             T = partials.reshape(len(partials), -1, f.dims[-1])
             ok, X = linalg.solve_stack(T, garr.reshape(-1, garr.shape[-1]), domain)
             return next(((i, [X[i].T]) for i in np.flatnonzero(ok)), None)
-        e, d = garr.shape[leg], f.dims[leg]
-        before, after = math.prod(garr.shape[:leg]), math.prod(f.dims[leg + 1:])
+        d, before, after = f.dims[leg], e**leg, math.prod(f.dims[leg + 1:])
         size = max(1, _BLOCK_ENTRIES // max(e * d, before * e * after))  # maps per block
-        stack = _leg_stack(p, d, e, leads, unit and leg == 0 and e > 1)  # one row: no order
+        stack = _leg_stack(p, d, e, (1,), leg == 0 and e > 1)  # one row: no order
         streamed = stack is None or len(stack) > size
         cap = 1 if streamed else max(1, size // max(1, len(stack)))
         # the first chunk holds about _FIRST_CHUNK entries of the next partials
@@ -598,7 +554,7 @@ def _restriction_dfs(g: Tensor, f: Tensor, unit: bool) -> Optional[List[np.ndarr
         while lo < len(partials):
             chunk = partials[lo:lo + step]
             chunk = chunk.reshape(len(chunk), 1, before, d, after)
-            for maps in _maps(p, d, e, leads, leg == 0, size) if streamed else [stack]:
+            for maps in _maps(p, d, e, (1,), leg == 0, size) if streamed else [stack]:
                 # (prefix, map, legs before, this leg, legs after): prefix-major
                 nxt = np.matmul(maps[:, None], chunk) % p
                 found = walk(leg + 1, nxt.reshape(-1, before * e * after))
@@ -655,7 +611,7 @@ def _symsubrank_from(f: Tensor, r0: int, budget: int) -> Tuple[int, Certificate]
     # the search starts one step lower, and the gate counts that search.
     top = r0 - 1 if d == r0 and not is_symmetric(f) else r0
     if top:
-        _check_sym_budget(f, top, True, budget)
+        _check_sym_budget(f, top, budget)
         rows = _sym_dfs(unit_tensor(top, k, f.domain).array, f.array, p, floor=0)
     target = unit_tensor(len(rows), k, f.domain)
     return len(rows), _certified("symmetric-restriction", [rows], target, f)
@@ -689,7 +645,7 @@ def _subrank_from(f: Tensor, r0: int, budget: int,
     if k == 2 and low < r0:
         return _matrix_subrank(f)
     for r in range(r0, low, -1):
-        cert = _restriction_search(unit_tensor(r, k, f.domain), f, True, budget)
+        cert = _restriction_search(unit_tensor(r, k, f.domain), f, budget)
         if cert is not None:
             return r, cert
     maps = [sym.maps[0].array] * k if sym else [np.zeros((0, dl), np.int64) for dl in f.dims]
@@ -720,14 +676,14 @@ def symrank_small(f: Tensor, budget: int = DEFAULT_BUDGET) -> SymrankResult:
     multisets of vectors meet-in-the-middle (half-sums are hashed).  The
     half enumeration size p^(d * ceil(r/2)) must stay within budget.
     """
+    if f.order < 1:
+        raise ValueError("symmetric rank needs order >= 1")
     if not f.is_cubical:
         raise ValueError("symmetric rank needs a cubical tensor")
     if not is_symmetric(f):
         raise ValueError("symrank_small needs a symmetric tensor")
     if not isinstance(f.domain, PrimeField):
         raise DomainError("symrank_small runs over prime fields only")
-    if f.order < 1:
-        raise ValueError("symmetric rank needs order >= 1")
     domain = f.domain
     p, d, k = domain.p, f.dims[0], f.order
     if not domain.nonzero(f.array).any():

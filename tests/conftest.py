@@ -77,15 +77,13 @@ def all_maps(e, d, p):
     return np.array(list(grid), dtype=np.int64).reshape(-1, e, d)
 
 
-def brute_symrestricts(f, e, target=None):
-    """target <=_s f for an order-2 or order-3 tensor, trying every map; the
-    target defaults to the unit tensor <e>."""
+def brute_symrestricts(f, e):
+    """<e> <=_s f for an order-2 or order-3 tensor, trying every map."""
     p = f.domain.p
     A = all_maps(e, f.dims[0], p)
     if f.order == 2:
         image = np.einsum("aix,xy,ajy->aij", A, f.array, A)
     else:
         image = np.einsum("aix,ajy,akz,xyz->aijk", A, A, A, f.array)
-    if target is None:
-        target = unit_tensor(e, f.order, f.domain)
-    return bool(np.any(np.all(image % p == target.array % p, axis=tuple(range(1, f.order + 1)))))
+    target = unit_tensor(e, f.order, f.domain).array
+    return bool(np.any(np.all(image % p == target, axis=tuple(range(1, f.order + 1)))))

@@ -226,6 +226,17 @@ def test_order_zero_tensors_are_invalid_input(tmp_path, capsys, command):
     assert re.fullmatch(r"error: invalid-input: [^\n]*order >= [12]\n", captured.err), captured.err
 
 
+@pytest.mark.parametrize("domain", [C, F3], ids=["C", "F3"])
+def test_symrank_of_an_order_zero_tensor_is_refused_for_its_order(tmp_path, capsys, domain):
+    """The order is checked before the domain, so C gets the F3 error line."""
+    path = tmp_path / "scalar.json"
+    path.write_text(json.dumps(tensor_to_json(Tensor(domain, np.ones((), dtype=domain.dtype)))))
+    code = run(["symrank", "--tensor", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == "error: invalid-input: symmetric rank needs order >= 1\n"
+
+
 def test_a_repeated_tensor_index_is_invalid_input(tmp_path, capsys):
     path = tmp_path / "twice.json"
     path.write_text(json.dumps({"order": 2, "dims": [2, 2], "domain": "F5", "entries": [
@@ -666,6 +677,29 @@ def test_failed_verification_exits_one(ws, tmp_path, capsys):
     assert code == 1
     assert rep["verification"] == "failed"
     assert rep["outputs"]["verified"] is False
+
+
+def test_verify_takes_a_certificate_of_any_target(tmp_path, capsys):
+    """A hand-written certificate whose target, 2<2> over F3, is no unit
+    tensor: (2I, I, I) carries <2> to it.  One changed map entry gives the
+    documented failure."""
+    unit = {"order": 3, "dims": [2, 2, 2], "domain": "F3",
+            "entries": [{"idx": [1, 1, 1], "val": 1}, {"idx": [2, 2, 2], "val": 1}]}
+    target = dict(unit, entries=[dict(entry, val=2) for entry in unit["entries"]])
+    maps = [{"rows": 2, "cols": 2, "domain": "F3", "data": [[c, 0], [0, c]]} for c in (2, 1, 1)]
+    tensor, cert = tmp_path / "unit.json", tmp_path / "cert.json"
+    tensor.write_text(json.dumps(unit))
+    argv = ["verify", "--tensor", str(tensor), "--certificate", str(cert)]
+    cert.write_text(json.dumps({"kind": "restriction", "target": target, "maps": maps}))
+    code, rep, err = run_json(capsys, argv)
+    assert (code, err, rep["verification"]) == (0, "", "verified")
+    assert rep["outputs"] == {"verified": True, "kind": "restriction", "targetDims": [2, 2, 2]}
+
+    maps[1]["data"][0][1] = 1
+    cert.write_text(json.dumps({"kind": "restriction", "target": target, "maps": maps}))
+    code, rep, err = run_json(capsys, argv)
+    assert (code, rep["verification"], rep["outputs"]["verified"]) == (1, "failed", False)
+    assert err == "error: verification-failed: certificate does not verify against the tensor\n"
 
 
 # Leaves stay small: a mutated "dims" or "n" must not ask for a large

@@ -19,6 +19,7 @@ from conftest import (
     w_tensor,
 )
 from symsub import (
+    DEFAULT_BUDGET,
     Certificate,
     DomainError,
     Hypergraph,
@@ -28,7 +29,6 @@ from symsub import (
     adjacency_tensor,
     alpha_chain_check,
     apply,
-    apply_sym,
     certificate_from_json,
     certificate_to_json,
     domain_from_name,
@@ -48,7 +48,6 @@ from symsub import (
 )
 from symsub.restrict import (
     _images,
-    _is_unit,
     _least_flattening_rank,
     _maps,
     _pair_rows,
@@ -119,6 +118,66 @@ def test_subrank_exact_refuses_orders_below_two_over_every_domain(domain, shape)
     with pytest.raises(ValueError, match="restriction search needs order >= 2") as info:
         subrank_exact(Tensor(domain, np.ones(shape, dtype=domain.dtype)))
     assert info.type is ValueError
+
+
+def seeded(domain, shape, seed=0):
+    return Tensor(domain, np.random.default_rng(seed).integers(0, domain.p, shape))
+
+
+def scaled_unit(k, domain=F3):
+    return Tensor(domain, 2 * unit_tensor(2, k, domain).array)
+
+
+def zero_target(k):
+    return Tensor(F2, np.zeros((1,) * k, dtype=np.int64))
+
+
+PLAIN, SYM = "restriction search", "symmetric restriction search"
+
+
+def refusal_cases():
+    """(name, (search, g, f, error, message)) for targets other than <e>."""
+    for what, search, orders in ((PLAIN, restriction_exists, (3, 4)),
+                                 (SYM, symrestriction_exists, (2, 3))):
+        for k in orders:
+            cases = {"2<2>/F3": (scaled_unit(k), seeded(F3, (2,) * k)),
+                     "zero 1^k/F2": (zero_target(k), seeded(F2, (2,) * k))}
+            if search is restriction_exists:  # not cubical, which the symmetric search refuses
+                cases["random (1, 2, ...)/F2"] = (seeded(F2, (1,) + (2,) * (k - 1), 1),
+                                                  seeded(F2, (2,) * k))
+            for name, (g, f) in cases.items():
+                yield (f"{what} k={k} {name}",
+                       (search, g, f, ValueError, f"^{what} takes only unit targets <e>$"))
+
+
+# name -> (search, g, f, error, message): a target other than <e> is refused
+# by name, and the order, domain and cubical checks still answer first
+TARGET_CHECKS = {
+    **dict(refusal_cases()),
+    f"{PLAIN} 2<2>/C": (restriction_exists, scaled_unit(3, C), Tensor(C, np.ones((2, 2, 2))),
+                        DomainError, f"^{PLAIN} runs over prime fields only$"),
+    f"{SYM} 2<2>/C": (symrestriction_exists, scaled_unit(3, C), Tensor(C, np.ones((2, 2, 2))),
+                      DomainError, f"^{SYM} runs over prime fields only$"),
+    f"{PLAIN} order mismatch": (restriction_exists, scaled_unit(2), seeded(F3, (2, 2, 2)),
+                                ValueError, "^order mismatch: 2 vs 3$"),
+    f"{SYM} order mismatch": (symrestriction_exists, scaled_unit(2), seeded(F3, (2, 2, 2)),
+                              ValueError, "^order mismatch: 2 vs 3$"),
+    f"{SYM} not cubical": (symrestriction_exists, seeded(F2, (1, 2, 2), 1),
+                           seeded(F2, (2, 2, 2)), ValueError, f"^{SYM} needs cubical tensors$"),
+}
+
+
+@pytest.mark.parametrize("budget", [DEFAULT_BUDGET, 0], ids=["default", "budget0"])
+@pytest.mark.parametrize("name", sorted(TARGET_CHECKS))
+def test_non_unit_targets_are_refused_after_the_earlier_checks(name, budget):
+    """The plain search above order 2 and the symmetric search at every order
+    refuse a target that is not <e> with a ValueError naming the search, also
+    at budget 0, so before the budget gate; the order, domain and cubical
+    checks come first."""
+    search, g, f, error, message = TARGET_CHECKS[name]
+    with pytest.raises(error, match=message) as info:
+        search(g, f, budget)
+    assert info.type is error
 
 
 def test_search_budget_raises_with_details():
@@ -368,28 +427,6 @@ def test_quotiented_searches_match_brute_force_2x2x2():
         sym = symrestriction_exists(g, f)
         assert (sym is not None) == brute_symrestricts(f, 2), f.array.tolist()
         assert sym is None or verify_certificate(sym, f)
-
-
-def test_symmetric_search_for_other_targets_matches_brute_force():
-    """A target other than <e> takes every row at every depth, not only the
-    orbit leads past the chosen row.  Half the targets are images of f, so
-    finds and refutations both occur."""
-    rng = np.random.default_rng(15)
-    answers = []
-    for domain in (F2, F3):
-        for i, f in enumerate(sampled_tensors(domain, (2, 2, 2), 40, seed=16)):
-            if i % 2:
-                g = Tensor(domain, rng.integers(0, domain.p, size=(2, 2, 2)))
-            else:
-                g = apply_sym(LinearMap(domain, rng.integers(0, domain.p, (2, 2))), f)
-            if _is_unit(g):
-                continue
-            cert = symrestriction_exists(g, f)
-            found = brute_symrestricts(f, 2, g)
-            assert (cert is not None) == found, (f.array.tolist(), g.array.tolist())
-            assert cert is None or verify_certificate(cert, f)
-            answers.append(cert is not None)
-    assert any(answers) and not all(answers)
 
 
 def planted_units(e, k, count, seed):
@@ -744,17 +781,18 @@ def test_symrank_gate_comes_before_the_vectors():
 
 
 def test_zero_dimension_legs():
-    """A zero 1 x 1 x 1 target restricts from f with a leg of dimension 0:
-    the 1 x 0 map is the certificate."""
-    g = Tensor(F2, np.zeros((1, 1, 1), dtype=np.int64))
+    """An f with a leg of dimension 0 has flattening rank 0, so <1> does not
+    restrict from it; the zero 1 x 1 x 1 target is not a unit tensor, and
+    both searches refuse it."""
+    zero = Tensor(F2, np.zeros((1, 1, 1), dtype=np.int64))
     plain_f = Tensor(F2, np.zeros((0, 2, 2), dtype=np.int64))
     sym_f = Tensor(F2, np.zeros((0, 0, 0), dtype=np.int64))
-    plain = restriction_exists(g, plain_f)
-    assert [m.array.shape for m in plain.maps] == [(1, 0), (1, 2), (1, 2)]
-    assert verify_certificate(plain, plain_f)
-    sym = symrestriction_exists(g, sym_f)
-    assert sym.maps[0].array.shape == (1, 0)
-    assert verify_certificate(sym, sym_f)
+    with pytest.raises(ValueError, match="^restriction search takes only unit targets"):
+        restriction_exists(zero, plain_f)
+    with pytest.raises(ValueError, match="^symmetric restriction search takes only unit"):
+        symrestriction_exists(zero, sym_f)
+    assert restriction_exists(unit_tensor(1, 3, F2), plain_f) is None
+    assert symrestriction_exists(unit_tensor(1, 3, F2), sym_f) is None
     assert [row.tolist() for row in _row_blocks(2, 0, None, size=4)] == [[[]]]
     assert list(_row_blocks(2, 0, (1,), size=4)) == []
 
@@ -783,8 +821,6 @@ PINNED_RESTRICTION_MAPS = {
                            [[0, 1, 1], [1, 0, 0], [1, 1, 0]]],
     "subrank/order4/0": [[[1, 0], [1, 1]], [[1, 1], [1, 0]], [[0, 1], [1, 1]], [[0, 1], [1, 1]]],
     "subrank/order4/1": [[[0, 1], [1, 0]], [[1, 1], [1, 0]], [[1, 1], [1, 0]], [[1, 1], [1, 0]]],
-    "restrict/2<2>/F3/3": [[[1, 0], [1, 2]], [[1, 1], [0, 1]], [[1, 1], [0, 1]]],
-    "restrict/122/F2/2": [[[0, 1]], [[0, 0], [1, 0]], [[0, 1], [0, 1]]],
 }
 
 
@@ -796,81 +832,52 @@ def two_vertex_tensor(mask):
 
 
 def pinned_restriction(name):
-    """(target, f) of a pinned instance; the target is None for subrank_exact."""
-    kind, family, *rest = name.split("/")
+    """The tensor f of a pinned subrank_exact instance."""
+    _, family, *rest = name.split("/")
     if family == "tight":
-        return None, tight_tensor()
+        return tight_tensor()
     if family == "W":
-        return None, w_tensor(F3)
+        return w_tensor(F3)
     if family == "rand2x2x2":
-        return None, Tensor(F3, np.random.default_rng(int(rest[1])).integers(0, 3, (2, 2, 2)))
+        return Tensor(F3, np.random.default_rng(int(rest[1])).integers(0, 3, (2, 2, 2)))
     if family == "2v":
-        return None, two_vertex_tensor(int(rest[0]))
-    if family in ("planted3", "order4"):
-        e, k = (3, 3) if family == "planted3" else (2, 4)
-        return None, list(planted_units(e, k, 3, seed=12))[int(rest[0])]
-    seed = int(rest[1])
-    if family == "2<2>":
-        return (Tensor(F3, 2 * unit_tensor(2, 3, F3).array),
-                Tensor(F3, np.random.default_rng(seed).integers(0, 3, (2, 2, 2))))
-    return (Tensor(F2, np.random.default_rng(seed + 100).integers(0, 2, (1, 2, 2))),
-            Tensor(F2, np.random.default_rng(seed).integers(0, 2, (2, 2, 2))))
+        return two_vertex_tensor(int(rest[0]))
+    e, k = (3, 3) if family == "planted3" else (2, 4)
+    return list(planted_units(e, k, 3, seed=12))[int(rest[0])]
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_RESTRICTION_MAPS))
 def test_restriction_certificates_are_pinned(name):
-    g, f = pinned_restriction(name)
-    if g is None:
-        value, cert = subrank_exact(f)
-        assert value == len(PINNED_RESTRICTION_MAPS[name][0])
-    else:
-        cert = restriction_exists(g, f)
+    f = pinned_restriction(name)
+    value, cert = subrank_exact(f)
+    assert value == len(PINNED_RESTRICTION_MAPS[name][0])
     assert [m.array.tolist() for m in cert.maps] == PINNED_RESTRICTION_MAPS[name]
     assert verify_certificate(cert, f)
 
 
-def brute_images(f):
-    """Every image (A1 (x) A2 (x) A3) f of a 2 x 2 x 2 tensor over F2 with
-    maps of e_l x 2 rows, for the target shapes (2, 1, 1) and (1, 2, 2)."""
-    images = {}
-    for shape in ((2, 1, 1), (1, 2, 2)):
-        maps = [all_maps(e, 2, 2) for e in shape]
-        image = np.einsum("aix,bjy,ckz,xyz->abcijk", *maps, f.array) % 2
-        images[shape] = {arr.tobytes() for arr in image.reshape(-1, *shape)}
-    return images
-
-
-def test_non_unit_targets_match_brute_force():
-    """Every target of shape (2, 1, 1) and (1, 2, 2) against every map tuple."""
-    targets = [*every_tensor(F2, (2, 1, 1)), *every_tensor(F2, (1, 2, 2))]
-    for f in sampled_tensors(F2, (2, 2, 2), 30, seed=21):
-        images = brute_images(f)
-        for g in targets:
-            cert = restriction_exists(g, f)
-            found = g.array.astype(np.int64).tobytes() in images[g.dims]
-            assert (cert is not None) == found, (f.array.tolist(), g.array.tolist())
-            assert cert is None or verify_certificate(cert, f)
-
-
-def test_scaled_unit_target_matches_the_unit():
-    """2<2> over F3 is not a unit tensor, so every map is tried; scaling one
-    map by 2 turns a restriction onto <2> into one onto 2<2>, and back."""
+def test_scaled_unit_target_is_refused():
+    """2<2> over F3 is not a unit tensor, so both searches refuse it on every
+    f, those whose flattening ranks already rule <2> out included, while
+    <2> itself gets an answer."""
     g = Tensor(F3, 2 * unit_tensor(2, 3, F3).array)
+    ranks = set()
     for f in sampled_tensors(F3, (2, 2, 2), 20, seed=22):
-        scaled = restriction_exists(g, f)
+        with pytest.raises(ValueError, match="^restriction search takes only unit targets"):
+            restriction_exists(g, f)
+        with pytest.raises(ValueError, match="^symmetric restriction search takes only unit"):
+            symrestriction_exists(g, f)
         unit = restriction_exists(unit_tensor(2, 3, F3), f)
-        assert (scaled is None) == (unit is None), f.array.tolist()
-        assert scaled is None or verify_certificate(scaled, f)
         assert unit is None or verify_certificate(unit, f)
+        ranks.add(_least_flattening_rank(f))
+    assert min(ranks) < 2 <= max(ranks)
 
 
 def first_certificate(g, f):
     """The reference for the plain search: map tuples in _maps order on legs
     1..k-1, one at a time, and the first whose last leg solves, by
     linalg.solve_stack on a stack of one (its maps as lists), or None."""
-    p, k = f.domain.p, f.order
-    unit = tensors_equal(g, unit_tensor(g.dims[0], k, f.domain))
-    legs = [np.concatenate(list(_maps(p, d, e, (1,) if unit else None, leg == 0, 64)))
+    p = f.domain.p
+    legs = [np.concatenate(list(_maps(p, d, e, (1,), leg == 0, 64)))
             for leg, (e, d) in enumerate(zip(g.dims[:-1], f.dims[:-1]))]
     G = g.array.reshape(-1, g.dims[-1])
     for maps in itertools.product(*legs):
@@ -884,8 +891,8 @@ def first_certificate(g, f):
 
 
 def first_certificate_cases():
-    """(g, f) pairs: unit and non-unit targets, e = 1..3, orders 3 and 4,
-    over F2, F3 and F5; random f, and f planted as an image of <e>."""
+    """(<e>, f) pairs: e = 1..3, orders 3 and 4, over F2, F3 and F5; random
+    f, and f planted as an image of <e>."""
     rng = np.random.default_rng(23)
     for domain, shape, es in [
         (F2, (2, 2, 2), (1, 2)), (F3, (2, 2, 2), (1, 2)), (F5, (2, 2, 2), (2,)),
@@ -904,22 +911,6 @@ def first_certificate_cases():
                             maps.append(LinearMap(domain, A))
                     f = apply(maps, g)
                 yield g, f
-    for domain, shape, target in [
-        (F2, (2, 2, 2), (1, 2, 2)), (F2, (2, 2, 2), (2, 1, 1)), (F3, (2, 2, 2), (2, 1, 2)),
-        (F5, (2, 2, 2), (1, 1, 2)), (F2, (2, 2, 2, 2), (1, 2, 1, 2)),
-    ]:
-        p = domain.p
-        for planted in (False, True, True):
-            f = Tensor(domain, rng.integers(0, p, shape))
-            g = Tensor(domain, rng.integers(0, p, target))
-            if planted:
-                g = apply([LinearMap(domain, rng.integers(0, p, (e, d)))
-                           for e, d in zip(target, shape)], f)
-            yield g, f
-    # a scaled unit tensor is not a unit tensor: every map is tried
-    for seed in (0, 3):
-        yield (Tensor(F3, 2 * unit_tensor(2, 3, F3).array),
-               Tensor(F3, np.random.default_rng(seed).integers(0, 3, (2, 2, 2))))
 
 
 def test_restriction_returns_the_first_certificate():
