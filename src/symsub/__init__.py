@@ -15,8 +15,8 @@ names below resolve through their home submodule when first read, so
 
 _EXPORTS = {
     "congruence": """CongruenceError CongruenceResult DomainTooSmallError
-        MatrixSymsubrankResult MissingSquareRootError
-        PivotSearchExhaustedError PowerDiagResult SkewInputError SymDiagResult
+        MatrixSymsubrankResult MissingSquareRootError PowerDiagResult
+        SkewInputError SymDiagResult
         ballantine_reduce congruence_result_to_json is_skew_zero_diag
         matrix_symsubrank power_diag_certificate sym_diagonalize""",
     "domains": "ComplexNumbers Domain DomainError PrimeField domain_from_name",

@@ -156,7 +156,7 @@ def _cmd_symsubrank(args, inputs):
     if f.order == 2:
         from .congruence import matrix_symsubrank
 
-        res = matrix_symsubrank(f, budget=args.budget, seed=args.seed)
+        res = matrix_symsubrank(f, budget=args.budget)
         outputs = {
             "mode": res.mode,
             "lower": res.lower,
@@ -191,7 +191,7 @@ def _cmd_congruence(args, inputs):
     from .congruence import ballantine_reduce, congruence_result_to_json
     from .tensors import matrix_rank
 
-    res = ballantine_reduce(f, seed=args.seed)
+    res = ballantine_reduce(f)
     outputs = congruence_result_to_json(res)
     outputs["rank"] = matrix_rank(f)
     return outputs, "verified"
@@ -202,7 +202,7 @@ def _cmd_diagonalize(args, inputs):
     from .congruence import sym_diagonalize
     from .tensors import map_to_json, tensor_to_json
 
-    res = sym_diagonalize(f, seed=args.seed)
+    res = sym_diagonalize(f)
     outputs = {
         "B": map_to_json(res.B),
         "D": tensor_to_json(res.D),
@@ -407,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit the report as JSON")
     common.add_argument(
-        "--seed", type=_non_negative, default=0, help="seed for all randomness"
+        "--seed", type=_non_negative, default=0, help="seed of the quantum optimizer restarts"
     )
     common.add_argument(
         "--budget", type=_non_negative, default=DEFAULT_BUDGET, help="search budget cap"

@@ -420,6 +420,45 @@ def test_congruence_and_diagonalize(tmp_path, capsys):
     assert rep["outputs"]["rank"] == 3
 
 
+def _near_tolerance_matrices():
+    """default_rng(7)'s 4x4 complex matrix scaled by 1e-9, and a rank-2
+    symmetric 5x5 plus 1e-8 symmetric noise (default_rng(0))."""
+    rng = np.random.default_rng(7)
+    tiny = (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))) * 1e-9
+    rng = np.random.default_rng(0)
+    V = rng.normal(size=(2, 5)) + 1j * rng.normal(size=(2, 5))
+    N = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    return {"tiny": tiny, "rank2-noise": V.T @ V + 1e-8 * (N + N.T)}
+
+
+@pytest.mark.parametrize("command", ["congruence", "diagonalize", "symsubrank"])
+@pytest.mark.parametrize("name", sorted(_near_tolerance_matrices()))
+def test_complex_matrices_near_the_tolerance_reduce_or_are_invalid_input(
+        tmp_path, capsys, command, name):
+    """Valid input ends in a result or in one invalid-input line, never in
+    an internal error; a reduction's diagNonzeros is the rank that `rank`
+    reports.  The file is written by hand: the tensor writer drops entries
+    within 1e-9 of zero."""
+    M = _near_tolerance_matrices()[name]
+    entries = [{"idx": [i + 1, j + 1], "val": [M[i, j].real, M[i, j].imag]}
+               for i in range(len(M)) for j in range(len(M))]
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"order": 2, "dims": list(M.shape), "domain": "C",
+                                "entries": entries}))
+    code = run([command, "--tensor", str(path), "--json"])
+    captured = capsys.readouterr()
+    if code:
+        assert (code, captured.out) == (1, "")
+        assert re.fullmatch(r"error: invalid-input: [^\n]*\n", captured.err), captured.err
+        return
+    assert captured.err == ""
+    outputs = json.loads(captured.out)["outputs"]
+    if command == "congruence":
+        assert run(["rank", "--tensor", str(path), "--json"]) == 0
+        rank = json.loads(capsys.readouterr().out)["outputs"]["rank"]
+        assert outputs["diagNonzeros"] == outputs["rank"] == rank
+
+
 def test_json_reports_are_deterministic(ws, capsys):
     run(["hypergraph", "chain", "--graph", ws["c5_graph"], "--domain", "F2", "--json"])
     first = capsys.readouterr().out

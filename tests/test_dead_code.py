@@ -1,6 +1,6 @@
 """Dead code in the package, found by reading its source (standard library only).
 
-Six rules, the first four checked over every module in ``src/symsub``:
+Seven rules, the first five checked over every module in ``src/symsub``:
 
 * every name an import binds is read in the scope holding the import (a
   module-level import may also be listed in ``__all__``, as a re-export);
@@ -8,6 +8,10 @@ Six rules, the first four checked over every module in ``src/symsub``:
   package outside its own body;
 * no check is an ``assert`` statement, since ``python -O`` strips them, nor
   a ``raise AssertionError``: an internal check raises ``RuntimeError``;
+* every parameter of a function, a method or a nested function is read
+  as a name in its body (a nested function's body counts), or kept in
+  ``KEPT_PARAMETERS`` with its reason; dunder methods, and the first
+  parameter of other methods unless they are static, are exempt;
 * every public method of the two domain classes is called as ``.name(``
   in some module other than ``domains.py``, on a receiver that is not
   rooted at a name the calling module imports (``np.sqrt(`` or
@@ -68,6 +72,15 @@ KEPT_KNOBS = {
                                  "gate; the CLI sets it on the other four searches",
     "symrestriction_exists.budget": "every exact search shares the one candidate budget "
                                     "gate; the CLI sets it on the other four searches",
+}
+
+
+# Parameters no body reads, each kept for the reason given.
+KEPT_PARAMETERS = {
+    "ballantine_reduce.seed": "ignored since the reduction is one deterministic pass; "
+                              "perfbench/workloads.py still passes it",
+    "sym_diagonalize.seed": "ignored since the reduction is one deterministic pass; "
+                            "perfbench/workloads.py still passes it",
 }
 
 
@@ -284,6 +297,36 @@ def uncalled_private_functions(trees):
             and total[node.name] == references(node)[node.name]]
 
 
+def unread_parameters(tree):
+    """'qualified.name.param' for each parameter of a function below
+    ``tree`` that its body never reads; dunder methods, and the first
+    parameter (self, cls) of a method that is not static, are exempt."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+                continue
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, prefix)
+                continue
+            name, args = f"{prefix}{child.name}", child.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + [
+                a for a in (args.vararg, args.kwarg) if a]
+            if isinstance(node, ast.ClassDef) and not any(
+                    getattr(d, "id", None) == "staticmethod" for d in child.decorator_list):
+                params = params[1:]
+            read = {n.id for stmt in child.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            if not (child.name.startswith("__") and child.name.endswith("__")):
+                found.extend(f"{name}.{a.arg}" for a in params if a.arg not in read)
+            visit(child, f"{name}.")
+
+    visit(tree, "")
+    return found
+
+
 def assert_statements(tree):
     """'line N' for each ``assert`` statement."""
     return [f"line {n.lineno}" for n in ast.walk(tree) if isinstance(n, ast.Assert)]
@@ -344,6 +387,20 @@ def test_no_internal_error_is_an_assertion_error():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
+def test_every_parameter_is_read():
+    found = {name: unread_parameters(tree) for name, tree in SOURCES.items()}
+    assert {name: [p for p in params if p not in KEPT_PARAMETERS]
+            for name, params in found.items()
+            if set(params) - set(KEPT_PARAMETERS)} == {}
+
+
+def test_kept_parameters_are_parameters_no_body_reads():
+    """A kept parameter that its body comes to read, or that is deleted,
+    leaves ``KEPT_PARAMETERS``."""
+    assert sorted(p for tree in SOURCES.values() for p in unread_parameters(tree)) == sorted(
+        KEPT_PARAMETERS)
+
+
 def test_every_public_domain_method_is_called_elsewhere():
     assert uncalled_domain_methods(SOURCES) == []
 
@@ -368,8 +425,10 @@ def test_kept_knobs_are_knobs_no_caller_sets():
 
 def test_the_rules_catch_what_they_name():
     """An unused import, also one inside a function, a private function
-    that only calls itself and a nested assert are found; a function used
-    elsewhere and an explicit raise are not."""
+    that only calls itself, a nested assert and an unread parameter, also
+    ``*args`` or one of a nested function or a static method, are found; a
+    function used elsewhere, an explicit raise, a parameter a nested
+    function reads, ``self``, ``cls`` and a dunder's parameters are not."""
     tree = ast.parse("from typing import Optional, Tuple\n"
                      "def _dead() -> Tuple: return _dead()\n"
                      "def _used(): import json\n")
@@ -381,6 +440,13 @@ def test_the_rules_catch_what_they_name():
     assert assertion_error_raises(checks) == ["line 4"]
     assert assertion_error_raises(ast.parse("raise AssertionError('x')\nraise RuntimeError('y')\n")) == [
         "line 1"]
+    params = ast.parse(
+        "def f(read, unread, *args, key=1, **kw):\n    def inner(x): return read + key\n"
+        "    return inner(kw)\n"
+        "class K:\n    def m(self, a): pass\n    def __eq__(self, other): return True\n"
+        "    @staticmethod\n    def s(a, b): return b\n"
+        "    @classmethod\n    def c(cls, v): return v\n")
+    assert unread_parameters(params) == ["f.unread", "f.args", "f.inner.x", "K.m.a", "K.s.a"]
     domains = ast.parse("class F:\n    @property\n    def name(self): pass\n"
                         "    def used(self): pass\n    def sqrt(self): pass\n"
                         "    def reduce(self): pass\n    def dead(self): pass\n"

@@ -22,8 +22,8 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 # The package's exports, by home submodule.
 EXPORTS = {
     "congruence": """CongruenceError CongruenceResult DomainTooSmallError
-        MatrixSymsubrankResult MissingSquareRootError PivotSearchExhaustedError
-        PowerDiagResult SkewInputError SymDiagResult ballantine_reduce
+        MatrixSymsubrankResult MissingSquareRootError PowerDiagResult
+        SkewInputError SymDiagResult ballantine_reduce
         congruence_result_to_json is_skew_zero_diag matrix_symsubrank
         power_diag_certificate sym_diagonalize""",
     "domains": "ComplexNumbers Domain DomainError PrimeField domain_from_name",

@@ -291,7 +291,7 @@ def _nan_corner():
     lambda: symsub.sandwich_check(Tensor(C, _nan_corner())),
     lambda: flattening_rank(Tensor(C, _nan_corner()), [0]),
     lambda: tensor_to_json(Tensor(C, _nan_corner())),
-    # 64 restarts, then PivotSearchExhaustedError
+    # Tensor(C, ...) refuses the NaN before any reduction
     lambda: symsub.ballantine_reduce(Tensor(C, [[np.nan, 1], [2, 3]])),
     # "not symmetric"
     lambda: symsub.sym_diagonalize(Tensor(C, [[np.inf, 1], [1, 3]])),
