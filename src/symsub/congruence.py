@@ -5,11 +5,12 @@ square matrix over a field with at least three elements that is not a
 nonzero skew matrix with zero diagonal is congruent (B f B^T) to a lower
 triangular matrix with exactly rank(f) nonzero diagonal entries.  The
 classical proof is nonconstructive for our purposes, so the reduction here
-is its own pivot-projection algorithm: one deterministic pass whose output
-contract is verified after the fact.  Over F_p a broken contract is an
-internal error (RuntimeError); over C, where every zero is decided by the
-absolute 1e-9 rule of ``Domain.nonzero``, it is a CongruenceError: that
-tolerance cannot decide the input.
+is its own pivot-projection algorithm: one deterministic pass, with the
+same pivot candidates in every field (basis vectors, then pairwise sums),
+whose output contract is verified after the fact.  Over F_p a broken
+contract is an internal error (RuntimeError); over C, where every zero is
+decided by the absolute 1e-9 rule of ``Domain.nonzero``, it is a
+CongruenceError: that tolerance cannot decide the input.
 
 On top of it: symmetric diagonalization to I_r (+) 0 (square roots
 permitting), exact-or-bounded matrix symmetric subrank, and the
@@ -140,25 +141,26 @@ def ballantine_reduce(f: Tensor, seed: int = 0) -> CongruenceResult:
 
     Pivot strategy: the remaining space is the rows z of a matrix Z, and
     each step computes one Gram matrix Q = Z f Z^T.  A candidate
-    u = z_i + c z_j (basis vectors, then pairwise sums, then scaled sums
-    over C) has quadratic value q(u) = (Q_ii + c^2 Q_jj) + c (Q_ij + Q_ji)
-    and pairing f(u, z_k) = Q_ik + c Q_jk; pick u with q(u) != 0 (the first
-    over F_p, the largest |q| over C), annihilate its pairing with the rest
-    of the space by one rank-one update z <- z - (f(u,z)/q(u)) u; recurse.
-    A remainder on which q vanishes identically is a skew block; it is
+    u = z_i + c z_j (basis vectors, c = 0, then pairwise sums, c = 1, in
+    every field) has quadratic value q(u) = (Q_ii + c^2 Q_jj) + c (Q_ij +
+    Q_ji) and pairing f(u, z_k) = Q_ik + c Q_jk; pick u with q(u) != 0 (the
+    first over F_p, the largest |q| over C), annihilate its pairing with
+    the rest of the space by one rank-one update z <- z - (f(u,z)/q(u)) u;
+    recurse.  No scaled sum is needed (see :func:`_find_pivot`).  A
+    remainder on which q vanishes identically is a skew block; it is
     broken by mixing the last processed pivot back in (q(w + c p) =
-    c f(w,p) + c^2 q(p) is nonzero for a good scalar c), demoting that
-    pivot into the space.  One pass reduces f itself, and its output
-    contract is verified once (see :func:`_validated`).
+    c f(w,p) + c^2 q(p) is nonzero for c = 1 or 2: if q(w + p) = 0 then
+    q(w + 2p) = 2 q(p) != 0), demoting that pivot into the space.  One pass
+    reduces f itself, and its output contract is verified once (see
+    :func:`_validated`).
 
     Over F_p, p odd, one pass suffices: a remainder on which q vanishes but
-    f does not is alternating, and mixing finds a pivot with c = 1 or 2 (if
-    q(w + p) = 0 then q(w + 2p) = 2 q(p) != 0).  Every other step takes a
-    pivot, at most rank f of them; a mixing step keeps the count, and with
-    no bound proved on how many can follow each other the cap of 8d + 16
-    steps stays (at most 2d were seen: every 2x2 and 3x3 matrix over F3,
-    every 2x2 over F5 and F7, skew blocks plus one diagonal entry up to
-    d = 48).  Over C every zero the pass decides, pivot values and the
+    f does not is alternating, and mixing finds a pivot.  Every other step
+    takes a pivot, at most rank f of them; a mixing step keeps the count,
+    and with no bound proved on how many can follow each other the cap of
+    8d + 16 steps stays (at most 2d were seen: every 2x2 and 3x3 matrix
+    over F3, every 2x2 over F5 and F7, skew blocks plus one diagonal entry
+    up to d = 48).  Over C every zero the pass decides, pivot values and the
     diagonal count alike, is ``Domain.nonzero``'s absolute 1e-9 rule, the
     one ``matrix_rank`` pivots by.  Failures are raised as :func:`_refuse`
     says.  ``seed`` is ignored, kept only because the benchmark workloads
@@ -252,9 +254,8 @@ def _reduce_pass(farr: np.ndarray, domain: Domain) -> np.ndarray:
             if pivots:  # over C none may be left: the skew test has a tolerance
                 Z = np.concatenate((Z, [pivots.pop()]))
                 Q = _product3(Z, farr, Z.T, domain)
-                # q(w) = 0, so over F_p if q(w + p) = 0 then q(w + 2p) = 2 q(p) != 0
-                cs = (1, 2) if isinstance(domain, PrimeField) else (1,) + _COMPLEX_SCALARS
-                c = next((c for c in cs if not domain.is_zero(_score(Q, w, -1, c))), None)
+                # q(w) = 0, so if q(w + p) = 0 then q(w + 2p) = 2 q(p) != 0
+                c = next((c for c in (1, 2) if not domain.is_zero(_score(Q, w, -1, c))), None)
             if c is None:
                 raise _refuse(domain, "no pivot breaks a skew remainder")
             pick = w, -1, c
@@ -272,56 +273,47 @@ def _reduce_pass(farr: np.ndarray, domain: Domain) -> np.ndarray:
     return np.vstack(pivots + [Z])
 
 
-# scalars c tried in z_i + c z_j over C; over F_p they are never needed
-_COMPLEX_SCALARS = (-1.0, 2.0, 1j)
-
-
 def _score(Q: np.ndarray, i, j, c):
     """q(z_i + c z_j) = (Q_ii + c^2 Q_jj) + c (Q_ij + Q_ji) from the Gram
-    matrix Q = Z f Z^T, unreduced; i, j and c may be arrays.  In this order
-    the mirrored candidates z_i - z_j and z_j - z_i get bit-equal values."""
+    matrix Q = Z f Z^T, unreduced; i, j and c may be arrays."""
     return (Q[i, i] + c * c * Q[j, j]) + c * (Q[i, j] + Q[j, i])
 
 
 @functools.lru_cache(maxsize=32)
-def _candidates(n: int, field: bool) -> Tuple[np.ndarray, np.ndarray, object]:
-    """(I, J, c): the candidates z_I + c z_J that :func:`_find_pivot` scores
-    over n rows, in its order, built once per size and shared, so
-    read-only; over F_p only the pairwise sums (c = 1)."""
+def _candidates(n: int) -> np.ndarray:
+    """The rows (I, J, c) of the candidates z_I + c z_J that
+    :func:`_find_pivot` scores over n rows, in its order: the basis vectors
+    (I = J, c = 0), then the pairwise sums (I < J row-major, c = 1).  One
+    table per size for every field, built once and shared, so read-only."""
     k = np.arange(n)
-    i, j = (k[:, None] != k).nonzero()  # i != j, row-major
-    pairs, m = i < j, len(_COMPLEX_SCALARS)
-    if field:
-        tables = [i[pairs], j[pairs]]
-    else:
-        tables = [np.concatenate([k, i[pairs]] + [i] * m),
-                  np.concatenate([k, j[pairs]] + [j] * m),
-                  np.repeat([0, 1, *_COMPLEX_SCALARS], [n, pairs.sum()] + [len(i)] * m)]
-    for a in tables:
-        a.setflags(write=False)
-    return (*tables, 1) if field else tuple(tables)
+    i, j = np.triu_indices(n, 1)
+    table = np.array([np.concatenate([k, i]), np.concatenate([k, j]),
+                      np.repeat([0, 1], [n, len(i)])])
+    table.setflags(write=False)
+    return table
 
 
-def _find_pivot(Q, domain) -> Optional[Tuple[int, int, object]]:
+def _find_pivot(Q, domain) -> Optional[Tuple[int, int, int]]:
     """First (prime fields) or largest-|q| (complex) z_i + c z_j with q != 0,
     scored from the Gram matrix Q = Z f Z^T of the rows z of Z: basis
-    vectors (c = 0), pairwise sums (i < j, c = 1), then (complex only)
-    scaled sums (i != j, c in _COMPLEX_SCALARS); an exact tie goes to the
-    first in that order.  Over C, q != 0 is ``Domain.nonzero``'s |q| > 1e-9.
-    Returns (i, j, c).
+    vectors (c = 0), then pairwise sums (i < j, c = 1); an exact tie goes to
+    the first in that order.  Over C, q != 0 is ``Domain.nonzero``'s
+    |q| > 1e-9.  Returns (i, j, c).
 
-    Over F_p, if q vanishes on z_i, z_j and z_i + z_j, then Q_ij + Q_ji = 0
-    and q(z_i + c z_j) = 0 for every c, so no scaled sum can be the first
-    pivot.
+    No other candidate is needed, in any field: if q vanishes on z_i, z_j
+    and z_i + z_j, then Q_ij + Q_ji = 0 and q(z_i + c z_j) = 0 for every c.
+    Over C a scaled sum z_i + 2 z_j could still outscore the plain sums,
+    its Q_jj term weighted by |c|^2 = 4, but the pivot it takes grows the
+    rows of Z.
     """
-    field = isinstance(domain, PrimeField)
-    I, J, c = _candidates(len(Q), field)
-    if field:
+    n = len(Q)
+    I, J, c = _candidates(n)
+    if isinstance(domain, PrimeField):
         hit = Q.diagonal().nonzero()[0]
         if hit.size:
             return hit[0], hit[0], 0
-        hit = domain.reduce(_score(Q, I, J, c)).nonzero()[0]
-        return (I[hit[0]], J[hit[0]], c) if hit.size else None
+        hit = domain.reduce(_score(Q, I[n:], J[n:], 1)).nonzero()[0]
+        return (I[n + hit[0]], J[n + hit[0]], 1) if hit.size else None
     scores = np.abs(_score(Q, I, J, c))
     best = int(np.argmax(scores))
     return (I[best], J[best], c[best]) if domain.nonzero(scores[best]) else None
@@ -524,7 +516,9 @@ def power_diag_certificate(L: Tensor, n: int) -> PowerDiagResult:
     one coordinate, so the extracted block is diagonal with nonzero
     diagonal.  Every pair is checked by the product formula directly,
     without materializing the power: one row block at a time, as the
-    entrywise product of the n gathered blocks L[T1_t, T2_t].
+    entrywise product of the n gathered blocks L[T1_t, T2_t].  A block
+    that breaks this is refused as :func:`_refuse` says: over C a product
+    of entries read as nonzero (or as zero) may cross the 1e-9 rule.
     """
     d = _require_square(L)
     domain = L.domain
@@ -560,10 +554,8 @@ def power_diag_certificate(L: Tensor, n: int) -> PowerDiagResult:
         bad = domain.nonzero(block) != (on_diag[:, None] == np.arange(size))
         if bad.any():  # the first bad pair in row-major order names the fault
             i, j = np.argwhere(bad)[0]
-            raise RuntimeError(
-                "internal error: zero on the extracted diagonal" if lo + i == j
-                else "internal error: extracted subtensor is not diagonal"
-            )
+            raise _refuse(domain, "zero on the extracted diagonal" if lo + i == j
+                          else "extracted subtensor is not diagonal")
         diag_values += [domain.normalize(v) for v in block[np.arange(len(rows)), on_diag]]
     # Python ints: d^n may pass int64, where np.ravel_multi_index refuses
     merged = (T.astype(object) @ [d ** (n - 1 - t) for t in range(n)]).tolist()

@@ -1,11 +1,15 @@
 """Dead code in the package, found by reading its source (standard library only).
 
-Seven rules, the first five checked over every module in ``src/symsub``:
+Eight rules, the first six checked over every module in ``src/symsub``:
 
 * every name an import binds is read in the scope holding the import (a
   module-level import may also be listed in ``__all__``, as a re-export);
 * every private module-level function is referred to somewhere in the
   package outside its own body;
+* every private module-level constant (a name that a module-level
+  assignment binds) is read, as a name or an attribute, somewhere in the
+  package outside the assignment that binds it; names are told apart by
+  name only, so a local of the same name counts as a reader;
 * no check is an ``assert`` statement, since ``python -O`` strips them, nor
   a ``raise AssertionError``: an internal check raises ``RuntimeError``;
 * every parameter of a function, a method or a nested function is read
@@ -297,6 +301,33 @@ def uncalled_private_functions(trees):
             and total[node.name] == references(node)[node.name]]
 
 
+def reads(node):
+    """How often each identifier is read below ``node``, as a name or an
+    attribute; stores do not count."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)) and not isinstance(n.ctx, ast.Store))
+
+
+def unread_private_constants(trees):
+    """'module: name' for each private module-level constant that nothing
+    outside the assignment binding it reads."""
+    total = sum((reads(tree) for tree in trees.values()), Counter())
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                targets = [node.target]
+            else:
+                continue
+            own = reads(node)
+            found += [f"{module}: {n.id}" for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name) and n.id.startswith("_")
+                      and not n.id.startswith("__") and total[n.id] == own[n.id]]
+    return found
+
+
 def unread_parameters(tree):
     """'qualified.name.param' for each parameter of a function below
     ``tree`` that its body never reads; dunder methods, and the first
@@ -375,6 +406,10 @@ def test_no_module_imports_a_name_it_never_uses():
 
 def test_every_private_function_is_called():
     assert uncalled_private_functions(SOURCES) == []
+
+
+def test_every_private_constant_is_read():
+    assert unread_private_constants(SOURCES) == []
 
 
 def test_no_check_is_an_assert_statement():
@@ -457,6 +492,21 @@ def test_the_rules_catch_what_they_name():
         "F.sqrt", "F.reduce", "F.dead"]
     assert uncalled_domain_methods({"domains.py": domains, "b.py": ast.parse(
         "def h(functools): functools.reduce(1)\nnp.sqrt(2)\n")}) == ["F.used", "F.dead"]
+
+
+def test_the_constant_rule_catches_what_it_names():
+    """A private constant nothing reads, also one of a tuple target or one
+    read only by its own assignment, is found; one read by name in a
+    function, or as an attribute from another module, or annotated and
+    read, is not, and public names, dunders and function locals are no
+    private constants."""
+    tree = ast.parse("_USED = 1\n_DEAD = 2\n_A, _B = 1, 2\n_T: int = 3\n"
+                     "_SELF = {k: 0 for k in range(2)}\n_LOOP = _LOOP if False else 0\n"
+                     "__dunder__ = 4\nPUBLIC = 5\n"
+                     "def f():\n    _LOCAL = _USED + _A\n")
+    other = ast.parse("from m import a\nprint(a._T)\n")
+    assert unread_private_constants({"a.py": tree, "b.py": other}) == [
+        "a.py: _DEAD", "a.py: _B", "a.py: _SELF", "a.py: _LOOP"]
 
 
 def test_the_export_rule_catches_what_it_names():
