@@ -12,9 +12,10 @@ contract is an internal error (RuntimeError); over C, where every zero is
 decided by the absolute 1e-9 rule of ``Domain.nonzero``, it is a
 CongruenceError: that tolerance cannot decide the input.
 
-On top of it: symmetric diagonalization to I_r (+) 0 (square roots
-permitting), exact-or-bounded matrix symmetric subrank, and the
-diagonal principal-subtensor certificate for powers of triangular matrices.
+On top of it: symmetric diagonalization to I_r (+) 0, from the Ballantine
+form over F_p (square roots permitting) and from one Takagi eigensolve
+over C; exact-or-bounded matrix symmetric subrank; and the diagonal
+principal-subtensor certificate for powers of triangular matrices.
 """
 
 from __future__ import annotations
@@ -345,12 +346,18 @@ class SymDiagResult:
 def sym_diagonalize(f: Tensor, seed: int = 0) -> SymDiagResult:
     """Congruence-diagonalize a symmetric matrix to I_r (+) 0.
 
-    Triangularizing a symmetric matrix already yields a diagonal L (the
-    congruence image is again symmetric); what remains is scaling each
-    nonzero diagonal entry by an inverse square root and moving the
-    nonzero entries to the front.  Over prime fields a needed root may not
-    exist, in which case MissingSquareRootError carries the diagonal form
-    reached so far.  A form that misses I_r (+) 0 is refused as
+    Over C (Takagi), one eigh of the real symmetric M = [[Re f, Im f],
+    [Im f, -Re f]] gives for each eigenpair (s, [x; y]), s > 0 a Takagi
+    value of f, z = x + iy with f conj(z) = s z, orthonormal even where s
+    repeats.  The rows of B are s^(-1/2) z^H for the r = matrix_rank(f)
+    largest s, refined once with an extended-precision residual, then an
+    orthonormal basis of {b : b f = 0}, by pivoted Gram-Schmidt on the z^H
+    of M's kernel block.  f is refused unless exactly r values s exceed
+    tol and B B^H, scaled to a unit diagonal, is invertible by Gershgorin's
+    theorem.  Over F_p each nonzero entry of the Ballantine form, diagonal
+    since f is symmetric, is scaled by an inverse square root
+    (MissingSquareRootError carries the form where one is missing) and
+    moved to the front.  A form that misses I_r (+) 0 is refused as
     :func:`_refuse` says; over C each entry must lie within 1e-9 of it, the
     rule the certificate of :func:`matrix_symsubrank` is checked by.
     ``seed`` is ignored, as in :func:`ballantine_reduce`.
@@ -359,23 +366,41 @@ def sym_diagonalize(f: Tensor, seed: int = 0) -> SymDiagResult:
     if not is_symmetric(f):
         raise CongruenceError("not symmetric")
     domain = f.domain
-    res, roots = _pivot_roots(f)
-    failed = [i for i, root in roots.items() if root is None]
-    if failed:
-        diag = np.diagonal(res.L.array)
-        raise MissingSquareRootError(
-            "missing square root: cannot normalize diagonal entries "
-            f"{[domain.normalize(diag[i]) for i in failed]}",
-            partial_B=res.B.array,
-            partial_D=domain.reduce(np.diag(diag)),
-            failed_indices=failed,
-        )
-    scales = np.ones(d, dtype=domain.dtype)
-    scales[list(roots)] = list(roots.values())
-    order = list(roots) + [i for i in range(d) if i not in roots]
-    B2 = domain.reduce((scales[:, None] * res.B.array)[order])
+    if isinstance(domain, ComplexNumbers):
+        r, farr = matrix_rank(f), f.array
+        M = np.array([[farr.real, farr.imag], [farr.imag, -farr.real]])
+        s, V = np.linalg.eigh(M.transpose(0, 2, 1, 3).reshape(2 * d, 2 * d))
+        if (above := int((s > domain.tol).sum())) != r:  # s ascends: -s, kernel block, s
+            raise _refuse(domain, f"{above} Takagi values above the tolerance for rank {r}")
+        Z = (V[:d] - 1j * V[d:]).T.copy()  # row k is z_k^H; C order, as map_to_json needs
+        wide = (Z[::-1][:r] / np.sqrt(s[::-1][:r, None])).astype(np.clongdouble)
+        B2 = (wide - (wide @ farr @ wide.T - np.eye(r)) @ wide / 2).astype(domain.dtype)
+        left = Z[r:2 * d - r]
+        for _ in range(d - r):
+            norms = np.linalg.norm(left, axis=1)
+            B2 = np.vstack([B2, left[norms.argmax()] / norms.max()])
+            left = left - np.outer(left @ B2[-1].conj(), B2[-1])
+        U = B2 / np.linalg.norm(B2, axis=1)[:, None]
+        if (np.abs(U @ U.conj().T).sum(axis=1) >= 2).any():  # off-diagonal row sums reach 1
+            raise _refuse(domain, "B is singular")
+    else:
+        res, roots = _pivot_roots(f)
+        failed = [i for i, root in roots.items() if root is None]
+        if failed:
+            diag = np.diagonal(res.L.array)
+            raise MissingSquareRootError(
+                "missing square root: cannot normalize diagonal entries "
+                f"{[domain.normalize(diag[i]) for i in failed]}",
+                partial_B=res.B.array,
+                partial_D=domain.reduce(np.diag(diag)),
+                failed_indices=failed,
+            )
+        scales = np.ones(d, dtype=domain.dtype)
+        scales[list(roots)] = list(roots.values())
+        order = list(roots) + [i for i in range(d) if i not in roots]
+        B2 = domain.reduce((scales[:, None] * res.B.array)[order])
+        r = len(roots)
     D = _product3(B2, f.array, B2.T, domain)
-    r = len(roots)
     target = np.zeros((d, d), dtype=domain.dtype)
     target[:r, :r] = np.eye(r, dtype=domain.dtype)
     if not domain.arrays_equal(D, target):

@@ -420,6 +420,25 @@ def test_congruence_and_diagonalize(tmp_path, capsys):
     assert rep["outputs"]["rank"] == 3
 
 
+def test_diagonalize_json_rebuilds_the_form_with_a_repeated_takagi_value(tmp_path, capsys):
+    """f = U diag(1, 1, 2, 0) U^T for a unitary U: Takagi values 1, 1, 2
+    and a kernel.  The B printed by `diagonalize --json` gives B f B^T
+    within 1e-9 of I_3 (+) 0, and its rank is what `rank` prints."""
+    rng = np.random.default_rng(11)
+    U, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    f = U @ np.diag([1, 1, 2, 0]) @ U.T
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(tensor_to_json(Tensor(C, f))))
+    code, rep, _ = run_json(capsys, ["diagonalize", "--tensor", str(path)])
+    assert code == 0
+    r = rep["outputs"]["rank"]
+    B = np.array([[complex(*v) for v in row] for row in rep["outputs"]["B"]["data"]])
+    want = np.zeros((4, 4), dtype=complex)
+    want[:r, :r] = np.eye(r)
+    assert np.abs(B @ f @ B.T - want).max() <= 1e-9
+    assert run_json(capsys, ["rank", "--tensor", str(path)])[1]["outputs"]["rank"] == r == 3
+
+
 def _near_tolerance_matrices():
     """default_rng(7)'s 4x4 complex matrix scaled by 1e-9, and a rank-2
     symmetric 5x5 plus 1e-8 symmetric noise (default_rng(0))."""

@@ -278,6 +278,84 @@ def test_sym_diagonalize_properties():
         assert np.abs(got - want).max() < 1e-8
 
 
+def _gram(rank, d, seed):
+    rng = np.random.default_rng(seed)
+    V = rng.normal(size=(rank, d)) + 1j * rng.normal(size=(rank, d))
+    return V.T @ V
+
+
+def _check_diagonal_form(f, res):
+    """rank = matrix_rank(f), B invertible, and B f B^T within 1e-9 of I_r (+) 0."""
+    d, r = f.dims[0], res.rank
+    assert r == matrix_rank(f)
+    assert linalg.rank(res.B.array, C) == d
+    want = np.zeros((d, d), dtype=complex)
+    want[:r, :r] = np.eye(r)
+    got = _product3(res.B.array, f.array, res.B.array.T, C)
+    assert np.abs(got - want).max(initial=0) <= 1e-9
+    assert np.array_equal(res.D.array, want)
+
+
+@pytest.mark.parametrize("M", [
+    np.zeros((0, 0)),
+    [[0]],
+    1j * np.eye(3),
+    1j * np.diag([1, 1, 2]),
+    [[0, 1], [1, 0]],
+    [[2, 1, 0], [1, -1, 3], [0, 3, 0]],
+    _gram(3, 5, 41),
+], ids=["0x0", "1x1-zero", "i*I3", "i*diag(1,1,2)", "swap", "real-indefinite", "gram-rank-d-2"])
+def test_sym_diagonalize_complex_cases(M):
+    """Empty and zero matrices, repeated Takagi values (i I_3, i diag(1, 1,
+    2)), a matrix with zero diagonal, a real indefinite one (congruent to
+    I over C, as -1 = i^2) and a Gram matrix of rank d - 2, whose rows
+    {b : b f = 0} are two of B's."""
+    f = Tensor(C, np.asarray(M, dtype=complex))
+    _check_diagonal_form(f, sym_diagonalize(f))
+
+
+def test_sym_diagonalize_complex_sweep():
+    """The first 60 inputs of sweep kinds 4 (symmetric) and 5 (symmetric
+    rank r plus symmetric noise of 10^-10 to 10^-6): every kind-4 input
+    is diagonalized, and 13 kind-5 inputs are, as many as the Ballantine
+    pass diagonalized before the Takagi eigensolve replaced it (13 of the
+    60 there too; over all 300 inputs 85 here against its 78).  The count
+    was measured where numpy's longdouble is the 80-bit x87 type, which
+    the one refinement step computes its residual in; where longdouble is
+    double that step gives 12.  Every refusal is a CongruenceError."""
+    for kind, want in ((4, 60), (5, 13)):
+        done = 0
+        for i in range(60):
+            f = Tensor(C, _sweep_matrix(kind, i))
+            try:
+                res = sym_diagonalize(f)
+            except CongruenceError as exc:
+                assert "complex zero tolerance 1e-9" in str(exc)
+                continue
+            _check_diagonal_form(f, res)
+            done += 1
+        assert done == want if kind == 4 else done >= want
+
+
+def test_sym_diagonalize_refuses_what_the_tolerance_cannot_decide(monkeypatch):
+    """Kind 5 #42 has Takagi values 3.9 and 5.1e-10, where elimination
+    keeps two pivots above 1e-9: refused for the rank mismatch.  A B made
+    singular on purpose (two equal eigenvectors) fails Gershgorin's bound
+    and is refused before any form check."""
+    with pytest.raises(CongruenceError, match="1 Takagi values above the tolerance for rank 2$"):
+        sym_diagonalize(Tensor(C, _sweep_matrix(5, 42)))
+    real = np.linalg.eigh
+
+    def eigh(M):
+        s, V = real(M)
+        V[:, -2] = V[:, -1]
+        return s, V
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    with pytest.raises(CongruenceError, match="complex zero tolerance 1e-9: B is singular$"):
+        sym_diagonalize(Tensor(C, np.eye(2)))
+
+
 def test_sym_diagonalize_over_prime_fields():
     """Over F_p the form I_r (+) 0 is exact, or MissingSquareRootError carries
     the diagonal form reached: diag(1, 2) over F5 needs a root of 1/2 = 3,
