@@ -21,7 +21,7 @@ import sys
 import time
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from ._common import DEFAULT_BUDGET
+from ._common import DEFAULT_BUDGET, domain_prime, read_certificate, read_tensor
 
 if TYPE_CHECKING:
     from .hypergraphs import Hypergraph
@@ -82,33 +82,44 @@ def _file_bytes(path: str) -> bytes:
         return fh.read()
 
 
-def _load_json_file(path: str) -> Tuple[dict, str]:
+def _input(args, inputs: Dict, name: str, read):
+    """``read`` of the JSON in input file ``name``, whose path and SHA-256
+    go into ``inputs``.  Every reader of an input file is numpy-free, so a
+    malformed file fails before numpy loads.  JSON nested past the
+    interpreter's recursion limit is malformed, not an internal error."""
+    path = getattr(args, name)
     raw = _file_bytes(path)
-    return json.loads(raw.decode("utf-8")), hashlib.sha256(raw).hexdigest()
+    inputs[name] = {"path": path, "sha256": hashlib.sha256(raw).hexdigest()}
+    text = raw.decode("utf-8")
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise json.JSONDecodeError("nested too deeply", text, 0) from None
+    return read(obj)
 
 
 def _read_tensor(args, inputs: Dict) -> Tensor:
-    obj, digest = _load_json_file(args.tensor)
-    inputs["tensor"] = {"path": args.tensor, "sha256": digest}
-    from .tensors import tensor_from_json
+    read = _input(args, inputs, "tensor", read_tensor)
+    from .tensors import _build_tensor
 
-    return tensor_from_json(obj)
+    return _build_tensor(read)
 
 
 def _read_graph(args, inputs: Dict) -> Hypergraph:
-    obj, digest = _load_json_file(args.graph)
-    inputs["graph"] = {"path": args.graph, "sha256": digest}
     from .hypergraphs import hypergraph_from_json
 
-    return hypergraph_from_json(obj)
+    return _input(args, inputs, "graph", hypergraph_from_json)
 
 
-def _read_certificate(args, inputs: Dict) -> Certificate:
-    obj, digest = _load_json_file(args.certificate)
-    inputs["certificate"] = {"path": args.certificate, "sha256": digest}
-    from .restrict import certificate_from_json
+def _read_tensor_and_certificate(args, inputs: Dict) -> Tuple[Tensor, Certificate]:
+    """Both files are read and checked before numpy loads, the tensor file
+    completely before the certificate file is opened."""
+    tensor = _input(args, inputs, "tensor", read_tensor)
+    cert = _input(args, inputs, "certificate", read_certificate)
+    from .restrict import _build_certificate
+    from .tensors import _build_tensor
 
-    return certificate_from_json(obj)
+    return _build_tensor(tensor), _build_certificate(cert)
 
 
 def _certificate_output(args, cert: Certificate) -> object:
@@ -212,6 +223,7 @@ def _cmd_diagonalize(args, inputs):
 
 
 def _cmd_waring(args, inputs):
+    domain_prime(args.domain)  # the tag is checked before numpy loads
     from .domains import domain_from_name
     from .symmetrize import waring_h
     from .tensors import LinearMap, map_to_json
@@ -245,8 +257,7 @@ def _cmd_createt(args, inputs):
 
 
 def _cmd_symmetrize(args, inputs):
-    f = _read_tensor(args, inputs)
-    rc = _read_certificate(args, inputs)
+    f, rc = _read_tensor_and_certificate(args, inputs)
     from .symmetrize import symmetrize_certificate
 
     res = symmetrize_certificate(f, rc)
@@ -295,6 +306,7 @@ def _cmd_hyper_power(args, inputs):
 
 def _cmd_hyper_chain(args, inputs):
     h = _read_graph(args, inputs)
+    domain_prime(args.domain)  # the tag is checked before numpy loads
     from .domains import domain_from_name
     from .hypergraphs import alpha_chain_check
 
@@ -373,8 +385,7 @@ def _cmd_quantum_check(args, inputs):
 
 
 def _cmd_verify(args, inputs):
-    f = _read_tensor(args, inputs)
-    cert = _read_certificate(args, inputs)
+    f, cert = _read_tensor_and_certificate(args, inputs)
     from .restrict import verify_certificate
 
     ok = verify_certificate(cert, f)

@@ -10,17 +10,22 @@ Every other module computes over one of two scalar domains:
 
 Domains are small immutable value objects, compared by value.  Each carries
 only the arithmetic the package calls, and one bulk zero test, ``nonzero``.
+The domain check (a tag, the prime test, the 2**16 limit) and
+:class:`DomainError` live in the numpy-free ``_common``, which the JSON reader
+shares; they are re-exported here.
 """
 
 from __future__ import annotations
 
 import cmath
-import operator
 from typing import Optional, Union
 
 import numpy as np
 
+from ._common import MAX_PRIME, DomainError, check_prime, domain_prime
+
 __all__ = [
+    "MAX_PRIME",
     "DomainError",
     "PrimeField",
     "ComplexNumbers",
@@ -28,45 +33,16 @@ __all__ = [
     "domain_from_name",
 ]
 
-MAX_PRIME = 1 << 16
-
-
-class DomainError(ValueError):
-    """Invalid domain construction, domain mismatch, or unsupported scalar op."""
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
 
 class PrimeField:
-    """The field F_p for a prime p, with p < 2**16 (checked by trial division)."""
+    """The field F_p for a prime p, with p < 2**16 (``_common.check_prime``)."""
 
     __slots__ = ("p",)
 
     dtype = np.int64
 
     def __init__(self, p: int):
-        try:
-            p = operator.index(p)  # an int or a numpy integer, not 7.0 or "7"
-        except TypeError:
-            raise DomainError(f"not a prime: {p!r}") from None
-        if not _is_prime(p):
-            raise DomainError(f"not a prime: {p!r}")
-        if p >= MAX_PRIME:
-            raise DomainError(f"prime too large: {p} >= 2**16")
-        self.p = p
+        self.p = check_prime(p)
 
     # -- identity / representation -------------------------------------------
 
@@ -216,14 +192,7 @@ Domain = Union[PrimeField, ComplexNumbers]
 
 
 def domain_from_name(name: str) -> Domain:
-    """Parse a domain tag: "C" or "F<p>" (as used in all JSON formats)."""
-    if name == "C":
-        return ComplexNumbers()
-    if isinstance(name, str) and name.startswith("F"):
-        try:
-            p = int(name[1:])
-        except ValueError:
-            raise DomainError(f"unknown domain tag: {name!r}") from None
-        return PrimeField(p)
-    raise DomainError(f"unknown domain tag: {name!r}")
-
+    """The domain of a tag: "C" or "F<p>" (as used in all JSON formats),
+    checked by ``_common.domain_prime``."""
+    p = domain_prime(name)
+    return ComplexNumbers() if p is None else PrimeField(p)

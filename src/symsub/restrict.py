@@ -53,21 +53,21 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import linalg
-from ._common import DEFAULT_BUDGET
+from ._common import DEFAULT_BUDGET, read_certificate
 from .domains import DomainError, PrimeField
 from .tensors import (
     _BLOCK_ENTRIES,
     LinearMap,
     Tensor,
+    _build_map,
+    _build_tensor,
     _kron_rows,
     _rank_one_sum,
     apply,
     apply_sym,
     flattening_rank,
     is_symmetric,
-    map_from_json,
     map_to_json,
-    tensor_from_json,
     tensor_to_json,
     tensors_equal,
     unit_tensor,
@@ -156,11 +156,15 @@ def certificate_to_json(cert: Certificate) -> dict:
 
 
 def certificate_from_json(obj: dict) -> Certificate:
-    return Certificate(
-        kind=obj["kind"],
-        target=tensor_from_json(obj["target"]),
-        maps=tuple(map_from_json(m) for m in obj["maps"]),
-    )
+    """Parse the certificate JSON format: ``_common.read_certificate``
+    checks every value, then the constructor checks the kind and map count."""
+    return _build_certificate(read_certificate(obj))
+
+
+def _build_certificate(read) -> Certificate:
+    kind, target, maps = read
+    target = _build_tensor(target)
+    return Certificate(kind, tuple(_build_map(m) for m in maps), target)
 
 
 # ---------------------------------------------------------------------------

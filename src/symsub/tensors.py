@@ -7,7 +7,10 @@ unit tensors, products, per-leg map application, symmetry tests, supports,
 flattening ranks and matrix rank.
 Every Kronecker power of rows (power sums, support powers, selection
 rows) goes through one kernel, ``_kron_rows``, and every sum of rank-one
-terms through ``_rank_one_sum``.
+terms through ``_rank_one_sum``.  The JSON readers here only build arrays:
+every check of the tensor and map formats is made, without numpy, by the
+one reader in ``_common`` (``read_tensor``, ``read_map``), and a tensor's
+entries are set by one array assignment.
 
 Conventions
 -----------
@@ -22,7 +25,6 @@ Conventions
 
 from __future__ import annotations
 
-import cmath
 import functools
 import hashlib
 import json
@@ -32,7 +34,7 @@ from typing import Iterable, List, Sequence, Tuple
 import numpy as np
 
 from . import linalg
-from ._common import TensorSizeError, json_int
+from ._common import ENTRY_CAP, TensorSizeError, check_cap, read_map, read_tensor
 from .domains import Domain, DomainError, PrimeField, domain_from_name
 
 __all__ = [
@@ -59,19 +61,7 @@ __all__ = [
     "map_from_json",
 ]
 
-ENTRY_CAP = 1 << 24
 _BLOCK_ENTRIES = 1 << 16  # about the most entries one block of rows holds
-
-
-def _check_cap(shape: Sequence[int]) -> None:
-    total = 1
-    for d in shape:
-        total *= int(d)
-    if total > ENTRY_CAP:
-        raise TensorSizeError(
-            f"tensor too large: {'x'.join(str(d) for d in shape)} = {total} "
-            f"entries exceeds the dense cap of 2**24"
-        )
 
 
 class Tensor:
@@ -81,7 +71,7 @@ class Tensor:
 
     def __init__(self, domain: Domain, array):
         arr = domain.asarray(array)
-        _check_cap(arr.shape)
+        check_cap(arr.shape)
         arr.setflags(write=False)
         self.domain = domain
         self.array = arr
@@ -173,7 +163,7 @@ def tensor_product(f: Tensor, g: Tensor) -> Tensor:
     _require_same(f, g)
     k = f.order
     shape = tuple(df * dg for df, dg in zip(f.dims, g.dims))
-    _check_cap(shape)
+    check_cap(shape)
     out = np.multiply.outer(f.array, g.array)
     # outer gives legs (f1..fk, g1..gk); interleave to (f1,g1,f2,g2,...)
     perm = [axis for j in range(k) for axis in (j, k + j)]
@@ -350,28 +340,12 @@ def tensors_equal(f: Tensor, g: Tensor) -> bool:
 
 def _values_to_json(domain: Domain, arr: np.ndarray) -> list:
     """An array of scalars as nested JSON lists: F_p residues, and complex
-    numbers as [re, im], read off the complex128 array's float64 view."""
+    numbers as [re, im], read off the float64 view of a C-ordered complex128
+    copy (a transposed or strided array has no such view of its own)."""
     if isinstance(domain, PrimeField):
         return (arr % domain.p).tolist()
-    pairs = (arr + 0.0).view(np.float64)  # + 0.0 turns a -0.0 part into 0.0
+    pairs = (np.ascontiguousarray(arr) + 0.0).view(np.float64)  # + 0.0 turns -0.0 into 0.0
     return pairs.reshape(arr.shape + (2,)).tolist()
-
-
-def _scalar_from_json(domain: Domain, v):
-    if isinstance(domain, PrimeField):
-        return json_int(v, "prime-field entry") % domain.p
-    parts = v if isinstance(v, list) else [v]  # [re, im] or a bare number
-    if any(isinstance(x, (bool, str)) for x in parts):  # refused, not coerced
-        raise ValueError(f"complex entry must hold JSON numbers, got {v!r}")
-    if isinstance(v, (int, float)):
-        z = complex(v)
-    elif isinstance(v, list) and len(v) == 2:
-        z = complex(float(v[0]), float(v[1]))
-    else:
-        raise ValueError(f"bad complex entry: {v!r}")
-    if not cmath.isfinite(z):  # JSON NaN, Infinity, or a literal like 1e400
-        raise ValueError(f"complex entry is not finite: {v!r}")
-    return z
 
 
 def tensor_to_json(f: Tensor) -> dict:
@@ -395,29 +369,17 @@ def tensor_id(f: Tensor) -> str:
 
 
 def tensor_from_json(obj: dict) -> Tensor:
-    """Parse the tensor JSON format.  A missing key raises KeyError and a
-    wrongly typed value TypeError, as in map and certificate parsing; a
-    bool, float or str where an integer belongs, or an index given twice,
-    raises ValueError."""
-    k = json_int(obj["order"], "tensor order")
-    dims = [json_int(d, "tensor dimension") for d in obj["dims"]]
-    domain = domain_from_name(obj["domain"])
-    entries = obj["entries"]
-    if len(dims) != k:
-        raise ValueError(f"order {k} but {len(dims)} dims")
-    if any(d < 0 for d in dims):
-        raise ValueError(f"negative dimension in {dims}")
-    _check_cap(dims)
+    """Parse the tensor JSON format: ``_common.read_tensor`` makes every
+    check and :func:`_build_tensor` places the values."""
+    return _build_tensor(read_tensor(obj))
+
+
+def _build_tensor(read: tuple) -> Tensor:
+    """The tensor of a checked read, its entries set by one assignment."""
+    tag, dims, entries = read
+    domain = domain_from_name(tag)
     arr = domain.zeros(tuple(dims))
-    seen = set()
-    for ent in entries:
-        idx = tuple(json_int(i, "entry index") - 1 for i in ent["idx"])
-        if len(idx) != k or any(i < 0 or i >= d for i, d in zip(idx, dims)):
-            raise ValueError(f"index out of range: {ent['idx']}")
-        if idx in seen:  # the file would mean whichever value comes last
-            raise ValueError(f"duplicate index: {ent['idx']}")
-        seen.add(idx)
-        arr[idx] = _scalar_from_json(domain, ent["val"])
+    arr.reshape(-1)[list(entries)] = list(entries.values())
     return Tensor(domain, arr)
 
 
@@ -427,14 +389,15 @@ def map_to_json(m: LinearMap) -> dict:
 
 
 def map_from_json(obj: dict) -> LinearMap:
-    rows = json_int(obj["rows"], "map rows")
-    cols = json_int(obj["cols"], "map cols")
-    domain = domain_from_name(obj["domain"])
-    data = obj["data"]
-    if len(data) != rows or any(len(r) != cols for r in data):
-        raise ValueError(f"matrix data is not {rows}x{cols}")
+    """Parse the map JSON format: ``_common.read_map`` makes every check and
+    :func:`_build_map` places the values."""
+    return _build_map(read_map(obj))
+
+
+def _build_map(read: tuple) -> LinearMap:
+    """The map of a checked read, its entries set by one assignment."""
+    tag, rows, cols, values = read
+    domain = domain_from_name(tag)
     arr = domain.zeros((rows, cols))
-    for i, row in enumerate(data):
-        for j, v in enumerate(row):
-            arr[i, j] = _scalar_from_json(domain, v)
+    arr.reshape(-1)[:] = values
     return LinearMap(domain, arr)

@@ -831,6 +831,21 @@ def test_cli_fuzz_malformed_inputs(ws, tmp_path, capsys, data):
         assert re.fullmatch(r"error: [a-z-]+: [^\n]*\n", err), err
 
 
+@pytest.mark.parametrize("kind", ["tensor", "certificate", "graph"])
+def test_deeply_nested_json_is_malformed(ws, tmp_path, capsys, kind):
+    """An array nested 10^5 deep passes the interpreter's recursion limit
+    while it is decoded; that is a malformed file, not an internal error."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    argv = {"tensor": ["rank", "--tensor", str(path)],
+            "certificate": ["verify", "--tensor", ws["w_f5"], "--certificate", str(path)],
+            "graph": ["hypergraph", "alpha", "--graph", str(path)]}[kind]
+    assert run(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: malformed-json: nested too deeply: line 1 column 1 (char 0)\n"
+
+
 def test_complex_json_has_no_negative_zeros(tmp_path, capsys):
     """-0.0 == 0.0, so a signed zero (from a +0 scaled by a negative pivot
     inverse) must not make two equal certificates print differently."""

@@ -65,6 +65,12 @@ ACCEPTANCE = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
 KEPT = {
     "hypergraph_to_json": "writes the hypergraph JSON format the CLI reads; the "
                           "tests build their CLI inputs with it",
+    "tensor_from_json": "the library's reader of the tensor JSON format; the CLI "
+                        "runs the same reader and builder, split around numpy's import",
+    "map_from_json": "the library's reader of the map JSON format; the CLI runs the "
+                     "same reader and builder, split around numpy's import",
+    "certificate_from_json": "the library's reader of the certificate JSON format; the "
+                             "CLI runs the same reader and builder, split around numpy's import",
     "symrank_upper": "the polarization bound: symmetric rank <= 2^(k-1) * rank "
                      "for a symmetric tensor, the Comon side of the paper",
 }

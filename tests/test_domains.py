@@ -103,3 +103,43 @@ def test_nonzero_matches_the_complex_masks_it_replaces():
         assert bool(mask[i:i + 1].any()) == (not C.arrays_equal(arr[i:i + 1], C.zeros(1)))
     assert not C.nonzero(C.zeros((0, 3))).any()
 
+
+
+# (value, PrimeField's message, domain_from_name's message)
+_DOMAIN_CHECKS = [
+    (0, "not a prime: 0", "unknown domain tag: 0"),
+    (1, "not a prime: 1", "unknown domain tag: 1"),
+    (4, "not a prime: 4", "unknown domain tag: 4"),
+    (65537, "prime too large: 65537 >= 2**16", "unknown domain tag: 65537"),
+    (7.0, "not a prime: 7.0", "unknown domain tag: 7.0"),
+    ("7", "not a prime: '7'", "unknown domain tag: '7'"),
+    ("F4", "not a prime: 'F4'", "not a prime: 4"),
+    ("G7", "not a prime: 'G7'", "unknown domain tag: 'G7'"),
+    (7, None, "unknown domain tag: 7"),
+]
+
+
+def test_there_is_one_domain_check():
+    """PrimeField and domain_from_name share _common's check: one DomainError
+    class, and the same messages for every value."""
+    import symsub._common
+    import symsub.domains
+
+    assert symsub.domains.DomainError is symsub._common.DomainError
+    assert symsub.domains.MAX_PRIME is symsub._common.MAX_PRIME
+    for value, field_message, tag_message in _DOMAIN_CHECKS:
+        if field_message is None:
+            assert PrimeField(value).p == value
+        else:
+            with pytest.raises(DomainError) as err:
+                PrimeField(value)
+            assert str(err.value) == field_message
+        with pytest.raises(DomainError) as err:
+            domain_from_name(value)
+        assert str(err.value) == tag_message
+
+
+def test_prime_field_accepts_a_numpy_integer():
+    F = PrimeField(np.int64(7))
+    assert F == PrimeField(7) and type(F.p) is int
+    assert domain_from_name("F7") == F

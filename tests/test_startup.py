@@ -53,15 +53,18 @@ LIBRARY_SUBMODULES = (
     "symmetrize", "tensors",
 )
 
-# Runs the CLI on argv in this interpreter, then prints which of symsub's
-# modules it loaded, and whether numpy, dataclasses and inspect.
+# Runs the CLI on argv in this interpreter, then prints its exit code, which
+# of symsub's modules it loaded (and whether numpy, dataclasses and inspect),
+# and its standard error.
 _HEAVY = ("numpy", "dataclasses", "inspect")
 _PROBE = f"""
 import contextlib, io, json, sys
 from symsub.cli import run
-with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+err = io.StringIO()
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
     code = run(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m in {_HEAVY!r} or m.startswith("symsub"))]))
+loaded = sorted(m for m in sys.modules if m in {_HEAVY!r} or m.startswith("symsub"))
+print(json.dumps([code, loaded, err.getvalue()]))
 """
 
 
@@ -108,13 +111,60 @@ def test_import_loads_no_submodule_and_no_numpy():
 )
 def test_combinatorial_and_unreadable_runs_skip_numpy(inputs, argv, code):
     """Nor do they load dataclasses, or the inspect it imports."""
-    got, loaded = _fresh(_PROBE, *(a.format(**inputs) for a in argv))
+    got, loaded, _ = _fresh(_PROBE, *(a.format(**inputs) for a in argv))
     assert got == code
     assert set(_HEAVY).isdisjoint(loaded)
 
 
+_F2_TENSOR = {"order": 2, "dims": [2, 2], "domain": "F2", "entries": [{"idx": [1, 1], "val": 1}]}
+_UNIT = {"order": 3, "dims": [1, 1, 1], "domain": "F5", "entries": [{"idx": [1, 1, 1], "val": 1}]}
+_CERT = {"kind": "restriction", "target": {k: v for k, v in _UNIT.items() if k != "dims"},
+         "maps": [{"rows": 1, "cols": 2, "domain": "F5", "data": [[1, 0]]}] * 3}
+
+# (file contents, or a subcommand's argv, exit code, error line): malformed
+# inputs, each refused by the one numpy-free reader or domain check.
+_MALFORMED = {
+    "entries-int": (dict(_F2_TENSOR, entries=5), 1,
+                    "malformed-json: 'int' object is not iterable"),
+    "idx-int": (dict(_F2_TENSOR, entries=[{"idx": 3, "val": 1}]), 1,
+                "malformed-json: 'int' object is not iterable"),
+    "domain-F4": (dict(_F2_TENSOR, domain="F4"), 1, "invalid-input: not a prime: 4"),
+    "domain-7": (dict(_F2_TENSOR, domain=7), 1, "invalid-input: unknown domain tag: 7"),
+    "bool-entry": (dict(_F2_TENSOR, entries=[{"idx": [1, 1], "val": True}]), 1,
+                   "invalid-input: prime-field entry must be an integer, got True"),
+    "duplicate-index": (dict(_F2_TENSOR, entries=[{"idx": [1, 2], "val": 1}] * 2), 1,
+                        "invalid-input: duplicate index: [1, 2]"),
+    "dims-past-cap": (dict(_F2_TENSOR, dims=[4097, 4097]), 2,
+                      "size-gate: tensor too large: 4097x4097 = 16785409 entries "
+                      "exceeds the dense cap of 2**24"),
+    "target-missing-key": (_CERT, 1, "malformed-json: missing key 'dims'"),
+    "deep-nesting": ("[" * 100_000 + "]" * 100_000, 1,
+                     "malformed-json: nested too deeply: line 1 column 1 (char 0)"),
+    "waring-F4": (["waring", "--order", "3", "--domain", "F4"], 1,
+                  "invalid-input: not a prime: 4"),
+}
+
+
+@pytest.mark.parametrize("name", _MALFORMED)
+def test_malformed_inputs_fail_before_numpy_loads(inputs, tmp_path, name):
+    """A malformed tensor or certificate file, or a bad domain tag, ends in
+    its one error line and exit code without loading numpy or dataclasses."""
+    content, want_code, line = _MALFORMED[name]
+    if isinstance(content, list):
+        argv = content
+    else:
+        path = tmp_path / "input.json"
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+        argv = ["rank", "--tensor", str(path)]
+        if isinstance(content, dict) and "kind" in content:
+            argv = ["verify", "--tensor", inputs["tensor"], "--certificate", str(path)]
+    code, loaded, err = _fresh(_PROBE, *argv)
+    assert (code, err) == (want_code, f"error: {line}\n")
+    assert set(_HEAVY).isdisjoint(loaded)
+
+
 def test_rank_skips_the_search_and_functional_modules(inputs):
-    code, loaded = _fresh(_PROBE, "rank", "--tensor", inputs["tensor"])
+    code, loaded, _ = _fresh(_PROBE, "rank", "--tensor", inputs["tensor"])
     assert code == 0
     assert "numpy" in loaded and "symsub.tensors" in loaded
     unused = {f"symsub.{m}" for m in ("restrict", "congruence", "symmetrize", "quantum")}

@@ -302,3 +302,24 @@ def _nan_corner():
 def test_complex_inputs_refuse_non_finite_entries(case):
     with pytest.raises(DomainError, match="^complex entry is not finite$"):
         case()
+
+
+@pytest.mark.parametrize("domain", [F5, C])
+def test_json_roundtrips_transposed_and_strided_arrays(domain):
+    """The writer reads views that are not C-contiguous (a transposed or a
+    strided array) as their values, so maps and tensors of them round-trip."""
+    rng = np.random.default_rng(7)
+    if domain is C:
+        base = rng.normal(size=(4, 6, 2)) + 1j * rng.normal(size=(4, 6, 2))
+    else:
+        base = rng.integers(0, 5, size=(4, 6, 2))
+    for arr in (base[:, :, 0].T, base[::2, ::3, 0], base[1, ::2], base.transpose(2, 0, 1),
+                base[::-1, 1::2, :]):
+        assert not arr.flags.c_contiguous
+        if arr.ndim == 2:
+            m = LinearMap(domain, arr)
+            again = map_from_json(json.loads(json.dumps(map_to_json(m))))
+            assert domain.arrays_equal(again.array, m.array)
+        f = Tensor(domain, arr)
+        again = tensor_from_json(json.loads(json.dumps(tensor_to_json(f))))
+        assert tensors_equal(again, f)
