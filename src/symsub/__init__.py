@@ -30,7 +30,7 @@ _EXPORTS = {
         sym_quantum_functional uniform_quantum_functional""",
     "restrict": """DEFAULT_BUDGET Certificate SearchInfeasibleError SymrankResult
         certificate_from_json certificate_to_json restriction_exists
-        subrank_exact symrank_small symrestriction_exists symsubrank_exact
+        subrank_exact subranks symrank_small symrestriction_exists symsubrank_exact
         verify_certificate""",
     "symmetrize": """CreateTCertificate MissingKthRootError SymmetrizeResult
         SymrankUpperResult WaringDecomposition create_t fully_symmetric

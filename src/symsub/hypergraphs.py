@@ -223,13 +223,14 @@ def induced_matching_number(
     still free.  Sets of elements are int bitsets over the indices of Phi, so
     each of these tests is one bit operation.
     """
-    phi = h.phi
-    total = len(phi)
+    # |Phi| = n + the edges that are not constant, counted before Phi is built
+    total = h.n + sum(len(set(t)) > 1 for t in h.edges)
     if total > MATCHING_GATE:
         raise TensorSizeError(
             f"size gate: induced matching search handles at most "
             f"{MATCHING_GATE} elements of Phi, got {total}"
         )
+    phi = h.phi
     # members[j][v]: the bitset of elements of Phi whose j-th coordinate is v
     members: List[Dict[int, int]] = [{} for _ in range(h.k)]
     for i, t in enumerate(phi):
@@ -351,19 +352,13 @@ class ChainReport(NamedTuple):
 def alpha_chain_check(
     h: Hypergraph, domain: Domain, budget: int = DEFAULT_BUDGET
 ) -> ChainReport:
-    """Compute alpha, beta, symsubrank(A_H), subrank(A_H) and verify the chain.
-
-    Both subrank searches start from one least flattening rank of A_H; the
-    subrank search ends above the symmetric subrank, which bounds it below."""
-    from . import restrict
+    """Compute alpha, beta, symsubrank(A_H), subrank(A_H) and verify the chain;
+    both subranks come from one ``restrict.subranks`` call."""
+    from .restrict import subranks
 
     alpha, _ = independence_number(h)
     beta, _ = induced_matching_number(h)
-    a = adjacency_tensor(h, domain)
-    restrict._check_search(a, "symmetric restriction search", True)  # subrank_exact's too
-    r0 = restrict._least_flattening_rank(a)
-    sym_q, sym_cert = restrict._symsubrank_from(a, r0, budget)
-    q, _ = restrict._subrank_from(a, r0, budget, floor=(sym_q, sym_cert))
+    (sym_q, _), (q, _) = subranks(adjacency_tensor(h, domain), budget)
     inequalities = (
         ("alpha <= symsubrank", alpha <= sym_q),
         ("symsubrank <= subrank", sym_q <= q),

@@ -5,8 +5,9 @@ Two kernels, each taking plain numpy arrays plus a domain object from
 
 * :func:`row_reduce` brings one matrix to (reduced) row echelon form over
   F_p or C, with the invertible P that does it, by one array update per
-  pivot; :func:`rank` reads its pivots, except over F2, where rows packed
-  into ints are reduced instead.
+  pivot; :func:`rank` runs the same elimination on the matrix alone, with
+  no identity block, except over F2, where rows packed into ints are
+  reduced instead.
 * :func:`solve_stack` solves a stack of systems over F_p at once.
 
 Prime-field elimination is exact on integer residues; complex elimination
@@ -44,22 +45,29 @@ def row_reduce(
 ) -> Tuple[np.ndarray, List[int], np.ndarray]:
     """Row reduce A.  Returns (R, pivots, P) with R = P @ A (mod p for fields).
 
-    R is in (reduced) row echelon form with unit pivots; P is invertible.
-    One array [A | I] is eliminated by one update per pivot (the first
-    nonzero entry over F_p, the largest over C): its column, zeroed at the
-    pivot row, above it unless ``reduced`` and at modulus <= tol over C,
-    gives the factors, and factors x pivot row is subtracted from the whole
-    array if at least half the rows change, else from the changed rows.
+    R is in (reduced) row echelon form with unit pivots; P is invertible,
+    read off the one array [A | I] that :func:`_eliminate` reduces.
     """
     A = domain.asarray(A)
     n, m = A.shape
     M = np.eye(n, m + n, m, dtype=A.dtype)  # [0 | I]: no second n x n array
     M[:, :m] = A
+    pivots = _eliminate(M, m, domain, reduced)
+    return M[:, :m], pivots, M[:, m:]
+
+
+def _eliminate(M: np.ndarray, m: int, domain: Domain, reduced: bool) -> List[int]:
+    """Bring M's first m columns to (reduced) row echelon form with unit
+    pivots in place; the pivot columns.  Per pivot (the first nonzero entry
+    over F_p, the largest over C), its column, zeroed at the pivot row, above
+    it unless ``reduced`` and at modulus <= tol over C, gives the factors:
+    one update subtracts factors x pivot row from all of M if at least half
+    the rows change, else from the changed rows."""
+    n = len(M)
     field = isinstance(domain, PrimeField)
     pivots: List[int] = []
-    r = 0
     for col in range(m):
-        if r >= n:
+        if (r := len(pivots)) >= n:
             break
         factors = M[:, col].copy()  # one strided read of the column
         if field:
@@ -86,8 +94,7 @@ def row_reduce(
         elif changed.size:
             M[changed] = domain.reduce(M[changed] - factors[changed, None] * M[r])
         pivots.append(col)
-        r += 1
-    return M[:, :m], pivots, M[:, m:]
+    return pivots
 
 
 def rank(A: np.ndarray, domain: Domain) -> int:
@@ -98,8 +105,7 @@ def rank(A: np.ndarray, domain: Domain) -> int:
         A = A.T if A.shape[0] > A.shape[1] else A
         if domain.p == 2:
             return _f2_rank(A)
-    _, pivots, _ = row_reduce(A, domain, reduced=False)
-    return len(pivots)
+    return len(_eliminate(domain.asarray(A).copy(), np.shape(A)[1], domain, False))
 
 
 @functools.lru_cache(maxsize=16)

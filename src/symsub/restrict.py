@@ -17,23 +17,20 @@ The exhaustive searches take only unit targets <e> (order-2 restriction,
 decided by echelon forms, takes any target), and enumerate one
 representative per orbit of the stabilizer of <e>.  A search raises when
 the number of representatives it could enumerate,
-:attr:`SearchInfeasibleError.required`, exceeds its budget.
+:attr:`SearchInfeasibleError.required`, exceeds its budget.  One ladder,
+:func:`_decide`, settles every unit-target question: <e> <= f or <e> <=_s f
+for one e, the largest such r (the subrank and the symmetric subrank), and
+both subranks at once for the chain (:func:`subranks`).  Its stages run in
+this order: (1) a plain question on a matrix, by one reduced echelon form;
+(2) r <= r0, the least flattening rank of f; (3) for <=_s, r <= r0 - 1 when
+f is concise and not symmetric; (4) the budget gate; (5) the search.
 
-Every search draws its rows from :func:`_row_blocks`.  The plain and the
-symmetric search take them from one read-only stack of maps per leg
-(:func:`_leg_stack`) when they fit in one, and stream them otherwise.  Such
-stacks, the orbit leads and the unit tensors depend on no input, so each is
-built once and shared read-only.  The symmetric search, :func:`_sym_dfs`,
-is a branch and bound over int bitsets of the rows that pass the root: each
-row's bitset of compatible later rows (its pair row) is computed once, a
-child's candidates are its parent's ANDed with the chosen row's pair row,
-and a branch stops once its rows plus candidates cannot beat the best set.
-:func:`symsubrank_exact` runs it once, from the least flattening rank r0 of
-f, or from r0 - 1 when f is r0 x ... x r0 and not symmetric.  The plain
-search, :func:`_restriction_dfs`, solves the last leg for blocks of map
-tuples at once, its first block sized by the work in it.  Once every leg
-left has dimension e, it drops the partial tensors that do not vanish at
-the prefixes that are not constant, as the maps left must be invertible.
+The search of stage 5 is :func:`_sym_dfs`, a branch and bound over int
+bitsets of the rows that pass its root, or :func:`_restriction_dfs`, which
+solves the last leg for blocks of map tuples at once.  Both draw their rows
+from :func:`_row_blocks`, through one read-only stack of maps per leg
+(:func:`_leg_stack`) when they fit in one; such stacks, the orbit leads and
+the unit tensors depend on no input, so each is built once and shared.
 
 Determinism: canonical representatives are enumerated in lexicographic order
 of their rows, and the first certificate found is returned (for
@@ -84,6 +81,7 @@ __all__ = [
     "restriction_exists",
     "symsubrank_exact",
     "subrank_exact",
+    "subranks",
     "SymrankResult",
     "symrank_small",
 ]
@@ -174,36 +172,30 @@ def _build_certificate(read) -> Certificate:
 def symrestriction_exists(
     g: Tensor, f: Tensor, budget: int = DEFAULT_BUDGET
 ) -> Optional[Certificate]:
-    """Search for A with A^{(x)k} f = g for a unit tensor g = <e>; None after
-    exhaustive refutation.
-
-    Prime fields only; any other g is refused with a ValueError.  Rows of A
-    are extended one at a time in lexicographic order (:func:`_sym_dfs`); a
-    partial map survives only while every already-determined entry of the
-    image matches <e>.  The rows are nonzero, strictly increasing, and each
-    the least in its orbit under the k-th roots of unity:
-    (P D A)^{(x)k} f = <e> whenever A^{(x)k} f = <e>, for a permutation P and
-    a diagonal D with D^k = I.
-    """
+    """Search for A with A^{(x)k} f = g for a unit tensor g = <e> over a
+    prime field (any other g is refused with a ValueError); None when
+    :func:`_decide` refutes it.  The rows of A searched are nonzero, strictly
+    increasing, and each the least in its orbit under the k-th roots of
+    unity: (P D A)^{(x)k} f = <e> whenever A^{(x)k} f = <e>, for a
+    permutation P and a diagonal D with D^k = I."""
     _check_search(f, "symmetric restriction search", True, g)
-    e, d = g.dims[0], f.dims[0]
-    # Flattening ranks never increase under restriction; each of <e>'s is e.
-    if e > _least_flattening_rank(f):
-        return None
-    _check_sym_budget(f, e, budget)
-    if e == 0:
-        return _certified("symmetric-restriction", [np.zeros((0, d), dtype=np.int64)], g, f)
-    rows = _sym_dfs(g.array, f.array, f.domain.p, e - 1)
-    return _certified("symmetric-restriction", [rows], g, f) if len(rows) else None
+    e = g.dims[0]
+    return _decide(f, e, e - 1, True, budget)
 
 
-def _check_sym_budget(f: Tensor, e: int, budget: int) -> None:
-    """Raise unless the e x d maps the search for <e> enumerates fit the budget."""
+def _check_budget(f: Tensor, e: int, symmetric: bool, budget: int) -> None:
+    """Raise unless the maps the search for <e> enumerates fit the budget:
+    e x d maps for <=_s, e-frames on every leg but the last for <=."""
     p, d, k = f.domain.p, f.dims[0], f.order
-    # the k-th roots of unity act freely on the nonzero rows
-    required = math.comb((p**d - 1) // math.gcd(k, p - 1), e)
+    if symmetric:  # the k-th roots of unity act freely on the nonzero rows
+        required = math.comb((p**d - 1) // math.gcd(k, p - 1), e)
+        what = f"map search over F_{p}^({e}x{d})"
+    else:
+        required = _frame_count(p, d, e) // math.factorial(e) * math.prod(
+            _frame_count(p, dim, e) for dim in f.dims[1:-1])
+        what = "leg-by-leg map search"
     if required > budget:
-        raise SearchInfeasibleError(required, budget, f"map search over F_{p}^({e}x{d})")
+        raise SearchInfeasibleError(required, budget, what)
 
 
 @functools.lru_cache(maxsize=16)
@@ -405,34 +397,17 @@ def restriction_exists(
 
     Order 2 is constructive over any domain and for any g (reduced echelon
     forms).  Higher orders take only a unit target g = <e> over a prime
-    field (any other g is refused with a ValueError): they enumerate maps
-    for legs 1..k-1 lexicographically and solve the last leg linearly, a
-    block of tuples at a time (:func:`_restriction_dfs`).  Every map has
-    independent rows, each with first nonzero entry 1, and the rows of A1
-    strictly increase: (P D1 A1 (x) ... (x) P Dk Ak) f = <e> whenever
-    (A1, ..., Ak) works, for a permutation P and diagonals with
-    D1 ... Dk = I, and Dk absorbs the other legs' scaling.
-    """
+    field (any other g is refused with a ValueError), decided by
+    :func:`_decide`.  Every map searched has independent rows, each with
+    first nonzero entry 1, and the rows of A1 strictly increase:
+    (P D1 A1 (x) ... (x) P Dk Ak) f = <e> whenever (A1, ..., Ak) works, for a
+    permutation P and diagonals with D1 ... Dk = I, and Dk absorbs the
+    other legs' scaling."""
     _check_search(f, "restriction search", False, g)
     if f.order == 2:
         return _matrix_restriction(g, f)
-    # Flattening ranks never increase under restriction; each of <e>'s is e.
-    if g.dims[0] > _least_flattening_rank(f):
-        return None
-    return _restriction_search(g, f, budget)
-
-
-def _restriction_search(g: Tensor, f: Tensor, budget: int) -> Optional[Certificate]:
-    """The budget gate and the search of :func:`restriction_exists` for
-    g = <e>, order >= 3."""
-    p, e = f.domain.p, g.dims[0]
-    required = _frame_count(p, f.dims[0], e) // math.factorial(e)
-    for leg in range(1, f.order - 1):
-        required *= _frame_count(p, f.dims[leg], e)
-    if required > budget:
-        raise SearchInfeasibleError(required, budget, "leg-by-leg map search")
-    maps = _restriction_dfs(g, f)
-    return None if maps is None else _certified("restriction", maps, g, f)
+    e = g.dims[0]
+    return _decide(f, e, e - 1, False, budget)
 
 
 def _matrix_restriction(g: Tensor, f: Tensor) -> Optional[Certificate]:
@@ -585,19 +560,50 @@ def _off_diagonal(e: int, m: int, k: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# subrank / symmetric subrank
+# the decision ladder for unit targets, and the subranks
 # ---------------------------------------------------------------------------
 
-def symsubrank_exact(
-    f: Tensor, budget: int = DEFAULT_BUDGET
-) -> Tuple[int, Certificate]:
-    """Largest r with a verified <r> <=_s f certificate, by one search from
-    r0, the least flattening rank of f, or from r0 - 1 when f is concise
-    (every dimension r0) and not symmetric, as then no map reaches <r0>.
-    The budget gate counts C(N, e) representatives for that start e: C(N, r)
-    grows with r up to d <= (N + 1) / 2."""
-    _check_search(f, "symmetric restriction search", True)
-    return _symsubrank_from(f, _least_flattening_rank(f), budget)
+def _decide(f: Tensor, e: int, low: int, symmetric: bool, budget: int,
+            r0: Optional[int] = None) -> Optional[Certificate]:
+    """The certificate of <r> <= f, or of <r> <=_s f when ``symmetric``, for
+    the largest r in (low, e]; None when no r there has one.  f has passed
+    :func:`_check_search`; ``r0``, if given, is its least flattening rank.
+    1. A matrix's rank r is the largest, by the maps of :func:`_unit_maps`.
+    2. Flattening ranks never increase under restriction: r <= r0.
+    3. For <=_s, a witness of <r0> from a concise f (every dimension r0) is
+       invertible, so f is symmetric; if f is not, r <= r0 - 1.
+    4. The budget gate, for each r the plain search tries, or once, at the
+       top r or else low + 1: the budget refuses what stage 3 settles too.
+    5. The search: :func:`_restriction_dfs` per r, or :func:`_sym_dfs` once."""
+    domain, k = f.domain, f.order
+    if e <= low:
+        return None
+    if k == 2 and not symmetric:
+        P, S = _unit_maps(f)
+        r = min(e, len(P))
+        maps, target = [P[:r], S[:r]], unit_tensor(r, 2, domain)
+        return _certified("restriction", maps, target, f) if r > low else None
+    e = min(e, _least_flattening_rank(f) if r0 is None else r0)
+    if e <= low:
+        return None
+    if not symmetric:
+        for r in range(e, low, -1):
+            _check_budget(f, r, False, budget)
+            g = unit_tensor(r, k, domain)
+            maps = _restriction_dfs(g, f)
+            if maps is not None:
+                return _certified("restriction", maps, g, f)
+        return None
+    if e == f.dims[0] and not is_symmetric(f):
+        e -= 1
+    _check_budget(f, max(e, low + 1), True, budget)
+    if e <= low:
+        return None
+    if not e:
+        return _no_rows(f, "symmetric-restriction")
+    rows = _sym_dfs(unit_tensor(e, k, domain).array, f.array, domain.p, low)
+    target = unit_tensor(len(rows), k, domain)
+    return _certified("symmetric-restriction", [rows], target, f) if len(rows) else None
 
 
 def _least_flattening_rank(f: Tensor) -> int:
@@ -606,19 +612,19 @@ def _least_flattening_rank(f: Tensor) -> int:
     return min(flattening_rank(f, [leg]) for leg in range(1 if f.order == 2 else f.order))
 
 
-def _symsubrank_from(f: Tensor, r0: int, budget: int) -> Tuple[int, Certificate]:
-    """:func:`symsubrank_exact` of a checked f whose least flattening rank is r0."""
-    d, k, p = f.dims[0], f.order, f.domain.p
-    rows = np.zeros((0, d), dtype=np.int64)
-    # A witness A of <r0> <=_s f for a concise f (d = r0) is an invertible
-    # r0 x r0 map, so f = (A^-1)^{(x)k} <r0> is symmetric: when f is not,
-    # the search starts one step lower, and the gate counts that search.
-    top = r0 - 1 if d == r0 and not is_symmetric(f) else r0
-    if top:
-        _check_sym_budget(f, top, budget)
-        rows = _sym_dfs(unit_tensor(top, k, f.domain).array, f.array, p, floor=0)
-    target = unit_tensor(len(rows), k, f.domain)
-    return len(rows), _certified("symmetric-restriction", [rows], target, f)
+def _no_rows(f: Tensor, kind: str) -> Certificate:
+    """The certificate of <0> <= f, or <=_s f: maps with no rows."""
+    maps = [np.zeros((0, d), np.int64) for d in (f.dims if kind == "restriction" else f.dims[:1])]
+    return _certified(kind, maps, unit_tensor(0, f.order, f.domain), f)
+
+
+def symsubrank_exact(f: Tensor, budget: int = DEFAULT_BUDGET) -> Tuple[int, Certificate]:
+    """Largest r with a verified <r> <=_s f certificate, by one search
+    (:func:`_decide`), whose gate counts C(N, e) sets of rows for its start
+    e: C(N, r) grows with r up to d <= (N + 1) / 2."""
+    _check_search(f, "symmetric restriction search", True)
+    cert = _decide(f, f.dims[0], 0, True, budget) or _no_rows(f, "symmetric-restriction")
+    return cert.target.dims[0], cert
 
 
 def subrank_exact(f: Tensor, budget: int = DEFAULT_BUDGET) -> Tuple[int, Certificate]:
@@ -626,34 +632,22 @@ def subrank_exact(f: Tensor, budget: int = DEFAULT_BUDGET) -> Tuple[int, Certifi
     from one reduced echelon form; otherwise searched from the least flattening
     rank of f down."""
     _check_search(f, "restriction search", False)
-    if f.order == 2:
-        return _matrix_subrank(f)
-    return _subrank_from(f, _least_flattening_rank(f), budget)
+    cert = _decide(f, min(f.dims), 0, False, budget) or _no_rows(f, "restriction")
+    return cert.target.dims[0], cert
 
 
-def _matrix_subrank(f: Tensor) -> Tuple[int, Certificate]:
-    """<r> <= f through the maps (P[:r], S) of :func:`_unit_maps`."""
-    maps = _unit_maps(f)
-    r = len(maps[0])
-    return r, _certified("restriction", maps, unit_tensor(r, 2, f.domain), f)
-
-
-def _subrank_from(f: Tensor, r0: int, budget: int,
-                  floor: Optional[Tuple[int, Certificate]] = None) -> Tuple[int, Certificate]:
-    """:func:`subrank_exact` of a checked f, over a prime field, whose least
-    flattening rank is r0 (for a matrix, one reduced echelon form decides).
-    ``floor``, (Q_s, its symmetric certificate), ends the search above Q_s
-    and then certifies Q_s, as <r> <=_s f implies <r> <= f."""
-    k = f.order
-    low, sym = floor or (0, None)
-    if k == 2 and low < r0:
-        return _matrix_subrank(f)
-    for r in range(r0, low, -1):
-        cert = _restriction_search(unit_tensor(r, k, f.domain), f, budget)
-        if cert is not None:
-            return r, cert
-    maps = [sym.maps[0].array] * k if sym else [np.zeros((0, dl), np.int64) for dl in f.dims]
-    return low, _certified("restriction", maps, unit_tensor(low, k, f.domain), f)
+def subranks(
+    f: Tensor, budget: int = DEFAULT_BUDGET
+) -> Tuple[Tuple[int, Certificate], Tuple[int, Certificate]]:
+    """(:func:`symsubrank_exact`, :func:`subrank_exact`) of f from one guard and
+    one least flattening rank: the plain search stops above Q_s, as <r> <=_s f
+    implies <r> <= f, and otherwise certifies Q_s by the symmetric map."""
+    _check_search(f, "symmetric restriction search", True)  # the plain search's checks too
+    r0 = _least_flattening_rank(f)
+    sym = _decide(f, f.dims[0], 0, True, budget, r0) or _no_rows(f, "symmetric-restriction")
+    cert = _decide(f, r0, sym.target.dims[0], False, budget, r0) or _certified(
+        "restriction", [sym.maps[0].array] * f.order, sym.target, f)
+    return (sym.target.dims[0], sym), (cert.target.dims[0], cert)
 
 
 # ---------------------------------------------------------------------------

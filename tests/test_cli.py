@@ -677,6 +677,22 @@ def test_size_gate_exits_two(tmp_path, capsys, command):
     assert re.fullmatch(r"error: size-gate: size gate: [^\n]*\n", captured.err), captured.err
 
 
+@pytest.mark.parametrize("command", ["alpha", "beta", "chain"])
+def test_a_huge_vertex_count_meets_the_size_gate(tmp_path, capsys, command):
+    """n = 10^30 meets each hypergraph search's size gate before anything of
+    size n is built: beta counts |Phi| = n + 1 without building the
+    diagonal."""
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 10**30, "k": 2, "edges": [[1, 2]]}))
+    domain = ["--domain", "F2"] if command == "chain" else []
+    code = run(["hypergraph", command, "--graph", str(path), *domain, "--json"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert re.fullmatch(r"error: size-gate: size gate: [^\n]*\n", captured.err), captured.err
+    if command == "beta":
+        assert captured.err.endswith(f"at most 64 elements of Phi, got {10**30 + 1}\n")
+
+
 def _without(obj, key):
     return {name: value for name, value in obj.items() if name != key}
 

@@ -53,9 +53,9 @@ from symsub.restrict import (
     _pair_rows,
     _root_orbit_leads,
     _row_blocks,
-    _subrank_from,
     _sym_dfs,
     _unit_maps,
+    subranks,
 )
 from symsub.symmetrize import WaringDecomposition, fully_symmetric, waring_reconstruct
 
@@ -628,6 +628,31 @@ def test_symsubrank_budget_gate_counts_the_search_below_a_non_symmetric_top():
     )
 
 
+def test_a_concise_non_symmetric_top_is_refuted_without_a_search(monkeypatch):
+    """<d> <=_s f has no witness when f is d x ... x d, concise and not
+    symmetric, so symrestriction_exists answers None without calling
+    _sym_dfs; over the budget it still raises, before any search, and
+    symsubrank_exact searches once, from d - 1."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0].shape[0])
+        return _sym_dfs(*args)
+
+    monkeypatch.setattr("symsub.restrict._sym_dfs", counted)
+    rng = np.random.default_rng(0)
+    for d, domain in ((3, F3), (3, F5), (4, F2)):
+        f = Tensor(domain, rng.integers(0, domain.p, (d,) * 3))
+        assert _least_flattening_rank(f) == d and not is_symmetric(f)
+        assert symrestriction_exists(unit_tensor(d, 3, domain), f) is None
+        with pytest.raises(SearchInfeasibleError):
+            symrestriction_exists(unit_tensor(d, 3, domain), f, budget=1)
+        assert calls == []
+        assert symsubrank_exact(f)[0] < d
+        assert calls == [d - 1]
+        calls.clear()
+
+
 def test_sym_dfs_rows_do_not_depend_on_the_start():
     """From every start e between its answer and r0, the search returns the
     same rows, the lexicographically first largest set: so starting below a
@@ -998,28 +1023,31 @@ def maps_of(cert):
 
 
 def test_the_floor_certifies_the_symmetric_subrank_as_a_subrank():
-    """Given (Q_s, A), the subrank search stops above Q_s and, finding no
-    larger <r>, answers Q_s with (A, ..., A), without the budget of the
-    search at Q_s; so the chain on three isolated vertices answers."""
+    """Given Q_s and its map A, the subrank search of ``subranks`` stops
+    above Q_s and, finding no larger <r>, answers Q_s with (A, ..., A),
+    without the budget of the search at Q_s; so the chain on three isolated
+    vertices answers."""
     a = adjacency_tensor(Hypergraph(3, 3, []), F2)
     floor = symsubrank_exact(a)
     assert floor[0] == 3
     with pytest.raises(SearchInfeasibleError, match="4704 candidates"):
-        _subrank_from(a, 3, 100)
-    value, cert = _subrank_from(a, 3, 100, floor=floor)
+        subrank_exact(a, 100)
+    sym, (value, cert) = subranks(a, 100)
+    assert sym[0] == 3 and maps_of(sym[1]) == maps_of(floor[1])
     assert value == 3 and cert.kind == "restriction" and verify_certificate(cert, a)
     assert maps_of(cert) == maps_of(floor[1]) * 3
     rep = alpha_chain_check(Hypergraph(3, 3, []), F2, budget=100)
     assert (rep.sym_subrank, rep.subrank) == (3, 3) and rep.ok
-    # for a matrix the floor skips the normal form only when it is the rank
+    # for a matrix the floor skips the normal form only when it is the rank;
+    # the budget is the C(4, 2) = 6 representatives of the symmetric search
     m = adjacency_tensor(Hypergraph(2, 2, []), F3)
-    sym = symsubrank_exact(m)
-    assert sym[0] == 2
-    assert maps_of(_subrank_from(m, 2, 1, floor=sym)[1]) == maps_of(sym[1]) * 2
+    sym, plain = subranks(m, 6)
+    assert sym[0] == 2 and maps_of(sym[1]) == maps_of(symsubrank_exact(m)[1])
+    assert maps_of(plain[1]) == maps_of(sym[1]) * 2
     m = adjacency_tensor(Hypergraph(2, 2, [(1, 2)]), F3)
-    sym = symsubrank_exact(m)
+    sym, plain = subranks(m, 6)
     assert sym[0] == 1 and subrank_exact(m)[0] == 2
-    assert maps_of(_subrank_from(m, 2, 1, floor=sym)[1]) == maps_of(subrank_exact(m)[1])
+    assert maps_of(plain[1]) == maps_of(subrank_exact(m)[1])
 
 
 def identity(d, domain):
@@ -1037,6 +1065,7 @@ CERTIFYING_CALLS = {
     "subrank tensor": lambda: subrank_exact(w_tensor(F3)),
     "subrank zero": lambda: subrank_exact(Tensor(F3, np.zeros((2, 2, 2), dtype=np.int64))),
     "symsubrank": lambda: symsubrank_exact(w_tensor(F5)),
+    "subranks": lambda: subranks(w_tensor(F3)),
     "matrix skew": lambda: matrix_symsubrank(Tensor(F3, [[0, 1], [2, 0]])),
     "matrix complex": lambda: matrix_symsubrank(Tensor(C, np.eye(2))),
     "matrix search": lambda: matrix_symsubrank(identity(2, F3)),
@@ -1071,8 +1100,11 @@ def test_matrix_symsubrank_calls_reach_each_method():
 
 
 def test_the_chain_floor_is_checked_where_it_is_made(monkeypatch):
+    """The floor certificate (A, ..., A) of ``subranks`` is checked: only
+    plain certificates fail here, and the symmetric one passes."""
     a = adjacency_tensor(Hypergraph(3, 3, []), F2)
-    floor = symsubrank_exact(a)
-    monkeypatch.setattr("symsub.restrict.verify_certificate", lambda cert, f: False)
-    with pytest.raises(RuntimeError, match="internal error"):
-        _subrank_from(a, 3, 100, floor=floor)
+    assert subranks(a, 100)[1][0] == symsubrank_exact(a)[0] == 3
+    monkeypatch.setattr("symsub.restrict.verify_certificate",
+                        lambda cert, f: cert.kind != "restriction")
+    with pytest.raises(RuntimeError, match="internal error: restriction certificate"):
+        subranks(a, 100)

@@ -37,8 +37,8 @@ EXPORTS = {
         uniform_quantum_functional""",
     "restrict": """DEFAULT_BUDGET Certificate SearchInfeasibleError SymrankResult
         certificate_from_json certificate_to_json restriction_exists
-        subrank_exact symrank_small symrestriction_exists symsubrank_exact
-        verify_certificate""",
+        subrank_exact subranks symrank_small symrestriction_exists
+        symsubrank_exact verify_certificate""",
     "symmetrize": """CreateTCertificate MissingKthRootError SymmetrizeResult
         SymrankUpperResult WaringDecomposition create_t fully_symmetric make_sym
         remove_powers selection_map symmetrize_certificate symrank_upper waring_h
