@@ -1,9 +1,11 @@
 """Standard-library-only pieces shared by the numpy-free import paths.
 
 The CLI parser, the hypergraph layer and the JSON readers use these without
-loading numpy: the default search budget, the size gate and the dense entry
-cap, the JSON integer check, the domain check (a tag, a prime below 2**16),
-and the one reader of the tensor, map and certificate JSON formats.  The
+loading numpy: the default search budget and its error, the size gate and
+the dense entry cap, the JSON integer check, the domain check (a tag, a
+prime below 2**16), and the one reader of the tensor, map and certificate
+JSON formats.  The CLI's error table names the budget error and the size
+gate from here beside builtins, so it loads no numpy to map an error.  The
 reader makes every check of those formats, in the order the library always
 made them, and returns plain Python values that the numpy builders in
 ``tensors`` and ``restrict`` only place in arrays; so a malformed CLI input
@@ -33,6 +35,25 @@ class DomainError(ValueError):
     """Invalid domain construction, domain mismatch, or unsupported scalar op."""
 
 
+class SearchInfeasibleError(RuntimeError):
+    """The exhaustive search would exceed the candidate budget (CLI exit 2).
+
+    ``required`` is the exact number of canonical representatives the
+    search for <e> can enumerate (for restriction, maps on all legs but the
+    last, which is solved linearly).  The plain search also meets maps with
+    dependent rows for e >= 3; their last-leg solve fails and ``required``
+    does not count them.
+    """
+
+    def __init__(self, required: int, budget: int, what: str):
+        super().__init__(
+            f"search-infeasible: {what} needs {required} candidates, "
+            f"budget is {budget}"
+        )
+        self.required = required
+        self.budget = budget
+
+
 def check_cap(shape) -> None:
     """Refuse a dense shape of more than 2**24 entries (TensorSizeError)."""
     total = 1
@@ -58,19 +79,14 @@ def json_int(value, what: str) -> int:
 # the domain check
 # ---------------------------------------------------------------------------
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
+def _has_small_factor(n: int) -> bool:
+    """Whether n < 2 or n has a factor f with 2 <= f <= sqrt(n) and f < 2**16:
+    for n < 2**32 exactly when n is not a prime.  At most 2**15 trial
+    divisions, however large n is."""
     if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+        return n < 2
+    top = min(math.isqrt(n), MAX_PRIME - 1)
+    return n % 2 == 0 or any(n % f == 0 for f in range(3, top + 1, 2))
 
 
 def check_prime(p) -> int:
@@ -80,10 +96,11 @@ def check_prime(p) -> int:
         p = operator.index(p)
     except TypeError:
         raise DomainError(f"not a prime: {p!r}") from None
-    if not _is_prime(p):
+    if _has_small_factor(p):
         raise DomainError(f"not a prime: {p!r}")
-    if p >= MAX_PRIME:
-        raise DomainError(f"prime too large: {p} >= 2**16")
+    if p >= MAX_PRIME:  # a prime if p < 2**32; past that, perhaps not
+        what = "prime" if p < MAX_PRIME**2 else "number"
+        raise DomainError(f"{what} too large: {p} >= 2**16")
     return p
 
 

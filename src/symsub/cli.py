@@ -21,7 +21,14 @@ import sys
 import time
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from ._common import DEFAULT_BUDGET, domain_prime, read_certificate, read_tensor
+from ._common import (
+    DEFAULT_BUDGET,
+    SearchInfeasibleError,
+    TensorSizeError,
+    domain_prime,
+    read_certificate,
+    read_tensor,
+)
 
 if TYPE_CHECKING:
     from .hypergraphs import Hypergraph
@@ -200,11 +207,10 @@ def _cmd_symrank(args, inputs):
 def _cmd_congruence(args, inputs):
     f = _read_tensor(args, inputs)
     from .congruence import ballantine_reduce, congruence_result_to_json
-    from .tensors import matrix_rank
 
     res = ballantine_reduce(f)
     outputs = congruence_result_to_json(res)
-    outputs["rank"] = matrix_rank(f)
+    outputs["rank"] = res.diag_nonzeros  # checked to be rank f
     return outputs, "verified"
 
 
@@ -563,34 +569,25 @@ def _error(code: str, message: str) -> None:
     print(f"error: {code}: {text}", file=sys.stderr)
 
 
-# (module, class, code, exit code): the first row whose class the exception
-# is an instance of gives its error line.  A class is looked up in
-# sys.modules, since one whose module was never imported cannot have been
-# raised.
+# (class, code, exit code): the first row whose class the exception is an
+# instance of gives its error line.
 _ERRORS = (
-    ("builtins", "FileNotFoundError", "missing-file", 1),
-    ("builtins", "IsADirectoryError", "missing-file", 1),
-    ("builtins", "PermissionError", "missing-file", 1),
-    ("json", "JSONDecodeError", "malformed-json", 1),
-    ("builtins", "UnicodeDecodeError", "malformed-json", 1),
+    ((FileNotFoundError, IsADirectoryError, PermissionError), "missing-file", 1),
     # a JSON value of the wrong type, e.g. "entries": 5
-    ("builtins", "TypeError", "malformed-json", 1),
-    ("builtins", "KeyError", "malformed-json", 1),
-    ("symsub.restrict", "SearchInfeasibleError", "budget", 2),
+    ((json.JSONDecodeError, UnicodeDecodeError, TypeError, KeyError), "malformed-json", 1),
+    (SearchInfeasibleError, "budget", 2),
     # every size gate, of dense tensors, searches and ascents alike
-    ("symsub._common", "TensorSizeError", "size-gate", 2),
-    # every other error of the library's checks is a ValueError
-    ("builtins", "ValueError", "invalid-input", 1),
-    # an integer too large for a float, e.g. a complex entry 10**400
-    ("builtins", "OverflowError", "invalid-input", 1),
-    ("builtins", "RuntimeError", "internal", 1),
+    (TensorSizeError, "size-gate", 2),
+    # every other error of the library's checks is a ValueError; an
+    # OverflowError is an integer too large for a float, e.g. a complex entry 10**400
+    ((ValueError, OverflowError), "invalid-input", 1),
+    (RuntimeError, "internal", 1),
 )
 
 
 def _error_code(exc: Exception) -> Optional[Tuple[str, int]]:
-    for module, name, code, exit_code in _ERRORS:
-        cls = getattr(sys.modules.get(module), name, None)
-        if cls is not None and isinstance(exc, cls):
+    for cls, code, exit_code in _ERRORS:
+        if isinstance(exc, cls):
             return code, exit_code
     return None
 

@@ -3,11 +3,11 @@
 Two kernels, each taking plain numpy arrays plus a domain object from
 :mod:`symsub.domains`:
 
-* :func:`row_reduce` brings one matrix to (reduced) row echelon form over
+* :func:`row_reduce` brings one matrix to reduced row echelon form over
   F_p or C, with the invertible P that does it, by one array update per
-  pivot; :func:`rank` runs the same elimination on the matrix alone, with
-  no identity block, except over F2, where rows packed into ints are
-  reduced instead.
+  pivot; :func:`rank` runs the same elimination, unreduced, on the matrix
+  alone, with no identity block, except over F2, where rows packed into
+  ints are reduced instead.
 * :func:`solve_stack` solves a stack of systems over F_p at once.
 
 Prime-field elimination is exact on integer residues; complex elimination
@@ -40,19 +40,17 @@ def _f2_rank(M: np.ndarray) -> int:
     return len(basis)
 
 
-def row_reduce(
-    A: np.ndarray, domain: Domain, reduced: bool = True
-) -> Tuple[np.ndarray, List[int], np.ndarray]:
+def row_reduce(A: np.ndarray, domain: Domain) -> Tuple[np.ndarray, List[int], np.ndarray]:
     """Row reduce A.  Returns (R, pivots, P) with R = P @ A (mod p for fields).
 
-    R is in (reduced) row echelon form with unit pivots; P is invertible,
+    R is in reduced row echelon form with unit pivots; P is invertible,
     read off the one array [A | I] that :func:`_eliminate` reduces.
     """
     A = domain.asarray(A)
     n, m = A.shape
     M = np.eye(n, m + n, m, dtype=A.dtype)  # [0 | I]: no second n x n array
     M[:, :m] = A
-    pivots = _eliminate(M, m, domain, reduced)
+    pivots = _eliminate(M, m, domain, True)
     return M[:, :m], pivots, M[:, m:]
 
 

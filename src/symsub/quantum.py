@@ -50,7 +50,7 @@ from typing import ClassVar, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .domains import ComplexNumbers, DomainError
-from .tensors import LinearMap, Tensor, TensorSizeError, _apply_leg, apply_sym
+from .tensors import Tensor, TensorSizeError, _apply_legs
 
 __all__ = [
     "DIMENSION_GATE",
@@ -206,8 +206,8 @@ def directional_derivative_check(f: Tensor, direction) -> Tuple[float, float]:
     step = 1e-5
 
     def log_norm(t: float) -> float:
-        g = LinearMap(f.domain, (vectors * np.exp(t * eigs)) @ vectors.conj().T)
-        image = apply_sym(g, Tensor(f.domain, unit)).array
+        g = (vectors * np.exp(t * eigs)) @ vectors.conj().T
+        image = _apply_legs([g] * arr.ndim, unit, _COMPLEX)
         return 0.5 * math.log(float(np.sum(np.abs(image) ** 2)))
 
     numeric = (log_norm(step) - log_norm(-step)) / (2.0 * step)
@@ -281,13 +281,6 @@ class QuantumFunctionalResult:
 def _legs(maps: Sequence[np.ndarray], k: int) -> List[np.ndarray]:
     """The map on each of the k legs: one shared map, or one map per leg."""
     return list(maps) * k if len(maps) == 1 else list(maps)
-
-
-def _image(arr: np.ndarray, legs: Sequence[np.ndarray]) -> np.ndarray:
-    """arr with legs[j] applied on every leg j."""
-    for j, g in enumerate(legs):
-        arr = _apply_leg(g, arr, j, _COMPLEX)
-    return arr
 
 
 def _evaluate(v: np.ndarray, mode: str) -> Tuple[float, tuple]:
@@ -386,7 +379,7 @@ def _orbit_optimize(
 
     def ascend(maps: np.ndarray) -> Tuple[float, np.ndarray, int, float]:
         # the point's image is that of the maps under frame^H on every leg
-        value, point = _evaluate(_image(arr, _legs(maps, k)), mode)
+        value, point = _evaluate(_apply_legs(_legs(maps, k), arr, _COMPLEX), mode)
         frame = eye
         iterations = 0
         gnorm = 0.0
@@ -401,7 +394,7 @@ def _orbit_optimize(
             # in the maps': every step t below scales w, the image under U^H g
             eigs, vectors = np.linalg.eigh(X / gnorm)
             exponents = _exponents(eigs, k)
-            w = _image(point[0], _legs(vectors.conj().swapaxes(1, 2), k))
+            w = _apply_legs(_legs(vectors.conj().swapaxes(1, 2), k), point[0], _COMPLEX)
             vectors = frame @ vectors
             adjoint = vectors.conj().swapaxes(1, 2)
             size = min(_STEP, 2 * size)
@@ -451,7 +444,7 @@ def _orbit_optimize(
             break
 
     entropy, maps, gnorm = best
-    image = _image(arr, _legs(maps, k))
+    image = _apply_legs(_legs(maps, k), arr, _COMPLEX)
     unit = image / math.sqrt(float(np.vdot(image, image).real))
     avg = _marginal_stack(_flattenings(unit), average=True)[0]
     spectrum = tuple(max(float(v), 0.0) for v in jacobi_eigh(avg))

@@ -10,8 +10,8 @@ checks it against f once and raises RuntimeError on failure;
 ``_check_chain`` has checked it through the chain's Kronecker structure,
 as ``create_t`` checks its selection.
 Exhaustive searches run over prime fields only and respect a hard candidate
-budget: exceeding it raises :class:`SearchInfeasibleError`, never a silent
-"no".
+budget: exceeding it raises :class:`SearchInfeasibleError` (defined in the
+numpy-free ``_common``), never a silent "no".
 
 The exhaustive searches take only unit targets <e> (order-2 restriction,
 decided by echelon forms, takes any target), and enumerate one
@@ -23,7 +23,8 @@ for one e, the largest such r (the subrank and the symmetric subrank), and
 both subranks at once for the chain (:func:`subranks`).  Its stages run in
 this order: (1) a plain question on a matrix, by one reduced echelon form;
 (2) r <= r0, the least flattening rank of f; (3) for <=_s, r <= r0 - 1 when
-f is concise and not symmetric; (4) the budget gate; (5) the search.
+f is concise and not symmetric; (4) the budget gate; (5) the search.  A
+question the first three stages settle is never refused for budget.
 
 The search of stage 5 is :func:`_sym_dfs`, a branch and bound over int
 bitsets of the rows that pass its root, or :func:`_restriction_dfs`, which
@@ -50,7 +51,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import linalg
-from ._common import DEFAULT_BUDGET, read_certificate
+from ._common import DEFAULT_BUDGET, SearchInfeasibleError, read_certificate
 from .domains import DomainError, PrimeField
 from .tensors import (
     _BLOCK_ENTRIES,
@@ -87,25 +88,6 @@ __all__ = [
 ]
 
 _FIRST_CHUNK = 1 << 10  # entries of partial tensors in a leg's first chunk of prefixes
-
-
-class SearchInfeasibleError(RuntimeError):
-    """The exhaustive search would exceed the candidate budget.
-
-    ``required`` is the exact number of canonical representatives the
-    search for <e> can enumerate (for restriction, maps on all legs but the
-    last, which is solved linearly).  The plain search also meets maps with
-    dependent rows for e >= 3; their last-leg solve fails and ``required``
-    does not count them.
-    """
-
-    def __init__(self, required: int, budget: int, what: str):
-        super().__init__(
-            f"search-infeasible: {what} needs {required} candidates, "
-            f"budget is {budget}"
-        )
-        self.required = required
-        self.budget = budget
 
 
 @dataclass(frozen=True)
@@ -251,8 +233,8 @@ def _sym_dfs(G: np.ndarray, F: np.ndarray, p: int, floor: int) -> np.ndarray:
     such block when e = 1): per block of candidate rows, the image of F
     under the one-row maps (c), with no stack of maps copied.  The
     candidates are the plain search's shared stack of one-row maps
-    (:func:`_leg_stack`), or stream from :func:`_row_blocks` when they do
-    not fit in it.  Each survivor's pair row, the int bitset of the later
+    (:func:`_leg_stack`), or stream from :func:`_maps` when they do not
+    fit in it.  Each survivor's pair row, the int bitset of the later
     survivors whose two-row image with it is <2>, is computed once, in
     blocks of rows that double (:func:`_pair_rows`).  A child's candidates
     are its parent's after the chosen row ANDed with that row's pair row, so
@@ -266,7 +248,7 @@ def _sym_dfs(G: np.ndarray, F: np.ndarray, p: int, floor: int) -> np.ndarray:
     size = max(1, _BLOCK_ENTRIES // max(1, e * d ** (k - 1)))
     stack = _leg_stack(p, d, 1, leads, False)
     if stack is None:
-        blocks = (cand[:, None] for cand in _row_blocks(p, d, leads, size))
+        blocks = _maps(p, d, 1, leads, False, size)
     else:
         blocks = (stack[lo:lo + size] for lo in range(0, len(stack), size))
     rows = np.zeros((0, d), dtype=np.int64)
@@ -573,7 +555,7 @@ def _decide(f: Tensor, e: int, low: int, symmetric: bool, budget: int,
     3. For <=_s, a witness of <r0> from a concise f (every dimension r0) is
        invertible, so f is symmetric; if f is not, r <= r0 - 1.
     4. The budget gate, for each r the plain search tries, or once, at the
-       top r or else low + 1: the budget refuses what stage 3 settles too.
+       top r the symmetric search starts from.
     5. The search: :func:`_restriction_dfs` per r, or :func:`_sym_dfs` once."""
     domain, k = f.domain, f.order
     if e <= low:
@@ -584,6 +566,8 @@ def _decide(f: Tensor, e: int, low: int, symmetric: bool, budget: int,
         maps, target = [P[:r], S[:r]], unit_tensor(r, 2, domain)
         return _certified("restriction", maps, target, f) if r > low else None
     e = min(e, _least_flattening_rank(f) if r0 is None else r0)
+    if symmetric and e == f.dims[0] and not is_symmetric(f):
+        e -= 1
     if e <= low:
         return None
     if not symmetric:
@@ -594,11 +578,7 @@ def _decide(f: Tensor, e: int, low: int, symmetric: bool, budget: int,
             if maps is not None:
                 return _certified("restriction", maps, g, f)
         return None
-    if e == f.dims[0] and not is_symmetric(f):
-        e -= 1
-    _check_budget(f, max(e, low + 1), True, budget)
-    if e <= low:
-        return None
+    _check_budget(f, e, True, budget)
     if not e:
         return _no_rows(f, "symmetric-restriction")
     rows = _sym_dfs(unit_tensor(e, k, domain).array, f.array, domain.p, low)

@@ -39,7 +39,7 @@ from .tensors import (
     Tensor,
     TensorSizeError,
     _BLOCK_ENTRIES,
-    _apply_leg,
+    _apply_legs,
     _kron_rows,
     _rank_one_sum,
     apply,
@@ -253,11 +253,6 @@ def remove_powers(f: Tensor) -> Tuple[LinearMap, Tensor]:
     def diag(i):
         return domain.normalize(garr[(i,) * k])
 
-    def apply_all_legs(M, arr):
-        for leg in range(k):
-            arr = _apply_leg(M, arr, leg, domain)
-        return arr
-
     lead = d - 1
     if domain.is_zero(diag(lead)):
         candidates = [i for i in range(d - 1) if not domain.is_zero(diag(i))]
@@ -266,7 +261,7 @@ def remove_powers(f: Tensor) -> Tuple[LinearMap, Tensor]:
         swap = max(candidates)
         P = np.eye(d, dtype=domain.dtype)
         P[[swap, lead]] = P[[lead, swap]]
-        garr = apply_all_legs(P, garr)
+        garr = _apply_legs([P] * k, garr, domain)
         total = domain.reduce(P @ total)
     failed = []
     for i in range(d - 2, -1, -1):
@@ -283,7 +278,7 @@ def remove_powers(f: Tensor) -> Tuple[LinearMap, Tensor]:
             continue
         E = np.eye(d, dtype=domain.dtype)
         E[i, lead] = eps
-        garr = apply_all_legs(E, garr)
+        garr = _apply_legs([E] * k, garr, domain)
         if isinstance(domain, ComplexNumbers):
             garr[(i,) * k] = 0  # clear root-finding residue exactly
         total = domain.reduce(E @ total)

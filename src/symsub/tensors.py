@@ -184,18 +184,23 @@ def apply(maps: Sequence[LinearMap], f: Tensor) -> Tensor:
     """g = (A1 (x) ... (x) Ak) f, one map per leg."""
     if len(maps) != f.order:
         raise ValueError(f"need {f.order} maps, got {len(maps)}")
-    arr = f.array
     domain = f.domain
     for leg, m in enumerate(maps):
         if m.domain != domain:
             raise DomainError(f"domain mismatch on leg {leg + 1}")
-        if m.cols != arr.shape[leg]:
+        if m.cols != f.dims[leg]:
             raise ValueError(
                 f"leg {leg + 1}: map has {m.cols} columns, tensor dim is "
-                f"{arr.shape[leg]}"
+                f"{f.dims[leg]}"
             )
-        arr = _apply_leg(m.array, arr, leg, domain)
-    return Tensor(domain, arr)
+    return Tensor(domain, _apply_legs([m.array for m in maps], f.array, domain))
+
+
+def _apply_legs(legs: Sequence[np.ndarray], arr: np.ndarray, domain: Domain) -> np.ndarray:
+    """The array of arr with legs[j] applied on leg j, for every leg j."""
+    for leg, M in enumerate(legs):
+        arr = _apply_leg(M, arr, leg, domain)
+    return arr
 
 
 def _apply_leg(M: np.ndarray, arr: np.ndarray, leg: int, domain: Domain) -> np.ndarray:

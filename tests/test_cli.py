@@ -1,5 +1,6 @@
 import json
 import re
+import time
 
 import numpy as np
 import pytest
@@ -576,6 +577,28 @@ def test_out_of_range_numbers_exit_one(tmp_path, capsys, text):
     assert code == 1
     assert err.startswith("error: invalid-input:")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("where", ["domain-flag", "tensor"])
+def test_a_huge_prime_tag_is_one_error_line_at_once(tmp_path, capsys, where):
+    """A 20-digit prime tag (2**64 - 59) is refused as invalid input within a
+    second: trial division stops below 2**16, so the message does not call
+    it a prime."""
+    tag = "F18446744073709551557"
+    if where == "domain-flag":
+        argv = ["waring", "--order", "3", "--domain", tag]
+    else:
+        path = tmp_path / "huge_prime.json"
+        path.write_text(json.dumps({"order": 2, "dims": [1, 1], "domain": tag, "entries": []}))
+        argv = ["rank", "--tensor", str(path)]
+    started = time.perf_counter()
+    code = run(argv)
+    elapsed = time.perf_counter() - started
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == (
+        "error: invalid-input: number too large: 18446744073709551557 >= 2**16\n")
+    assert elapsed < 1.0
 
 
 @pytest.mark.parametrize("value", ["NaN", "Infinity", "1e400", "[0, NaN]"],

@@ -22,7 +22,7 @@ from symsub import (
     uniform_quantum_functional,
     unit_tensor,
 )
-from symsub import quantum
+from symsub import quantum, tensors
 
 W_VALUE = 3 / 2 ** (2 / 3)  # 1.8898815748...
 
@@ -331,14 +331,15 @@ def test_large_and_tiny_tensors_give_the_values_of_their_scaled_copies():
 
 def value_and_gradient(arr, maps, mode):
     """The ascent's value and gradient X at the maps, read off their image."""
-    value, point = quantum._evaluate(quantum._image(arr, quantum._legs(maps, arr.ndim)), mode)
+    image = tensors._apply_legs(quantum._legs(maps, arr.ndim), arr, C)
+    value, point = quantum._evaluate(image, mode)
     return value, quantum._gradient(point, mode)
 
 
 def objective(arr, maps, mode):
     """The ascent's objective at the maps through the public sandwich check:
     the entropy of the averaged marginal (sym) or the mean marginal entropy."""
-    rep = sandwich_check(Tensor(C, quantum._image(arr, quantum._legs(maps, arr.ndim))))
+    rep = sandwich_check(Tensor(C, tensors._apply_legs(quantum._legs(maps, arr.ndim), arr, C)))
     return rep.entropy_of_average if mode == "sym" else rep.mean_entropy
 
 
@@ -419,7 +420,7 @@ def test_line_search_in_the_eigenbasis_matches_the_objective(mode):
             value, X = value_and_gradient(arr, maps, mode)
             eigs, vectors = np.linalg.eigh(X / np.linalg.norm(X))
             adjoint = vectors.conj().swapaxes(1, 2)
-            w = quantum._image(arr, quantum._legs(adjoint @ maps, k))
+            w = tensors._apply_legs(quantum._legs(adjoint @ maps, k), arr, C)
             t, accepted = 8.0, False
             while not accepted and t > 1e-12:
                 got = quantum._step(w, quantum._exponents(eigs, k), t, mode)[0]
@@ -452,7 +453,7 @@ def test_accepted_candidate_is_the_next_point(mode):
             value, X = value_and_gradient(arr, maps, mode)
             eigs, vectors = np.linalg.eigh(X / np.linalg.norm(X))
             adjoint = vectors.conj().swapaxes(1, 2)
-            w = quantum._image(arr, quantum._legs(adjoint @ maps, k))
+            w = tensors._apply_legs(quantum._legs(adjoint @ maps, k), arr, C)
             t = 0.5
             while (cand := quantum._step(w, quantum._exponents(eigs, k), t, mode))[0] <= value:
                 t /= 2
@@ -469,8 +470,8 @@ def test_each_iteration_images_one_tensor(mode, monkeypatch):
     rotated into the new eigenbasis), k per start (its first image) and k
     for the returned point; the input is not imaged again per iteration."""
     calls = []
-    apply_leg = quantum._apply_leg
-    monkeypatch.setattr(quantum, "_apply_leg", lambda *a: calls.append(a[2]) or apply_leg(*a))
+    apply_leg = tensors._apply_leg
+    monkeypatch.setattr(tensors, "_apply_leg", lambda *a: calls.append(a[2]) or apply_leg(*a))
     f = random_unit_tensor(np.random.default_rng(23), (3, 3, 3))
     fn = sym_quantum_functional if mode == "sym" else uniform_quantum_functional
     res = fn(f, OptimizerOptions(restarts=1, iterations=12, tolerance=0.0))

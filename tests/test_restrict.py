@@ -631,8 +631,8 @@ def test_symsubrank_budget_gate_counts_the_search_below_a_non_symmetric_top():
 def test_a_concise_non_symmetric_top_is_refuted_without_a_search(monkeypatch):
     """<d> <=_s f has no witness when f is d x ... x d, concise and not
     symmetric, so symrestriction_exists answers None without calling
-    _sym_dfs; over the budget it still raises, before any search, and
-    symsubrank_exact searches once, from d - 1."""
+    _sym_dfs, at every budget: no search is counted; symsubrank_exact
+    searches once, from d - 1."""
     calls = []
 
     def counted(*args):
@@ -644,9 +644,8 @@ def test_a_concise_non_symmetric_top_is_refuted_without_a_search(monkeypatch):
     for d, domain in ((3, F3), (3, F5), (4, F2)):
         f = Tensor(domain, rng.integers(0, domain.p, (d,) * 3))
         assert _least_flattening_rank(f) == d and not is_symmetric(f)
-        assert symrestriction_exists(unit_tensor(d, 3, domain), f) is None
-        with pytest.raises(SearchInfeasibleError):
-            symrestriction_exists(unit_tensor(d, 3, domain), f, budget=1)
+        for budget in (DEFAULT_BUDGET, 1):
+            assert symrestriction_exists(unit_tensor(d, 3, domain), f, budget) is None
         assert calls == []
         assert symsubrank_exact(f)[0] < d
         assert calls == [d - 1]
@@ -764,7 +763,8 @@ def test_required_counts_the_enumerated_representatives():
     assert {orbit(v) for v in rows} == orbits
     assert rows == sorted(rows)
     assert max(map(len, blocks)) <= 5
-    f7 = Tensor(F7, rng.integers(0, 7, size=(2, 2, 2)))
+    f7 = random_symmetric(rng, 2, 3, F7)  # concise and symmetric: the search must run
+    assert _least_flattening_rank(f7) == 2
     with pytest.raises(SearchInfeasibleError) as info:
         symrestriction_exists(unit_tensor(2, 3, F7), f7, budget=1)
     assert info.value.required == 16 * 15 // 2 == 120
@@ -789,6 +789,34 @@ def test_first_leg_rows_stream():
     for c in (cert, sub):
         assert [m.array.tolist() for m in c.maps] == [row, [[1]], [[1]]]
         assert verify_certificate(c, f)
+
+
+def test_streamed_candidates_give_the_certificates_of_the_shared_stacks(monkeypatch):
+    """With no shared stack of maps (``_leg_stack`` None), the symmetric
+    search's root rows and the plain search's legs stream from ``_maps``:
+    every certificate and refutation is the one the shared stacks give."""
+    rng = np.random.default_rng(39)
+    tensors = []
+    for domain, (k, d) in itertools.product((F2, F3), ((3, 2), (3, 3), (4, 2))):
+        tensors.append(Tensor(domain, rng.integers(0, domain.p, size=(d,) * k)))
+        tensors.append(random_symmetric(rng, d, k, domain))
+
+    def answers():
+        out = []
+        for f in tensors:
+            out += [certificate_to_json(symsubrank_exact(f)[1]),
+                    certificate_to_json(subrank_exact(f)[1])]
+            for e in range(1, f.dims[0] + 1):
+                cert = symrestriction_exists(unit_tensor(e, f.order, f.domain), f)
+                out.append(cert and certificate_to_json(cert))
+        return out
+
+    shared = answers()
+    streamed = []
+    monkeypatch.setattr("symsub.restrict._leg_stack", lambda *args: streamed.append(args))
+    assert answers() == shared
+    assert {args[2] for args in streamed} == {1, 2, 3}  # one-row maps and e-row frames
+    assert sum(cert is not None and cert["target"]["dims"][0] >= 2 for cert in shared) >= 10
 
 
 def test_symrank_gate_comes_before_the_vectors():
